@@ -215,21 +215,36 @@ def _read_families_csv(path: str):
             raise CliError(
                 EXIT_INPUT, f"line {lineno}: p_value {p_text} outside [0, 1]"
             )
-        entry = families.setdefault(fam, ([], []))
-        entry[0].append(hyp)
+        # Each family maps its hypothesis ids to the line they came from.
+        entry = families.setdefault(fam, ({}, []))
+        first = entry[0].setdefault(hyp, lineno)
+        if first != lineno:
+            raise CliError(
+                EXIT_INPUT,
+                f"line {lineno}: duplicate hypothesis {hyp!r} in family "
+                f"{fam!r} (first on line {first})",
+            )
         entry[1].append(p)
     if not families:
         raise CliError(EXIT_INPUT, "no data rows found")
     ids = list(families)
     pvalues = [np.array(families[f][1]) for f in ids]
-    hypotheses = {f: families[f][0] for f in ids}
+    hypotheses = {f: list(families[f][0]) for f in ids}
     return ids, pvalues, hypotheses, digest
 
 
 def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    return int(os.environ.get("FAMSEL_THREADS", "1"))
+    """Worker count from --threads or FAMSEL_THREADS, capped at the CPU count."""
+    text = args.threads
+    if text is None:
+        text = os.environ.get("FAMSEL_THREADS", "1")
+    try:
+        count = int(text)
+    except ValueError:
+        raise CliError(EXIT_CONFIG, f"thread count {text!r} is not an integer")
+    if count < 1:
+        raise CliError(EXIT_CONFIG, f"thread count {count} is below 1")
+    return min(count, os.cpu_count() or 1)
 
 
 def _write_text(text: str, output):
@@ -313,6 +328,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_table1(args) -> int:
+    workers = _threads(args)
     rows = []
     rows.append(
         "# selection bias benchmark: all-null families, min-p selection at "
@@ -342,7 +358,7 @@ def cmd_table1(args) -> int:
             seed=args.seed,
             adjustment="none",
         )
-        est = estimate(config, workers=_threads(args))
+        est = estimate(config, workers=workers)
         flag = "*" if abs(est.e_cs_hat - e_cs) > 3.0 * est.se else ""
         rows.append(
             f"{m:>5} {n:>5} {sel_frac:>10.4f} {e_cs:>8.4f} "
@@ -353,6 +369,7 @@ def cmd_table1(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    workers = _threads(args)
     rule = parse_rule(args.rule, args.q)
     procedure = parse_procedure(args.procedure)
     metric = parse_metric(args.metric)
@@ -377,7 +394,7 @@ def cmd_simulate(args) -> int:
             rho=args.rho,
             adjustment=adjustment,
         )
-        est = estimate(config, workers=_threads(args))
+        est = estimate(config, workers=workers)
     except (UnsupportedRuleError, ValueError) as err:
         raise CliError(EXIT_CONFIG, str(err))
     report = {
@@ -426,6 +443,7 @@ def _probe_ensembles(q: float):
 
 
 def cmd_check(args) -> int:
+    workers = _threads(args)
     rule = parse_rule(args.rule, args.q)
     if args.suite == "simple":
         for ens in _probe_ensembles(args.q):
@@ -512,7 +530,7 @@ def cmd_check(args) -> int:
                 mu=mu,
                 adjustment="rmin",
             )
-            est = estimate(config, workers=_threads(args))
+            est = estimate(config, workers=workers)
         except (UnsupportedRuleError, ValueError) as err:
             raise CliError(EXIT_CONFIG, str(err))
         if est.e_cs_hat > args.q + 3.0 * est.se:
@@ -560,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     table1.add_argument("--reps", type=int, default=20000)
     table1.add_argument("--seed", type=int, default=0)
-    table1.add_argument("--threads", type=int, default=None)
+    table1.add_argument("--threads")
 
     simulate = sub.add_parser("simulate", help="Monte Carlo scenario estimate")
     simulate.add_argument("--m", type=int, required=True)
@@ -580,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--unadjusted", action="store_true")
     simulate.add_argument("--reps", type=int, default=10000)
     simulate.add_argument("--seed", type=int, default=0)
-    simulate.add_argument("--threads", type=int, default=None)
+    simulate.add_argument("--threads")
     simulate.add_argument("--output")
 
     check = sub.add_parser("check", help="property-check suites")
@@ -594,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--trials", type=int, default=10000)
     check.add_argument("--reps", type=int, default=2000)
     check.add_argument("--seed", type=int, default=0)
-    check.add_argument("--threads", type=int, default=None)
+    check.add_argument("--threads")
     return parser
 
 

@@ -98,6 +98,16 @@ def hochberg(pvalues, level: float) -> np.ndarray:
     return step_up(p, holm_critical_values(p.size, level))
 
 
+def stage_one_level(level):
+    """BH level q' = level / (1 + level) of the two-stage procedure's first stage."""
+    return level / (1.0 + level)
+
+
+def stage_two_level(q1, n, m0_hat):
+    """BH level (n / m0_hat) * q' of the second stage, as every caller rounds it."""
+    return q1 * n / m0_hat
+
+
 def two_stage_adaptive(pvalues, level: float) -> np.ndarray:
     """Two-stage adaptive FDR controller.
 
@@ -106,12 +116,12 @@ def two_stage_adaptive(pvalues, level: float) -> np.ndarray:
     stage two reruns BH at (n / m0_hat) * q'.
     """
     p = np.asarray(pvalues, dtype=np.float64)
-    q1 = level / (1.0 + level)
+    q1 = stage_one_level(level)
     r1 = bh(p, q1).size
     m0_hat = p.size - r1
     if m0_hat == 0:
         return np.arange(p.size, dtype=np.intp)
-    return bh(p, q1 * p.size / m0_hat)
+    return bh(p, stage_two_level(q1, p.size, m0_hat))
 
 
 def lehmann_romano_kfwer(pvalues, level: float, k: int) -> np.ndarray:
@@ -194,7 +204,8 @@ class Procedure:
         """Every constant the rejection decision compares a p-value against.
 
         The R_min scan uses these as breakpoints so that its search over
-        one family's summary value is exact.
+        one family's summary value is exact; for two_stage the batched scan
+        needs only the stage-two constants of the null counts it can reach.
         """
         if self.kind in ("step_up", "step_down"):
             return np.asarray(self.critical_values)
@@ -209,11 +220,13 @@ class Procedure:
         if self.kind == "lr_kfwer":
             return lr_kfwer_critical_values(n, level, self.k)
         # two_stage: stage one compares against BH constants at q', stage two
-        # against BH constants at (n/m0_hat)*q' for every possible m0_hat, so
-        # all cutoffs have the form j*q'/d with j, d in 1..n.
-        q1 = level / (1.0 + level)
-        j = np.arange(1, n + 1, dtype=np.float64)
-        return np.unique(np.outer(j, 1.0 / j)) * q1
+        # against BH constants at (n/m0_hat)*q' for every possible m0_hat,
+        # rounded exactly as two_stage_adaptive rounds them.
+        q1 = stage_one_level(level)
+        stage_two = [
+            bh_critical_values(n, stage_two_level(q1, n, d)) for d in range(1, n + 1)
+        ]
+        return np.unique(np.concatenate([bh_critical_values(n, q1)] + stage_two))
 
     def describe(self) -> str:
         if self.kind == "lr_kfwer":
@@ -221,3 +234,62 @@ class Procedure:
         if self.kind in ("step_up", "step_down"):
             return f"{self.kind}[{len(self.critical_values)}]"
         return self.kind
+
+
+def _step_up_counts(ps: np.ndarray, crit: np.ndarray) -> np.ndarray:
+    hits = ps <= crit
+    n = ps.shape[1]
+    return np.where(hits.any(axis=1), n - np.argmax(hits[:, ::-1], axis=1), 0)
+
+
+def _step_down_counts(ps: np.ndarray, crit: np.ndarray) -> np.ndarray:
+    ok = ps <= crit
+    return np.where(ok.all(axis=1), ps.shape[1], np.argmin(ok, axis=1))
+
+
+def rejection_counts(procedure: Procedure, ps: np.ndarray, levels=None) -> np.ndarray:
+    """Number of rejections in each row of a row-sorted (s, n) p-value matrix.
+
+    levels holds one testing level per row, or is None for step_up and
+    step_down. The critical values are computed with the same floating-point
+    expressions as the scalar procedures, so each count equals
+    ``procedure.apply(row, level).size`` bit for bit. Critical values never
+    decrease, so a count never splits tied p-values: the rejected set of a
+    row is exactly its first r entries.
+    """
+    n = ps.shape[1]
+    kind = procedure.kind
+    if kind in ("step_up", "step_down"):
+        if levels is not None:
+            raise ValueError(
+                f"{kind} carries fixed critical values and cannot be applied "
+                "at a level"
+            )
+        crit = np.asarray(procedure.critical_values)
+        if crit.size != n:
+            raise ValueError("need exactly one critical value per p-value")
+        counts = _step_up_counts if kind == "step_up" else _step_down_counts
+        return counts(ps, crit)
+    if levels is None:
+        raise ValueError(f"a level is required for {kind}")
+    levels = np.asarray(levels, dtype=np.float64)[:, None]
+    ranks = np.arange(1, n + 1)
+    if kind == "bonferroni":
+        return (ps <= levels / n).sum(axis=1)
+    if kind == "bh":
+        return _step_up_counts(ps, ranks * (levels / n))
+    if kind == "hochberg":
+        return _step_up_counts(ps, levels / (n - ranks + 1))
+    if kind == "holm":
+        return _step_down_counts(ps, levels / (n - ranks + 1))
+    if kind == "lr_kfwer":
+        k = procedure.k
+        if not 1 <= k <= n:
+            raise ValueError(f"k={k} out of range for {n} hypotheses")
+        crit = np.where(ranks <= k, k * levels / n, k * levels / (n + k - ranks))
+        return _step_down_counts(ps, crit)
+    q1 = stage_one_level(levels)
+    m0 = n - _step_up_counts(ps, ranks * (q1 / n))
+    level2 = stage_two_level(q1, n, np.maximum(m0, 1)[:, None])
+    r2 = _step_up_counts(ps, ranks * (level2 / n))
+    return np.where(m0 == 0, n, r2)

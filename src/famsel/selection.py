@@ -12,7 +12,13 @@ import numpy as np
 from scipy import special
 
 from .core import PValueEnsemble, SelectionOutcome
-from .procedures import Procedure
+from .procedures import (
+    Procedure,
+    bh_critical_values,
+    rejection_counts,
+    stage_one_level,
+    stage_two_level,
+)
 
 COMBINERS = ("bonferroni_min", "simes", "fisher", "stouffer")
 
@@ -20,6 +26,10 @@ COMBINERS = ("bonferroni_min", "simes", "fisher", "stouffer")
 # log(p) and the normal quantile stay finite at both ends.
 DEFAULT_P_FLOOR = 1e-300
 _P_CEIL = 1.0 - 1e-16
+
+# Cells in one block of candidate rows of the batched R_min scan, so that
+# its memory stays bounded however many candidates a family has.
+_SCAN_BLOCK_CELLS = 1 << 16
 
 
 class UnsupportedRuleError(ValueError):
@@ -150,6 +160,8 @@ class GlobalNullTest:
             raise ValueError(f"unknown combiner {self.combiner!r}")
         if self.level is not None and not 0.0 < self.level < 1.0:
             raise ValueError("level must lie in (0, 1)")
+        if self.level is None and self.procedure.critical_values is None:
+            raise ValueError(f"a level is required for {self.procedure.kind}")
 
     @property
     def is_simple(self) -> bool:
@@ -188,6 +200,83 @@ def _is_summary_rule(rule) -> bool:
     )
 
 
+def _candidates(summaries: np.ndarray, cutoffs) -> np.ndarray:
+    """Candidate summary values: the breakpoints 0, 1, every summary and
+    each cutoff in [0, 1], plus the midpoints between consecutive ones."""
+    cutoffs = np.asarray(cutoffs, dtype=np.float64)
+    inside = cutoffs[(cutoffs >= 0.0) & (cutoffs <= 1.0)]
+    pts = np.unique(np.concatenate([summaries, [0.0, 1.0], inside]))
+    return np.concatenate([pts, (pts[:-1] + pts[1:]) / 2.0])
+
+
+def _looped_r_min(rule, summaries: np.ndarray, i: int) -> int | None:
+    """Smallest selected count keeping i selected, one selection per candidate."""
+    best = None
+    work = summaries.copy()
+    for s in _candidates(summaries, rule.summary_thresholds(summaries.size)):
+        work[i] = s
+        picked = rule.select_from_summaries(work)
+        if (picked == i).any() and (best is None or picked.size < best):
+            best = int(picked.size)
+    return best
+
+
+def _inserted_rows(rest: np.ndarray, candidates: np.ndarray):
+    """Blocks of (candidates, rows): each row is the sorted `rest` with one
+    candidate inserted at its searchsorted position, so rows come out sorted
+    without sorting them."""
+    m = rest.size + 1
+    padded = np.append(rest, 0.0)
+    cols = np.arange(m)
+    step = max(1, _SCAN_BLOCK_CELLS // m)
+    for start in range(0, candidates.size, step):
+        block = candidates[start : start + step]
+        pos = np.searchsorted(rest, block)
+        rows = padded[cols - (cols > pos[:, None])]
+        rows[np.arange(block.size), pos] = block
+        yield block, rows
+
+
+def _batched_min_selected(rule, rest: np.ndarray, candidates: np.ndarray):
+    # A candidate s keeps its family selected exactly when r > 0 and
+    # s <= row[r-1]: the kernel's counts never split a tie.
+    best = None
+    for block, rows in _inserted_rows(rest, candidates):
+        levels = None if rule.level is None else np.full(block.size, rule.level)
+        r = rejection_counts(rule.procedure, rows, levels)
+        kth = rows[np.arange(block.size), np.maximum(r, 1) - 1]
+        counts = r[(r > 0) & (block <= kth)]
+        if counts.size and (best is None or counts.min() < best):
+            best = int(counts.min())
+    return best
+
+
+def _batched_r_min(rule, summaries: np.ndarray, i: int) -> int | None:
+    """Smallest selected count keeping i selected, for a GlobalNullTest."""
+    m = summaries.size
+    rest = np.sort(np.delete(summaries, i))
+    if rule.procedure.kind != "two_stage":
+        return _batched_min_selected(
+            rule, rest, _candidates(summaries, rule.summary_thresholds(m))
+        )
+    # Stage two compares against BH cutoffs at (m/d)*q' only for the null
+    # counts d = m - r1 that stage one actually leaves for some s.
+    q1 = stage_one_level(rule.level)
+    cutoffs = [bh_critical_values(m, q1)]
+    null_counts = set()
+    for block, rows in _inserted_rows(rest, _candidates(summaries, cutoffs[0])):
+        r1 = rejection_counts(Procedure("bh"), rows, np.full(block.size, q1))
+        null_counts.update((m - r1).tolist())
+    cutoffs += [
+        bh_critical_values(m, stage_two_level(q1, m, d))
+        for d in sorted(null_counts)
+        if d > 0
+    ]
+    return _batched_min_selected(
+        rule, rest, _candidates(summaries, np.concatenate(cutoffs))
+    )
+
+
 def _r_min_scan(rule, summaries: np.ndarray, i: int) -> int:
     """Exact minimization of the selected count over family i's summary.
 
@@ -195,26 +284,23 @@ def _r_min_scan(rule, summaries: np.ndarray, i: int) -> int:
     s crosses another family's summary or one of the rule's own cutoffs, so
     evaluating at those breakpoints and at the midpoints between them covers
     every attainable outcome.
+
+    A GlobalNullTest evaluates all candidates in one batched pass: every
+    candidate row is the other summaries, sorted once, with s inserted in
+    place, and the procedure kernel counts the rejections of a block of rows
+    at a time. For the adaptive two-stage procedure the cutoffs are stage
+    one's BH constants at q' plus, for each null count d = m - r1 that stage
+    one leaves at some candidate, stage two's BH constants at (m/d)*q'. Each
+    reachable d adds m cutoffs and stage one reaches few, so a family has
+    O(m) candidates (305 at m = 40 where every j*q'/d would give over 2000).
+    Any other summary rule runs one selection per candidate.
     """
     if not _is_summary_rule(rule):
         raise UnsupportedRuleError(
             "R_min needs a rule that consumes one scalar summary per family"
         )
-    m = summaries.size
-    breaks = {0.0, 1.0, float(summaries[i])}
-    breaks.update(float(s) for j, s in enumerate(summaries) if j != i)
-    breaks.update(
-        float(t) for t in rule.summary_thresholds(m) if 0.0 <= t <= 1.0
-    )
-    pts = np.array(sorted(breaks))
-    candidates = np.concatenate([pts, (pts[:-1] + pts[1:]) / 2.0])
-    best = None
-    work = summaries.copy()
-    for s in candidates:
-        work[i] = s
-        picked = rule.select_from_summaries(work)
-        if (picked == i).any() and (best is None or picked.size < best):
-            best = int(picked.size)
+    scan = _batched_r_min if isinstance(rule, GlobalNullTest) else _looped_r_min
+    best = scan(rule, summaries, i)
     if best is None:
         raise UnsupportedRuleError(
             f"family {i} is never selected for any summary value"

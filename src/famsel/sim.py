@@ -19,7 +19,7 @@ from .adjust import (
     unadjusted_analysis,
 )
 from .core import ErrorMetric, PValueEnsemble, average_over_selected
-from .procedures import Procedure
+from .procedures import Procedure, rejection_counts
 from .selection import _r_min_scan, check_concordant
 
 ADJUSTMENTS = ("simple", "rmin", "none")
@@ -188,19 +188,8 @@ def generate(
     return PValueEnsemble(fams, truth=masks)
 
 
-# Procedure kinds the batched kernel below can evaluate.
+# Parametric procedure kinds, which the fast path runs at per-family levels.
 _BATCH_KINDS = ("bonferroni", "holm", "hochberg", "bh", "two_stage", "lr_kfwer")
-
-
-def _step_up_counts(ps: np.ndarray, crit: np.ndarray) -> np.ndarray:
-    hits = ps <= crit
-    n = ps.shape[1]
-    return np.where(hits.any(axis=1), n - np.argmax(hits[:, ::-1], axis=1), 0)
-
-
-def _step_down_counts(ps: np.ndarray, crit: np.ndarray) -> np.ndarray:
-    ok = ps <= crit
-    return np.where(ok.all(axis=1), ps.shape[1], np.argmin(ok, axis=1))
 
 
 def _batch_test_counts(procedure: Procedure, ps, nulls_sorted, levels):
@@ -208,37 +197,11 @@ def _batch_test_counts(procedure: Procedure, ps, nulls_sorted, levels):
 
     ps is a (s, n) matrix of row-sorted p-values, nulls_sorted the truth
     mask permuted the same way, levels the per-family testing levels. The
-    arithmetic mirrors the scalar procedures term for term so that counts
-    (and hence every realized error measure) agree bit for bit.
+    rejection counts come from the batched procedure kernel, whose counts
+    (and hence every realized error measure) agree bit for bit with the
+    scalar procedures.
     """
-    s, n = ps.shape
-    ranks = np.arange(1, n + 1)
-    kind = procedure.kind
-    if kind == "bonferroni":
-        r = (ps <= levels[:, None] / n).sum(axis=1)
-    elif kind == "bh":
-        r = _step_up_counts(ps, ranks[None, :] * (levels[:, None] / n))
-    elif kind == "hochberg":
-        r = _step_up_counts(ps, levels[:, None] / (n - ranks[None, :] + 1))
-    elif kind == "holm":
-        r = _step_down_counts(ps, levels[:, None] / (n - ranks[None, :] + 1))
-    elif kind == "lr_kfwer":
-        k = procedure.k
-        crit = np.where(
-            ranks[None, :] <= k,
-            k * levels[:, None] / n,
-            k * levels[:, None] / (n + k - ranks[None, :]),
-        )
-        r = _step_down_counts(ps, crit)
-    elif kind == "two_stage":
-        q1 = levels / (1.0 + levels)
-        r1 = _step_up_counts(ps, ranks[None, :] * (q1[:, None] / n))
-        m0 = n - r1
-        level2 = q1 * n / np.maximum(m0, 1)
-        r2 = _step_up_counts(ps, ranks[None, :] * (level2[:, None] / n))
-        r = np.where(m0 == 0, n, r2)
-    else:
-        raise ValueError(f"no batched kernel for {kind}")
+    r = rejection_counts(procedure, ps, levels)
     null_counts = np.cumsum(nulls_sorted, axis=1)
     v = np.where(
         r > 0,

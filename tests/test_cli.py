@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -5,6 +6,7 @@ import json
 import jsonschema
 import pytest
 
+from famsel import cli
 from famsel.cli import CSV_COLUMNS, REPORT_SCHEMA, main
 
 THREE_FAMILY_CSV = """family,hypothesis,p_value
@@ -137,6 +139,15 @@ class TestAnalyze:
         assert code == 2
         assert "line 2" in err
 
+    def test_duplicate_hypothesis_names_both_lines(self, tmp_path, capsys):
+        path = tmp_path / "dup.csv"
+        path.write_text(
+            "family,hypothesis,p_value\ng1,h1,0.01\ng2,h1,0.2\ng1,h1,0.03\n"
+        )
+        code, out, err = run_cli(["analyze", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert "line 4" in err and "line 2" in err and "'h1'" in err
+
     def test_bad_header(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("fam,hyp,p\nf1,h1,0.5\n")
@@ -227,6 +238,32 @@ class TestSimulate:
         monkeypatch.setenv("FAMSEL_THREADS", "3")
         _, threaded, _ = run_cli(args, capsys)
         assert serial == threaded
+
+
+class TestThreads:
+    @pytest.mark.parametrize("value", ["abc", "2.5", "0", "-1"])
+    def test_bad_env_value_exits_config_everywhere(self, value, capsys, monkeypatch):
+        monkeypatch.setenv("FAMSEL_THREADS", value)
+        for args in (
+            ["table1", "--reps", "10"],
+            ["simulate", "--m", "4", "--n", "2", "--reps", "10"],
+            ["check", "--suite", "control", "--reps", "10"],
+        ):
+            code, out, err = run_cli(args, capsys)
+            assert code == 3 and out == "", args
+            assert "thread count" in err
+
+    @pytest.mark.parametrize("value", ["many", "0"])
+    def test_bad_flag_exits_config(self, value, capsys):
+        code, _, err = run_cli(["table1", "--reps", "10", "--threads", value], capsys)
+        assert code == 3 and "thread count" in err
+
+    def test_capped_at_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        assert cli._threads(argparse.Namespace(threads="64")) == 2
+        assert cli._threads(argparse.Namespace(threads="1")) == 1
+        monkeypatch.setenv("FAMSEL_THREADS", "16")
+        assert cli._threads(argparse.Namespace(threads=None)) == 2
 
 
 class TestCheck:

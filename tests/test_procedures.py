@@ -11,6 +11,7 @@ from famsel.procedures import (
     holm,
     lehmann_romano_kfwer,
     lr_kfwer_critical_values,
+    rejection_counts,
     step_down,
     step_up,
     two_stage_adaptive,
@@ -281,3 +282,41 @@ class TestProcedureType:
         for j in range(1, n + 1):
             for d in range(1, n + 1):
                 assert np.isclose(grid, j * q1 / d).any()
+
+
+class TestRejectionCounts:
+    """The batched kernel counts exactly what the scalar procedures reject."""
+
+    def test_matches_scalar_procedures(self):
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 5, 13):
+            rows = rng.uniform(size=(80, n)) ** 3
+            rows[rng.uniform(size=rows.shape) < 0.1] = 0.0
+            rows[rng.uniform(size=rows.shape) < 0.1] = 1.0
+            rows[::3, -1] = rows[::3, 0]
+            ps = np.sort(rows, axis=1)
+            levels = rng.uniform(0.01, 0.9, size=rows.shape[0])
+            procedures = [
+                Procedure(kind)
+                for kind in ("bonferroni", "holm", "hochberg", "bh", "two_stage")
+            ] + [Procedure("lr_kfwer", k=min(2, n))]
+            for proc in procedures:
+                expected = [proc.apply(row, lv).size for row, lv in zip(rows, levels)]
+                assert rejection_counts(proc, ps, levels).tolist() == expected
+            crit = tuple(np.sort(rng.uniform(size=n)))
+            for kind in ("step_up", "step_down"):
+                proc = Procedure(kind, critical_values=crit)
+                expected = [proc.apply(row).size for row in rows]
+                assert rejection_counts(proc, ps).tolist() == expected
+
+    def test_level_and_shape_errors(self):
+        ps = np.array([[0.01, 0.2, 0.5]])
+        with pytest.raises(ValueError, match="level"):
+            rejection_counts(Procedure("bh"), ps)
+        generic = Procedure("step_up", critical_values=(0.1, 0.2, 0.3))
+        with pytest.raises(ValueError, match="cannot"):
+            rejection_counts(generic, ps, np.array([0.05]))
+        with pytest.raises(ValueError, match="one critical value"):
+            rejection_counts(generic, ps[:, :2])
+        with pytest.raises(ValueError, match="out of range"):
+            rejection_counts(Procedure("lr_kfwer", k=4), ps, np.array([0.05]))

@@ -3,17 +3,20 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from famsel import selection
 from famsel.core import PValueEnsemble
 from famsel.procedures import Procedure
 from famsel.selection import (
+    COMBINERS,
     GlobalNullTest,
     MinPThreshold,
     TopKMinP,
     UnsupportedRuleError,
+    _looped_r_min,
     _r_min_scan,
     check_concordant,
     check_simple,
@@ -159,6 +162,10 @@ class TestSelect:
             GlobalNullTest("median", Procedure("bh"), level=0.05)
         with pytest.raises(ValueError):
             GlobalNullTest("simes", Procedure("bh"), level=1.5)
+        with pytest.raises(ValueError, match="level is required"):
+            GlobalNullTest("simes", Procedure("bh"))
+        generic = Procedure("step_up", critical_values=(0.01, 0.05))
+        assert GlobalNullTest("simes", generic).level is None
 
     @given(st.data())
     def test_decreasing_own_pvalue_keeps_family_selected(self, data):
@@ -245,6 +252,155 @@ class TestRMin:
                     assert scan == grid, (case, i, summaries)
                     checked += 1
         assert checked > 300
+
+
+SCAN_KINDS = (
+    "bonferroni",
+    "holm",
+    "hochberg",
+    "bh",
+    "two_stage",
+    "lr_kfwer",
+    "step_up",
+    "step_down",
+)
+
+
+def scan_rule(combiner, kind, level, k, crit):
+    if kind in ("step_up", "step_down"):
+        return GlobalNullTest(combiner, Procedure(kind, critical_values=crit))
+    procedure = Procedure(kind, k=k if kind == "lr_kfwer" else None)
+    return GlobalNullTest(combiner, procedure, level=level)
+
+
+def two_stage_cutoffs(level, m, rng, size):
+    """Stage-two cutoffs j*((q'*m/d)/m), as the procedure rounds them, each
+    possibly moved one ulp up or down, where other summaries decide R_min."""
+    q1 = level / (1.0 + level)
+    j = rng.integers(1, m + 1, size=size)
+    d = rng.integers(1, m + 1, size=size)
+    cut = j * ((q1 * m / d) / m)
+    shift = rng.integers(-1, 2, size=size)
+    return np.clip(np.nextafter(cut, cut + shift), 0.0, 1.0)
+
+
+def scan_or_none(rule, summaries, i):
+    try:
+        return _r_min_scan(rule, summaries, i)
+    except UnsupportedRuleError:
+        return None
+
+
+class TestBatchedScan:
+    """The batched GlobalNullTest scan against the per-candidate loop."""
+
+    def _seeded_cases(self, seed):
+        rng = np.random.default_rng(seed)
+        for combiner in COMBINERS:
+            for kind in SCAN_KINDS:
+                for m in (int(rng.integers(1, 13)), int(rng.integers(13, 40)), 40):
+                    n = int(rng.integers(1, 5))
+                    pvals = rng.uniform(size=(m, n)) ** rng.uniform(1.0, 6.0)
+                    pvals[rng.uniform(size=pvals.shape) < 0.1] = 0.0
+                    pvals[rng.uniform(size=pvals.shape) < 0.1] = 1.0
+                    crit = tuple(np.sort(rng.choice(rng.uniform(0, 0.6, m), m)))
+                    level = float(rng.uniform(0.05, 0.6))
+                    k = int(rng.integers(1, m + 1))
+                    rule = scan_rule(combiner, kind, level, k, crit)
+                    summaries = rule.summaries(PValueEnsemble(pvals))
+                    # ties with other families and summaries of exactly 0 and 1
+                    tied = rng.uniform(size=m) < 0.3
+                    summaries[tied] = rng.choice(summaries, size=int(tied.sum()))
+                    summaries[rng.uniform(size=m) < 0.1] = 0.0
+                    summaries[rng.uniform(size=m) < 0.1] = 1.0
+                    on_cutoff = rng.uniform(size=m) < 0.4
+                    summaries[on_cutoff] = two_stage_cutoffs(
+                        level, m, rng, int(on_cutoff.sum())
+                    )
+                    families = rng.choice(m, size=min(m, 3), replace=False)
+                    yield rule, summaries, families
+
+    def test_matches_loop_on_seeded_cases(self):
+        selected = 0
+        for rule, summaries, families in self._seeded_cases(2024):
+            for i in families:
+                scan = scan_or_none(rule, summaries, int(i))
+                assert scan == _looped_r_min(rule, summaries, int(i)), (rule, i)
+                selected += scan is not None
+        assert selected > 250
+
+    def test_two_stage_matches_loop_near_its_cutoffs(self):
+        # Summaries spread over (0, 3q') make stage two's cutoffs decide
+        # R_min for some families, which uniform summaries rarely do.
+        rng = np.random.default_rng(11)
+        for case in range(100):
+            m = int(rng.integers(2, 16))
+            level = float(rng.uniform(0.05, 0.6))
+            rule = GlobalNullTest(COMBINERS[case % 4], Procedure("two_stage"), level)
+            summaries = rng.uniform(0.0, 3.0 * level / (1.0 + level), size=m)
+            for i in range(m):
+                assert scan_or_none(rule, summaries, i) == _looped_r_min(
+                    rule, summaries, i
+                ), (case, i)
+
+    def test_small_blocks_give_the_same_answer(self, monkeypatch):
+        cases = list(self._seeded_cases(7))
+        expected = [
+            [scan_or_none(rule, s, int(i)) for i in fams] for rule, s, fams in cases
+        ]
+        monkeypatch.setattr(selection, "_SCAN_BLOCK_CELLS", 50)
+        for (rule, s, fams), want in zip(cases, expected):
+            assert [scan_or_none(rule, s, int(i)) for i in fams] == want
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.sampled_from([0.0, 1.0, 0.01, 0.02]), st.floats(0.0, 1.0)),
+            min_size=1,
+            max_size=12,
+        ),
+        st.sampled_from(SCAN_KINDS),
+        st.floats(0.01, 0.9),
+        st.integers(0, 2**32 - 1),
+        st.data(),
+    )
+    def test_matches_loop_property(self, values, kind, level, seed, data):
+        summaries = np.array(values)
+        m = summaries.size
+        rng = np.random.default_rng(seed)
+        on_cutoff = rng.uniform(size=m) < 0.5
+        summaries[on_cutoff] = two_stage_cutoffs(
+            level, m, rng, int(on_cutoff.sum())
+        )
+        k = data.draw(st.integers(1, m))
+        crit = tuple(
+            sorted(data.draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m)))
+        )
+        rule = scan_rule("simes", kind, level, k, crit)
+        for i in range(m):
+            assert scan_or_none(rule, summaries, i) == _looped_r_min(rule, summaries, i)
+
+    def test_outcome_only_at_an_exact_cutoff(self):
+        # Family 0 is selected with one other family only at exactly the
+        # stage-two cutoff 2 * ((q' * 5 / 5) / 5), one ulp above 2 * q' / 5
+        # because q' * 5 / 5 rounds up; one ulp lower the count is 3, one ulp
+        # higher family 0 drops out.
+        rule = GlobalNullTest(
+            "fisher", Procedure("two_stage"), level=0.319671458930628
+        )
+        summaries = np.array(
+            [
+                0.7704611920444101,
+                0.45658735613543766,
+                0.4271714423304889,
+                0.05864103097795368,
+                0.23208717823845054,
+            ]
+        )
+        assert _r_min_scan(rule, summaries, 0) == 2
+        work = summaries.copy()
+        work[0] = 0.09689425554135059
+        assert rule.select_from_summaries(work).tolist() == [0, 3]
 
 
 class TestCheckSimple:
