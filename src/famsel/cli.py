@@ -347,18 +347,21 @@ def cmd_table1(args) -> int:
         if args.reps == 0:
             rows.append(f"{m:>5} {n:>5} {sel_frac:>10.4f} {e_cs:>8.4f}")
             continue
-        config = ScenarioConfig(
-            m=m,
-            n=n,
-            q=0.05,
-            rule=MinPThreshold(0.05),
-            procedure=Procedure("bonferroni"),
-            metric=ErrorMetric("fwer"),
-            replicates=args.reps,
-            seed=args.seed,
-            adjustment="none",
-        )
-        est = estimate(config, workers=workers)
+        try:
+            config = ScenarioConfig(
+                m=m,
+                n=n,
+                q=0.05,
+                rule=MinPThreshold(0.05),
+                procedure=Procedure("bonferroni"),
+                metric=ErrorMetric("fwer"),
+                replicates=args.reps,
+                seed=args.seed,
+                adjustment="none",
+            )
+            est = estimate(config, workers=workers)
+        except ValueError as err:
+            raise CliError(EXIT_CONFIG, str(err))
         flag = "*" if abs(est.e_cs_hat - e_cs) > 3.0 * est.se else ""
         rows.append(
             f"{m:>5} {n:>5} {sel_frac:>10.4f} {e_cs:>8.4f} "

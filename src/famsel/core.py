@@ -138,13 +138,6 @@ class PValueEnsemble:
             self._truth = list(self._truth2d)
         return self._truth
 
-    @property
-    def truth_rect(self):
-        """Truth mask as one 2d array, when families share a size."""
-        if self._truth2d is None and self._truth is not None and self.rect is not None:
-            self._truth2d = np.vstack(self._truth)
-        return self._truth2d
-
     def has_truth(self) -> bool:
         return self._truth is not None or self._truth2d is not None
 

@@ -293,3 +293,15 @@ def rejection_counts(procedure: Procedure, ps: np.ndarray, levels=None) -> np.nd
     level2 = stage_two_level(q1, n, np.maximum(m0, 1)[:, None])
     r2 = _step_up_counts(ps, ranks * (level2 / n))
     return np.where(m0 == 0, n, r2)
+
+
+def rejected_by_counts(ps: np.ndarray, r: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Whether each value falls in its row's rejected set.
+
+    ps is a row-sorted (s, n) matrix, r its rejection counts and values an
+    (s,) or (s, k) array of values on the same scale. Counts never split a
+    tie, so row i rejects exactly the values <= ps[i, r[i]-1] when r[i] > 0,
+    and none (no value is <= -inf) when r[i] = 0.
+    """
+    kth = np.where(r > 0, ps[np.arange(r.size), r - 1], -np.inf)
+    return values <= kth.reshape((-1,) + (1,) * (values.ndim - 1))

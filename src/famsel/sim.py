@@ -4,6 +4,14 @@ Each replicate draws an ensemble from an independent counter-based stream
 keyed by (seed, replicate_index), runs the configured analysis, and records
 the realized average error measure over the selected families together with
 the selected fraction. Results are bit-identical for any worker count.
+
+Rectangular scenarios with a parametric procedure inside and a rule that
+selects in blocks run replicates in blocks of at most _BLOCK_CELLS p-values:
+each replicate still draws from its own stream, in the order `generate`
+draws, and the block is then summarized, selected and tested in a few
+batched calls. Every estimate equals, bit for bit, the one the per-replicate
+analysis objects give (`_object_replicate`), which every other scenario
+runs.
 """
 
 import math
@@ -19,7 +27,7 @@ from .adjust import (
     unadjusted_analysis,
 )
 from .core import ErrorMetric, PValueEnsemble, average_over_selected
-from .procedures import Procedure, rejection_counts
+from .procedures import Procedure, rejected_by_counts, rejection_counts
 from .selection import _r_min_scan, check_concordant
 
 ADJUSTMENTS = ("simple", "rmin", "none")
@@ -96,8 +104,11 @@ class SimEstimate:
 
 def _replicate_rng(seed: int, replicate_index: int) -> np.random.Generator:
     # Philox is counter based; keying by (seed, replicate) gives every
-    # replicate its own stream independent of execution order.
-    return np.random.Generator(np.random.Philox(key=[seed, replicate_index]))
+    # replicate its own stream independent of execution order. The key goes
+    # in as uint64: a plain list with a value >= 2**63 passes through float64
+    # and loses bits.
+    key = np.array([seed, replicate_index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 class _ReplicateStreams:
@@ -105,14 +116,22 @@ class _ReplicateStreams:
 
     Resetting the bit generator's state to a fresh (seed, replicate) key
     yields exactly the stream a newly constructed generator would, without
-    paying the construction cost inside the replicate loop.
+    paying the construction cost inside the replicate loop. The state layout
+    is NumPy's own, not a public API, so construction checks a rekeyed
+    stream against a fresh one and raises RuntimeError if they differ.
     """
 
     def __init__(self, seed: int):
         self._seed = seed
-        self._bitgen = np.random.Philox(key=[seed, 0])
-        self._gen = np.random.Generator(self._bitgen)
+        self._gen = _replicate_rng(seed, 0)
+        self._bitgen = self._gen.bit_generator
         self._template = self._bitgen.state
+        fresh = _replicate_rng(seed, 1).random(8)
+        if not np.array_equal(self.rekey(1).random(8), fresh):
+            raise RuntimeError(
+                "rekeying numpy's Philox state no longer reproduces a fresh "
+                "(seed, replicate) stream"
+            )
 
     def rekey(self, replicate_index: int) -> np.random.Generator:
         state = dict(self._template)
@@ -145,34 +164,18 @@ def generate(
     if rng is None:
         rng = _replicate_rng(config.seed, replicate_index)
     sizes = config.sizes()
+    if len(set(sizes)) == 1:
+        pvals = np.empty((config.m, sizes[0]))
+        _draw_rect(config, rng, pvals)
+        return PValueEnsemble(pvals, truth=_null_mask(config, sizes[0]))
     root = math.sqrt(config.rho)
     spread = math.sqrt(1.0 - config.rho)
-    if len(set(sizes)) == 1:
-        m, n = config.m, sizes[0]
-        k1 = int(round(config.pi1 * n))
-        truth = np.ones((m, n), dtype=bool)
-        if k1:
-            truth[:, :k1] = False
-        if config.dependence == "equicorrelated":
-            z0 = rng.standard_normal()
-            x = root * z0 + spread * rng.standard_normal((m, n))
-            if k1:
-                x[:, :k1] += config.mu
-            pvals = special.ndtr(-x)
-        else:
-            pvals = np.empty((m, n))
-            pvals[:, k1:] = rng.uniform(size=(m, n - k1))
-            if k1:
-                pvals[:, :k1] = special.ndtr(
-                    -(rng.standard_normal((m, k1)) + config.mu)
-                )
-        return PValueEnsemble(pvals, truth=truth)
     fams = []
     masks = []
     if config.dependence == "equicorrelated":
         z0 = rng.standard_normal()
     for n_i in sizes:
-        k1 = int(round(config.pi1 * n_i))
+        k1 = _non_nulls(config, n_i)
         mask = np.ones(n_i, dtype=bool)
         mask[:k1] = False
         if config.dependence == "equicorrelated":
@@ -188,26 +191,60 @@ def generate(
     return PValueEnsemble(fams, truth=masks)
 
 
-# Parametric procedure kinds, which the fast path runs at per-family levels.
+def _non_nulls(config: ScenarioConfig, n: int) -> int:
+    """Number of leading non-null hypotheses in a family of size n."""
+    return int(round(config.pi1 * n))
+
+
+def _null_mask(config: ScenarioConfig, n: int) -> np.ndarray:
+    """(m, n) truth mask of a rectangular scenario."""
+    truth = np.ones((config.m, n), dtype=bool)
+    truth[:, : _non_nulls(config, n)] = False
+    return truth
+
+
+def _draw_rect(config: ScenarioConfig, rng: np.random.Generator, out: np.ndarray):
+    """Fill out, an (m, n) array, with one rectangular replicate's p-values.
+
+    This fixes the order of the draws from the replicate's stream for both
+    `generate` and the block path.
+    """
+    m, n = out.shape
+    k1 = _non_nulls(config, n)
+    if config.dependence == "equicorrelated":
+        root = math.sqrt(config.rho)
+        spread = math.sqrt(1.0 - config.rho)
+        z0 = rng.standard_normal()
+        x = root * z0 + spread * rng.standard_normal((m, n))
+        if k1:
+            x[:, :k1] += config.mu
+        special.ndtr(-x, out=out)
+    else:
+        out[:, k1:] = rng.uniform(size=(m, n - k1))
+        if k1:
+            out[:, :k1] = special.ndtr(-(rng.standard_normal((m, k1)) + config.mu))
+
+
+# Parametric procedure kinds, which the block path runs at per-family levels.
 _BATCH_KINDS = ("bonferroni", "holm", "hochberg", "bh", "two_stage", "lr_kfwer")
 
+# p-values drawn per block of replicates (at least one replicate per block).
+_BLOCK_CELLS = 1 << 14
 
-def _batch_test_counts(procedure: Procedure, ps, nulls_sorted, levels):
+
+def _batch_test_counts(procedure: Procedure, rows, nulls, levels):
     """Rejection and false-rejection counts for a block of tested families.
 
-    ps is a (s, n) matrix of row-sorted p-values, nulls_sorted the truth
-    mask permuted the same way, levels the per-family testing levels. The
-    rejection counts come from the batched procedure kernel, whose counts
-    (and hence every realized error measure) agree bit for bit with the
-    scalar procedures.
+    rows is an (s, n) matrix of p-values, nulls the (n,) truth mask all rows
+    share, levels the per-family testing levels. The rejection
+    counts come from the batched procedure kernel, which agrees bit for bit
+    with the scalar procedures and never splits a tie, so the false
+    rejections are the null entries at or below each row's r-th smallest
+    value.
     """
+    ps = np.sort(rows, axis=1)
     r = rejection_counts(procedure, ps, levels)
-    null_counts = np.cumsum(nulls_sorted, axis=1)
-    v = np.where(
-        r > 0,
-        np.take_along_axis(null_counts, np.maximum(r, 1)[:, None] - 1, axis=1)[:, 0],
-        0,
-    )
+    v = (rejected_by_counts(ps, r, rows) & nulls).sum(axis=1)
     return r, v
 
 
@@ -229,35 +266,40 @@ def _metric_values(metric: ErrorMetric, v: np.ndarray, r: np.ndarray) -> np.ndar
     return np.where(v >= metric.k, fdp, 0.0)
 
 
-def _fast_replicate(config: ScenarioConfig, ens: PValueEnsemble):
-    """(C_S, |S|/m) via batched within-family testing.
+def _block_values(config: ScenarioConfig, streams, start: int, stop: int):
+    """(C_S, |S|/m) of replicates [start, stop) of a rectangular scenario.
 
-    Requires a rectangular ensemble with truth and a parametric procedure;
-    produces exactly the values of the per-family object path.
+    The block is drawn into one (B, m, n) array, summarized and selected as
+    (B, m) arrays, and every selected (replicate, family) row is tested in
+    one kernel call. Each replicate's metric values are summed in family
+    order, as `average_over_selected` sums them, so every value equals the
+    object path's bit for bit.
     """
-    rule, procedure, q = config.rule, config.procedure, config.q
-    summaries = rule.summaries(ens)
-    picked = rule.select_from_summaries(summaries)
-    r_sel = int(picked.size)
-    if r_sel == 0:
-        return 0.0, 0.0
-    if config.adjustment == "none":
-        levels = np.full(r_sel, q)
-    elif config.adjustment == "simple" or getattr(rule, "is_simple", False):
-        levels = np.full(r_sel, r_sel * q / ens.m)
-    else:
-        rmins = np.array([_r_min_scan(rule, summaries, int(i)) for i in picked])
-        levels = rmins * q / ens.m
-    block = ens.rect[picked]
-    order = np.argsort(block, axis=1, kind="stable")
-    ps = np.take_along_axis(block, order, axis=1)
-    nulls_sorted = np.take_along_axis(ens.truth_rect[picked], order, axis=1)
-    r, v = _batch_test_counts(procedure, ps, nulls_sorted, levels)
-    values = _metric_values(config.metric, v, r)
-    total = 0.0
-    for value in values.tolist():  # fixed-order sum, matching the object path
-        total += value
-    return total / r_sel, r_sel / ens.m
+    rule, q, m = config.rule, config.q, config.m
+    n = config.sizes()[0]
+    p = np.empty((stop - start, m, n))
+    for j in range(stop - start):
+        _draw_rect(config, streams.rekey(start + j), p[j])
+    summaries = rule.block_summaries(p)
+    picked = rule.select_block(summaries)
+    counts = picked.sum(axis=1)
+    values = np.zeros(picked.shape)
+    reps, fams = np.nonzero(picked)
+    if reps.size:
+        if config.adjustment == "none":
+            levels = np.full(reps.size, q)
+        elif config.adjustment == "simple" or getattr(rule, "is_simple", False):
+            levels = counts[reps] * q / m
+        else:
+            rmins = [_r_min_scan(rule, summaries[b], i) for b, i in zip(reps, fams)]
+            levels = np.array(rmins) * q / m
+        nulls = _null_mask(config, n)[0]
+        r, v = _batch_test_counts(config.procedure, p[picked], nulls, levels)
+        values[picked] = _metric_values(config.metric, v, r)
+    # cumsum adds left to right, and adding the zeros of unselected
+    # families leaves a sum unchanged.
+    totals = np.cumsum(values, axis=1)[:, -1]
+    return totals / np.maximum(counts, 1), counts / m
 
 
 def _object_replicate(config: ScenarioConfig, ens: PValueEnsemble):
@@ -274,19 +316,31 @@ def _object_replicate(config: ScenarioConfig, ens: PValueEnsemble):
 
 
 def _replicate_values(config: ScenarioConfig, start: int, stop: int, fast=None):
-    """Per-replicate (C_S, |S|/m) for replicate indices [start, stop)."""
+    """Per-replicate (C_S, |S|/m) for replicate indices [start, stop).
+
+    fast selects the block path (default: whenever the scenario allows it)
+    or the per-replicate analysis objects.
+    """
     if fast is None:
         fast = (
             len(set(config.sizes())) == 1
             and config.procedure.kind in _BATCH_KINDS
+            and hasattr(config.rule, "block_summaries")
+            and hasattr(config.rule, "select_block")
         )
-    evaluate = _fast_replicate if fast else _object_replicate
     cs = np.empty(stop - start)
     frac = np.empty(stop - start)
     streams = _ReplicateStreams(config.seed)
+    if fast:
+        step = max(1, _BLOCK_CELLS // (config.m * config.sizes()[0]))
+        for a in range(start, stop, step):
+            b = min(a + step, stop)
+            block = _block_values(config, streams, a, b)
+            cs[a - start : b - start], frac[a - start : b - start] = block
+        return cs, frac
     for idx in range(start, stop):
         ens = generate(config, idx, rng=streams.rekey(idx))
-        cs[idx - start], frac[idx - start] = evaluate(config, ens)
+        cs[idx - start], frac[idx - start] = _object_replicate(config, ens)
     return cs, frac
 
 

@@ -195,6 +195,14 @@ class TestTable1:
         assert code_a == code_b == 0
         assert out_a == out_b
 
+    @pytest.mark.parametrize(
+        "args", [["--reps", "-1"], ["--reps", "5", "--seed", "-1"]]
+    )
+    def test_bad_numbers_exit_config(self, args, capsys):
+        code, out, err = run_cli(["table1", *args], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("famsel: ")
+
 
 class TestSimulate:
     def test_unadjusted_bias_reproduced(self, capsys):

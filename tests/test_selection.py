@@ -186,6 +186,77 @@ class TestSelect:
             assert i in after
 
 
+class TestSelectBlock:
+    """select_block on a stack of summary rows against one row at a time."""
+
+    def _rules(self, m, rng):
+        yield MinPThreshold(float(rng.uniform(0.05, 1.0)))
+        yield MinPThreshold(1.0)
+        yield TopKMinP(int(rng.integers(1, m + 1)))
+        crit = tuple(np.sort(rng.uniform(0.0, 0.6, m)))
+        level = float(rng.uniform(0.05, 0.6))
+        for combiner in COMBINERS:
+            for kind in SCAN_KINDS:
+                yield scan_rule(combiner, kind, level, int(rng.integers(1, m + 1)), crit)
+
+    @staticmethod
+    def _oracle(rule, row):
+        """The selected indices by each rule's definition, not via select_block."""
+        if isinstance(rule, MinPThreshold):
+            return np.flatnonzero(row <= rule.t)
+        if isinstance(rule, TopKMinP):
+            return np.sort(np.argsort(row, kind="stable")[: rule.k])
+        return rule.procedure.apply(row, rule.level)
+
+    def test_rows_agree_with_one_row_selection(self):
+        rng = np.random.default_rng(505)
+        checked = 0
+        for case in range(40):
+            m = int(rng.integers(1, 25))
+            block = rng.uniform(size=(6, m)) ** rng.uniform(1.0, 5.0)
+            # ties within a row, and summaries of exactly 0 and 1
+            block[rng.uniform(size=block.shape) < 0.3] = block[0, 0]
+            block[rng.uniform(size=block.shape) < 0.1] = 0.0
+            block[rng.uniform(size=block.shape) < 0.1] = 1.0
+            block[1] = block[0, 0]
+            for rule in self._rules(m, rng):
+                mask = rule.select_block(block)
+                assert mask.shape == block.shape and mask.dtype == bool
+                for row, picked in zip(block, mask):
+                    one = rule.select_from_summaries(row)
+                    assert np.array_equal(np.flatnonzero(picked), one), rule
+                    assert np.array_equal(one, self._oracle(rule, row)), rule
+                    checked += one.size > 0
+        assert checked > 2000
+
+    def test_errors_match_the_scalar_path(self):
+        block = np.full((2, 3), 0.01)
+        with pytest.raises(ValueError, match="k=4 exceeds the number of families"):
+            TopKMinP(4).select_block(block)
+        for rule in (
+            GlobalNullTest("simes", Procedure("lr_kfwer", k=4), level=0.1),
+            GlobalNullTest("simes", Procedure("step_up", critical_values=(0.1,))),
+        ):
+            with pytest.raises(ValueError) as block_error:
+                rule.select_block(block)
+            with pytest.raises(ValueError) as row_error:
+                self._oracle(rule, block[0])
+            assert str(block_error.value) == str(row_error.value)
+
+    def test_block_summaries_match_each_ensemble(self):
+        rng = np.random.default_rng(9)
+        for n in (1, 3, 40):
+            p = rng.uniform(size=(5, 7, n))
+            p[0, 0] = 0.0
+            p[1, 1] = 1.0
+            for rule in [MinPThreshold(0.5), TopKMinP(2)] + [
+                GlobalNullTest(c, Procedure("bh"), 0.1) for c in COMBINERS
+            ]:
+                got = rule.block_summaries(p)
+                want = [rule.summaries(PValueEnsemble(block)) for block in p]
+                assert np.array_equal(got, np.array(want)), (rule, n)
+
+
 class TestRMin:
     def test_simple_rules_shortcut_to_r(self):
         ens = PValueEnsemble(np.random.default_rng(1).uniform(size=(6, 3)))

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special, stats
 
+from famsel import sim
 from famsel.core import ErrorMetric
 from famsel.procedures import Procedure
-from famsel.selection import GlobalNullTest, MinPThreshold, TopKMinP
+from famsel.selection import COMBINERS, GlobalNullTest, MinPThreshold, TopKMinP
 from famsel.sim import (
     ScenarioConfig,
     _replicate_values,
+    _ReplicateStreams,
     closed_form_example1,
     estimate,
     generate,
@@ -149,6 +153,35 @@ class TestGenerate:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_rekeyed_streams_match_fresh_ones(self, seed):
+        streams = _ReplicateStreams(seed)
+        for idx in (0, 1, 2, 7, 2**32, 2**64 - 1):
+            key = np.array([seed, idx], dtype=np.uint64)
+            fresh = np.random.Generator(np.random.Philox(key=key))
+            rekeyed = streams.rekey(idx)
+            assert np.array_equal(rekeyed.random(5), fresh.random(5))
+            assert np.array_equal(
+                rekeyed.standard_normal(3), fresh.standard_normal(3)
+            )
+
+    def test_seeds_above_2_63_key_their_own_streams(self):
+        draws = {}
+        for seed in (0, 2**63, 2**63 + 1, 2**64 - 1):
+            cfg = example1_config(3, 4, reps=1, seed=seed)
+            rekeyed = _ReplicateStreams(seed).rekey(5)
+            draws[seed] = generate(cfg, 5).rect
+            assert np.array_equal(draws[seed], generate(cfg, 5, rng=rekeyed).rect)
+        assert len({d.tobytes() for d in draws.values()}) == 4
+
+    def test_broken_rekey_is_caught_at_construction(self, monkeypatch):
+        rekey = _ReplicateStreams.rekey
+        monkeypatch.setattr(
+            _ReplicateStreams, "rekey", lambda self, idx: rekey(self, idx + 1)
+        )
+        with pytest.raises(RuntimeError, match="Philox"):
+            _ReplicateStreams(3)
+
     def test_ragged_sizes(self):
         cfg = ScenarioConfig(
             m=3,
@@ -221,13 +254,21 @@ class TestEstimate:
         assert estimate(cfg, workers=2) == serial
         assert estimate(cfg, workers=5) == serial
 
-    def test_fast_and_object_paths_agree_exactly(self):
+    def test_fast_and_object_paths_agree_exactly(self, monkeypatch):
         rng = np.random.default_rng(31)
         rules = [
             MinPThreshold(0.2),
             TopKMinP(3),
             GlobalNullTest("simes", Procedure("bh"), 0.3),
             GlobalNullTest("fisher", Procedure("two_stage"), 0.3),
+            GlobalNullTest("bonferroni_min", Procedure("holm"), 0.3),
+            GlobalNullTest("stouffer", Procedure("hochberg"), 0.3),
+            GlobalNullTest(
+                "simes",
+                Procedure("step_up", critical_values=(0.0, 0.05, 0.1, 0.2, 0.2, 0.4)),
+            ),
+            # selects nothing in most replicates
+            MinPThreshold(1e-4),
         ]
         procedures = [
             Procedure("bonferroni"),
@@ -245,24 +286,91 @@ class TestEstimate:
             ErrorMetric("kfwer", k=2),
             ErrorMetric("kfdr", k=2),
         ]
-        for case in range(30):
+        # a few replicates per block, so that spans cross block edges
+        monkeypatch.setattr(sim, "_BLOCK_CELLS", 100)
+        for case in range(48):
             cfg = ScenarioConfig(
                 m=6,
                 n=5,
                 q=0.2,
-                rule=rules[case % 4],
-                procedure=procedures[case % 6],
+                rule=rules[case % 8],
+                procedure=procedures[case // 8],
                 metric=metrics[case % 6],
                 replicates=25,
                 seed=int(rng.integers(10**6)),
                 pi1=0.4,
                 mu=2.0,
+                dependence=("independent", "equicorrelated")[(case // 3) % 2],
+                rho=0.5 if (case // 3) % 2 else 0.0,
                 adjustment=("simple", "rmin", "none")[case % 3],
             )
-            fast = _replicate_values(cfg, 0, 25, fast=True)
-            slow = _replicate_values(cfg, 0, 25, fast=False)
-            assert np.array_equal(fast[0], slow[0])
-            assert np.array_equal(fast[1], slow[1])
+            # a span with start > 0, as one worker would run it
+            start = (0, 7)[(case // 5) % 2]
+            fast = _replicate_values(cfg, start, 25, fast=True)
+            slow = _replicate_values(cfg, start, 25, fast=False)
+            assert np.array_equal(fast[0], slow[0]), case
+            assert np.array_equal(fast[1], slow[1]), case
+            if rules[case % 8] is rules[7]:
+                assert (fast[1] == 0.0).any()
+        cfg = ScenarioConfig(
+            m=3,
+            n=4,
+            q=0.1,
+            rule=TopKMinP(4),
+            procedure=Procedure("bh"),
+            metric=ErrorMetric("fdr"),
+            replicates=5,
+        )
+        for fast in (True, False):
+            with pytest.raises(ValueError, match="k=4 exceeds"):
+                _replicate_values(cfg, 0, 5, fast=fast)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 8),
+        n=st.integers(1, 6),
+        rule_index=st.integers(0, 5),
+        kind=st.sampled_from(sim._BATCH_KINDS),
+        metric=st.sampled_from(
+            [ErrorMetric("fwer"), ErrorMetric("fdr"), ErrorMetric("kfdr", k=2)]
+        ),
+        adjustment=st.sampled_from(sim.ADJUSTMENTS),
+        pi1=st.sampled_from([0.0, 0.3, 1.0]),
+        rho=st.sampled_from([0.0, 0.6]),
+        seed=st.integers(0, 2**64 - 1),
+        block_cells=st.integers(1, 200),
+    )
+    def test_block_and_object_paths_agree_property(
+        self, m, n, rule_index, kind, metric, adjustment, pi1, rho, seed, block_cells
+    ):
+        if rule_index < 4:
+            rule = GlobalNullTest(COMBINERS[rule_index], Procedure("two_stage"), 0.4)
+        else:
+            rule = (MinPThreshold(0.3), TopKMinP(min(m, 2)))[rule_index - 4]
+        cfg = ScenarioConfig(
+            m=m,
+            n=n,
+            q=0.2,
+            rule=rule,
+            procedure=Procedure(kind, k=1 if kind == "lr_kfwer" else None),
+            metric=metric,
+            replicates=12,
+            seed=seed,
+            pi1=pi1,
+            mu=2.0,
+            dependence="equicorrelated" if rho else "independent",
+            rho=rho,
+            adjustment=adjustment,
+        )
+        old_cells = sim._BLOCK_CELLS
+        sim._BLOCK_CELLS = block_cells
+        try:
+            fast = _replicate_values(cfg, 3, 12, fast=True)
+        finally:
+            sim._BLOCK_CELLS = old_cells
+        slow = _replicate_values(cfg, 3, 12, fast=False)
+        assert np.array_equal(fast[0], slow[0])
+        assert np.array_equal(fast[1], slow[1])
 
     def test_ragged_config_uses_object_path(self):
         cfg = ScenarioConfig(
