@@ -9,6 +9,8 @@ never tested, so they contribute 0 to the average.
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .core import (
     ErrorMetric,
     FamilyDecision,
@@ -17,7 +19,7 @@ from .core import (
     average_over_selected,
     metric_value,
 )
-from .procedures import Procedure
+from .procedures import Procedure, rejected_by_counts, rejection_counts
 from .selection import GlobalNullTest, _r_min_scan, select
 
 
@@ -44,18 +46,48 @@ class AdjustedAnalysis:
         return average_over_selected(self.decisions, self.selection.r)
 
 
-def _decide(ensemble, i, level, procedure, metric) -> FamilyDecision:
-    rejected = procedure.apply(ensemble.family(i), level)
-    decision = FamilyDecision(ensemble.id_of(i), level, rejected)
-    truth = ensemble.truth_family(i)
-    if truth is not None:
-        r = int(rejected.size)
-        v = int(truth[rejected].sum())
-        decision.v = v
-        decision.q_i = v / max(r, 1)
-        if metric is not None:
-            decision.realized_c = metric_value(metric, v, r)
-    return decision
+def _decide(ensemble, selected, levels, procedure, metric) -> list:
+    """Decisions for the families `selected`, family selected[k] tested at levels[k].
+
+    Families of one size are tested together: their rows are sorted once
+    and `rejection_counts` counts each row's rejections at its own level.
+    Counts never split a tie, so a row rejects exactly its values at or
+    below its r-th smallest one. Each decision's rejected indices equal
+    ``procedure.apply(ensemble.family(i), level)``, and the errors raised
+    are the ones the first failing family would raise there.
+    """
+    by_size = {}
+    for k, i in enumerate(selected):
+        by_size.setdefault(ensemble.size(i), []).append(k)
+    rejected = [None] * len(selected)
+    for group in by_size.values():
+        families = [selected[k] for k in group]
+        if ensemble.rect is not None:
+            rows = ensemble.rect[families]
+        else:
+            rows = np.array([ensemble.family(i) for i in families])
+        ps = np.sort(rows, axis=1)
+        group_levels = [levels[k] for k in group]
+        if group_levels[0] is None:
+            group_levels = None
+        r = rejection_counts(procedure, ps, group_levels)
+        row_of, cols = np.nonzero(rejected_by_counts(ps, r, rows))
+        bounds = np.searchsorted(row_of, np.arange(len(group) + 1)).tolist()
+        for k, start, end in zip(group, bounds[:-1], bounds[1:]):
+            rejected[k] = cols[start:end]
+    decisions = [
+        FamilyDecision(ensemble.id_of(i), level, rej)
+        for i, level, rej in zip(selected, levels, rejected)
+    ]
+    if ensemble.has_truth():
+        for i, decision in zip(selected, decisions):
+            r = int(decision.rejected.size)
+            v = int(ensemble.truth_family(i)[decision.rejected].sum())
+            decision.v = v
+            decision.q_i = v / max(r, 1)
+            if metric is not None:
+                decision.realized_c = metric_value(metric, v, r)
+    return decisions
 
 
 def _check_q(q: float):
@@ -79,10 +111,8 @@ def simple_selection_adjusted(
     _check_q(q)
     outcome = select(rule, ensemble)
     level = outcome.r * q / ensemble.m
-    decisions = [
-        _decide(ensemble, i, level, procedure, metric)
-        for i in sorted(outcome.selected)
-    ]
+    order = sorted(outcome.selected)
+    decisions = _decide(ensemble, order, [level] * len(order), procedure, metric)
     return AdjustedAnalysis(outcome, decisions, q, procedure, metric)
 
 
@@ -107,10 +137,8 @@ def selection_adjusted(
     else:
         rmins = {i: _r_min_scan(rule, summaries, i) for i in order}
     outcome = SelectionOutcome(frozenset(order), len(order), rmins)
-    decisions = [
-        _decide(ensemble, i, rmins[i] * q / ensemble.m, procedure, metric)
-        for i in order
-    ]
+    levels = [rmins[i] * q / ensemble.m for i in order]
+    decisions = _decide(ensemble, order, levels, procedure, metric)
     return AdjustedAnalysis(outcome, decisions, q, procedure, metric)
 
 
@@ -128,10 +156,8 @@ def unadjusted_analysis(
     an explicit entry point for bias demonstrations.
     """
     outcome = select(rule, ensemble)
-    decisions = [
-        _decide(ensemble, i, level, procedure, metric)
-        for i in sorted(outcome.selected)
-    ]
+    order = sorted(outcome.selected)
+    decisions = _decide(ensemble, order, [level] * len(order), procedure, metric)
     return AdjustedAnalysis(outcome, decisions, level, procedure, metric)
 
 
@@ -164,13 +190,11 @@ def iterative_simple_adjusted(
     trajectory = [frozenset(selected)]
     for _ in range(max_iters):
         if not selected:
-            return AdjustedAnalysis(
-                SelectionOutcome(frozenset(), 0), [], q, procedure, metric
-            )
+            break
         level = len(selected) * q / m
-        decisions = [
-            _decide(ensemble, i, level, procedure, metric) for i in selected
-        ]
+        decisions = _decide(
+            ensemble, selected, [level] * len(selected), procedure, metric
+        )
         keep = [i for i, d in zip(selected, decisions) if d.rejected.size > 0]
         if len(keep) == len(selected):
             r = len(selected)
@@ -180,6 +204,11 @@ def iterative_simple_adjusted(
             return AdjustedAnalysis(final, decisions, q, procedure, metric)
         selected = keep
         trajectory.append(frozenset(selected))
+    if not selected:
+        # the last families dropped out: the empty selection is the fixed point
+        return AdjustedAnalysis(
+            SelectionOutcome(frozenset(), 0), [], q, procedure, metric
+        )
     raise NonConvergenceError(
         f"no fixed point after {max_iters} iterations", trajectory
     )

@@ -13,6 +13,7 @@ import io
 import json
 import os
 import sys
+from itertools import repeat
 
 import numpy as np
 
@@ -175,7 +176,111 @@ def parse_metric(text: str) -> ErrorMetric:
     raise CliError(EXIT_CONFIG, f"unknown metric {text!r}")
 
 
+def _split_records(text: str):
+    """Tokenise text that holds no '"' and no '\\r'.
+
+    For such text every record of `csv`'s default dialect is one line split
+    at each comma, and an empty line is an empty record. Returns what
+    `_reader_records` returns, or None when a line is longer than the csv
+    field limit, where only `csv.reader` knows which field is too long.
+    """
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the text ends with a line break, or is empty
+    if not lines:
+        return None, np.empty(0, dtype=np.intp), [], None
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    header = lines[0].split(",")
+    del lines[0]
+    commas = list(map(str.count, lines, repeat(",")))
+    width_error = None
+    if commas.count(2) != len(commas):
+        keep = []
+        for k, count in enumerate(commas):
+            if count == 2:
+                keep.append(k)
+            elif lines[k]:
+                width_error = (k + 2, f"expected 3 columns, got {count + 1}")
+                break
+        lines = [lines[k] for k in keep]
+        linenos = np.array(keep, dtype=np.intp) + 2
+    else:
+        linenos = np.arange(2, len(lines) + 2)
+    fields = ",".join(lines).split(",") if lines else []
+    return header, linenos, fields, width_error
+
+
+def _csv_error_message(err) -> str:
+    text = str(err)
+    if text.startswith("new-line character"):
+        return "carriage return inside an unquoted field"
+    return text
+
+
+def _reader_records(text: str):
+    """Tokenise text with `csv.reader`.
+
+    Returns (header, linenos, fields, stop): the header record (None for
+    empty text), the line number of each 3-field data record before the
+    first malformed one, their fields one after another, and (line number,
+    message) of the first record that is not 3 fields or that `csv` cannot
+    read, or None. Empty records are skipped. Line numbers count records,
+    with the header on line 1.
+    """
+    reader = csv.reader(io.StringIO(text))
+    records = []
+    stop = None
+    try:
+        for row in reader:
+            records.append(row)
+    except csv.Error as err:
+        stop = (len(records) + 1, _csv_error_message(err))
+    if not records:
+        if stop is not None:
+            raise CliError(EXIT_INPUT, f"line {stop[0]}: {stop[1]}")
+        return None, np.empty(0, dtype=np.intp), [], None
+    linenos, fields = [], []
+    for lineno, row in enumerate(records[1:], start=2):
+        if not row:
+            continue
+        if len(row) != 3:
+            stop = (lineno, f"expected 3 columns, got {len(row)}")
+            break
+        linenos.append(lineno)
+        fields.extend(row)
+    return records[0], np.array(linenos, dtype=np.intp), fields, stop
+
+
+def _first_non_number(texts) -> int:
+    for k, text in enumerate(texts):
+        try:
+            float(text)
+        except ValueError:
+            return k
+    raise AssertionError("every text parses")
+
+
+def _first_appearance_codes(values):
+    """The distinct values in order of first appearance, and each value's
+    position among them as an integer array."""
+    distinct = list(dict.fromkeys(values))
+    position = dict(zip(distinct, range(len(distinct))))
+    codes = np.fromiter(map(position.__getitem__, values), np.intp, len(values))
+    return distinct, codes
+
+
 def _read_families_csv(path: str):
+    """Families of a `family,hypothesis,p_value` CSV, in order of first appearance.
+
+    Returns (ids, pvalues, hypotheses, digest). pvalues is an (m, n) matrix
+    when every family has n rows and a list of m rows otherwise, and
+    hypotheses holds the hypothesis ids in the same layout (as object
+    arrays), each family's rows in file order. The text is
+    tokenised in one pass, then checked column by column. On a bad input
+    the message names the earliest bad record; within one record the
+    checks run in the order width, number, range, duplicate.
+    """
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -186,8 +291,15 @@ def _read_families_csv(path: str):
         text = raw.decode("utf-8")
     except UnicodeDecodeError as err:
         raise CliError(EXIT_INPUT, f"not valid UTF-8: {err}")
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
+    del raw
+    tokens = None
+    if '"' not in text and "\r" not in text:
+        tokens = _split_records(text)
+    if tokens is None:
+        tokens = _reader_records(text)
+    del text
+    header, linenos, fields, stop = tokens
+    del tokens
     if header is None or [h.strip() for h in header] != [
         "family",
         "hypothesis",
@@ -196,41 +308,67 @@ def _read_families_csv(path: str):
         raise CliError(
             EXIT_INPUT, "line 1: expected header 'family,hypothesis,p_value'"
         )
-    families = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise CliError(
-                EXIT_INPUT, f"line {lineno}: expected 3 columns, got {len(row)}"
+    fams = list(map(str.strip, fields[0::3]))
+    hyps = list(map(str.strip, fields[1::3]))
+    # float() ignores the surrounding whitespace that strip() removes, so
+    # the p-value texts are stripped only where a message quotes them.
+    p_texts = fields[2::3]
+    del fields
+
+    # (line, check order, message) of the first failure of each check.
+    errors = [] if stop is None else [(stop[0], 0, stop[1])]
+    try:
+        p = np.fromiter(map(float, p_texts), np.float64, len(p_texts))
+    except ValueError:
+        k = _first_non_number(p_texts)
+        errors.append(
+            (
+                int(linenos[k]),
+                1,
+                f"p_value {p_texts[k].strip()!r} is not a number",
             )
-        fam, hyp, p_text = (col.strip() for col in row)
-        try:
-            p = float(p_text)
-        except ValueError:
-            raise CliError(
-                EXIT_INPUT, f"line {lineno}: p_value {p_text!r} is not a number"
+        )
+        p = np.array([float(t) for t in p_texts[:k]])
+    outside = np.flatnonzero(~((p >= 0.0) & (p <= 1.0)))
+    if outside.size:
+        k = int(outside[0])
+        errors.append(
+            (int(linenos[k]), 2, f"p_value {p_texts[k].strip()} outside [0, 1]")
+        )
+    ids, family_of = _first_appearance_codes(fams)
+    names, name_of = _first_appearance_codes(hyps)
+    pair = family_of * len(names) + name_of
+    by_pair = np.argsort(pair, kind="stable")
+    later = by_pair[1:]
+    repeats = later[pair[later] == pair[by_pair[:-1]]]
+    if repeats.size:
+        k = int(repeats.min())
+        first = int(np.flatnonzero(pair == pair[k])[0])
+        errors.append(
+            (
+                int(linenos[k]),
+                3,
+                f"duplicate hypothesis {hyps[k]!r} in family {fams[k]!r} "
+                f"(first on line {int(linenos[first])})",
             )
-        if not 0.0 <= p <= 1.0:
-            raise CliError(
-                EXIT_INPUT, f"line {lineno}: p_value {p_text} outside [0, 1]"
-            )
-        # Each family maps its hypothesis ids to the line they came from.
-        entry = families.setdefault(fam, ({}, []))
-        first = entry[0].setdefault(hyp, lineno)
-        if first != lineno:
-            raise CliError(
-                EXIT_INPUT,
-                f"line {lineno}: duplicate hypothesis {hyp!r} in family "
-                f"{fam!r} (first on line {first})",
-            )
-        entry[1].append(p)
-    if not families:
+        )
+    if errors:
+        lineno, _, message = min(errors)
+        raise CliError(EXIT_INPUT, f"line {lineno}: {message}")
+    if not fams:
         raise CliError(EXIT_INPUT, "no data rows found")
-    ids = list(families)
-    pvalues = [np.array(families[f][1]) for f in ids]
-    hypotheses = {f: list(families[f][0]) for f in ids}
-    return ids, pvalues, hypotheses, digest
+
+    # Group the rows by family in order of first appearance; the stable
+    # sort keeps each family's rows in file order.
+    order = np.argsort(family_of, kind="stable")
+    sizes = np.bincount(family_of, minlength=len(ids))
+    p = p[order]
+    hyps = np.array(hyps, dtype=object)[order]
+    if (sizes == sizes[0]).all():
+        shape = (len(ids), int(sizes[0]))
+        return ids, p.reshape(shape), hyps.reshape(shape), digest
+    bounds = np.cumsum(sizes)[:-1]
+    return ids, np.split(p, bounds), np.split(hyps, bounds), digest
 
 
 def _threads(args) -> int:
@@ -256,7 +394,8 @@ def _write_text(text: str, output):
 
 
 def _emit_json(report: dict, output):
-    _write_text(json.dumps(report, indent=2) + "\n", output)
+    """One-line JSON report; without indent json.dumps uses its C encoder."""
+    _write_text(json.dumps(report) + "\n", output)
 
 
 def cmd_analyze(args) -> int:
@@ -275,22 +414,23 @@ def cmd_analyze(args) -> int:
         raise CliError(EXIT_CONFIG, str(err))
 
     outcome = analysis.selection
-    decisions = {d.family_id: d for d in analysis.decisions}
-    records = []
-    for i in range(ensemble.m):
-        fid = ensemble.id_of(i)
-        selected = i in outcome.selected
-        decision = decisions.get(fid)
-        records.append(
-            {
-                "family_id": fid,
-                "selected": selected,
-                "r_min": outcome.r_min.get(i, outcome.r) if selected else None,
-                "adjusted_level": decision.adjusted_level if decision else None,
-                "rejected": [hypotheses[fid][j] for j in decision.rejected]
-                if decision
-                else [],
-            }
+    records = [
+        {
+            "family_id": fid,
+            "selected": False,
+            "r_min": None,
+            "adjusted_level": None,
+            "rejected": [],
+        }
+        for fid in ids
+    ]
+    # The decisions come in the order of the selected families' indices.
+    for i, decision in zip(sorted(outcome.selected), analysis.decisions):
+        records[i].update(
+            selected=True,
+            r_min=outcome.r_min.get(i, outcome.r),
+            adjusted_level=decision.adjusted_level,
+            rejected=hypotheses[i][decision.rejected].tolist(),
         )
     report = {
         "config": {
@@ -447,6 +587,12 @@ def _probe_ensembles(q: float):
 
 def cmd_check(args) -> int:
     workers = _threads(args)
+    if not 0.0 < args.q < 1.0:
+        raise CliError(EXIT_CONFIG, "q must lie in (0, 1)")
+    if not 0 <= args.seed < 2**64:
+        raise CliError(EXIT_CONFIG, "seed must lie in [0, 2**64)")
+    if args.trials < 1:
+        raise CliError(EXIT_CONFIG, "trials must be at least 1")
     rule = parse_rule(args.rule, args.q)
     if args.suite == "simple":
         for ens in _probe_ensembles(args.q):

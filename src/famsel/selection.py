@@ -47,7 +47,7 @@ def _combine_rows(kind: str, rows: np.ndarray, floor: float) -> np.ndarray:
         out = n * rows.min(axis=1)
     elif kind == "simes":
         ranked = np.sort(rows, axis=1)
-        out = (ranked * (n / np.arange(1.0, n + 1.0))).min(axis=1)
+        out = _min_last_axis(ranked * (n / np.arange(1.0, n + 1.0)))
     elif kind == "fisher":
         stat = -2.0 * np.log(np.clip(rows, floor, 1.0)).sum(axis=1)
         out = special.chdtrc(2 * n, stat)
@@ -81,16 +81,17 @@ def combined_pvalues(
     return np.array([combine(combiner, f, floor) for f in ensemble.families])
 
 
-def _block_min_p(p: np.ndarray) -> np.ndarray:
-    """Smallest p-value of each family in a (B, m, n) block.
+def _min_last_axis(a: np.ndarray) -> np.ndarray:
+    """Minimum over the last axis.
 
     NumPy reduces a short last axis one row at a time, at about 50 ns a row,
-    so for small n the minimum over the first axis of a transposed copy is
-    several times cheaper. Both give the same values.
+    so for fewer than 32 columns the minimum over the first axis of a
+    transposed contiguous copy is several times cheaper. A minimum is exact
+    in any order, so both give the same values.
     """
-    if p.shape[2] >= 32:
-        return p.min(axis=2)
-    return np.ascontiguousarray(np.moveaxis(p, 2, 0)).min(axis=0)
+    if a.shape[-1] >= 32:
+        return a.min(axis=-1)
+    return np.ascontiguousarray(np.moveaxis(a, -1, 0)).min(axis=0)
 
 
 class _BlockSelection:
@@ -121,7 +122,7 @@ class MinPThreshold(_BlockSelection):
         return ensemble.min_p()
 
     def block_summaries(self, p: np.ndarray) -> np.ndarray:
-        return _block_min_p(p)
+        return _min_last_axis(p)
 
     def summary_of(self, pvalues) -> float:
         return float(np.min(pvalues))
@@ -156,7 +157,7 @@ class TopKMinP(_BlockSelection):
         return ensemble.min_p()
 
     def block_summaries(self, p: np.ndarray) -> np.ndarray:
-        return _block_min_p(p)
+        return _min_last_axis(p)
 
     def summary_of(self, pvalues) -> float:
         return float(np.min(pvalues))
@@ -392,6 +393,12 @@ def check_simple(
     stays selected, and reports a witness replacement if the number of
     selected families ever differs from the observed one. Finding no witness
     does not prove simpleness.
+
+    Trials run in blocks of at most _SCAN_BLOCK_CELLS cells: one draw of
+    (B, n_i) uniforms takes the same values from the stream as B draws of
+    n_i, and a rule with block_summaries and select_block summarizes and
+    selects the whole block in one call each. The first witness is the one
+    trial by trial would find.
     """
     rng = np.random.default_rng(seed)
     summaries = rule.summaries(ensemble)
@@ -400,18 +407,37 @@ def check_simple(
         raise ValueError(f"family {i} is not selected")
     r_observed = int(picked.size)
     n_i = ensemble.size(i)
-    work = summaries.copy()
-    for t in range(trials):
-        replacement = rng.uniform(size=n_i)
-        work[i] = rule.summary_of(replacement)
-        picked = rule.select_from_summaries(work)
-        if not (picked == i).any():
-            continue
-        if picked.size != r_observed:
+    step = max(1, _SCAN_BLOCK_CELLS // max(summaries.size, n_i))
+    for start in range(0, trials, step):
+        replacements = rng.uniform(size=(min(step, trials - start), n_i))
+        masks = _replaced_selections(rule, summaries, i, replacements)
+        counts = masks.sum(axis=1)
+        witnesses = np.flatnonzero(masks[:, i] & (counts != r_observed))
+        if witnesses.size:
+            t = int(witnesses[0])
             return SimplenessReport(
-                True, i, r_observed, int(picked.size), replacement, t + 1
+                True,
+                i,
+                r_observed,
+                int(counts[t]),
+                replacements[t].copy(),
+                start + t + 1,
             )
     return SimplenessReport(False, i, r_observed, None, None, trials)
+
+
+def _replaced_selections(rule, summaries, i, replacements) -> np.ndarray:
+    """(B, m) selection masks with family i's p-values replaced by each row."""
+    if hasattr(rule, "select_block"):
+        work = np.repeat(summaries[None, :], len(replacements), axis=0)
+        work[:, i] = rule.block_summaries(replacements[:, None, :])[:, 0]
+        return rule.select_block(work)
+    masks = np.zeros((len(replacements), summaries.size), dtype=bool)
+    work = summaries.copy()
+    for mask, replacement in zip(masks, replacements):
+        work[i] = rule.summary_of(replacement)
+        mask[rule.select_from_summaries(work)] = True
+    return masks
 
 
 @dataclass

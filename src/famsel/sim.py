@@ -68,8 +68,9 @@ class ScenarioConfig:
             raise ValueError("replicates must be at least 1")
         if not 0.0 <= self.pi1 <= 1.0:
             raise ValueError("pi1 must lie in [0, 1]")
-        if self.mu < 0.0:
-            raise ValueError("mu must be nonnegative")
+        # written so that NaN fails, as it does every other range check here
+        if not 0.0 <= self.mu < math.inf:
+            raise ValueError("mu must be finite and nonnegative")
         if self.dependence not in DEPENDENCE_MODELS:
             raise ValueError(f"unknown dependence model {self.dependence!r}")
         if not 0.0 <= self.rho < 1.0:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from famsel import adjust
 from famsel.adjust import (
     NonConvergenceError,
     guaranteed_rejection_analysis,
@@ -9,8 +10,8 @@ from famsel.adjust import (
     simple_selection_adjusted,
     unadjusted_analysis,
 )
-from famsel.core import ErrorMetric, PValueEnsemble
-from famsel.procedures import Procedure, bh
+from famsel.core import ErrorMetric, FamilyDecision, PValueEnsemble, metric_value
+from famsel.procedures import PROCEDURE_KINDS, Procedure, bh
 from famsel.selection import GlobalNullTest, MinPThreshold, TopKMinP, combine
 
 
@@ -174,6 +175,14 @@ class TestIterative:
             )
         assert info.value.trajectory[0] == frozenset({0, 1})
 
+    def test_last_family_dropping_out_is_a_fixed_point(self):
+        # one selected family without a rejection: the first round empties
+        # the selection, which needs no second round within max_iters = m
+        analysis = iterative_simple_adjusted(
+            singleton_ensemble([0.04]), MinPThreshold(0.05), Procedure("bonferroni"), 0.01
+        )
+        assert analysis.selection.r == 0 and analysis.decisions == []
+
     def test_selected_sets_shrink(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
@@ -234,3 +243,134 @@ class TestGuaranteedRejection:
         analysis = guaranteed_rejection_analysis(ens, 0.05)
         assert analysis.selection.r == 0
         assert analysis.decisions == []
+
+
+def looped_decide(ensemble, selected, levels, procedure, metric):
+    """The per-family decisions the batched _decide replaced: one
+    Procedure.apply call per selected family."""
+    decisions = []
+    for i, level in zip(selected, levels):
+        rejected = procedure.apply(ensemble.family(i), level)
+        decision = FamilyDecision(ensemble.id_of(i), level, rejected)
+        truth = ensemble.truth_family(i)
+        if truth is not None:
+            r = int(rejected.size)
+            v = int(truth[rejected].sum())
+            decision.v = v
+            decision.q_i = v / max(r, 1)
+            if metric is not None:
+                decision.realized_c = metric_value(metric, v, r)
+        decisions.append(decision)
+    return decisions
+
+
+def analysis_outcome(run):
+    """Everything an analysis returns, or the error it raises."""
+    try:
+        analysis = run()
+    except ValueError as err:
+        return ("error", type(err), str(err))
+    decisions = [
+        (
+            d.family_id,
+            d.adjusted_level,
+            type(d.adjusted_level),
+            d.rejected.tolist(),
+            d.rejected.dtype,
+            d.v,
+            d.q_i,
+            d.realized_c,
+        )
+        for d in analysis.decisions
+    ]
+    outcome = analysis.selection
+    return ("ok", outcome.selected, outcome.r, outcome.r_min, decisions)
+
+
+class TestBatchedDecisions:
+    """One batched _decide against one Procedure.apply per family."""
+
+    ENTRY_POINTS = ("simple", "rmin", "unadjusted", "iterative")
+
+    @staticmethod
+    def _procedure(kind, rng, n):
+        if kind in ("step_up", "step_down"):
+            crit = np.sort(rng.choice([0.0, 0.01, 0.05, 0.2, 0.4], size=n))
+            return Procedure(kind, critical_values=tuple(crit))
+        if kind == "lr_kfwer":
+            return Procedure(kind, k=int(rng.integers(1, n + 2)))
+        return Procedure(kind)
+
+    @staticmethod
+    def _ensemble(rng, ragged):
+        m = int(rng.integers(1, 12))
+        sizes = rng.integers(1, 6, size=m) if ragged else [int(rng.integers(1, 6))] * m
+        # a small pool of values gives ties, 0 and 1
+        pool = np.concatenate([[0.0, 1.0, 0.01, 0.02], rng.uniform(size=6) ** 3])
+        families = [rng.choice(pool, size=int(n)) for n in sizes]
+        truth = [rng.uniform(size=int(n)) < 0.6 for n in sizes]
+        if not ragged:
+            families, truth = np.array(families), np.array(truth)
+        ids = [f"f{i}" for i in range(m)] if rng.uniform() < 0.5 else None
+        return PValueEnsemble(families, family_ids=ids, truth=truth)
+
+    @staticmethod
+    def _run(entry, ensemble, rule, procedure, level):
+        metric = ErrorMetric("fdr")
+        if entry == "simple":
+            return simple_selection_adjusted(ensemble, rule, procedure, level, metric)
+        if entry == "rmin":
+            return selection_adjusted(ensemble, rule, procedure, level, metric)
+        if entry == "iterative":
+            return iterative_simple_adjusted(
+                ensemble, rule, procedure, level, metric=metric
+            )
+        if procedure.critical_values is not None:
+            level = None
+        return unadjusted_analysis(ensemble, rule, procedure, level, metric)
+
+    @pytest.mark.parametrize("ragged", [False, True])
+    @pytest.mark.parametrize("kind", PROCEDURE_KINDS)
+    def test_matches_apply_per_family(self, kind, ragged, monkeypatch):
+        rng = np.random.default_rng([PROCEDURE_KINDS.index(kind), ragged])
+        rules = (
+            MinPThreshold(0.3),
+            TopKMinP(1),
+            GlobalNullTest("simes", Procedure("two_stage"), level=0.4),
+            GlobalNullTest("bonferroni_min", Procedure("bh"), level=0.3),
+        )
+        decided = errors = 0
+        for case in range(40):
+            ensemble = self._ensemble(rng, ragged)
+            procedure = self._procedure(kind, rng, ensemble.size(0))
+            rule = rules[case % len(rules)]
+            level = float(rng.choice([0.05, 0.3, 0.9]))
+            for entry in self.ENTRY_POINTS:
+                batched = analysis_outcome(
+                    lambda: self._run(entry, ensemble, rule, procedure, level)
+                )
+                with monkeypatch.context() as patch:
+                    patch.setattr(adjust, "_decide", looped_decide)
+                    looped = analysis_outcome(
+                        lambda: self._run(entry, ensemble, rule, procedure, level)
+                    )
+                assert batched == looped, (case, entry)
+                decided += batched[0] == "ok" and len(batched[4]) > 0
+                errors += batched[0] == "error"
+        assert decided >= 5
+        if kind in ("step_up", "step_down"):
+            assert errors > 0
+
+    def test_guaranteed_rejection_matches_apply(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            ensemble = self._ensemble(rng, ragged=bool(rng.integers(2)))
+            batched = analysis_outcome(
+                lambda: guaranteed_rejection_analysis(ensemble, 0.2)
+            )
+            with monkeypatch.context() as patch:
+                patch.setattr(adjust, "_decide", looped_decide)
+                looped = analysis_outcome(
+                    lambda: guaranteed_rejection_analysis(ensemble, 0.2)
+                )
+            assert batched == looped

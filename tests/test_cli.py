@@ -1,10 +1,14 @@
 import argparse
 import csv
+import hashlib
 import io
 import json
 
 import jsonschema
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from famsel import cli
 from famsel.cli import CSV_COLUMNS, REPORT_SCHEMA, main
@@ -17,6 +21,15 @@ g2,h4,0.8
 g3,h5,0.01
 g3,h6,0.6
 """
+
+IDS_CSV = (
+    "family,hypothesis,p_value\n"
+    '"g,1",h1,0.001\n'
+    '"g,1","h ""2""",0.002\n'
+    "fé,h;3,0.9\n"
+    '" padded ","a,b",0.0001\n'
+    "fé,h4,0.2\n"
+)
 
 
 @pytest.fixture
@@ -48,6 +61,7 @@ class TestAnalyze:
             capsys,
         )
         assert code == 0
+        assert out.count("\n") == 1  # the report is one line
         report = json.loads(out)
         jsonschema.validate(report, REPORT_SCHEMA)
         assert report["selection"]["r"] == 2
@@ -182,6 +196,53 @@ class TestAnalyze:
         assert code == 0 and out == ""
         jsonschema.validate(json.loads(out_path.read_text()), REPORT_SCHEMA)
 
+    def test_stray_carriage_return_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "cr.csv"
+        path.write_bytes(b"family,hypothesis,p_value\ng1,h1,0.1\ng1,h\r2,0.2\n")
+        code, out, err = run_cli(["analyze", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == "famsel: line 3: carriage return inside an unquoted field\n"
+
+    def test_overlong_field_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "long.csv"
+        limit = csv.field_size_limit()
+        path.write_text(
+            "family,hypothesis,p_value\ng1,h1,0.1\ng1," + "h" * (limit + 1) + ",0.2\n"
+        )
+        code, out, err = run_cli(["analyze", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"famsel: line 3: field larger than field limit ({limit})\n"
+
+    def test_field_at_the_limit_is_read(self, tmp_path, capsys):
+        path = tmp_path / "long.csv"
+        name = "h" * csv.field_size_limit()
+        path.write_text(f"family,hypothesis,p_value\ng1,{name},0.01\n")
+        code, out, _ = run_cli(["analyze", str(path)], capsys)
+        assert code == 0
+        assert json.loads(out)["selection"]["families"][0]["rejected"] == [name]
+
+    def test_ids_survive_both_formats(self, tmp_path, capsys):
+        path = tmp_path / "ids.csv"
+        path.write_text(IDS_CSV, encoding="utf-8")
+        args = ["analyze", str(path), "--rule", "minp:0.5", "--procedure", "bh"]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        families = json.loads(out)["selection"]["families"]
+        assert [rec["family_id"] for rec in families] == ["g,1", "fé", "padded"]
+        assert [rec["rejected"] for rec in families] == [
+            ["h1", 'h "2"'],
+            [],
+            ["a,b"],
+        ]
+        code, out, _ = run_cli(args + ["--format", "csv"], capsys)
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert [(r[0], r[5]) for r in rows] == [
+            ("g,1", 'h1;h "2"'),
+            ("fé", ""),
+            ("padded", "a,b"),
+        ]
+
 
 class TestTable1:
     def test_closed_form_only(self, capsys):
@@ -239,6 +300,14 @@ class TestSimulate:
             ["simulate", "--m", "10", "--n", "3", "--rho", "1.5"], capsys
         )
         assert code == 3
+
+    @pytest.mark.parametrize("mu", ["nan", "inf", "-1"])
+    def test_mu_must_be_finite_and_nonnegative(self, mu, capsys):
+        code, out, err = run_cli(
+            ["simulate", "--m", "4", "--n", "2", "--reps", "10", "--mu", mu], capsys
+        )
+        assert code == 3 and out == ""
+        assert "mu must be finite and nonnegative" in err
 
     def test_thread_env_fallback(self, capsys, monkeypatch):
         args = ["simulate", "--m", "8", "--n", "2", "--reps", "120", "--seed", "2"]
@@ -344,7 +413,206 @@ class TestCheck:
         assert code == 0
         assert json.loads(out)["violation"] is False
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--suite", "simple", "--q", "2"], "q must lie in (0, 1)"),
+            (["--suite", "simple", "--q", "nan"], "q must lie in (0, 1)"),
+            (["--suite", "concordant", "--seed", "-3"], "seed must lie in"),
+            (["--suite", "simple", "--seed", str(2**64)], "seed must lie in"),
+            (["--suite", "simple", "--trials", "-1"], "trials must be at least 1"),
+            (["--suite", "control", "--trials", "0"], "trials must be at least 1"),
+        ],
+    )
+    def test_bad_numbers_exit_config(self, args, message, capsys):
+        code, out, err = run_cli(["check", *args], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("famsel: ") and message in err
+
     def test_argparse_errors_exit_two(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["check", "--suite", "bogus"])
         assert info.value.code == 2
+
+
+def row_loop_reader(path):
+    """famsel's row-by-row CSV reader before the columnar one, kept as the
+    oracle. The only addition: a record `csv` cannot read is an input error
+    at its line number, where the loop used to end in a traceback."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    digest = hashlib.sha256(raw).hexdigest()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise cli.CliError(2, f"not valid UTF-8: {err}")
+    reader = csv.reader(io.StringIO(text))
+
+    def records():
+        lineno = 0
+        while True:
+            lineno += 1
+            try:
+                row = next(reader)
+            except StopIteration:
+                return
+            except csv.Error as err:
+                raise cli.CliError(2, f"line {lineno}: {cli._csv_error_message(err)}")
+            yield row
+
+    rows = records()
+    header = next(rows, None)
+    if header is None or [h.strip() for h in header] != [
+        "family",
+        "hypothesis",
+        "p_value",
+    ]:
+        raise cli.CliError(2, "line 1: expected header 'family,hypothesis,p_value'")
+    families = {}
+    for lineno, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        if len(row) != 3:
+            raise cli.CliError(2, f"line {lineno}: expected 3 columns, got {len(row)}")
+        fam, hyp, p_text = (col.strip() for col in row)
+        try:
+            p = float(p_text)
+        except ValueError:
+            raise cli.CliError(2, f"line {lineno}: p_value {p_text!r} is not a number")
+        if not 0.0 <= p <= 1.0:
+            raise cli.CliError(2, f"line {lineno}: p_value {p_text} outside [0, 1]")
+        entry = families.setdefault(fam, ({}, []))
+        first = entry[0].setdefault(hyp, lineno)
+        if first != lineno:
+            raise cli.CliError(
+                2,
+                f"line {lineno}: duplicate hypothesis {hyp!r} in family "
+                f"{fam!r} (first on line {first})",
+            )
+        entry[1].append(p)
+    if not families:
+        raise cli.CliError(2, "no data rows found")
+    ids = list(families)
+    pvalues = [np.array(families[f][1]) for f in ids]
+    hypotheses = [list(families[f][0]) for f in ids]
+    return ids, pvalues, hypotheses, digest
+
+
+def read_outcome(reader, path):
+    """What a reader returns, with every p-value row as raw bytes, or the
+    exit code and message it fails with."""
+    try:
+        ids, pvalues, hypotheses, digest = reader(path)
+    except cli.CliError as err:
+        return ("error", err.code, str(err))
+    rows = [np.asarray(row, dtype=np.float64).tobytes() for row in pvalues]
+    names = [list(np.asarray(h, dtype=object).tolist()) for h in hypotheses]
+    return ("ok", ids, rows, names, digest)
+
+
+FAMILY_FIELDS = ["g1", "g2", "g3", " g1", "g2 ", '"g,1"', '"a ""b"""', '"x\ny"', "fé", ""]
+HYPOTHESIS_FIELDS = ["h1", "h2", "h3", "h4", " h1 ", '"h,1"', "\th2", ""]
+GOOD_P = ["0", "1", "0.5", "0.0", "1.0", " 0.25 ", "1e-300", "-0", "0.05", "0.5"]
+BAD_P = ["nan", "abc", "1.5", "-0.1", "inf", "", " ", "0,5"]
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV texts around famsel's layout: quoted ids with commas and line
+    breaks, CRLF or LF line ends, blank lines, padded fields, ragged
+    families, ties, p-values of 0 and 1, and now and then a bad header,
+    width, number, range, duplicate, or a stray carriage return."""
+    header = draw(
+        st.sampled_from(
+            ["family,hypothesis,p_value"] * 6
+            + [" family , hypothesis,p_value ", "fam,hyp,p"]
+        )
+    )
+    # one bad line in bad_every, drawn from sampled_from, which draws
+    # uniformly, where Hypothesis draws floats near 0 more often
+    bad_every = draw(st.sampled_from([0, 20, 4]))
+    lines = [header]
+    for _ in range(draw(st.sampled_from(range(15)))):
+        kind = draw(st.sampled_from(["blank"] + ["row"] * 15 + ["bad"] * bad_every))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "bad" and draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["g1,h1", "g1,h1,0.5,extra", "g1", " "])))
+        else:
+            p = draw(
+                st.sampled_from(BAD_P if kind == "bad" else GOOD_P)
+                | st.floats(0.0, 1.0).map(repr)
+            )
+            family = draw(st.sampled_from(FAMILY_FIELDS))
+            hypothesis = draw(st.sampled_from(HYPOTHESIS_FIELDS))
+            lines.append(",".join([family, hypothesis, p]))
+    eol = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    text = eol.join(lines) + draw(st.sampled_from([eol, ""]))
+    if draw(st.sampled_from([False] * 11 + [True])):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + "\r" + text[at:]
+    return text
+
+
+class TestReadFamiliesCsv:
+    """The columnar reader against the row loop it replaced."""
+
+    @settings(
+        derandomize=True,
+        max_examples=600,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(csv_texts(), st.sampled_from([None, 6]))
+    def test_matches_row_loop(self, tmp_path_factory, text, field_limit):
+        path = tmp_path_factory.getbasetemp() / "differential.csv"
+        path.write_bytes(text.encode("utf-8"))
+        saved = csv.field_size_limit()
+        if field_limit is not None:
+            csv.field_size_limit(field_limit)
+        try:
+            got = read_outcome(cli._read_families_csv, path)
+            want = read_outcome(row_loop_reader, path)
+        finally:
+            csv.field_size_limit(saved)
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ("g1,h1,1.5", "g1,h1,0.2"),  # range, then a duplicate
+            ("g2,h1,0.2", "g2,h9,abc"),  # duplicate (of line 2), then a number
+            ("g1,h1", "g1,h2,abc"),  # width, then a number
+            ("g1,h2,abc", "g1,h3"),  # number, then width
+            ("g1,h2,-1", "g1,h\r3,0.1"),  # range, then a stray carriage return
+            ("g1,h\r2,0.1", "g1,h3,-1"),  # stray carriage return, then range
+            ("g1,h1,2", "g1,h3,0.1,0.2"),  # a duplicate out of range, then width
+        ],
+    )
+    def test_earliest_of_two_errors_wins(self, tmp_path, first, second):
+        for lines in ((first, second), (second, first)):
+            path = tmp_path / "two.csv"
+            text = "family,hypothesis,p_value\ng2,h1,0.3\ng1,h1,0.01\n"
+            path.write_text(text + "\n".join(lines) + "\n", newline="")
+            got = read_outcome(cli._read_families_csv, path)
+            assert got[0] == "error"
+            assert got == read_outcome(row_loop_reader, path)
+
+    def test_rectangular_input_gives_a_matrix(self, tmp_path):
+        path = tmp_path / "rect.csv"
+        path.write_text(
+            "family,hypothesis,p_value\ng2,a,0.5\ng1,b,0.25\ng2,c,1\ng1,d,0\n"
+        )
+        ids, pvalues, hypotheses, _ = cli._read_families_csv(str(path))
+        assert ids == ["g2", "g1"]
+        assert pvalues.shape == (2, 2)
+        assert pvalues.tolist() == [[0.5, 1.0], [0.25, 0.0]]
+        assert hypotheses.tolist() == [["a", "c"], ["b", "d"]]
+
+    def test_ragged_input_gives_rows(self, tmp_path):
+        path = tmp_path / "ragged.csv"
+        path.write_text("family,hypothesis,p_value\ng1,a,0.5\ng2,b,0.25\ng1,c,1\n")
+        ids, pvalues, hypotheses, _ = cli._read_families_csv(str(path))
+        assert ids == ["g1", "g2"]
+        assert [row.tolist() for row in pvalues] == [[0.5, 1.0], [0.25]]
+        assert [h.tolist() for h in hypotheses] == [["a", "c"], ["b"]]

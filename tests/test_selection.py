@@ -92,6 +92,20 @@ class TestCombine:
             each = np.array([combine(kind, row) for row in rows])
             assert np.array_equal(batch, each)
 
+    def test_simes_transposed_minimum_is_bit_identical(self):
+        rng = np.random.default_rng(31)
+        for n in (1, 2, 5, 6, 31, 32, 40):
+            rows = rng.uniform(size=(300, n)) ** 4
+            rows[rng.uniform(size=rows.shape) < 0.2] = 0.0
+            rows[rng.uniform(size=rows.shape) < 0.2] = 1.0
+            rows[:, -1] = rows[:, 0]  # ties
+            ranked = np.sort(rows, axis=1)
+            want = np.clip(
+                (ranked * (n / np.arange(1.0, n + 1.0))).min(axis=1), 0.0, 1.0
+            )
+            got = selection._combine_rows("simes", rows, selection.DEFAULT_P_FLOOR)
+            assert got.tobytes() == want.tobytes()
+
 
 class TestSurvivalFunctionAccuracy:
     """The scipy-backed tails agree with independent high-precision oracles."""
@@ -474,6 +488,35 @@ class TestBatchedScan:
         assert rule.select_from_summaries(work).tolist() == [0, 3]
 
 
+def looped_check_simple(rule, ensemble, i, trials, seed=0):
+    """check_simple one trial at a time, as it ran before it ran in blocks."""
+    rng = np.random.default_rng(seed)
+    summaries = rule.summaries(ensemble)
+    picked = rule.select_from_summaries(summaries)
+    if not (picked == i).any():
+        raise ValueError(f"family {i} is not selected")
+    r_observed = int(picked.size)
+    work = summaries.copy()
+    for t in range(trials):
+        replacement = rng.uniform(size=ensemble.size(i))
+        work[i] = rule.summary_of(replacement)
+        picked = rule.select_from_summaries(work)
+        if (picked == i).any() and picked.size != r_observed:
+            return (True, r_observed, int(picked.size), replacement.tobytes(), t + 1)
+    return (False, r_observed, None, None, trials)
+
+
+def report_tuple(report):
+    replacement = None if report.replacement is None else report.replacement.tobytes()
+    return (
+        report.witness_found,
+        report.r_observed,
+        report.r_witness,
+        replacement,
+        report.trials,
+    )
+
+
 class TestCheckSimple:
     def test_min_p_has_no_witness(self):
         ens = PValueEnsemble(np.random.default_rng(3).uniform(size=(5, 3)))
@@ -498,11 +541,70 @@ class TestCheckSimple:
         witness[1] = report.replacement
         out = select(TWO_STAGE_RULE, PValueEnsemble(witness))
         assert 1 in out.selected and out.r == 2
+        # the blocked trials find the witness the per-trial loop finds
+        assert report_tuple(report) == looped_check_simple(
+            TWO_STAGE_RULE, TWO_STAGE_ENSEMBLE, 1, 10**4, seed=5
+        )
 
     def test_requires_selected_family(self):
         ens = singleton_ensemble([0.001, 0.9])
         with pytest.raises(ValueError, match="not selected"):
             check_simple(MinPThreshold(0.05), ens, 1, 10)
+
+
+class TestCheckSimpleBlocks:
+    """check_simple in blocks against the per-trial loop."""
+
+    def _cases(self):
+        rng = np.random.default_rng(77)
+        rules = [MinPThreshold(0.3), TopKMinP(2)] + [
+            GlobalNullTest(combiner, Procedure(kind), level=0.3)
+            for combiner in COMBINERS
+            for kind in ("bh", "two_stage", "holm")
+        ]
+        for rule in rules:
+            for _ in range(3):
+                m = int(rng.integers(2, 7))
+                sizes = rng.integers(1, 5, size=m)
+                if rng.uniform() < 0.5:
+                    sizes[:] = sizes[0]
+                ens = PValueEnsemble(
+                    [rng.uniform(size=int(n)) ** 3 for n in sizes]
+                )
+                for i in sorted(select(rule, ens).selected):
+                    yield rule, ens, i, int(rng.integers(0, 2**32))
+
+    def test_matches_the_trial_loop(self, monkeypatch):
+        # 50-cell blocks split every run into several blocks
+        monkeypatch.setattr(selection, "_SCAN_BLOCK_CELLS", 50)
+        witnesses = checked = 0
+        for rule, ens, i, seed in self._cases():
+            got = report_tuple(check_simple(rule, ens, i, 300, seed=seed))
+            assert got == looped_check_simple(rule, ens, i, 300, seed=seed)
+            witnesses += got[0]
+            checked += 1
+        assert checked > 30 and witnesses > 0
+
+    def test_rule_without_blocks_uses_the_loop(self):
+        class ThresholdRule:
+            """A min-p rule without block methods, which is not simple."""
+
+            def summaries(self, ensemble):
+                return ensemble.min_p()
+
+            def summary_of(self, pvalues):
+                return float(np.min(pvalues))
+
+            def select_from_summaries(self, summaries):
+                # drops the last selected family whenever family 0's summary is small
+                picked = np.flatnonzero(summaries <= 0.5)
+                return picked[:-1] if summaries[0] < 0.1 and picked.size > 1 else picked
+
+        ens = PValueEnsemble([[0.3], [0.2], [0.4]])
+        rule = ThresholdRule()
+        got = report_tuple(check_simple(rule, ens, 0, 200, seed=3))
+        assert got == looped_check_simple(rule, ens, 0, 200, seed=3)
+        assert got[0]
 
 
 class TestCheckConcordant:
