@@ -8,6 +8,7 @@ property-check suites. Exit codes: 0 success, 1 property violation,
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -399,11 +400,13 @@ def _emit_json(report: dict, output):
 
 
 def cmd_analyze(args) -> int:
-    ids, pvalues, hypotheses, digest = _read_families_csv(args.input)
+    # The configuration is checked before the input is read, so an input
+    # with both kinds of error exits 3, and a bad option costs no read.
     if not 0.0 < args.q < 1.0:
         raise CliError(EXIT_CONFIG, "q must lie in (0, 1)")
     rule = parse_rule(args.rule, args.q)
     procedure = parse_procedure(args.procedure)
+    ids, pvalues, hypotheses, digest = _read_families_csv(args.input)
     ensemble = PValueEnsemble(pvalues, family_ids=ids)
     try:
         if args.adjust == "simple":
@@ -765,8 +768,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built once per process: parse_args returns a new
+    namespace on every call and leaves the parser as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "analyze":
             return cmd_analyze(args)

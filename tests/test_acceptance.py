@@ -244,15 +244,14 @@ def test_criterion_07_r_min_scan_vs_grid():
         )
         summaries = rng.uniform(size=m)
         i = int(rng.integers(m))
-        best = None
-        work = summaries.copy()
-        for s in grid:
-            work[i] = s
-            picked = rule.select_from_summaries(work)
-            if (picked == i).any() and (best is None or picked.size < best):
-                best = int(picked.size)
-        if best is None:
+        # every grid point is one row; select_from_summaries is the 1-row case
+        work = np.tile(summaries, (grid.size, 1))
+        work[:, i] = grid
+        picked = rule.select_block(work)
+        sizes = picked.sum(axis=1)[picked[:, i]]
+        if sizes.size == 0:
             continue
+        best = int(sizes.min())
         cases += 1
         if _r_min_scan(rule, summaries, i) != best:
             mismatches += 1

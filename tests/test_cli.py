@@ -188,6 +188,35 @@ class TestAnalyze:
         )
         assert code == 3
 
+    def test_configuration_checked_before_input(
+        self, three_family_csv, monkeypatch, capsys
+    ):
+        def no_read(path):
+            raise AssertionError("the input was read before the options")
+
+        monkeypatch.setattr(cli, "_read_families_csv", no_read)
+        for options in (
+            ["--q", "2"],
+            ["--q", "0"],
+            ["--rule", "bogus:1"],
+            ["--rule", "minp:2.0"],
+            ["--procedure", "tukey"],
+        ):
+            code, out, err = run_cli(["analyze", three_family_csv] + options, capsys)
+            assert (code, out) == (3, ""), options
+            assert err.startswith("famsel: "), options
+
+    def test_configuration_error_wins_over_input_error(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.csv")
+        code, _, err = run_cli(["analyze", missing, "--q", "2"], capsys)
+        assert (code, err) == (3, "famsel: q must lie in (0, 1)\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_text("family,hypothesis,p_value\nf1,h1,1.5\n")
+        code, _, _ = run_cli(["analyze", str(bad), "--procedure", "tukey"], capsys)
+        assert code == 3
+        code, _, _ = run_cli(["analyze", missing], capsys)
+        assert code == 2
+
     def test_output_file(self, three_family_csv, tmp_path, capsys):
         out_path = tmp_path / "report.json"
         code, out, _ = run_cli(
@@ -242,6 +271,49 @@ class TestAnalyze:
             ("fé", ""),
             ("padded", "a,b"),
         ]
+
+
+class TestParser:
+    def test_main_calls_share_no_state(
+        self, three_family_csv, tmp_path, monkeypatch, capsys
+    ):
+        # main reuses one parser; each call must parse as a new parser would
+        seen = []
+        for name in ("cmd_analyze", "cmd_table1", "cmd_simulate", "cmd_check"):
+            monkeypatch.setattr(cli, name, lambda args: seen.append(args) or 0)
+        argvs = [
+            ["analyze", three_family_csv, "--q", "0.1", "--format", "csv"],
+            ["simulate", "--m", "3", "--n", "2", "--rho", "0.5", "--equicorrelated"],
+            ["analyze", three_family_csv],
+            ["check", "--suite", "simple", "--trials", "7"],
+            ["simulate", "--m", "4", "--n", "1", "--unadjusted", "--threads", "2"],
+            ["table1", "--reps", "3"],
+            ["simulate", "--m", "3", "--n", "2"],
+            ["check", "--suite", "control"],
+        ]
+        for argv in argvs:
+            assert main(argv) == 0
+        assert [vars(a) for a in seen] == [
+            vars(cli.build_parser().parse_args(argv)) for argv in argvs
+        ]
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_successive_runs_match_fresh_ones(self, three_family_csv, capsys):
+        first = run_cli(["analyze", three_family_csv, "--format", "csv"], capsys)
+        second = run_cli(
+            ["analyze", three_family_csv, "--q", "0.3", "--adjust", "simple"], capsys
+        )
+        third = run_cli(["analyze", three_family_csv], capsys)
+        assert first[0] == second[0] == third[0] == 0
+        assert first[1].startswith(",".join(CSV_COLUMNS))
+        assert json.loads(second[1])["config"]["q"] == 0.3
+        assert json.loads(third[1])["config"] == {
+            "q": 0.05,
+            "rule": "minp:0.05",
+            "procedure": "bh",
+            "adjust": "rmin",
+        }
 
 
 class TestTable1:

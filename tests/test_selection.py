@@ -303,15 +303,13 @@ class TestRMin:
             r_min(OpaqueRule(), TWO_STAGE_ENSEMBLE, 0)
 
     def _grid_r_min(self, rule, summaries, i, points=1000):
-        # brute-force oracle: sweep the summary over a uniform grid
-        best = None
-        work = summaries.copy()
-        for s in np.linspace(0.0, 1.0, points):
-            work[i] = s
-            picked = rule.select_from_summaries(work)
-            if (picked == i).any() and (best is None or picked.size < best):
-                best = int(picked.size)
-        return best
+        # brute-force oracle: sweep the summary over a uniform grid, one row
+        # per grid point (select_from_summaries is the 1-row case)
+        work = np.tile(summaries, (points, 1))
+        work[:, i] = np.linspace(0.0, 1.0, points)
+        picked = rule.select_block(work)
+        sizes = picked.sum(axis=1)[picked[:, i]]
+        return int(sizes.min()) if sizes.size else None
 
     def test_scan_matches_grid_oracle(self):
         rng = np.random.default_rng(77)

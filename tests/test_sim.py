@@ -33,6 +33,28 @@ def example1_config(m, n, reps, seed=0, adjustment="none"):
     )
 
 
+def reference_draw(config, idx):
+    """One rectangular replicate from whole-array `uniform` and
+    `standard_normal` calls on a fresh generator: the stream layout that
+    every estimate's bits depend on."""
+    rng = np.random.Generator(
+        np.random.Philox(key=np.array([config.seed, idx], dtype=np.uint64))
+    )
+    m, n = config.m, config.n
+    k1 = int(round(config.pi1 * n))
+    if config.dependence == "equicorrelated":
+        z0 = rng.standard_normal()
+        x = np.sqrt(config.rho) * z0 + np.sqrt(1.0 - config.rho) * rng.standard_normal(
+            (m, n)
+        )
+        x[:, :k1] += config.mu
+        return special.ndtr(-x)
+    out = np.empty((m, n))
+    out[:, k1:] = rng.uniform(size=(m, n - k1))
+    out[:, :k1] = special.ndtr(-(rng.standard_normal((m, k1)) + config.mu))
+    return out
+
+
 class TestClosedForm:
     # (m, n) -> (E(C_S), E(|S|/m)) for the min-p / Bonferroni benchmark
     CASES = {
@@ -164,6 +186,65 @@ class TestGenerate:
             assert np.array_equal(
                 rekeyed.standard_normal(3), fresh.standard_normal(3)
             )
+            # leave a cached 32-bit half and a part-used buffer behind: the
+            # next rekey must clear both
+            assert np.array_equal(
+                rekeyed.integers(0, 2**32 - 1, size=3, dtype=np.uint32),
+                fresh.integers(0, 2**32 - 1, size=3, dtype=np.uint32),
+            )
+            odd = rekeyed.random(out=np.empty(3))
+            assert np.array_equal(odd, fresh.random(out=np.empty(3)))
+        fresh = np.random.Generator(
+            np.random.Philox(key=np.array([seed, 3], dtype=np.uint64))
+        )
+        assert np.array_equal(streams.rekey(3).random(9), fresh.random(9))
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_block_draw_matches_generate(self, seed, monkeypatch):
+        # the block path fills (B, m, n) arrays one C call per distribution
+        # and replicate; every block must equal one generate() per replicate
+        draw_rect = sim._draw_rect
+        monkeypatch.setattr(sim, "_BLOCK_CELLS", 40)
+        for n in (1, 5):
+            for pi1 in (0.0, 1.0 / 3.0, 1.0):
+                for rho in (0.0, 0.6):
+                    cfg = ScenarioConfig(
+                        m=4,
+                        n=n,
+                        q=0.2,
+                        rule=MinPThreshold(0.3),
+                        procedure=Procedure("bh"),
+                        metric=ErrorMetric("fdr"),
+                        replicates=1,
+                        seed=seed,
+                        pi1=pi1,
+                        mu=1.5,
+                        dependence="equicorrelated" if rho else "independent",
+                        rho=rho,
+                    )
+                    start, stop = 5, 19
+                    expected = np.stack(
+                        [generate(cfg, idx).rect for idx in range(start, stop)]
+                    )
+                    reference = [reference_draw(cfg, i) for i in range(start, stop)]
+                    assert np.array_equal(expected, np.stack(reference))
+                    blocks = []
+
+                    def recording(config, rngs, out):
+                        draw_rect(config, rngs, out)
+                        blocks.append(out.copy())
+
+                    monkeypatch.setattr(sim, "_draw_rect", recording)
+                    _replicate_values(cfg, start, stop, fast=True)
+                    monkeypatch.setattr(sim, "_draw_rect", draw_rect)
+                    case = (n, pi1, rho)
+                    assert len(blocks) == -(-(stop - start) // max(1, 40 // (4 * n)))
+                    assert np.array_equal(np.concatenate(blocks), expected), case
+                    # one direct call over the whole span
+                    out = np.empty(expected.shape)
+                    streams = _ReplicateStreams(seed)
+                    draw_rect(cfg, map(streams.rekey, range(start, stop)), out)
+                    assert np.array_equal(out, expected), case
 
     def test_seeds_above_2_63_key_their_own_streams(self):
         draws = {}
