@@ -16,10 +16,10 @@ from .core import (
     FamilyDecision,
     PValueEnsemble,
     SelectionOutcome,
+    _metric_values,
     average_over_selected,
-    metric_value,
 )
-from .procedures import Procedure, rejected_by_counts, rejection_counts
+from .procedures import Procedure, rejected_entries
 from .selection import GlobalNullTest, _r_min_scan, select
 
 
@@ -49,44 +49,34 @@ class AdjustedAnalysis:
 def _decide(ensemble, selected, levels, procedure, metric) -> list:
     """Decisions for the families `selected`, family selected[k] tested at levels[k].
 
-    Families of one size are tested together: their rows are sorted once
-    and `rejection_counts` counts each row's rejections at its own level.
-    Counts never split a tie, so a row rejects exactly its values at or
-    below its r-th smallest one. Each decision's rejected indices equal
-    ``procedure.apply(ensemble.family(i), level)``, and the errors raised
-    are the ones the first failing family would raise there.
+    All selected families are tested in one `rejected_entries` call. Each
+    decision's rejected indices equal ``procedure.apply(ensemble.family(i),
+    level)``, and the errors raised are the ones the first failing family
+    would raise there.
     """
-    by_size = {}
-    for k, i in enumerate(selected):
-        by_size.setdefault(ensemble.size(i), []).append(k)
-    rejected = [None] * len(selected)
-    for group in by_size.values():
-        families = [selected[k] for k in group]
-        if ensemble.rect is not None:
-            rows = ensemble.rect[families]
-        else:
-            rows = np.array([ensemble.family(i) for i in families])
-        ps = np.sort(rows, axis=1)
-        group_levels = [levels[k] for k in group]
-        if group_levels[0] is None:
-            group_levels = None
-        r = rejection_counts(procedure, ps, group_levels)
-        row_of, cols = np.nonzero(rejected_by_counts(ps, r, rows))
-        bounds = np.searchsorted(row_of, np.arange(len(group) + 1)).tolist()
-        for k, start, end in zip(group, bounds[:-1], bounds[1:]):
-            rejected[k] = cols[start:end]
+    if not selected:
+        return []
+    rows = np.asarray(selected, dtype=np.intp)
+    mask, r = rejected_entries(
+        procedure,
+        ensemble.padded[rows],
+        ensemble.sizes[rows],
+        None if levels[0] is None else levels,
+    )
+    row_of, cols = np.nonzero(mask)
+    bounds = np.searchsorted(row_of, np.arange(rows.size + 1)).tolist()
     decisions = [
-        FamilyDecision(ensemble.id_of(i), level, rej)
-        for i, level, rej in zip(selected, levels, rejected)
+        FamilyDecision(ensemble.id_of(i), level, cols[start:end])
+        for i, level, start, end in zip(selected, levels, bounds[:-1], bounds[1:])
     ]
     if ensemble.has_truth():
-        for i, decision in zip(selected, decisions):
-            r = int(decision.rejected.size)
-            v = int(ensemble.truth_family(i)[decision.rejected].sum())
-            decision.v = v
-            decision.q_i = v / max(r, 1)
-            if metric is not None:
-                decision.realized_c = metric_value(metric, v, r)
+        v = (mask & ensemble.padded_truth[rows]).sum(axis=1)
+        q_i = (v / np.maximum(r, 1)).tolist()
+        c = [None] * rows.size
+        if metric is not None:
+            c = _metric_values(metric, v, r).tolist()
+        for decision, v_k, q_k, c_k in zip(decisions, v.tolist(), q_i, c):
+            decision.v, decision.q_i, decision.realized_c = v_k, q_k, c_k
     return decisions
 
 

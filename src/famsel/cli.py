@@ -226,23 +226,28 @@ def _reader_records(text: str):
     empty text), the line number of each 3-field data record before the
     first malformed one, their fields one after another, and (line number,
     message) of the first record that is not 3 fields or that `csv` cannot
-    read, or None. Empty records are skipped. Line numbers count records,
-    with the header on line 1.
+    read, or None. Empty records are skipped. A record's line number is the
+    physical line it starts on, so a quoted field that holds a line break
+    moves the records after it down a line.
     """
     reader = csv.reader(io.StringIO(text))
     records = []
+    starts = []
     stop = None
+    start = 1
     try:
         for row in reader:
             records.append(row)
+            starts.append(start)
+            start = reader.line_num + 1
     except csv.Error as err:
-        stop = (len(records) + 1, _csv_error_message(err))
+        stop = (start, _csv_error_message(err))
     if not records:
         if stop is not None:
             raise CliError(EXIT_INPUT, f"line {stop[0]}: {stop[1]}")
         return None, np.empty(0, dtype=np.intp), [], None
     linenos, fields = [], []
-    for lineno, row in enumerate(records[1:], start=2):
+    for lineno, row in zip(starts[1:], records[1:]):
         if not row:
             continue
         if len(row) != 3:

@@ -54,19 +54,25 @@ def metric_value(metric: ErrorMetric, v: int, r: int) -> float:
     """
     if v < 0 or r < 0 or v > r:
         raise ValueError(f"invalid counts: v={v}, r={r} (need 0 <= v <= r)")
+    return float(_metric_values(metric, np.array([v]), np.array([r]))[0])
+
+
+def _metric_values(metric: ErrorMetric, v: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Error measure C of each family, from arrays of valid counts v <= r."""
+    v = v.astype(np.float64)
     kind = metric.kind
     if kind == "pfer":
-        return float(v)
+        return v
     if kind == "fwer":
-        return 1.0 if v >= 1 else 0.0
-    fdp = v / max(r, 1)
+        return (v >= 1).astype(np.float64)
+    fdp = v / np.maximum(r, 1)
     if kind == "fdr":
         return fdp
     if kind == "fdx":
-        return 1.0 if fdp > metric.gamma else 0.0
+        return (fdp > metric.gamma).astype(np.float64)
     if kind == "kfwer":
-        return 1.0 if v >= metric.k else 0.0
-    return fdp if v >= metric.k else 0.0  # kfdr
+        return (v >= metric.k).astype(np.float64)
+    return np.where(v >= metric.k, fdp, 0.0)  # kfdr
 
 
 class PValueEnsemble:
@@ -82,87 +88,89 @@ class PValueEnsemble:
     truth : same layout as families, optional
         Boolean mask with True where the null hypothesis is actually true,
         enabling realized error measures in simulations.
+
+    Stored as one (m, n_max) matrix, `padded`: row i holds family i's
+    `sizes[i]` p-values, then +inf, which no minimum or test ever picks.
+    `padded_truth` is padded with False. A 2d float64 array is not copied.
     """
 
     def __init__(self, families, family_ids=None, truth=None):
-        fams = None
         if isinstance(families, np.ndarray) and families.ndim == 2:
-            rect = np.asarray(families, dtype=np.float64)
-            if rect.shape[1] == 0:
+            padded = np.asarray(families, dtype=np.float64)
+            if padded.shape[1] == 0:
                 raise ValueError("families must be non-empty")
+            sizes = np.full(padded.shape[0], padded.shape[1])
+            values = padded
         else:
             fams = [np.asarray(f, dtype=np.float64).ravel() for f in families]
             if not fams:
                 raise ValueError("an ensemble needs at least one family")
-            for i, f in enumerate(fams):
-                if f.size == 0:
-                    raise ValueError(f"family {i} is empty")
-            rect = np.vstack(fams) if len({f.size for f in fams}) == 1 else None
-        flat = rect if rect is not None else np.concatenate(fams)
-        if not (np.all(flat >= 0.0) and np.all(flat <= 1.0)):
+            sizes = np.array([f.size for f in fams])
+            if (sizes == 0).any():
+                raise ValueError(f"family {int(np.argmin(sizes))} is empty")
+            values = np.concatenate(fams)
+            padded = _pad(values, sizes, np.inf)
+        if not (np.all(values >= 0.0) and np.all(values <= 1.0)):
             raise ValueError("p-values must lie in [0, 1]")
-        self.rect = rect
-        self._fams = fams
-        self.m = rect.shape[0] if rect is not None else len(fams)
+        self.padded = padded
+        self.sizes = sizes
+        self.m = padded.shape[0]
         self.family_ids = list(family_ids) if family_ids is not None else None
         if self.family_ids is not None and len(self.family_ids) != self.m:
             raise ValueError("need one family id per family")
-        self._truth2d = None
-        self._truth = None
+        self.padded_truth = None
         if truth is not None:
-            if (
-                rect is not None
-                and isinstance(truth, np.ndarray)
-                and truth.ndim == 2
-                and truth.shape == rect.shape
+            masks = [np.asarray(t, dtype=bool).ravel() for t in truth]
+            if len(masks) != self.m or any(
+                mask.size != n for mask, n in zip(masks, sizes.tolist())
             ):
-                self._truth2d = truth.astype(bool, copy=False)
-            else:
-                masks = [np.asarray(t, dtype=bool).ravel() for t in truth]
-                if len(masks) != self.m or any(
-                    masks[i].size != self.size(i) for i in range(self.m)
-                ):
-                    raise ValueError("truth mask must carry one flag per hypothesis")
-                self._truth = masks
-        self._minp = None
+                raise ValueError("truth mask must carry one flag per hypothesis")
+            self.padded_truth = _pad(np.concatenate(masks), sizes, False)
+
+    @property
+    def rect(self):
+        """The (m, n) p-value matrix when all families have size n, else None."""
+        return self.padded if (self.sizes == self.padded.shape[1]).all() else None
 
     @property
     def families(self) -> list:
-        if self._fams is None:
-            self._fams = list(self.rect)
-        return self._fams
+        return [self.family(i) for i in range(self.m)]
 
     @property
     def truth(self):
-        if self._truth is None and self._truth2d is not None:
-            self._truth = list(self._truth2d)
-        return self._truth
+        if self.padded_truth is None:
+            return None
+        return [self.truth_family(i) for i in range(self.m)]
 
     def has_truth(self) -> bool:
-        return self._truth is not None or self._truth2d is not None
+        return self.padded_truth is not None
 
     def family(self, i: int) -> np.ndarray:
-        return self.rect[i] if self.rect is not None else self._fams[i]
+        return self.padded[i, : self.sizes[i]]
 
     def size(self, i: int) -> int:
-        return self.rect.shape[1] if self.rect is not None else self._fams[i].size
+        return int(self.sizes[i])
 
     def truth_family(self, i: int):
-        if self._truth2d is not None:
-            return self._truth2d[i]
-        return None if self._truth is None else self._truth[i]
+        if self.padded_truth is None:
+            return None
+        return self.padded_truth[i, : self.sizes[i]]
 
     def id_of(self, i: int):
         return self.family_ids[i] if self.family_ids is not None else i
 
     def min_p(self) -> np.ndarray:
-        """Smallest p-value of each family (cached)."""
-        if self._minp is None:
-            if self.rect is not None:
-                self._minp = self.rect.min(axis=1)
-            else:
-                self._minp = np.array([f.min() for f in self.families])
-        return self._minp
+        """Smallest p-value of each family."""
+        return self.padded.min(axis=1)
+
+
+def _pad(values: np.ndarray, sizes: np.ndarray, fill) -> np.ndarray:
+    """The rows of lengths `sizes`, laid end to end in values, as one
+    (len(sizes), max(sizes)) matrix padded with fill."""
+    cols = np.arange(sizes.max())
+    out = np.full((sizes.size, cols.size), fill, dtype=values.dtype)
+    out[cols < sizes[:, None]] = values
+    return out
 
 
 @dataclass

@@ -3,6 +3,11 @@
 All procedures take a 1d array-like of p-values and return the rejected
 indices as a sorted integer array. Comparisons against critical values use
 <=, so ties at a cutoff are always rejected together.
+
+One batched test, `rejected_entries`, runs a `Procedure` on many families
+at once, each at its own level; `Procedure.apply` and the named procedures
+are its one-row case. `step_up` and `step_down` keep their own code: they
+accept decreasing critical values, which can split a tie.
 """
 
 from dataclasses import dataclass
@@ -30,12 +35,6 @@ _STEPWISE = {
     "step_up": "step-up",
     "step_down": "step-down",
 }
-
-
-def bonferroni(pvalues, level: float) -> np.ndarray:
-    """Reject every hypothesis with p <= level / n."""
-    p = np.asarray(pvalues, dtype=np.float64)
-    return np.flatnonzero(p <= level / p.size)
 
 
 def step_up(pvalues, critical_values) -> np.ndarray:
@@ -80,24 +79,6 @@ def lr_kfwer_critical_values(n: int, level: float, k: int) -> np.ndarray:
     return np.where(i <= k, k * level / n, k * level / (n + k - i))
 
 
-def bh(pvalues, level: float) -> np.ndarray:
-    """Benjamini-Hochberg step-up at the given level."""
-    p = np.asarray(pvalues, dtype=np.float64)
-    return step_up(p, bh_critical_values(p.size, level))
-
-
-def holm(pvalues, level: float) -> np.ndarray:
-    """Holm step-down at the given level."""
-    p = np.asarray(pvalues, dtype=np.float64)
-    return step_down(p, holm_critical_values(p.size, level))
-
-
-def hochberg(pvalues, level: float) -> np.ndarray:
-    """Hochberg step-up at the given level."""
-    p = np.asarray(pvalues, dtype=np.float64)
-    return step_up(p, holm_critical_values(p.size, level))
-
-
 def stage_one_level(level):
     """BH level q' = level / (1 + level) of the two-stage procedure's first stage."""
     return level / (1.0 + level)
@@ -106,34 +87,6 @@ def stage_one_level(level):
 def stage_two_level(q1, n, m0_hat):
     """BH level (n / m0_hat) * q' of the second stage, as every caller rounds it."""
     return q1 * n / m0_hat
-
-
-def two_stage_adaptive(pvalues, level: float) -> np.ndarray:
-    """Two-stage adaptive FDR controller.
-
-    Stage one runs BH at q' = level / (1 + level); the null count is then
-    estimated as m0_hat = n - R1 and, unless m0_hat = 0 (reject everything),
-    stage two reruns BH at (n / m0_hat) * q'.
-    """
-    p = np.asarray(pvalues, dtype=np.float64)
-    q1 = stage_one_level(level)
-    r1 = bh(p, q1).size
-    m0_hat = p.size - r1
-    if m0_hat == 0:
-        return np.arange(p.size, dtype=np.intp)
-    return bh(p, stage_two_level(q1, p.size, m0_hat))
-
-
-def lehmann_romano_kfwer(pvalues, level: float, k: int) -> np.ndarray:
-    """Step-down control of the probability of k or more false rejections.
-
-    Uses critical values k*level/n for ranks below k and k*level/(n+k-i)
-    from rank k on; k = 1 recovers Holm exactly.
-    """
-    p = np.asarray(pvalues, dtype=np.float64)
-    if not 1 <= k <= p.size:
-        raise ValueError(f"k={k} out of range for {p.size} hypotheses")
-    return step_down(p, lr_kfwer_critical_values(p.size, level, k))
 
 
 @dataclass(frozen=True)
@@ -177,28 +130,12 @@ class Procedure:
 
     def apply(self, pvalues, level: float | None = None) -> np.ndarray:
         """Rejected index set when run at the given level."""
-        p = np.asarray(pvalues, dtype=np.float64)
-        if self.kind in ("step_up", "step_down"):
-            if level is not None:
-                raise ValueError(
-                    f"{self.kind} carries fixed critical values and cannot be "
-                    "applied at a level"
-                )
-            crit = np.asarray(self.critical_values)
-            return step_up(p, crit) if self.kind == "step_up" else step_down(p, crit)
-        if level is None:
-            raise ValueError(f"a level is required for {self.kind}")
-        if self.kind == "bonferroni":
-            return bonferroni(p, level)
-        if self.kind == "holm":
-            return holm(p, level)
-        if self.kind == "hochberg":
-            return hochberg(p, level)
-        if self.kind == "bh":
-            return bh(p, level)
-        if self.kind == "two_stage":
-            return two_stage_adaptive(p, level)
-        return lehmann_romano_kfwer(p, level, self.k)
+        p = np.asarray(pvalues, dtype=np.float64).ravel()
+        if p.size == 0:
+            raise ValueError("cannot test an empty family")
+        levels = None if level is None else np.array([level], dtype=np.float64)
+        mask, _ = rejected_entries(self, p[None, :], [p.size], levels)
+        return np.flatnonzero(mask)
 
     def thresholds(self, n: int, level: float | None = None) -> np.ndarray:
         """Every constant the rejection decision compares a p-value against.
@@ -252,8 +189,9 @@ def rejection_counts(procedure: Procedure, ps: np.ndarray, levels=None) -> np.nd
 
     levels holds one testing level per row, or is None for step_up and
     step_down. The critical values are computed with the same floating-point
-    expressions as the scalar procedures, so each count equals
-    ``procedure.apply(row, level).size`` bit for bit. Critical values never
+    expressions as `bh_critical_values`, `holm_critical_values` and
+    `lr_kfwer_critical_values`, so each count equals the one `step_up` or
+    `step_down` gives over them, bit for bit. Critical values never
     decrease, so a count never splits tied p-values: the rejected set of a
     row is exactly its first r entries.
     """
@@ -305,3 +243,79 @@ def rejected_by_counts(ps: np.ndarray, r: np.ndarray, values: np.ndarray) -> np.
     """
     kth = np.where(r > 0, ps[np.arange(r.size), r - 1], -np.inf)
     return values <= kth.reshape((-1,) + (1,) * (values.ndim - 1))
+
+
+def _rejected_in_rows(procedure: Procedure, rows: np.ndarray, levels):
+    """Rejected-entry mask and rejection counts of (s, n) unpadded families."""
+    if procedure.kind == "bonferroni" and levels is not None:
+        # single step: no sort, the cutoff `rejection_counts` compares against
+        hit = rows <= levels[:, None] / rows.shape[1]
+        return hit, hit.sum(axis=1)
+    ps = np.sort(rows, axis=1)
+    r = rejection_counts(procedure, ps, levels)
+    return rejected_by_counts(ps, r, rows), r
+
+
+def rejected_entries(procedure: Procedure, rows: np.ndarray, sizes, levels=None):
+    """Which entries of each family the procedure rejects, and how many.
+
+    Row i of rows holds sizes[i] p-values, then padding; levels holds one
+    level per row, or None for step_up and step_down. Returns an (s, n_max)
+    mask, false on padding, and the (s,) counts. Each size's rows are tested
+    together, sizes in order of first appearance, so an error is the one
+    the first failing row raises.
+    """
+    sizes = np.asarray(sizes)
+    if levels is not None:
+        levels = np.asarray(levels, dtype=np.float64)
+    if (sizes == rows.shape[1]).all():
+        return _rejected_in_rows(procedure, rows, levels)
+    mask = np.zeros(rows.shape, dtype=bool)
+    counts = np.zeros(len(rows), dtype=np.intp)
+    distinct, first = np.unique(sizes, return_index=True)
+    for n in distinct[np.argsort(first)].tolist():
+        group = np.flatnonzero(sizes == n)
+        mask[group, :n], counts[group] = _rejected_in_rows(
+            procedure, rows[group, :n], None if levels is None else levels[group]
+        )
+    return mask, counts
+
+
+def bonferroni(pvalues, level: float) -> np.ndarray:
+    """Reject every hypothesis with p <= level / n."""
+    return Procedure("bonferroni").apply(pvalues, level)
+
+
+def holm(pvalues, level: float) -> np.ndarray:
+    """Holm step-down at the given level."""
+    return Procedure("holm").apply(pvalues, level)
+
+
+def hochberg(pvalues, level: float) -> np.ndarray:
+    """Hochberg step-up at the given level."""
+    return Procedure("hochberg").apply(pvalues, level)
+
+
+def bh(pvalues, level: float) -> np.ndarray:
+    """Benjamini-Hochberg step-up at the given level."""
+    return Procedure("bh").apply(pvalues, level)
+
+
+def two_stage_adaptive(pvalues, level: float) -> np.ndarray:
+    """Two-stage adaptive FDR controller.
+
+    Stage one runs BH at q' = level / (1 + level); the null count is then
+    estimated as m0_hat = n - R1 and, unless m0_hat = 0 (reject everything),
+    stage two reruns BH at (n / m0_hat) * q'.
+    """
+    return Procedure("two_stage").apply(pvalues, level)
+
+
+def lehmann_romano_kfwer(pvalues, level: float, k: int) -> np.ndarray:
+    """Step-down control of the probability of k or more false rejections.
+
+    Uses critical values k*level/n for ranks below k and k*level/(n+k-i)
+    from rank k on; k = 1 recovers Holm exactly.
+    """
+    return Procedure("lr_kfwer", k=k).apply(pvalues, level)
+

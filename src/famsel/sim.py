@@ -5,13 +5,15 @@ keyed by (seed, replicate_index), runs the configured analysis, and records
 the realized average error measure over the selected families together with
 the selected fraction. Results are bit-identical for any worker count.
 
-Rectangular scenarios with a parametric procedure inside and a rule that
-selects in blocks run replicates in blocks of at most _BLOCK_CELLS p-values:
-each replicate still draws from its own stream, in the order `generate`
-draws, and the block is then summarized, selected and tested in a few
-batched calls. Every estimate equals, bit for bit, the one the per-replicate
-analysis objects give (`_object_replicate`), which every other scenario
-runs.
+Replicates run in blocks of at most _BLOCK_CELLS p-values: each replicate
+still draws from its own stream, in the order `generate` draws, into one
+(B, m, n_max) array in which families of different sizes are padded with
++inf, and the block is then summarized, selected and tested in a few
+batched calls. Every estimate equals, bit for bit, the realized average
+error that the public analyses in `adjust` give for each replicate's
+`generate` ensemble; the tests keep that per-replicate path as the oracle.
+The rule must summarize and select in blocks (block_summaries and
+select_block), as every shipped rule does.
 """
 
 import math
@@ -21,13 +23,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import special
 
-from .adjust import (
-    selection_adjusted,
-    simple_selection_adjusted,
-    unadjusted_analysis,
-)
-from .core import ErrorMetric, PValueEnsemble, average_over_selected
-from .procedures import Procedure, rejected_by_counts, rejection_counts
+from .core import ErrorMetric, PValueEnsemble, _metric_values
+from .procedures import Procedure, rejected_entries
 from .selection import _r_min_scan, check_concordant
 
 ADJUSTMENTS = ("simple", "rmin", "none")
@@ -171,31 +168,13 @@ def generate(
     if rng is None:
         rng = _replicate_rng(config.seed, replicate_index)
     sizes = config.sizes()
-    if len(set(sizes)) == 1:
-        pvals = np.empty((1, config.m, sizes[0]))
-        _draw_rect(config, [rng], pvals)
-        return PValueEnsemble(pvals[0], truth=_null_mask(config, sizes[0]))
-    root = math.sqrt(config.rho)
-    spread = math.sqrt(1.0 - config.rho)
-    fams = []
-    masks = []
-    if config.dependence == "equicorrelated":
-        z0 = rng.standard_normal()
-    for n_i in sizes:
-        k1 = _non_nulls(config, n_i)
-        mask = np.ones(n_i, dtype=bool)
-        mask[:k1] = False
-        if config.dependence == "equicorrelated":
-            x = root * z0 + spread * rng.standard_normal(n_i)
-            x[:k1] += config.mu
-            p = special.ndtr(-x)
-        else:
-            p = np.empty(n_i)
-            p[k1:] = rng.uniform(size=n_i - k1)
-            p[:k1] = special.ndtr(-(rng.standard_normal(k1) + config.mu))
-        fams.append(p)
-        masks.append(mask)
-    return PValueEnsemble(fams, truth=masks)
+    pvals = np.empty((1, config.m, max(sizes)))
+    _draw_rect(config, [rng], pvals)
+    truth = _null_mask(config)
+    return PValueEnsemble(
+        [row[:n] for row, n in zip(pvals[0], sizes)],
+        truth=[row[:n] for row, n in zip(truth, sizes)],
+    )
 
 
 def _non_nulls(config: ScenarioConfig, n: int) -> int:
@@ -203,44 +182,76 @@ def _non_nulls(config: ScenarioConfig, n: int) -> int:
     return int(round(config.pi1 * n))
 
 
-def _null_mask(config: ScenarioConfig, n: int) -> np.ndarray:
-    """(m, n) truth mask of a rectangular scenario."""
-    truth = np.ones((config.m, n), dtype=bool)
-    truth[:, : _non_nulls(config, n)] = False
-    return truth
+def _null_mask(config: ScenarioConfig) -> np.ndarray:
+    """(m, n_max) truth mask of the scenario, padded with False."""
+    sizes = config.sizes()
+    k1 = np.array([_non_nulls(config, n) for n in sizes])[:, None]
+    cols = np.arange(max(sizes))
+    return (cols >= k1) & (cols < np.array(sizes)[:, None])
 
 
 def _draw_rect(config: ScenarioConfig, rngs, out: np.ndarray):
-    """Fill out, a (B, m, n) array, with B rectangular replicates' p-values.
+    """Fill out, a (B, m, n_max) array, with B replicates' p-values.
 
     rngs yields B generators in turn, each at the start of its replicate's
     stream. This fixes the order of the draws from a replicate's stream for
-    both `generate` (B = 1) and the block path. Each replicate costs one C
-    fill per distribution: `random` for the null columns (bit for bit what
-    `uniform` draws) and `standard_normal` for the non-null ones, or, under
-    the equicorrelated model, the shared factor and then every score. The
-    transforms are elementwise and run once over the block.
+    both `generate` (B = 1) and the block path. When every family has n
+    p-values, each replicate costs one C fill per distribution: `random`
+    for the null columns (bit for bit what `uniform` draws) and
+    `standard_normal` for the non-null ones, or, under the equicorrelated
+    model, the shared factor and then every score. Families of different
+    sizes are filled one family at a time, straight into the family's row:
+    its nulls and then its non-null scores, or, under the equicorrelated
+    model, the shared factor first and then each family's scores. A row is
+    +inf past its family's size. The transforms are elementwise and run
+    once over the block.
     """
-    b, m, n = out.shape
-    k1 = _non_nulls(config, n)
-    if config.dependence == "equicorrelated":
-        z0 = np.empty(b)
+    b, m, n_max = out.shape
+    sizes = config.sizes()
+    equicorrelated = config.dependence == "equicorrelated"
+    z0 = np.empty(b) if equicorrelated else None
+    if len(set(sizes)) > 1:
+        k1 = [_non_nulls(config, n) for n in sizes]
+        fills = list(zip(sizes, k1))
+        for j, rng in enumerate(rngs):
+            if equicorrelated:
+                z0[j] = rng.standard_normal()
+                for row, (n, _) in zip(out[j], fills):
+                    rng.standard_normal(out=row[:n])
+            else:
+                for row, (n, k) in zip(out[j], fills):
+                    rng.random(out=row[k:n])
+                    rng.standard_normal(out=row[:k])
+        cols = np.arange(n_max)
+        pad = cols >= np.array(sizes)[:, None]
+        nonnull = cols < np.array(k1)[:, None]
+        if equicorrelated:
+            out[:, pad] = 0.0  # no unset values in the arithmetic
+            out *= math.sqrt(1.0 - config.rho)
+            out += (math.sqrt(config.rho) * z0)[:, None, None]
+            out[:, nonnull] += config.mu
+            special.ndtr(np.negative(out, out=out), out=out)
+        else:
+            z = out[:, nonnull] + config.mu
+            out[:, nonnull] = special.ndtr(np.negative(z, out=z), out=z)
+        out[:, pad] = np.inf
+        return
+    k1 = _non_nulls(config, n_max)
+    if equicorrelated:
         for j, rng in enumerate(rngs):
             z0[j] = rng.standard_normal()
             rng.standard_normal(out=out[j])
-        root = math.sqrt(config.rho)
-        spread = math.sqrt(1.0 - config.rho)
-        out *= spread
-        out += (root * z0)[:, None, None]
+        out *= math.sqrt(1.0 - config.rho)
+        out += (math.sqrt(config.rho) * z0)[:, None, None]
         out[:, :, :k1] += config.mu
         special.ndtr(np.negative(out, out=out), out=out)
         return
     # The null columns are drawn straight into out when there is no
     # non-null column before them; otherwise into a contiguous buffer.
-    u = out if k1 == 0 else np.empty((b, m, n - k1))
+    u = out if k1 == 0 else np.empty((b, m, n_max - k1))
     z = np.empty((b, m, k1))
     for j, rng in enumerate(rngs):
-        if k1 < n:
+        if k1 < n_max:
             rng.random(out=u[j])
         if k1:
             rng.standard_normal(out=z[j])
@@ -250,66 +261,35 @@ def _draw_rect(config: ScenarioConfig, rngs, out: np.ndarray):
         special.ndtr(np.negative(z, out=z), out=out[:, :, :k1])
 
 
-# Parametric procedure kinds, which the block path runs at per-family levels.
-_BATCH_KINDS = ("bonferroni", "holm", "hochberg", "bh", "two_stage", "lr_kfwer")
-
 # p-values drawn per block of replicates (at least one replicate per block).
 _BLOCK_CELLS = 1 << 14
 
 
-def _batch_test_counts(procedure: Procedure, rows, nulls, levels):
-    """Rejection and false-rejection counts for a block of tested families.
+def _batch_test_counts(procedure: Procedure, rows, sizes, truth, levels):
+    """Rejection and false-rejection counts of a block of tested families.
 
-    rows is an (s, n) matrix of p-values, nulls the (n,) truth mask all rows
-    share, levels the per-family testing levels. The rejection
-    counts come from the batched procedure kernel, which agrees bit for bit
-    with the scalar procedures and never splits a tie, so the false
-    rejections are the null entries at or below each row's r-th smallest
-    value.
+    rows is an (s, n_max) matrix of padded families, sizes their sizes and
+    truth their padded truth masks, or one size and one truth row for all
+    of them, and levels their testing levels.
     """
-    if procedure.kind == "bonferroni":
-        # single step: the rejected entries are those at or below the cutoff,
-        # the same expression `rejection_counts` compares against
-        hit = rows <= np.asarray(levels, dtype=np.float64)[:, None] / rows.shape[1]
-        return hit.sum(axis=1), (hit & nulls).sum(axis=1)
-    ps = np.sort(rows, axis=1)
-    r = rejection_counts(procedure, ps, levels)
-    v = (rejected_by_counts(ps, r, rows) & nulls).sum(axis=1)
-    return r, v
+    rejected, r = rejected_entries(procedure, rows, sizes, levels)
+    return r, (rejected & truth).sum(axis=1)
 
 
-def _metric_values(metric: ErrorMetric, v: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Vectorized counterpart of core.metric_value."""
-    v = v.astype(np.float64)
-    kind = metric.kind
-    if kind == "pfer":
-        return v
-    if kind == "fwer":
-        return (v >= 1).astype(np.float64)
-    fdp = v / np.maximum(r, 1)
-    if kind == "fdr":
-        return fdp
-    if kind == "fdx":
-        return (fdp > metric.gamma).astype(np.float64)
-    if kind == "kfwer":
-        return (v >= metric.k).astype(np.float64)
-    return np.where(v >= metric.k, fdp, 0.0)
+def _block_values(config: ScenarioConfig, sizes, truth, streams, start, stop):
+    """(C_S, |S|/m) of replicates [start, stop).
 
-
-def _block_values(config: ScenarioConfig, streams, start: int, stop: int):
-    """(C_S, |S|/m) of replicates [start, stop) of a rectangular scenario.
-
-    The block is drawn into one (B, m, n) array, summarized and selected as
+    sizes and truth are the scenario's family sizes and `_null_mask`. The
+    block is drawn into one (B, m, n_max) array, summarized and selected as
     (B, m) arrays, and every selected (replicate, family) row is tested in
-    one kernel call. Each replicate's metric values are summed in family
+    one batched call. Each replicate's metric values are summed in family
     order, as `average_over_selected` sums them, so every value equals the
-    object path's bit for bit.
+    analysis objects' bit for bit.
     """
     rule, q, m = config.rule, config.q, config.m
-    n = config.sizes()[0]
-    p = np.empty((stop - start, m, n))
+    p = np.empty((stop - start, m, truth.shape[1]))
     _draw_rect(config, map(streams.rekey, range(start, stop)), p)
-    summaries = rule.block_summaries(p)
+    summaries = rule.block_summaries(p, sizes)
     picked = rule.select_block(summaries)
     counts = picked.sum(axis=1)
     values = np.zeros(picked.shape)
@@ -322,8 +302,12 @@ def _block_values(config: ScenarioConfig, streams, start: int, stop: int):
         else:
             rmins = [_r_min_scan(rule, summaries[b], i) for b, i in zip(reps, fams)]
             levels = np.array(rmins) * q / m
-        nulls = _null_mask(config, n)[0]
-        r, v = _batch_test_counts(config.procedure, p[picked], nulls, levels)
+        # the families of a rectangular scenario share one size and one
+        # truth row, which broadcast over the tested rows
+        of = fams if (sizes != sizes[0]).any() else 0
+        r, v = _batch_test_counts(
+            config.procedure, p[picked], sizes[of], truth[of], levels
+        )
         values[picked] = _metric_values(config.metric, v, r)
     # cumsum adds left to right, and adding the zeros of unselected
     # families leaves a sum unchanged.
@@ -331,45 +315,18 @@ def _block_values(config: ScenarioConfig, streams, start: int, stop: int):
     return totals / np.maximum(counts, 1), counts / m
 
 
-def _object_replicate(config: ScenarioConfig, ens: PValueEnsemble):
-    """(C_S, |S|/m) through the full analysis objects."""
-    rule, proc, q, metric = config.rule, config.procedure, config.q, config.metric
-    if config.adjustment == "simple":
-        analysis = simple_selection_adjusted(ens, rule, proc, q, metric=metric)
-    elif config.adjustment == "rmin":
-        analysis = selection_adjusted(ens, rule, proc, q, metric=metric)
-    else:
-        analysis = unadjusted_analysis(ens, rule, proc, q, metric=metric)
-    c_s = average_over_selected(analysis.decisions, analysis.selection.r)
-    return c_s, analysis.selection.r / ens.m
-
-
-def _replicate_values(config: ScenarioConfig, start: int, stop: int, fast=None):
-    """Per-replicate (C_S, |S|/m) for replicate indices [start, stop).
-
-    fast selects the block path (default: whenever the scenario allows it)
-    or the per-replicate analysis objects.
-    """
-    if fast is None:
-        fast = (
-            len(set(config.sizes())) == 1
-            and config.procedure.kind in _BATCH_KINDS
-            and hasattr(config.rule, "block_summaries")
-            and hasattr(config.rule, "select_block")
-        )
+def _replicate_values(config: ScenarioConfig, start: int, stop: int):
+    """Per-replicate (C_S, |S|/m) for replicate indices [start, stop)."""
     cs = np.empty(stop - start)
     frac = np.empty(stop - start)
     streams = _ReplicateStreams(config.seed)
-    if fast:
-        step = max(1, _BLOCK_CELLS // (config.m * config.sizes()[0]))
-        for a in range(start, stop, step):
-            b = min(a + step, stop)
-            block = _block_values(config, streams, a, b)
-            cs[a - start : b - start], frac[a - start : b - start] = block
-        return cs, frac
-    for idx in range(start, stop):
-        ens = generate(config, idx, rng=streams.rekey(idx))
-        cs[idx - start], frac[idx - start] = _object_replicate(config, ens)
+    sizes = np.array(config.sizes())
+    truth = _null_mask(config)
+    step = max(1, _BLOCK_CELLS // truth.size)
+    for a in range(start, stop, step):
+        b = min(a + step, stop)
+        block = _block_values(config, sizes, truth, streams, a, b)
+        cs[a - start : b - start], frac[a - start : b - start] = block
     return cs, frac
 
 
@@ -378,7 +335,13 @@ def estimate(config: ScenarioConfig, workers: int = 1) -> SimEstimate:
 
     Replicates may be spread over worker processes; per-replicate streams
     and a fixed aggregation order make the result independent of workers.
+    The rule must summarize and select in blocks, as every shipped rule does.
     """
+    methods = ("block_summaries", "select_block")
+    missing = [name for name in methods if not hasattr(config.rule, name)]
+    if missing:
+        needed = " and ".join(missing)
+        raise ValueError(f"the Monte Carlo harness needs a rule with {needed}")
     reps = config.replicates
     if workers is None or workers < 2 or reps < 2:
         cs, frac = _replicate_values(config, 0, reps)

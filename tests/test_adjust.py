@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import textbook
 
 from famsel import adjust
 from famsel.adjust import (
@@ -246,11 +247,11 @@ class TestGuaranteedRejection:
 
 
 def looped_decide(ensemble, selected, levels, procedure, metric):
-    """The per-family decisions the batched _decide replaced: one
-    Procedure.apply call per selected family."""
+    """The per-family decisions the batched _decide replaced: one textbook
+    procedure call per selected family."""
     decisions = []
     for i, level in zip(selected, levels):
-        rejected = procedure.apply(ensemble.family(i), level)
+        rejected = textbook.apply(procedure, ensemble.family(i), level)
         decision = FamilyDecision(ensemble.id_of(i), level, rejected)
         truth = ensemble.truth_family(i)
         if truth is not None:
@@ -288,7 +289,7 @@ def analysis_outcome(run):
 
 
 class TestBatchedDecisions:
-    """One batched _decide against one Procedure.apply per family."""
+    """One batched _decide against one textbook procedure call per family."""
 
     ENTRY_POINTS = ("simple", "rmin", "unadjusted", "iterative")
 

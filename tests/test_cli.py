@@ -509,8 +509,9 @@ class TestCheck:
 
 def row_loop_reader(path):
     """famsel's row-by-row CSV reader before the columnar one, kept as the
-    oracle. The only addition: a record `csv` cannot read is an input error
-    at its line number, where the loop used to end in a traceback."""
+    oracle. Two changes: a record `csv` cannot read is an input error at its
+    line number, where the loop used to end in a traceback, and a record's
+    line number is the physical line it starts on, not its record count."""
     with open(path, "rb") as fh:
         raw = fh.read()
     digest = hashlib.sha256(raw).hexdigest()
@@ -521,19 +522,19 @@ def row_loop_reader(path):
     reader = csv.reader(io.StringIO(text))
 
     def records():
-        lineno = 0
+        lineno = 1
         while True:
-            lineno += 1
             try:
                 row = next(reader)
             except StopIteration:
                 return
             except csv.Error as err:
                 raise cli.CliError(2, f"line {lineno}: {cli._csv_error_message(err)}")
-            yield row
+            yield lineno, row
+            lineno = reader.line_num + 1
 
     rows = records()
-    header = next(rows, None)
+    _, header = next(rows, (None, None))
     if header is None or [h.strip() for h in header] != [
         "family",
         "hypothesis",
@@ -541,7 +542,7 @@ def row_loop_reader(path):
     ]:
         raise cli.CliError(2, "line 1: expected header 'family,hypothesis,p_value'")
     families = {}
-    for lineno, row in enumerate(rows, start=2):
+    for lineno, row in rows:
         if not row:
             continue
         if len(row) != 3:
@@ -669,6 +670,22 @@ class TestReadFamiliesCsv:
             got = read_outcome(cli._read_families_csv, path)
             assert got[0] == "error"
             assert got == read_outcome(row_loop_reader, path)
+
+    def test_lines_are_numbered_as_an_editor_shows_them(self, tmp_path, capsys):
+        # the quoted id spans lines 2 and 3, so the bad p-value is on line 4
+        path = tmp_path / "multiline.csv"
+        path.write_text('family,hypothesis,p_value\n"a\nb",h1,0.5\ng2,h2,abc\n')
+        code, _, err = run_cli(["analyze", str(path)], capsys)
+        assert code == 2
+        assert "line 4: p_value 'abc' is not a number" in err
+        assert read_outcome(row_loop_reader, path) == (
+            "error",
+            2,
+            "line 4: p_value 'abc' is not a number",
+        )
+        path.write_text('family,hypothesis,p_value\n"a\n\nb",h1,0.5\n\ng2,h2\n')
+        code, _, err = run_cli(["analyze", str(path)], capsys)
+        assert code == 2 and "line 6: expected 3 columns, got 2" in err
 
     def test_rectangular_input_gives_a_matrix(self, tmp_path):
         path = tmp_path / "rect.csv"

@@ -179,6 +179,32 @@ class TestPValueEnsemble:
         assert ens.size(0) == 3 and ens.size(1) == 1
         assert np.array_equal(ens.min_p(), [0.1, 0.5])
 
+    def test_mixed_sizes_are_stored_padded(self):
+        ens = PValueEnsemble(
+            [[0.3, 0.1, 0.2], [0.5]], truth=[[True, False, True], [False]]
+        )
+        assert ens.padded.tolist() == [[0.3, 0.1, 0.2], [0.5, np.inf, np.inf]]
+        assert ens.sizes.tolist() == [3, 1]
+        assert ens.padded_truth.tolist() == [[True, False, True], [False] * 3]
+        assert [f.tolist() for f in ens.families] == [[0.3, 0.1, 0.2], [0.5]]
+        assert [t.tolist() for t in ens.truth] == [[True, False, True], [False]]
+        assert ens.truth_family(1).tolist() == [False]
+        assert ens.has_truth()
+        assert not PValueEnsemble([[0.1], [0.2, 0.3]]).has_truth()
+        assert PValueEnsemble([[0.1], [0.2, 0.3]]).truth is None
+
+    def test_rectangular_array_is_kept_as_it_is(self):
+        p = np.random.default_rng(1).uniform(size=(4, 3))
+        truth = np.zeros((4, 3), dtype=bool)
+        ens = PValueEnsemble(p, truth=truth)
+        assert ens.rect is p and ens.padded is p
+        assert np.array_equal(ens.padded_truth, truth)
+        assert ens.sizes.tolist() == [3] * 4
+        # equal sizes given as rows make the same rectangular layout
+        rows = PValueEnsemble([list(r) for r in p], truth=list(truth))
+        assert np.array_equal(rows.rect, p)
+        assert np.array_equal(rows.padded_truth, truth)
+
 
 class TestSelectionOutcome:
     def test_r_must_match(self):

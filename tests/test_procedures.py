@@ -1,9 +1,13 @@
+import re
+
 import numpy as np
 import pytest
+import textbook
 from hypothesis import given
 from hypothesis import strategies as st
 
 from famsel.procedures import (
+    PROCEDURE_KINDS,
     Procedure,
     bh,
     bonferroni,
@@ -11,6 +15,7 @@ from famsel.procedures import (
     holm,
     lehmann_romano_kfwer,
     lr_kfwer_critical_values,
+    rejected_entries,
     rejection_counts,
     step_down,
     step_up,
@@ -224,26 +229,69 @@ class TestNullSimulations:
 class TestProcedureType:
     def test_dispatch_matches_functions(self):
         p = [0.01, 0.02, 0.04, 0.5, 0.9]
-        assert rejected(Procedure("bonferroni").apply(p, 0.05)) == rejected(
-            bonferroni(p, 0.05)
-        )
-        assert rejected(Procedure("bh").apply(p, 0.05)) == rejected(bh(p, 0.05))
-        assert rejected(Procedure("holm").apply(p, 0.05)) == rejected(holm(p, 0.05))
-        assert rejected(Procedure("hochberg").apply(p, 0.05)) == rejected(
-            hochberg(p, 0.05)
-        )
-        assert rejected(Procedure("two_stage").apply(p, 0.05)) == rejected(
-            two_stage_adaptive(p, 0.05)
-        )
-        assert rejected(Procedure("lr_kfwer", k=2).apply(p, 0.05)) == rejected(
-            lehmann_romano_kfwer(p, 0.05, 2)
-        )
+        cases = [
+            ("bonferroni", bonferroni, textbook.bonferroni),
+            ("bh", bh, textbook.bh),
+            ("holm", holm, textbook.holm),
+            ("hochberg", hochberg, textbook.hochberg),
+            ("two_stage", two_stage_adaptive, textbook.two_stage_adaptive),
+        ]
+        for kind, public, reference in cases:
+            expected = rejected(reference(p, 0.05))
+            assert rejected(Procedure(kind).apply(p, 0.05)) == expected
+            assert rejected(public(p, 0.05)) == expected
+        expected = rejected(textbook.lehmann_romano_kfwer(p, 0.05, 2))
+        assert rejected(Procedure("lr_kfwer", k=2).apply(p, 0.05)) == expected
+        assert rejected(lehmann_romano_kfwer(p, 0.05, 2)) == expected
+
+    @given(
+        st.lists(
+            st.sampled_from([0.0, 1.0, 0.01, 0.02, 0.3]) | st.floats(0.0, 1.0),
+            min_size=1,
+            max_size=12,
+        ),
+        st.sampled_from([0.0, 0.05, 0.3, 0.9]),
+        st.integers(1, 4),
+    )
+    def test_named_procedures_match_textbook(self, pvals, level, k):
+        # the one-row case of the batched test, on ties, 0 and 1
+        for public, reference in [
+            (bonferroni, textbook.bonferroni),
+            (bh, textbook.bh),
+            (holm, textbook.holm),
+            (hochberg, textbook.hochberg),
+            (two_stage_adaptive, textbook.two_stage_adaptive),
+        ]:
+            got = public(pvals, level)
+            assert got.tolist() == reference(pvals, level).tolist()
+            assert got.dtype == np.intp
+        if k <= len(pvals):
+            assert (
+                lehmann_romano_kfwer(pvals, level, k).tolist()
+                == textbook.lehmann_romano_kfwer(pvals, level, k).tolist()
+            )
+        else:
+            with pytest.raises(ValueError, match=f"k={k} out of range"):
+                lehmann_romano_kfwer(pvals, level, k)
 
     def test_generic_kinds_carry_critical_values(self):
         proc = Procedure("step_up", critical_values=(0.01, 0.02, 0.03))
         assert rejected(proc.apply([0.005, 0.5, 0.9])) == {0}
         with pytest.raises(ValueError, match="cannot"):
             proc.apply([0.005, 0.5, 0.9], 0.05)
+
+    def test_empty_family_is_refused(self):
+        for kind in PROCEDURE_KINDS:
+            generic = kind in ("step_up", "step_down")
+            proc = Procedure(
+                kind,
+                critical_values=(0.05,) if generic else None,
+                k=1 if kind == "lr_kfwer" else None,
+            )
+            with pytest.raises(ValueError, match="empty family"):
+                proc.apply([], None if generic else 0.05)
+        with pytest.raises(ValueError, match="empty family"):
+            bonferroni([], 0.05)
 
     def test_parametric_kinds_require_level(self):
         with pytest.raises(ValueError, match="level"):
@@ -301,13 +349,18 @@ class TestRejectionCounts:
                 for kind in ("bonferroni", "holm", "hochberg", "bh", "two_stage")
             ] + [Procedure("lr_kfwer", k=min(2, n))]
             for proc in procedures:
-                expected = [proc.apply(row, lv).size for row, lv in zip(rows, levels)]
+                expected = [
+                    textbook.apply(proc, row, lv).size for row, lv in zip(rows, levels)
+                ]
                 assert rejection_counts(proc, ps, levels).tolist() == expected
+                applied = [proc.apply(row, lv).size for row, lv in zip(rows, levels)]
+                assert applied == expected
             crit = tuple(np.sort(rng.uniform(size=n)))
             for kind in ("step_up", "step_down"):
                 proc = Procedure(kind, critical_values=crit)
-                expected = [proc.apply(row).size for row in rows]
+                expected = [textbook.apply(proc, row).size for row in rows]
                 assert rejection_counts(proc, ps).tolist() == expected
+                assert [proc.apply(row).size for row in rows] == expected
 
     def test_level_and_shape_errors(self):
         ps = np.array([[0.01, 0.2, 0.5]])
@@ -320,3 +373,51 @@ class TestRejectionCounts:
             rejection_counts(generic, ps[:, :2])
         with pytest.raises(ValueError, match="out of range"):
             rejection_counts(Procedure("lr_kfwer", k=4), ps, np.array([0.05]))
+
+
+class TestRejectedEntries:
+    """The one within-family test, on padded families of mixed sizes."""
+
+    @staticmethod
+    def _procedure(kind, n):
+        if kind in ("step_up", "step_down"):
+            return Procedure(kind, critical_values=tuple(np.linspace(0.0, 0.5, n)))
+        return Procedure(kind, k=2 if kind == "lr_kfwer" else None)
+
+    def test_padded_rows_match_textbook(self):
+        rng = np.random.default_rng(44)
+        pool = np.array([0.0, 1.0, 0.01, 0.02, 0.2, 0.5])
+        for case in range(60):
+            s = int(rng.integers(1, 9))
+            sizes = rng.integers(2, 7, size=s)
+            if case % 2:
+                sizes[:] = sizes[0]
+            rows = np.full((s, sizes.max()), np.inf)
+            for row, n in zip(rows, sizes):
+                row[:n] = rng.choice(pool, size=n) * rng.uniform(0.5, 1.0)
+            levels = rng.choice([0.05, 0.3, 0.9], size=s)
+            for kind in PROCEDURE_KINDS:
+                proc = self._procedure(kind, int(sizes[0]))
+                generic = proc.critical_values is not None
+                lv = None if generic else levels
+                try:
+                    expected = np.zeros(rows.shape, dtype=bool)
+                    for i, n in enumerate(sizes):
+                        level = None if generic else levels[i]
+                        expected[i, textbook.apply(proc, rows[i, :n], level)] = True
+                except ValueError as err:
+                    with pytest.raises(ValueError, match=re.escape(str(err))):
+                        rejected_entries(proc, rows, sizes, lv)
+                    continue
+                mask, counts = rejected_entries(proc, rows, sizes, lv)
+                assert np.array_equal(mask, expected)
+                assert counts.tolist() == expected.sum(axis=1).tolist()
+
+    def test_error_is_the_first_failing_rows(self):
+        # sizes 5, 2, 1 with k = 3: the size-2 family fails first
+        rows = np.full((3, 5), np.inf)
+        rows[0] = 0.01
+        rows[1, :2] = 0.01
+        rows[2, :1] = 0.01
+        with pytest.raises(ValueError, match="k=3 out of range for 2 hypotheses"):
+            rejected_entries(Procedure("lr_kfwer", k=3), rows, [5, 2, 1], [0.1] * 3)

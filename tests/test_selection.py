@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import textbook
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
@@ -91,6 +92,21 @@ class TestCombine:
             batch = combined_pvalues(kind, ens)
             each = np.array([combine(kind, row) for row in rows])
             assert np.array_equal(batch, each)
+
+    def test_mixed_sizes_match_scalar(self):
+        # each size is combined on its unpadded columns: a sum over padded
+        # rows would group the terms differently and change low-order bits
+        rng = np.random.default_rng(6)
+        sizes = np.concatenate([np.arange(1, 70), rng.integers(1, 70, size=70)])
+        families = [rng.uniform(size=n) ** 3 for n in sizes]
+        families[3][0] = 0.0
+        families[4][-1] = 1.0
+        ens = PValueEnsemble(families)
+        assert ens.rect is None
+        for kind in ("bonferroni_min", "simes", "fisher", "stouffer"):
+            batch = combined_pvalues(kind, ens)
+            each = np.array([combine(kind, f) for f in families])
+            assert batch.tobytes() == each.tobytes(), kind
 
     def test_simes_transposed_minimum_is_bit_identical(self):
         rng = np.random.default_rng(31)
@@ -220,7 +236,7 @@ class TestSelectBlock:
             return np.flatnonzero(row <= rule.t)
         if isinstance(rule, TopKMinP):
             return np.sort(np.argsort(row, kind="stable")[: rule.k])
-        return rule.procedure.apply(row, rule.level)
+        return textbook.apply(rule.procedure, row, rule.level)
 
     def test_rows_agree_with_one_row_selection(self):
         rng = np.random.default_rng(505)
@@ -266,9 +282,33 @@ class TestSelectBlock:
             for rule in [MinPThreshold(0.5), TopKMinP(2)] + [
                 GlobalNullTest(c, Procedure("bh"), 0.1) for c in COMBINERS
             ]:
-                got = rule.block_summaries(p)
+                got = rule.block_summaries(p, np.full(7, n))
                 want = [rule.summaries(PValueEnsemble(block)) for block in p]
                 assert np.array_equal(got, np.array(want)), (rule, n)
+
+    def test_padded_block_summaries_match_each_family(self):
+        rng = np.random.default_rng(10)
+        sizes = np.array([3, 1, 7, 3, 40, 1, 9])
+        p = np.full((5, 7, 40), np.inf)
+        for block in p:
+            for row, n in zip(block, sizes):
+                row[:n] = rng.uniform(size=n) ** 2
+        p[0, 0, 1] = 0.0
+        p[1, 2, 6] = 1.0
+        for rule in [MinPThreshold(0.5), TopKMinP(2)] + [
+            GlobalNullTest(c, Procedure("bh"), 0.1) for c in COMBINERS
+        ]:
+            got = rule.block_summaries(p, sizes)
+            for block, row in zip(p, got):
+                families = [f[:n] for f, n in zip(block, sizes)]
+                if isinstance(rule, GlobalNullTest):
+                    want = [combine(rule.combiner, f, rule.floor) for f in families]
+                else:
+                    want = [np.min(f) for f in families]
+                assert row.tobytes() == np.array(want).tobytes(), rule
+                assert want == [rule.summary_of(f) for f in families], rule
+                ensemble = PValueEnsemble(families)
+                assert row.tobytes() == rule.summaries(ensemble).tobytes(), rule
 
 
 class TestRMin:

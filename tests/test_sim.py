@@ -5,8 +5,13 @@ from hypothesis import strategies as st
 from scipy import special, stats
 
 from famsel import sim
-from famsel.core import ErrorMetric
-from famsel.procedures import Procedure
+from famsel.adjust import (
+    selection_adjusted,
+    simple_selection_adjusted,
+    unadjusted_analysis,
+)
+from famsel.core import ErrorMetric, average_over_selected
+from famsel.procedures import PROCEDURE_KINDS, Procedure
 from famsel.selection import COMBINERS, GlobalNullTest, MinPThreshold, TopKMinP
 from famsel.sim import (
     ScenarioConfig,
@@ -34,25 +39,75 @@ def example1_config(m, n, reps, seed=0, adjustment="none"):
 
 
 def reference_draw(config, idx):
-    """One rectangular replicate from whole-array `uniform` and
-    `standard_normal` calls on a fresh generator: the stream layout that
-    every estimate's bits depend on."""
+    """One replicate's (m, n_max) p-values, padded with +inf, from
+    whole-array `uniform` and `standard_normal` calls on a fresh generator:
+    the stream layout that every estimate's bits depend on. Equal sizes
+    draw every family's nulls and then every family's non-null scores;
+    mixed sizes draw family by family."""
     rng = np.random.Generator(
         np.random.Philox(key=np.array([config.seed, idx], dtype=np.uint64))
     )
-    m, n = config.m, config.n
-    k1 = int(round(config.pi1 * n))
-    if config.dependence == "equicorrelated":
+    sizes = config.sizes()
+    m, n = config.m, max(sizes)
+    root, spread = np.sqrt(config.rho), np.sqrt(1.0 - config.rho)
+    equicorrelated = config.dependence == "equicorrelated"
+    if equicorrelated:
         z0 = rng.standard_normal()
-        x = np.sqrt(config.rho) * z0 + np.sqrt(1.0 - config.rho) * rng.standard_normal(
-            (m, n)
-        )
-        x[:, :k1] += config.mu
-        return special.ndtr(-x)
-    out = np.empty((m, n))
-    out[:, k1:] = rng.uniform(size=(m, n - k1))
-    out[:, :k1] = special.ndtr(-(rng.standard_normal((m, k1)) + config.mu))
+    if len(set(sizes)) == 1:
+        k1 = int(round(config.pi1 * n))
+        if equicorrelated:
+            x = root * z0 + spread * rng.standard_normal((m, n))
+            x[:, :k1] += config.mu
+            return special.ndtr(-x)
+        out = np.empty((m, n))
+        out[:, k1:] = rng.uniform(size=(m, n - k1))
+        out[:, :k1] = special.ndtr(-(rng.standard_normal((m, k1)) + config.mu))
+        return out
+    out = np.full((m, n), np.inf)
+    for row, n_i in zip(out, sizes):
+        k1 = int(round(config.pi1 * n_i))
+        if equicorrelated:
+            x = root * z0 + spread * rng.standard_normal(n_i)
+            x[:k1] += config.mu
+            row[:n_i] = special.ndtr(-x)
+        else:
+            row[k1:n_i] = rng.uniform(size=n_i - k1)
+            row[:k1] = special.ndtr(-(rng.standard_normal(k1) + config.mu))
     return out
+
+
+def object_replicate(config, ens):
+    """(C_S, |S|/m) through the full analysis objects: the per-replicate
+    path the Monte Carlo blocks replaced, kept as their oracle."""
+    rule, proc, q, metric = config.rule, config.procedure, config.q, config.metric
+    if config.adjustment == "simple":
+        analysis = simple_selection_adjusted(ens, rule, proc, q, metric=metric)
+    elif config.adjustment == "rmin":
+        analysis = selection_adjusted(ens, rule, proc, q, metric=metric)
+    else:
+        analysis = unadjusted_analysis(ens, rule, proc, q, metric=metric)
+    c_s = average_over_selected(analysis.decisions, analysis.selection.r)
+    return c_s, analysis.selection.r / ens.m
+
+
+def object_values(config, start, stop):
+    """`_replicate_values` through `generate` and `object_replicate`."""
+    cs = np.empty(stop - start)
+    frac = np.empty(stop - start)
+    for idx in range(start, stop):
+        cs[idx - start], frac[idx - start] = object_replicate(
+            config, generate(config, idx)
+        )
+    return cs, frac
+
+
+def values_or_error(run, *args):
+    """The (C_S, |S|/m) arrays a run returns, or the error it raises."""
+    try:
+        cs, frac = run(*args)
+    except ValueError as err:
+        return ("error", type(err), str(err))
+    return ("ok", cs.tobytes(), frac.tobytes())
 
 
 class TestClosedForm:
@@ -201,11 +256,12 @@ class TestGenerate:
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_block_draw_matches_generate(self, seed, monkeypatch):
-        # the block path fills (B, m, n) arrays one C call per distribution
-        # and replicate; every block must equal one generate() per replicate
+        # the block path fills (B, m, n_max) arrays, one C call per
+        # distribution and replicate, or per family when sizes differ;
+        # every block must equal one generate() per replicate
         draw_rect = sim._draw_rect
         monkeypatch.setattr(sim, "_BLOCK_CELLS", 40)
-        for n in (1, 5):
+        for n in (1, 5, [2, 5, 1, 3], [1, 1, 2, 1]):
             for pi1 in (0.0, 1.0 / 3.0, 1.0):
                 for rho in (0.0, 0.6):
                     cfg = ScenarioConfig(
@@ -224,7 +280,7 @@ class TestGenerate:
                     )
                     start, stop = 5, 19
                     expected = np.stack(
-                        [generate(cfg, idx).rect for idx in range(start, stop)]
+                        [generate(cfg, idx).padded for idx in range(start, stop)]
                     )
                     reference = [reference_draw(cfg, i) for i in range(start, stop)]
                     assert np.array_equal(expected, np.stack(reference))
@@ -235,10 +291,11 @@ class TestGenerate:
                         blocks.append(out.copy())
 
                     monkeypatch.setattr(sim, "_draw_rect", recording)
-                    _replicate_values(cfg, start, stop, fast=True)
+                    _replicate_values(cfg, start, stop)
                     monkeypatch.setattr(sim, "_draw_rect", draw_rect)
                     case = (n, pi1, rho)
-                    assert len(blocks) == -(-(stop - start) // max(1, 40 // (4 * n)))
+                    step = max(1, 40 // (4 * max(cfg.sizes())))
+                    assert len(blocks) == -(-(stop - start) // step)
                     assert np.array_equal(np.concatenate(blocks), expected), case
                     # one direct call over the whole span
                     out = np.empty(expected.shape)
@@ -358,6 +415,9 @@ class TestEstimate:
             Procedure("bh"),
             Procedure("two_stage"),
             Procedure("lr_kfwer", k=2),
+            # a level is always passed, so these fail once anything is selected
+            Procedure("step_up", critical_values=(0.01, 0.05, 0.1, 0.2, 0.3)),
+            Procedure("step_down", critical_values=(0.01, 0.05, 0.1, 0.2, 0.3)),
         ]
         metrics = [
             ErrorMetric("pfer"),
@@ -367,15 +427,18 @@ class TestEstimate:
             ErrorMetric("kfwer", k=2),
             ErrorMetric("kfdr", k=2),
         ]
+        # with size-1 families, where lr_kfwer's k = 2 is out of range
+        ragged_sizes = ([5, 2, 7, 5, 3, 4], [1, 5, 3, 1, 6, 2])
         # a few replicates per block, so that spans cross block edges
         monkeypatch.setattr(sim, "_BLOCK_CELLS", 100)
-        for case in range(48):
+        outcomes = {"ok": 0, "error": 0}
+        for case in range(128):
             cfg = ScenarioConfig(
                 m=6,
-                n=5,
+                n=5 if case < 64 else ragged_sizes[case % 2],
                 q=0.2,
                 rule=rules[case % 8],
-                procedure=procedures[case // 8],
+                procedure=procedures[(case // 8) % 8],
                 metric=metrics[case % 6],
                 replicates=25,
                 seed=int(rng.integers(10**6)),
@@ -387,12 +450,13 @@ class TestEstimate:
             )
             # a span with start > 0, as one worker would run it
             start = (0, 7)[(case // 5) % 2]
-            fast = _replicate_values(cfg, start, 25, fast=True)
-            slow = _replicate_values(cfg, start, 25, fast=False)
-            assert np.array_equal(fast[0], slow[0]), case
-            assert np.array_equal(fast[1], slow[1]), case
-            if rules[case % 8] is rules[7]:
-                assert (fast[1] == 0.0).any()
+            fast = values_or_error(_replicate_values, cfg, start, 25)
+            slow = values_or_error(object_values, cfg, start, 25)
+            assert fast == slow, case
+            outcomes[fast[0]] += 1
+            if rules[case % 8] is rules[7] and fast[0] == "ok":
+                assert (np.frombuffer(fast[2]) == 0.0).any()
+        assert outcomes["ok"] >= 90 and outcomes["error"] >= 20
         cfg = ScenarioConfig(
             m=3,
             n=4,
@@ -402,16 +466,18 @@ class TestEstimate:
             metric=ErrorMetric("fdr"),
             replicates=5,
         )
-        for fast in (True, False):
+        for run in (_replicate_values, object_values):
             with pytest.raises(ValueError, match="k=4 exceeds"):
-                _replicate_values(cfg, 0, 5, fast=fast)
+                run(cfg, 0, 5)
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(
         m=st.integers(1, 8),
         n=st.integers(1, 6),
+        ragged=st.booleans(),
         rule_index=st.integers(0, 5),
-        kind=st.sampled_from(sim._BATCH_KINDS),
+        kind=st.sampled_from(PROCEDURE_KINDS),
+        k=st.integers(1, 3),
         metric=st.sampled_from(
             [ErrorMetric("fwer"), ErrorMetric("fdr"), ErrorMetric("kfdr", k=2)]
         ),
@@ -420,20 +486,40 @@ class TestEstimate:
         rho=st.sampled_from([0.0, 0.6]),
         seed=st.integers(0, 2**64 - 1),
         block_cells=st.integers(1, 200),
+        data=st.data(),
     )
     def test_block_and_object_paths_agree_property(
-        self, m, n, rule_index, kind, metric, adjustment, pi1, rho, seed, block_cells
+        self,
+        m,
+        n,
+        ragged,
+        rule_index,
+        kind,
+        k,
+        metric,
+        adjustment,
+        pi1,
+        rho,
+        seed,
+        block_cells,
+        data,
     ):
         if rule_index < 4:
             rule = GlobalNullTest(COMBINERS[rule_index], Procedure("two_stage"), 0.4)
         else:
             rule = (MinPThreshold(0.3), TopKMinP(min(m, 2)))[rule_index - 4]
+        if ragged:
+            n = data.draw(st.lists(st.integers(1, 6), min_size=m, max_size=m))
+        if kind in ("step_up", "step_down"):
+            procedure = Procedure(kind, critical_values=(0.05,) * 3)
+        else:
+            procedure = Procedure(kind, k=k if kind == "lr_kfwer" else None)
         cfg = ScenarioConfig(
             m=m,
             n=n,
             q=0.2,
             rule=rule,
-            procedure=Procedure(kind, k=1 if kind == "lr_kfwer" else None),
+            procedure=procedure,
             metric=metric,
             replicates=12,
             seed=seed,
@@ -446,12 +532,11 @@ class TestEstimate:
         old_cells = sim._BLOCK_CELLS
         sim._BLOCK_CELLS = block_cells
         try:
-            fast = _replicate_values(cfg, 3, 12, fast=True)
+            fast = values_or_error(_replicate_values, cfg, 3, 12)
         finally:
             sim._BLOCK_CELLS = old_cells
-        slow = _replicate_values(cfg, 3, 12, fast=False)
-        assert np.array_equal(fast[0], slow[0])
-        assert np.array_equal(fast[1], slow[1])
+        slow = values_or_error(object_values, cfg, 3, 12)
+        assert fast == slow
 
     def test_ragged_config_uses_object_path(self):
         cfg = ScenarioConfig(
@@ -463,11 +548,49 @@ class TestEstimate:
             metric=ErrorMetric("fdr"),
             replicates=200,
             seed=5,
+            pi1=0.3,
+            mu=2.0,
             adjustment="simple",
         )
         est = estimate(cfg)
         assert est.replicates == 200
         assert 0.0 <= est.e_cs_hat <= 1.0
+        # bit for bit the estimate the per-replicate analysis objects give
+        cs, frac = object_values(cfg, 0, 200)
+        assert est.e_cs_hat == float(cs.mean()) and est.e_cs_hat > 0.0
+        assert est.e_sel_frac_hat == float(frac.mean())
+        assert est.se == float(cs.std(ddof=1) / np.sqrt(200))
+        assert estimate(cfg, workers=2) == est
+
+    def test_rule_without_block_methods_is_refused(self):
+        class SummaryOnly:
+            is_simple = True
+
+            def summaries(self, ensemble):
+                return ensemble.min_p()
+
+            def select_from_summaries(self, summaries):
+                return np.flatnonzero(summaries <= 0.3)
+
+        class NoSelectBlock(SummaryOnly):
+            def block_summaries(self, p, sizes):
+                return p.min(axis=2)
+
+        for rule, missing in (
+            (SummaryOnly(), "block_summaries and select_block"),
+            (NoSelectBlock(), "select_block"),
+        ):
+            cfg = ScenarioConfig(
+                m=3,
+                n=2,
+                q=0.1,
+                rule=rule,
+                procedure=Procedure("bh"),
+                metric=ErrorMetric("fdr"),
+                replicates=10,
+            )
+            with pytest.raises(ValueError, match=f"needs a rule with {missing}$"):
+                estimate(cfg)
 
     def test_single_replicate_has_zero_se(self):
         cfg = example1_config(5, 2, reps=1)
