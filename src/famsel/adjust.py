@@ -18,6 +18,7 @@ from .core import (
     SelectionOutcome,
     _metric_values,
     average_over_selected,
+    size_groups,
 )
 from .procedures import Procedure, rejected_entries
 from .selection import GlobalNullTest, _r_min_scan, select
@@ -49,30 +50,38 @@ class AdjustedAnalysis:
 def _decide(ensemble, selected, levels, procedure, metric) -> list:
     """Decisions for the families `selected`, family selected[k] tested at levels[k].
 
-    All selected families are tested in one `rejected_entries` call. Each
-    decision's rejected indices equal ``procedure.apply(ensemble.family(i),
-    level)``, and the errors raised are the ones the first failing family
-    would raise there.
+    The selected families of each size are tested in one `rejected_entries`
+    call, sizes in order of first appearance. Each decision's rejected
+    indices equal ``procedure.apply(ensemble.family(i), level)``, and the
+    errors raised are the ones the first failing family would raise there.
     """
     if not selected:
         return []
-    rows = np.asarray(selected, dtype=np.intp)
-    mask, r = rejected_entries(
-        procedure,
-        ensemble.padded[rows],
-        ensemble.sizes[rows],
-        None if levels[0] is None else levels,
-    )
-    row_of, cols = np.nonzero(mask)
-    bounds = np.searchsorted(row_of, np.arange(rows.size + 1)).tolist()
+    families = np.asarray(selected, dtype=np.intp)
+    tested_at = None if levels[0] is None else np.asarray(levels, dtype=np.float64)
+    rejected = [None] * families.size
+    r = np.empty(families.size, dtype=np.intp)
+    v = np.empty(families.size, dtype=np.intp)
+    for _, group in size_groups(ensemble.sizes[families]):
+        rows, truth = ensemble._rows(families[group])
+        mask, r[group] = rejected_entries(
+            procedure, rows, None if tested_at is None else tested_at[group]
+        )
+        if truth is not None:
+            v[group] = (mask & truth).sum(axis=1)
+        row_of, cols = np.nonzero(mask)
+        bounds = np.searchsorted(row_of, np.arange(len(rows) + 1)).tolist()
+        for k, start, end in zip(
+            np.arange(families.size)[group].tolist(), bounds[:-1], bounds[1:]
+        ):
+            rejected[k] = cols[start:end]
     decisions = [
-        FamilyDecision(ensemble.id_of(i), level, cols[start:end])
-        for i, level, start, end in zip(selected, levels, bounds[:-1], bounds[1:])
+        FamilyDecision(ensemble.id_of(i), level, rej)
+        for i, level, rej in zip(selected, levels, rejected)
     ]
     if ensemble.has_truth():
-        v = (mask & ensemble.padded_truth[rows]).sum(axis=1)
         q_i = (v / np.maximum(r, 1)).tolist()
-        c = [None] * rows.size
+        c = [None] * families.size
         if metric is not None:
             c = _metric_values(metric, v, r).tolist()
         for decision, v_k, q_k, c_k in zip(decisions, v.tolist(), q_i, c):

@@ -75,6 +75,47 @@ def _metric_values(metric: ErrorMetric, v: np.ndarray, r: np.ndarray) -> np.ndar
     return np.where(v >= metric.k, fdp, 0.0)  # kfdr
 
 
+def size_groups(sizes) -> list:
+    """(n, families) for each distinct size n in sizes, sizes in order of
+    first appearance, families the ascending indices of size n.
+
+    When every size is equal the one group's families are slice(None), so
+    indexing with it copies nothing.
+    """
+    sizes = np.asarray(sizes)
+    if (sizes == sizes[0]).all():
+        return [(int(sizes[0]), slice(None))]
+    order = np.argsort(sizes, kind="stable")
+    starts = np.flatnonzero(np.diff(sizes[order], prepend=-1))
+    groups = np.split(order, starts[1:])
+    groups.sort(key=lambda g: g[0])
+    return [(int(sizes[g[0]]), g) for g in groups]
+
+
+def in_family_order(groups, parts) -> np.ndarray:
+    """Per-family values from one array per `size_groups` group, whose last
+    axis runs over the group's families. One group's array is returned as
+    it is, without a copy."""
+    if len(parts) == 1:
+        return parts[0]
+    m = sum(part.shape[-1] for part in parts)
+    out = np.empty(parts[0].shape[:-1] + (m,))
+    for (_, families), part in zip(groups, parts):
+        out[..., families] = part
+    return out
+
+
+def group_slots(groups, m: int) -> np.ndarray:
+    """(2, m) array: the index in groups of each family's group, and the
+    family's row among its group's families."""
+    slots = np.empty((2, m), dtype=np.intp)
+    for g, (_, families) in enumerate(groups):
+        rows = np.arange(m)[families]
+        slots[0, rows] = g
+        slots[1, rows] = np.arange(rows.size)
+    return slots
+
+
 class PValueEnsemble:
     """The ensemble of p-value families under analysis.
 
@@ -89,18 +130,21 @@ class PValueEnsemble:
         Boolean mask with True where the null hypothesis is actually true,
         enabling realized error measures in simulations.
 
-    Stored as one (m, n_max) matrix, `padded`: row i holds family i's
-    `sizes[i]` p-values, then +inf, which no minimum or test ever picks.
-    `padded_truth` is padded with False. A 2d float64 array is not copied.
+    Stored by size, so memory grows with the number of p-values however
+    the sizes are spread: `groups` is `size_groups(sizes)`, `pvalues` holds
+    each group's (count, n) p-value matrix and `truths` the matching truth
+    matrices, or is None. `slots` holds each family's group and its row in
+    the group's matrix (`group_slots`). A 2d array is one group and is not
+    copied.
     """
 
     def __init__(self, families, family_ids=None, truth=None):
         if isinstance(families, np.ndarray) and families.ndim == 2:
-            padded = np.asarray(families, dtype=np.float64)
-            if padded.shape[1] == 0:
+            rect = np.asarray(families, dtype=np.float64)
+            if rect.shape[1] == 0:
                 raise ValueError("families must be non-empty")
-            sizes = np.full(padded.shape[0], padded.shape[1])
-            values = padded
+            sizes = np.full(rect.shape[0], rect.shape[1])
+            groups, values = [(rect.shape[1], slice(None))], [rect]
         else:
             fams = [np.asarray(f, dtype=np.float64).ravel() for f in families]
             if not fams:
@@ -108,29 +152,54 @@ class PValueEnsemble:
             sizes = np.array([f.size for f in fams])
             if (sizes == 0).any():
                 raise ValueError(f"family {int(np.argmin(sizes))} is empty")
-            values = np.concatenate(fams)
-            padded = _pad(values, sizes, np.inf)
-        if not (np.all(values >= 0.0) and np.all(values <= 1.0)):
+            groups = size_groups(sizes)
+            values = _by_size(np.concatenate(fams), sizes, groups)
+        if not all(np.all(v >= 0.0) and np.all(v <= 1.0) for v in values):
             raise ValueError("p-values must lie in [0, 1]")
-        self.padded = padded
-        self.sizes = sizes
-        self.m = padded.shape[0]
-        self.family_ids = list(family_ids) if family_ids is not None else None
-        if self.family_ids is not None and len(self.family_ids) != self.m:
-            raise ValueError("need one family id per family")
-        self.padded_truth = None
+        truths = None
         if truth is not None:
             masks = [np.asarray(t, dtype=bool).ravel() for t in truth]
-            if len(masks) != self.m or any(
+            if len(masks) != sizes.size or any(
                 mask.size != n for mask, n in zip(masks, sizes.tolist())
             ):
                 raise ValueError("truth mask must carry one flag per hypothesis")
-            self.padded_truth = _pad(np.concatenate(masks), sizes, False)
+            truths = _by_size(np.concatenate(masks), sizes, groups)
+        self._store(sizes, groups, values, truths)
+        self.family_ids = list(family_ids) if family_ids is not None else None
+        if self.family_ids is not None and len(self.family_ids) != self.m:
+            raise ValueError("need one family id per family")
+
+    @classmethod
+    def _from_groups(cls, sizes, groups, values, truths=None):
+        """An ensemble laid out as `size_groups(sizes)` gives groups, from
+        each group's checked (count, n) p-value and truth matrices."""
+        ensemble = cls.__new__(cls)
+        ensemble._store(sizes, groups, values, truths)
+        ensemble.family_ids = None
+        return ensemble
+
+    def _store(self, sizes, groups, values, truths):
+        self.sizes = sizes
+        self.m = sizes.size
+        self.groups = groups
+        self.pvalues = values
+        self.truths = truths
+        self.slots = group_slots(groups, self.m)
+
+    def _rows(self, families):
+        """(values, truth) of families that share one size: their (k, n)
+        p-value matrix and truth matrix (None without truth)."""
+        g = self.slots[0, families[0]]
+        at = self.slots[1, families]
+        truth = None
+        if self.truths is not None:
+            truth = self.truths[g].take(at, axis=0)
+        return self.pvalues[g].take(at, axis=0), truth
 
     @property
     def rect(self):
         """The (m, n) p-value matrix when all families have size n, else None."""
-        return self.padded if (self.sizes == self.padded.shape[1]).all() else None
+        return self.pvalues[0] if len(self.pvalues) == 1 else None
 
     @property
     def families(self) -> list:
@@ -138,39 +207,42 @@ class PValueEnsemble:
 
     @property
     def truth(self):
-        if self.padded_truth is None:
+        if self.truths is None:
             return None
         return [self.truth_family(i) for i in range(self.m)]
 
     def has_truth(self) -> bool:
-        return self.padded_truth is not None
+        return self.truths is not None
 
     def family(self, i: int) -> np.ndarray:
-        return self.padded[i, : self.sizes[i]]
+        g, at = self.slots[:, i]
+        return self.pvalues[g][at]
 
     def size(self, i: int) -> int:
         return int(self.sizes[i])
 
     def truth_family(self, i: int):
-        if self.padded_truth is None:
+        if self.truths is None:
             return None
-        return self.padded_truth[i, : self.sizes[i]]
+        g, at = self.slots[:, i]
+        return self.truths[g][at]
 
     def id_of(self, i: int):
         return self.family_ids[i] if self.family_ids is not None else i
 
     def min_p(self) -> np.ndarray:
         """Smallest p-value of each family."""
-        return self.padded.min(axis=1)
+        parts = [values.min(axis=1) for values in self.pvalues]
+        return in_family_order(self.groups, parts)
 
 
-def _pad(values: np.ndarray, sizes: np.ndarray, fill) -> np.ndarray:
-    """The rows of lengths `sizes`, laid end to end in values, as one
-    (len(sizes), max(sizes)) matrix padded with fill."""
-    cols = np.arange(sizes.max())
-    out = np.full((sizes.size, cols.size), fill, dtype=values.dtype)
-    out[cols < sizes[:, None]] = values
-    return out
+def _by_size(flat: np.ndarray, sizes: np.ndarray, groups) -> list:
+    """The (count, n) matrix of each size group of the rows of lengths
+    `sizes` laid end to end in flat; one group is a view."""
+    if len(groups) == 1:
+        return [flat.reshape(sizes.size, -1)]
+    starts = np.cumsum(sizes) - sizes
+    return [flat[starts[fams, None] + np.arange(n)] for n, fams in groups]
 
 
 @dataclass

@@ -5,9 +5,9 @@ indices as a sorted integer array. Comparisons against critical values use
 <=, so ties at a cutoff are always rejected together.
 
 One batched test, `rejected_entries`, runs a `Procedure` on many families
-at once, each at its own level; `Procedure.apply` and the named procedures
-are its one-row case. `step_up` and `step_down` keep their own code: they
-accept decreasing critical values, which can split a tie.
+of one size at once, each at its own level; `Procedure.apply` and the named
+procedures are its one-row case. `step_up` and `step_down` keep their own
+code: they accept decreasing critical values, which can split a tie.
 """
 
 from dataclasses import dataclass
@@ -134,8 +134,7 @@ class Procedure:
         if p.size == 0:
             raise ValueError("cannot test an empty family")
         levels = None if level is None else np.array([level], dtype=np.float64)
-        mask, _ = rejected_entries(self, p[None, :], [p.size], levels)
-        return np.flatnonzero(mask)
+        return np.flatnonzero(rejected_entries(self, p[None, :], levels)[0])
 
     def thresholds(self, n: int, level: float | None = None) -> np.ndarray:
         """Every constant the rejection decision compares a p-value against.
@@ -174,14 +173,18 @@ class Procedure:
 
 
 def _step_up_counts(ps: np.ndarray, crit: np.ndarray) -> np.ndarray:
-    hits = ps <= crit
-    n = ps.shape[1]
-    return np.where(hits.any(axis=1), n - np.argmax(hits[:, ::-1], axis=1), 0)
+    # A row's count is the rank of its last hit: the first in the reversed
+    # row, where an appended hit stands for a count of 0.
+    hits = (ps <= crit)[:, ::-1]
+    hits = np.concatenate([hits, np.ones((len(ps), 1), dtype=bool)], axis=1)
+    return ps.shape[1] - np.argmax(hits, axis=1)
 
 
 def _step_down_counts(ps: np.ndarray, crit: np.ndarray) -> np.ndarray:
-    ok = ps <= crit
-    return np.where(ok.all(axis=1), ps.shape[1], np.argmin(ok, axis=1))
+    # A row's count is the rank before its first miss; an appended miss
+    # stops a row that passes throughout.
+    ok = np.concatenate([ps <= crit, np.zeros((len(ps), 1), dtype=bool)], axis=1)
+    return np.argmin(ok, axis=1)
 
 
 def rejection_counts(procedure: Procedure, ps: np.ndarray, levels=None) -> np.ndarray:
@@ -245,40 +248,23 @@ def rejected_by_counts(ps: np.ndarray, r: np.ndarray, values: np.ndarray) -> np.
     return values <= kth.reshape((-1,) + (1,) * (values.ndim - 1))
 
 
-def _rejected_in_rows(procedure: Procedure, rows: np.ndarray, levels):
-    """Rejected-entry mask and rejection counts of (s, n) unpadded families."""
-    if procedure.kind == "bonferroni" and levels is not None:
-        # single step: no sort, the cutoff `rejection_counts` compares against
-        hit = rows <= levels[:, None] / rows.shape[1]
-        return hit, hit.sum(axis=1)
+def rejected_entries(procedure: Procedure, rows: np.ndarray, levels=None):
+    """Which entries of each family the procedure rejects, and how many.
+
+    rows is an (s, n) matrix of families of one size and levels holds one
+    level per row, or is None for step_up and step_down. Returns the
+    (s, n) rejected-entry mask and the (s,) rejection counts. Families of
+    mixed sizes are tested one `core.size_groups` group at a time.
+    """
+    if levels is not None:
+        levels = np.asarray(levels, dtype=np.float64)
+        if procedure.kind == "bonferroni":
+            # single step: no sort, the cutoff `rejection_counts` compares against
+            hit = rows <= levels[:, None] / rows.shape[1]
+            return hit, hit.sum(axis=1)
     ps = np.sort(rows, axis=1)
     r = rejection_counts(procedure, ps, levels)
     return rejected_by_counts(ps, r, rows), r
-
-
-def rejected_entries(procedure: Procedure, rows: np.ndarray, sizes, levels=None):
-    """Which entries of each family the procedure rejects, and how many.
-
-    Row i of rows holds sizes[i] p-values, then padding; levels holds one
-    level per row, or None for step_up and step_down. Returns an (s, n_max)
-    mask, false on padding, and the (s,) counts. Each size's rows are tested
-    together, sizes in order of first appearance, so an error is the one
-    the first failing row raises.
-    """
-    sizes = np.asarray(sizes)
-    if levels is not None:
-        levels = np.asarray(levels, dtype=np.float64)
-    if (sizes == rows.shape[1]).all():
-        return _rejected_in_rows(procedure, rows, levels)
-    mask = np.zeros(rows.shape, dtype=bool)
-    counts = np.zeros(len(rows), dtype=np.intp)
-    distinct, first = np.unique(sizes, return_index=True)
-    for n in distinct[np.argsort(first)].tolist():
-        group = np.flatnonzero(sizes == n)
-        mask[group, :n], counts[group] = _rejected_in_rows(
-            procedure, rows[group, :n], None if levels is None else levels[group]
-        )
-    return mask, counts
 
 
 def bonferroni(pvalues, level: float) -> np.ndarray:

@@ -4,11 +4,11 @@ Every shipped rule reduces each family to a scalar summary (its minimal
 p-value, or a combined global-null p-value) and selects families from the
 vector of summaries. That structure is what makes the exact R_min scan and
 the randomized property checks below possible. Each shipped rule also
-summarizes and selects a stack of ensembles at once (block_summaries,
-select_block), which the Monte Carlo harness uses; its
-select_from_summaries is the one-row case of select_block. Over families
-padded with +inf a minimum is exact, and the combiners run on each size's
-unpadded columns: a sum over padding could group its terms differently.
+summarizes and selects a stack of ensembles of equal-size families at
+once (block_summaries, select_block), which the Monte Carlo harness runs
+on each family size in turn; its select_from_summaries is the one-row case
+of select_block. Families of mixed sizes are combined one size at a time:
+a sum over padding could group its terms differently.
 """
 
 from dataclasses import dataclass
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .core import PValueEnsemble, SelectionOutcome
+from .core import PValueEnsemble, SelectionOutcome, in_family_order
 from .procedures import (
     Procedure,
     bh_critical_values,
@@ -78,22 +78,8 @@ def combined_pvalues(
     combiner: str, ensemble: PValueEnsemble, floor: float = DEFAULT_P_FLOOR
 ) -> np.ndarray:
     """Combined p-value of every family in the ensemble."""
-    return _combine_padded(combiner, ensemble.padded[None], ensemble.sizes, floor)[0]
-
-
-def _combine_padded(kind: str, p: np.ndarray, sizes, floor: float) -> np.ndarray:
-    """(B, m) combined p-values of a (B, m, n_max) stack of padded ensembles
-    whose family j has sizes[j] p-values; each size runs unpadded."""
-    sizes = np.asarray(sizes)
-    n_max = p.shape[2]
-    if (sizes == n_max).all():
-        return _combine_rows(kind, p.reshape(-1, n_max), floor).reshape(p.shape[:2])
-    out = np.empty(p.shape[:2])
-    for n in np.unique(sizes).tolist():
-        group = np.flatnonzero(sizes == n)
-        rows = np.ascontiguousarray(p[:, group, :n]).reshape(-1, n)
-        out[:, group] = _combine_rows(kind, rows, floor).reshape(len(p), group.size)
-    return out
+    parts = [_combine_rows(combiner, rows, floor) for rows in ensemble.pvalues]
+    return in_family_order(ensemble.groups, parts)
 
 
 def _min_last_axis(a: np.ndarray) -> np.ndarray:
@@ -113,10 +99,10 @@ class _BlockSelection:
     """Selection from one summary vector as the 1-row case of select_block,
     and one family's summary as the 1-family case of block_summaries.
 
-    A rule's block_summaries maps a (B, m, n_max) stack of B padded
-    ensembles, whose family j has sizes[j] p-values, to their (B, m)
-    summaries, and select_block maps those to a (B, m) selection mask, each
-    row exactly as one ensemble would select.
+    A rule's block_summaries maps a (B, m, n) stack of B ensembles of m
+    families of size n to their (B, m) summaries, and select_block maps
+    (B, m) summaries to a (B, m) selection mask, each row exactly as one
+    ensemble would select.
     """
 
     def select_from_summaries(self, summaries: np.ndarray) -> np.ndarray:
@@ -124,7 +110,7 @@ class _BlockSelection:
 
     def summary_of(self, pvalues) -> float:
         p = np.asarray(pvalues, dtype=np.float64)
-        return float(self.block_summaries(p[None, None, :], [p.size])[0, 0])
+        return float(self.block_summaries(p[None, None, :])[0, 0])
 
 
 @dataclass(frozen=True)
@@ -142,7 +128,7 @@ class MinPThreshold(_BlockSelection):
     def summaries(self, ensemble: PValueEnsemble) -> np.ndarray:
         return ensemble.min_p()
 
-    def block_summaries(self, p: np.ndarray, sizes) -> np.ndarray:
+    def block_summaries(self, p: np.ndarray) -> np.ndarray:
         return _min_last_axis(p)
 
     def select_block(self, summaries: np.ndarray) -> np.ndarray:
@@ -174,7 +160,7 @@ class TopKMinP(_BlockSelection):
     def summaries(self, ensemble: PValueEnsemble) -> np.ndarray:
         return ensemble.min_p()
 
-    def block_summaries(self, p: np.ndarray, sizes) -> np.ndarray:
+    def block_summaries(self, p: np.ndarray) -> np.ndarray:
         return _min_last_axis(p)
 
     def select_block(self, summaries: np.ndarray) -> np.ndarray:
@@ -224,8 +210,9 @@ class GlobalNullTest(_BlockSelection):
     def summaries(self, ensemble: PValueEnsemble) -> np.ndarray:
         return combined_pvalues(self.combiner, ensemble, self.floor)
 
-    def block_summaries(self, p: np.ndarray, sizes) -> np.ndarray:
-        return _combine_padded(self.combiner, p, sizes, self.floor)
+    def block_summaries(self, p: np.ndarray) -> np.ndarray:
+        rows = p.reshape(-1, p.shape[2])
+        return _combine_rows(self.combiner, rows, self.floor).reshape(p.shape[:2])
 
     def select_block(self, summaries: np.ndarray) -> np.ndarray:
         ps = np.sort(summaries, axis=1)
@@ -441,8 +428,7 @@ def _replaced_selections(rule, summaries, i, replacements) -> np.ndarray:
     """(B, m) selection masks with family i's p-values replaced by each row."""
     if hasattr(rule, "select_block"):
         work = np.repeat(summaries[None, :], len(replacements), axis=0)
-        n_i = replacements.shape[1]
-        work[:, i] = rule.block_summaries(replacements[:, None, :], [n_i])[:, 0]
+        work[:, i] = rule.block_summaries(replacements[:, None, :])[:, 0]
         return rule.select_block(work)
     masks = np.zeros((len(replacements), summaries.size), dtype=bool)
     work = summaries.copy()

@@ -7,11 +7,12 @@ the selected fraction. Results are bit-identical for any worker count.
 
 Replicates run in blocks of at most _BLOCK_CELLS p-values: each replicate
 still draws from its own stream, in the order `generate` draws, into one
-(B, m, n_max) array in which families of different sizes are padded with
-+inf, and the block is then summarized, selected and tested in a few
-batched calls. Every estimate equals, bit for bit, the realized average
-error that the public analyses in `adjust` give for each replicate's
-`generate` ensemble; the tests keep that per-replicate path as the oracle.
+(B, count, n) array per family size, laid out as `PValueEnsemble` stores
+an ensemble, and the block is then summarized, selected and tested in a
+few batched calls per size. Every estimate equals, bit for bit, the
+realized average error that the public analyses in `adjust` give for each
+replicate's `generate` ensemble; the tests keep that per-replicate path as
+the oracle.
 The rule must summarize and select in blocks (block_summaries and
 select_block), as every shipped rule does.
 """
@@ -23,7 +24,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import special
 
-from .core import ErrorMetric, PValueEnsemble, _metric_values
+from .core import (
+    ErrorMetric,
+    PValueEnsemble,
+    _metric_values,
+    group_slots,
+    in_family_order,
+    size_groups,
+)
 from .procedures import Procedure, rejected_entries
 from .selection import _r_min_scan, check_concordant
 
@@ -167,13 +175,15 @@ def generate(
     """
     if rng is None:
         rng = _replicate_rng(config.seed, replicate_index)
-    sizes = config.sizes()
-    pvals = np.empty((1, config.m, max(sizes)))
-    _draw_rect(config, [rng], pvals)
-    truth = _null_mask(config)
-    return PValueEnsemble(
-        [row[:n] for row, n in zip(pvals[0], sizes)],
-        truth=[row[:n] for row, n in zip(truth, sizes)],
+    layout = _Layout(config)
+    blocks = layout.blocks(1)
+    _draw(config, layout, [rng], blocks)
+    truths = [
+        np.repeat(nulls[None], len(block[0]), axis=0)
+        for nulls, block in zip(layout.nulls, blocks)
+    ]
+    return PValueEnsemble._from_groups(
+        layout.sizes, layout.groups, [block[0] for block in blocks], truths
     )
 
 
@@ -182,76 +192,97 @@ def _non_nulls(config: ScenarioConfig, n: int) -> int:
     return int(round(config.pi1 * n))
 
 
-def _null_mask(config: ScenarioConfig) -> np.ndarray:
-    """(m, n_max) truth mask of the scenario, padded with False."""
-    sizes = config.sizes()
-    k1 = np.array([_non_nulls(config, n) for n in sizes])[:, None]
-    cols = np.arange(max(sizes))
-    return (cols >= k1) & (cols < np.array(sizes)[:, None])
+class _Layout:
+    """A scenario's families, laid out as `PValueEnsemble` stores them.
+
+    sizes holds each family's size, groups its `size_groups`, counts the
+    number of families in each group, slots the (group, row) of each family
+    and nulls each group's truth row: False on the leading non-null
+    hypotheses, True after them.
+    """
+
+    def __init__(self, config: ScenarioConfig):
+        self.sizes = np.array(config.sizes())
+        self.groups = size_groups(self.sizes)
+        self.slots = group_slots(self.groups, self.sizes.size)
+        self.counts = np.bincount(self.slots[0], minlength=len(self.groups))
+        self.nulls = [np.arange(n) >= _non_nulls(config, n) for n, _ in self.groups]
+
+    def blocks(self, b: int) -> list:
+        """One empty (b, count, n) array per group."""
+        return [
+            np.empty((b, c, n))
+            for (n, _), c in zip(self.groups, self.counts.tolist())
+        ]
 
 
-def _draw_rect(config: ScenarioConfig, rngs, out: np.ndarray):
-    """Fill out, a (B, m, n_max) array, with B replicates' p-values.
+def _to_pvalues(config: ScenarioConfig, x: np.ndarray, k1: int, z0):
+    """Turn the drawn (B, c, n) block x into p-values in place.
+
+    Independent: the k1 leading columns hold standard normal scores and the
+    rest uniform p-values. Equicorrelated (z0 holds each replicate's shared
+    factor): every column holds a standard normal score.
+    """
+    if z0 is None:
+        if k1:
+            z = x[:, :, :k1] + config.mu
+            x[:, :, :k1] = special.ndtr(np.negative(z, out=z), out=z)
+        return
+    x *= math.sqrt(1.0 - config.rho)
+    x += (math.sqrt(config.rho) * z0)[:, None, None]
+    x[:, :, :k1] += config.mu
+    special.ndtr(np.negative(x, out=x), out=x)
+
+
+def _draw(config: ScenarioConfig, layout: _Layout, rngs, blocks):
+    """Fill blocks, `layout.blocks(B)`, with B replicates' p-values.
 
     rngs yields B generators in turn, each at the start of its replicate's
     stream. This fixes the order of the draws from a replicate's stream for
-    both `generate` (B = 1) and the block path. When every family has n
-    p-values, each replicate costs one C fill per distribution: `random`
-    for the null columns (bit for bit what `uniform` draws) and
+    both `generate` (B = 1) and the Monte Carlo blocks. When every family
+    has n p-values, each replicate costs one C fill per distribution:
+    `random` for the null columns (bit for bit what `uniform` draws) and
     `standard_normal` for the non-null ones, or, under the equicorrelated
     model, the shared factor and then every score. Families of different
     sizes are filled one family at a time, straight into the family's row:
     its nulls and then its non-null scores, or, under the equicorrelated
-    model, the shared factor first and then each family's scores. A row is
-    +inf past its family's size. The transforms are elementwise and run
-    once over the block.
+    model, the shared factor first and then each family's scores. The
+    transforms are elementwise and run once per group over the block.
     """
-    b, m, n_max = out.shape
-    sizes = config.sizes()
-    equicorrelated = config.dependence == "equicorrelated"
-    z0 = np.empty(b) if equicorrelated else None
-    if len(set(sizes)) > 1:
-        k1 = [_non_nulls(config, n) for n in sizes]
-        fills = list(zip(sizes, k1))
+    b = len(blocks[0])
+    z0 = np.empty(b) if config.dependence == "equicorrelated" else None
+    ks = [_non_nulls(config, n) for n, _ in layout.groups]
+    if len(blocks) > 1:
+        fills = [
+            (blocks[g], at, ks[g]) for g, at in zip(*layout.slots.tolist())
+        ]
         for j, rng in enumerate(rngs):
-            if equicorrelated:
+            if z0 is not None:
                 z0[j] = rng.standard_normal()
-                for row, (n, _) in zip(out[j], fills):
-                    rng.standard_normal(out=row[:n])
+                for block, at, _ in fills:
+                    rng.standard_normal(out=block[j, at])
             else:
-                for row, (n, k) in zip(out[j], fills):
-                    rng.random(out=row[k:n])
+                for block, at, k in fills:
+                    row = block[j, at]
+                    rng.random(out=row[k:])
                     rng.standard_normal(out=row[:k])
-        cols = np.arange(n_max)
-        pad = cols >= np.array(sizes)[:, None]
-        nonnull = cols < np.array(k1)[:, None]
-        if equicorrelated:
-            out[:, pad] = 0.0  # no unset values in the arithmetic
-            out *= math.sqrt(1.0 - config.rho)
-            out += (math.sqrt(config.rho) * z0)[:, None, None]
-            out[:, nonnull] += config.mu
-            special.ndtr(np.negative(out, out=out), out=out)
-        else:
-            z = out[:, nonnull] + config.mu
-            out[:, nonnull] = special.ndtr(np.negative(z, out=z), out=z)
-        out[:, pad] = np.inf
+        for block, k in zip(blocks, ks):
+            _to_pvalues(config, block, k, z0)
         return
-    k1 = _non_nulls(config, n_max)
-    if equicorrelated:
+    out, (k1,) = blocks[0], ks
+    n = out.shape[2]
+    if z0 is not None:
         for j, rng in enumerate(rngs):
             z0[j] = rng.standard_normal()
             rng.standard_normal(out=out[j])
-        out *= math.sqrt(1.0 - config.rho)
-        out += (math.sqrt(config.rho) * z0)[:, None, None]
-        out[:, :, :k1] += config.mu
-        special.ndtr(np.negative(out, out=out), out=out)
+        _to_pvalues(config, out, k1, z0)
         return
     # The null columns are drawn straight into out when there is no
     # non-null column before them; otherwise into a contiguous buffer.
-    u = out if k1 == 0 else np.empty((b, m, n_max - k1))
-    z = np.empty((b, m, k1))
+    u = out if k1 == 0 else np.empty((b, out.shape[1], n - k1))
+    z = np.empty((b, out.shape[1], k1))
     for j, rng in enumerate(rngs):
-        if k1 < n_max:
+        if k1 < n:
             rng.random(out=u[j])
         if k1:
             rng.standard_normal(out=z[j])
@@ -265,36 +296,35 @@ def _draw_rect(config: ScenarioConfig, rngs, out: np.ndarray):
 _BLOCK_CELLS = 1 << 14
 
 
-def _batch_test_counts(procedure: Procedure, rows, sizes, truth, levels):
-    """Rejection and false-rejection counts of a block of tested families.
-
-    rows is an (s, n_max) matrix of padded families, sizes their sizes and
-    truth their padded truth masks, or one size and one truth row for all
-    of them, and levels their testing levels.
-    """
-    rejected, r = rejected_entries(procedure, rows, sizes, levels)
-    return r, (rejected & truth).sum(axis=1)
+def _batch_test_counts(procedure: Procedure, rows, nulls, levels):
+    """Rejection and false-rejection counts of (s, n) tested families of one
+    size, at their levels; nulls is their size's truth row."""
+    rejected, r = rejected_entries(procedure, rows, levels)
+    return r, (rejected & nulls).sum(axis=1)
 
 
-def _block_values(config: ScenarioConfig, sizes, truth, streams, start, stop):
+def _block_values(config: ScenarioConfig, layout: _Layout, streams, start, stop):
     """(C_S, |S|/m) of replicates [start, stop).
 
-    sizes and truth are the scenario's family sizes and `_null_mask`. The
-    block is drawn into one (B, m, n_max) array, summarized and selected as
-    (B, m) arrays, and every selected (replicate, family) row is tested in
-    one batched call. Each replicate's metric values are summed in family
-    order, as `average_over_selected` sums them, so every value equals the
-    analysis objects' bit for bit.
+    The block is drawn into one (B, count, n) array per size group,
+    summarized and selected as (B, m) arrays, and the selected
+    (replicate, family) rows of each size are tested in one batched call,
+    sizes in the order of their first selected row, so an error is the one
+    the first failing row raises. Each replicate's metric values are
+    summed in family order, as `average_over_selected` sums them, so every
+    value equals the analysis objects' bit for bit.
     """
     rule, q, m = config.rule, config.q, config.m
-    p = np.empty((stop - start, m, truth.shape[1]))
-    _draw_rect(config, map(streams.rekey, range(start, stop)), p)
-    summaries = rule.block_summaries(p, sizes)
+    blocks = layout.blocks(stop - start)
+    _draw(config, layout, map(streams.rekey, range(start, stop)), blocks)
+    parts = [rule.block_summaries(p) for p in blocks]
+    summaries = in_family_order(layout.groups, parts)
     picked = rule.select_block(summaries)
     counts = picked.sum(axis=1)
     values = np.zeros(picked.shape)
-    reps, fams = np.nonzero(picked)
-    if reps.size:
+    tested = np.flatnonzero(picked)
+    if tested.size:
+        reps, fams = np.divmod(tested, m)
         if config.adjustment == "none":
             levels = np.full(reps.size, q)
         elif config.adjustment == "simple" or getattr(rule, "is_simple", False):
@@ -302,13 +332,22 @@ def _block_values(config: ScenarioConfig, sizes, truth, streams, start, stop):
         else:
             rmins = [_r_min_scan(rule, summaries[b], i) for b, i in zip(reps, fams)]
             levels = np.array(rmins) * q / m
-        # the families of a rectangular scenario share one size and one
-        # truth row, which broadcast over the tested rows
-        of = fams if (sizes != sizes[0]).any() else 0
-        r, v = _batch_test_counts(
-            config.procedure, p[picked], sizes[of], truth[of], levels
-        )
-        values[picked] = _metric_values(config.metric, v, r)
+        # each tested family's group, and its row in the group's block
+        # seen as a (B * count, n) matrix
+        group_of, at = layout.slots[:, fams]
+        at += reps * layout.counts[group_of]
+        c = np.empty(reps.size)
+        # group ids stand in for sizes, one to one
+        for g, rows in size_groups(group_of):
+            block = blocks[g]
+            r, v = _batch_test_counts(
+                config.procedure,
+                block.reshape(-1, block.shape[2]).take(at[rows], axis=0),
+                layout.nulls[g],
+                levels[rows],
+            )
+            c[rows] = _metric_values(config.metric, v, r)
+        values.put(tested, c)
     # cumsum adds left to right, and adding the zeros of unselected
     # families leaves a sum unchanged.
     totals = np.cumsum(values, axis=1)[:, -1]
@@ -320,12 +359,11 @@ def _replicate_values(config: ScenarioConfig, start: int, stop: int):
     cs = np.empty(stop - start)
     frac = np.empty(stop - start)
     streams = _ReplicateStreams(config.seed)
-    sizes = np.array(config.sizes())
-    truth = _null_mask(config)
-    step = max(1, _BLOCK_CELLS // truth.size)
+    layout = _Layout(config)
+    step = max(1, _BLOCK_CELLS // int(layout.sizes.sum()))
     for a in range(start, stop, step):
         b = min(a + step, stop)
-        block = _block_values(config, sizes, truth, streams, a, b)
+        block = _block_values(config, layout, streams, a, b)
         cs[a - start : b - start], frac[a - start : b - start] = block
     return cs, frac
 

@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import json
+import tracemalloc
 
 import jsonschema
 import numpy as np
@@ -272,6 +273,27 @@ class TestAnalyze:
             ("padded", "a,b"),
         ]
 
+
+    def test_skewed_sizes_use_memory_in_proportion(self, tmp_path, capsys):
+        # 2000 singletons and one family of 2000: 4000 p-values, where a
+        # matrix padded to the largest family would hold over 4 million
+        lines = ["family,hypothesis,p_value"]
+        lines += [f"s{i},h,{(i + 1) / 2001!r}" for i in range(2000)]
+        lines += [f"big,h{j},{(j + 1) / 4001!r}" for j in range(2000)]
+        path = tmp_path / "skewed.csv"
+        path.write_text("\n".join(lines) + "\n")
+        args = ["analyze", str(path), "--rule", "minp:0.5", "--procedure", "bh"]
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(args, capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        families = json.loads(out)["selection"]["families"]
+        assert len(families) == 2001 and families[-1]["selected"]
+        # about 3 MB, against 51 MB with a padded matrix
+        assert peak < 16e6
 
 class TestParser:
     def test_main_calls_share_no_state(

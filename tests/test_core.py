@@ -11,6 +11,7 @@ from famsel.core import (
     average_over_selected,
     metric_value,
     pooled_fdp,
+    size_groups,
 )
 
 
@@ -179,31 +180,66 @@ class TestPValueEnsemble:
         assert ens.size(0) == 3 and ens.size(1) == 1
         assert np.array_equal(ens.min_p(), [0.1, 0.5])
 
-    def test_mixed_sizes_are_stored_padded(self):
+    def test_mixed_sizes_are_stored_by_size(self):
         ens = PValueEnsemble(
-            [[0.3, 0.1, 0.2], [0.5]], truth=[[True, False, True], [False]]
+            [[0.3, 0.1, 0.2], [0.5], [0.7, 0.8, 0.9]],
+            truth=[[True, False, True], [False], [True] * 3],
         )
-        assert ens.padded.tolist() == [[0.3, 0.1, 0.2], [0.5, np.inf, np.inf]]
-        assert ens.sizes.tolist() == [3, 1]
-        assert ens.padded_truth.tolist() == [[True, False, True], [False] * 3]
-        assert [f.tolist() for f in ens.families] == [[0.3, 0.1, 0.2], [0.5]]
-        assert [t.tolist() for t in ens.truth] == [[True, False, True], [False]]
+        assert ens.sizes.tolist() == [3, 1, 3]
+        assert [(n, f.tolist()) for n, f in ens.groups] == [(3, [0, 2]), (1, [1])]
+        assert [v.tolist() for v in ens.pvalues] == [
+            [[0.3, 0.1, 0.2], [0.7, 0.8, 0.9]],
+            [[0.5]],
+        ]
+        assert [t.tolist() for t in ens.truths] == [
+            [[True, False, True], [True] * 3],
+            [[False]],
+        ]
+        assert ens.slots.tolist() == [[0, 1, 0], [0, 0, 1]]
+        assert [f.tolist() for f in ens.families] == [
+            [0.3, 0.1, 0.2],
+            [0.5],
+            [0.7, 0.8, 0.9],
+        ]
+        assert [t.tolist() for t in ens.truth] == [
+            [True, False, True],
+            [False],
+            [True] * 3,
+        ]
         assert ens.truth_family(1).tolist() == [False]
         assert ens.has_truth()
         assert not PValueEnsemble([[0.1], [0.2, 0.3]]).has_truth()
         assert PValueEnsemble([[0.1], [0.2, 0.3]]).truth is None
 
+    def test_storage_grows_with_the_pvalues(self):
+        # one large family among many singletons: a matrix padded to the
+        # largest size would hold 2001 x 2000 values, not 4000
+        families = [[0.5]] * 2000 + [np.full(2000, 0.25)]
+        ens = PValueEnsemble(families, truth=[[True]] * 2000 + [[False] * 2000])
+        assert sum(v.size for v in ens.pvalues) == 4000
+        assert sum(t.size for t in ens.truths) == 4000
+        assert ens.family(2000).size == 2000 and ens.min_p()[-1] == 0.25
+
     def test_rectangular_array_is_kept_as_it_is(self):
         p = np.random.default_rng(1).uniform(size=(4, 3))
         truth = np.zeros((4, 3), dtype=bool)
         ens = PValueEnsemble(p, truth=truth)
-        assert ens.rect is p and ens.padded is p
-        assert np.array_equal(ens.padded_truth, truth)
+        assert ens.rect is p and ens.pvalues == [p]
+        assert np.array_equal(ens.truths[0], truth)
         assert ens.sizes.tolist() == [3] * 4
         # equal sizes given as rows make the same rectangular layout
         rows = PValueEnsemble([list(r) for r in p], truth=list(truth))
         assert np.array_equal(rows.rect, p)
-        assert np.array_equal(rows.padded_truth, truth)
+        assert np.array_equal(rows.truths[0], truth)
+
+    def test_size_groups(self):
+        groups = size_groups([3, 1, 3, 2, 1])
+        assert [(n, g.tolist()) for n, g in groups] == [
+            (3, [0, 2]),
+            (1, [1, 4]),
+            (2, [3]),
+        ]
+        assert size_groups(np.full(4, 2)) == [(2, slice(None))]
 
 
 class TestSelectionOutcome:

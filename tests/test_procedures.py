@@ -376,7 +376,7 @@ class TestRejectionCounts:
 
 
 class TestRejectedEntries:
-    """The one within-family test, on padded families of mixed sizes."""
+    """The one within-family test, on families of one size."""
 
     @staticmethod
     def _procedure(kind, n):
@@ -384,40 +384,31 @@ class TestRejectedEntries:
             return Procedure(kind, critical_values=tuple(np.linspace(0.0, 0.5, n)))
         return Procedure(kind, k=2 if kind == "lr_kfwer" else None)
 
-    def test_padded_rows_match_textbook(self):
+    def test_rows_match_textbook(self):
         rng = np.random.default_rng(44)
         pool = np.array([0.0, 1.0, 0.01, 0.02, 0.2, 0.5])
         for case in range(60):
-            s = int(rng.integers(1, 9))
-            sizes = rng.integers(2, 7, size=s)
-            if case % 2:
-                sizes[:] = sizes[0]
-            rows = np.full((s, sizes.max()), np.inf)
-            for row, n in zip(rows, sizes):
-                row[:n] = rng.choice(pool, size=n) * rng.uniform(0.5, 1.0)
+            s, n = (int(v) for v in rng.integers(1, 9, size=2))
+            rows = rng.choice(pool, size=(s, n)) * rng.uniform(0.5, 1.0, size=(s, 1))
             levels = rng.choice([0.05, 0.3, 0.9], size=s)
             for kind in PROCEDURE_KINDS:
-                proc = self._procedure(kind, int(sizes[0]))
+                proc = self._procedure(kind, n if case % 2 else n + 1)
                 generic = proc.critical_values is not None
                 lv = None if generic else levels
                 try:
                     expected = np.zeros(rows.shape, dtype=bool)
-                    for i, n in enumerate(sizes):
+                    for i, row in enumerate(rows):
                         level = None if generic else levels[i]
-                        expected[i, textbook.apply(proc, rows[i, :n], level)] = True
+                        expected[i, textbook.apply(proc, row, level)] = True
                 except ValueError as err:
                     with pytest.raises(ValueError, match=re.escape(str(err))):
-                        rejected_entries(proc, rows, sizes, lv)
+                        rejected_entries(proc, rows, lv)
                     continue
-                mask, counts = rejected_entries(proc, rows, sizes, lv)
-                assert np.array_equal(mask, expected)
+                mask, counts = rejected_entries(proc, rows, lv)
+                assert np.array_equal(mask, expected), (case, kind)
                 assert counts.tolist() == expected.sum(axis=1).tolist()
 
-    def test_error_is_the_first_failing_rows(self):
-        # sizes 5, 2, 1 with k = 3: the size-2 family fails first
-        rows = np.full((3, 5), np.inf)
-        rows[0] = 0.01
-        rows[1, :2] = 0.01
-        rows[2, :1] = 0.01
+    def test_lr_kfwer_needs_k_at_most_the_size(self):
+        rows = np.full((3, 2), 0.01)
         with pytest.raises(ValueError, match="k=3 out of range for 2 hypotheses"):
-            rejected_entries(Procedure("lr_kfwer", k=3), rows, [5, 2, 1], [0.1] * 3)
+            rejected_entries(Procedure("lr_kfwer", k=3), rows, [0.1] * 3)

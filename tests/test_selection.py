@@ -282,33 +282,28 @@ class TestSelectBlock:
             for rule in [MinPThreshold(0.5), TopKMinP(2)] + [
                 GlobalNullTest(c, Procedure("bh"), 0.1) for c in COMBINERS
             ]:
-                got = rule.block_summaries(p, np.full(7, n))
+                got = rule.block_summaries(p)
                 want = [rule.summaries(PValueEnsemble(block)) for block in p]
                 assert np.array_equal(got, np.array(want)), (rule, n)
 
-    def test_padded_block_summaries_match_each_family(self):
+    def test_mixed_size_summaries_match_each_family(self):
         rng = np.random.default_rng(10)
-        sizes = np.array([3, 1, 7, 3, 40, 1, 9])
-        p = np.full((5, 7, 40), np.inf)
-        for block in p:
-            for row, n in zip(block, sizes):
-                row[:n] = rng.uniform(size=n) ** 2
-        p[0, 0, 1] = 0.0
-        p[1, 2, 6] = 1.0
-        for rule in [MinPThreshold(0.5), TopKMinP(2)] + [
-            GlobalNullTest(c, Procedure("bh"), 0.1) for c in COMBINERS
-        ]:
-            got = rule.block_summaries(p, sizes)
-            for block, row in zip(p, got):
-                families = [f[:n] for f, n in zip(block, sizes)]
+        sizes = [3, 1, 7, 3, 40, 1, 9]
+        for trial in range(5):
+            families = [rng.uniform(size=n) ** 2 for n in sizes]
+            families[0][1] = 0.0 if trial == 0 else families[0][1]
+            families[2][6] = 1.0 if trial == 1 else families[2][6]
+            ensemble = PValueEnsemble(families)
+            for rule in [MinPThreshold(0.5), TopKMinP(2)] + [
+                GlobalNullTest(c, Procedure("bh"), 0.1) for c in COMBINERS
+            ]:
                 if isinstance(rule, GlobalNullTest):
                     want = [combine(rule.combiner, f, rule.floor) for f in families]
                 else:
                     want = [np.min(f) for f in families]
-                assert row.tobytes() == np.array(want).tobytes(), rule
+                got = rule.summaries(ensemble)
+                assert got.tobytes() == np.array(want).tobytes(), rule
                 assert want == [rule.summary_of(f) for f in families], rule
-                ensemble = PValueEnsemble(families)
-                assert row.tobytes() == rule.summaries(ensemble).tobytes(), rule
 
 
 class TestRMin:

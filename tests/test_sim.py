@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -73,6 +75,23 @@ def reference_draw(config, idx):
         else:
             row[k1:n_i] = rng.uniform(size=n_i - k1)
             row[:k1] = special.ndtr(-(rng.standard_normal(k1) + config.mu))
+    return out
+
+
+def padded(ensemble):
+    """The ensemble's families as one (m, n_max) matrix padded with +inf."""
+    out = np.full((ensemble.m, ensemble.sizes.max()), np.inf)
+    for row, family in zip(out, ensemble.families):
+        row[: family.size] = family
+    return out
+
+
+def padded_blocks(layout, blocks):
+    """The (B, m, n_max) p-values, padded with +inf, of a block drawn as
+    `layout.blocks(B)`."""
+    out = np.full((len(blocks[0]), layout.sizes.size, layout.sizes.max()), np.inf)
+    for (n, families), block in zip(layout.groups, blocks):
+        out[:, families, :n] = block
     return out
 
 
@@ -256,10 +275,10 @@ class TestGenerate:
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_block_draw_matches_generate(self, seed, monkeypatch):
-        # the block path fills (B, m, n_max) arrays, one C call per
-        # distribution and replicate, or per family when sizes differ;
-        # every block must equal one generate() per replicate
-        draw_rect = sim._draw_rect
+        # the block path fills one (B, count, n) array per family size, one
+        # C call per distribution and replicate, or per family when sizes
+        # differ; every block must equal one generate() per replicate
+        draw = sim._draw
         monkeypatch.setattr(sim, "_BLOCK_CELLS", 40)
         for n in (1, 5, [2, 5, 1, 3], [1, 1, 2, 1]):
             for pi1 in (0.0, 1.0 / 3.0, 1.0):
@@ -280,28 +299,29 @@ class TestGenerate:
                     )
                     start, stop = 5, 19
                     expected = np.stack(
-                        [generate(cfg, idx).padded for idx in range(start, stop)]
+                        [padded(generate(cfg, idx)) for idx in range(start, stop)]
                     )
                     reference = [reference_draw(cfg, i) for i in range(start, stop)]
                     assert np.array_equal(expected, np.stack(reference))
-                    blocks = []
+                    drawn = []
 
-                    def recording(config, rngs, out):
-                        draw_rect(config, rngs, out)
-                        blocks.append(out.copy())
+                    def recording(config, layout, rngs, blocks):
+                        draw(config, layout, rngs, blocks)
+                        drawn.append(padded_blocks(layout, blocks))
 
-                    monkeypatch.setattr(sim, "_draw_rect", recording)
+                    monkeypatch.setattr(sim, "_draw", recording)
                     _replicate_values(cfg, start, stop)
-                    monkeypatch.setattr(sim, "_draw_rect", draw_rect)
+                    monkeypatch.setattr(sim, "_draw", draw)
                     case = (n, pi1, rho)
-                    step = max(1, 40 // (4 * max(cfg.sizes())))
-                    assert len(blocks) == -(-(stop - start) // step)
-                    assert np.array_equal(np.concatenate(blocks), expected), case
+                    step = max(1, 40 // sum(cfg.sizes()))
+                    assert len(drawn) == -(-(stop - start) // step)
+                    assert np.array_equal(np.concatenate(drawn), expected), case
                     # one direct call over the whole span
-                    out = np.empty(expected.shape)
+                    layout = sim._Layout(cfg)
+                    blocks = layout.blocks(stop - start)
                     streams = _ReplicateStreams(seed)
-                    draw_rect(cfg, map(streams.rekey, range(start, stop)), out)
-                    assert np.array_equal(out, expected), case
+                    draw(cfg, layout, map(streams.rekey, range(start, stop)), blocks)
+                    assert np.array_equal(padded_blocks(layout, blocks), expected)
 
     def test_seeds_above_2_63_key_their_own_streams(self):
         draws = {}
@@ -562,6 +582,33 @@ class TestEstimate:
         assert est.se == float(cs.std(ddof=1) / np.sqrt(200))
         assert estimate(cfg, workers=2) == est
 
+    def test_skewed_sizes_use_memory_in_proportion(self):
+        # 2000 singletons and one family of 2000 hold 4000 p-values per
+        # replicate; a block padded to the largest family would hold over
+        # 4 million
+        cfg = ScenarioConfig(
+            m=2001,
+            n=[1] * 2000 + [2000],
+            q=0.05,
+            rule=MinPThreshold(0.05),
+            procedure=Procedure("bh"),
+            metric=ErrorMetric("fdr"),
+            replicates=6,
+            seed=3,
+        )
+        tracemalloc.start()
+        try:
+            est = estimate(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # about 1 MB, against 108 MB with padded blocks
+        assert peak < 8e6
+        cs, frac = object_values(cfg, 0, 6)
+        assert est.e_cs_hat == float(cs.mean()) and est.e_sel_frac_hat == float(
+            frac.mean()
+        )
+
     def test_rule_without_block_methods_is_refused(self):
         class SummaryOnly:
             is_simple = True
@@ -573,7 +620,7 @@ class TestEstimate:
                 return np.flatnonzero(summaries <= 0.3)
 
         class NoSelectBlock(SummaryOnly):
-            def block_summaries(self, p, sizes):
+            def block_summaries(self, p):
                 return p.min(axis=2)
 
         for rule, missing in (
