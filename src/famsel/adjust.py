@@ -131,10 +131,12 @@ def selection_adjusted(
     summaries = rule.summaries(ensemble)
     picked = rule.select_from_summaries(summaries)
     order = sorted(int(j) for j in picked)
-    if getattr(rule, "is_simple", False):
-        rmins = {i: len(order) for i in order}
+    if getattr(rule, "is_simple", False) or not order:
+        counts = [len(order)] * len(order)
     else:
-        rmins = {i: _r_min_scan(rule, summaries, i) for i in order}
+        stack = np.broadcast_to(summaries, (len(order), summaries.size))
+        counts = _r_min_scan(rule, stack, np.array(order)).tolist()
+    rmins = dict(zip(order, counts))
     outcome = SelectionOutcome(frozenset(order), len(order), rmins)
     levels = [rmins[i] * q / ensemble.m for i in order]
     decisions = _decide(ensemble, order, levels, procedure, metric)

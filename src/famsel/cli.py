@@ -593,6 +593,13 @@ def _probe_ensembles(q: float):
     return [canonical, random_probe]
 
 
+def _print_check(args, rule, violation: bool, **fields) -> int:
+    """Print a `check` suite's one-line JSON result and return its exit code."""
+    head = {"suite": args.suite, "violation": violation, "rule": rule.describe()}
+    print(json.dumps({**head, **fields}))
+    return EXIT_VIOLATION if violation else EXIT_OK
+
+
 def cmd_check(args) -> int:
     workers = _threads(args)
     if not 0.0 < args.q < 1.0:
@@ -611,31 +618,16 @@ def cmd_check(args) -> int:
             for i in sorted(outcome.selected):
                 report = check_simple(rule, ens, i, args.trials, seed=args.seed)
                 if report.witness_found:
-                    print(
-                        json.dumps(
-                            {
-                                "suite": "simple",
-                                "violation": True,
-                                "rule": rule.describe(),
-                                "family": report.family,
-                                "selected_before": report.r_observed,
-                                "selected_after": report.r_witness,
-                                "replacement": report.replacement.tolist(),
-                            }
-                        )
+                    return _print_check(
+                        args,
+                        rule,
+                        True,
+                        family=report.family,
+                        selected_before=report.r_observed,
+                        selected_after=report.r_witness,
+                        replacement=report.replacement.tolist(),
                     )
-                    return EXIT_VIOLATION
-        print(
-            json.dumps(
-                {
-                    "suite": "simple",
-                    "violation": False,
-                    "rule": rule.describe(),
-                    "trials": args.trials,
-                }
-            )
-        )
-        return EXIT_OK
+        return _print_check(args, rule, False, trials=args.trials)
     if args.suite == "concordant":
         for ens in _probe_ensembles(args.q):
             try:
@@ -643,30 +635,15 @@ def cmd_check(args) -> int:
             except (UnsupportedRuleError, ValueError) as err:
                 raise CliError(EXIT_CONFIG, str(err))
             if report.witness_found:
-                print(
-                    json.dumps(
-                        {
-                            "suite": "concordant",
-                            "violation": True,
-                            "rule": rule.describe(),
-                            "family": report.family,
-                            "r_min_before": report.r_min_before,
-                            "r_min_after": report.r_min_after,
-                        }
-                    )
+                return _print_check(
+                    args,
+                    rule,
+                    True,
+                    family=report.family,
+                    r_min_before=report.r_min_before,
+                    r_min_after=report.r_min_after,
                 )
-                return EXIT_VIOLATION
-        print(
-            json.dumps(
-                {
-                    "suite": "concordant",
-                    "violation": False,
-                    "rule": rule.describe(),
-                    "trials": args.trials,
-                }
-            )
-        )
-        return EXIT_OK
+        return _print_check(args, rule, False, trials=args.trials)
     # control: quick Monte Carlo check that the adjusted analysis holds the
     # nominal level under both truth models.
     procedure = parse_procedure(args.procedure)
@@ -694,21 +671,16 @@ def cmd_check(args) -> int:
             violations.append(
                 {"pi1": pi1, "e_cs_hat": est.e_cs_hat, "se": est.se}
             )
-    print(
-        json.dumps(
-            {
-                "suite": "control",
-                "violation": bool(violations),
-                "rule": rule.describe(),
-                "procedure": procedure.describe(),
-                "metric": metric.describe(),
-                "q": args.q,
-                "replicates": args.reps,
-                "violations": violations,
-            }
-        )
+    return _print_check(
+        args,
+        rule,
+        bool(violations),
+        procedure=procedure.describe(),
+        metric=metric.describe(),
+        q=args.q,
+        replicates=args.reps,
+        violations=violations,
     )
-    return EXIT_VIOLATION if violations else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

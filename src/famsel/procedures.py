@@ -139,9 +139,10 @@ class Procedure:
     def thresholds(self, n: int, level: float | None = None) -> np.ndarray:
         """Every constant the rejection decision compares a p-value against.
 
-        The R_min scan uses these as breakpoints so that its search over
-        one family's summary value is exact; for two_stage the batched scan
-        needs only the stage-two constants of the null counts it can reach.
+        A selection rule's R_min scan uses these as breakpoints so that its
+        search over one family's summary value is exact. For two_stage these
+        are all n**2 stage-two constants; the GlobalNullTest scan instead
+        bisects over stage one's and then one null count's stage-two ones.
         """
         if self.kind in ("step_up", "step_down"):
             return np.asarray(self.critical_values)

@@ -33,8 +33,8 @@ COMBINERS = ("bonferroni_min", "simes", "fisher", "stouffer")
 DEFAULT_P_FLOOR = 1e-300
 _P_CEIL = 1.0 - 1e-16
 
-# Cells in one block of candidate rows of the batched R_min scan, so that
-# its memory stays bounded however many candidates a family has.
+# Cells in one block of the R_min scan's rows, and of the randomized checks'
+# trials, so that their memory stays bounded at any m.
 _SCAN_BLOCK_CELLS = 1 << 16
 
 
@@ -264,88 +264,88 @@ def _looped_r_min(rule, summaries: np.ndarray, i: int) -> int | None:
     return best
 
 
-def _inserted_rows(rest: np.ndarray, candidates: np.ndarray):
-    """Blocks of (candidates, rows): each row is the sorted `rest` with one
-    candidate inserted at its searchsorted position, so rows come out sorted
-    without sorting them."""
-    m = rest.size + 1
-    padded = np.append(rest, 0.0)
-    cols = np.arange(m)
-    step = max(1, _SCAN_BLOCK_CELLS // m)
-    for start in range(0, candidates.size, step):
-        block = candidates[start : start + step]
-        pos = np.searchsorted(rest, block)
-        rows = padded[cols - (cols > pos[:, None])]
-        rows[np.arange(block.size), pos] = block
-        yield block, rows
+def _bisect(rule, rest, grid, lo, hi, r):
+    """Move each row's lo to the last index in (lo, hi) of its sorted grid
+    whose value, as s, keeps the family selected, and r to R there; one
+    `rejection_counts` call per step evaluates every row still open."""
+    while (open_ := np.flatnonzero(hi - lo > 1)).size:
+        mid = (lo[open_] + hi[open_]) // 2
+        ps = rest[open_]
+        ps[:, -1] = grid[open_, mid]
+        ps.sort(axis=1)
+        counts = rejection_counts(rule.procedure, ps, rule._levels(open_.size))
+        kept = rejected_by_counts(ps, counts, grid[open_, mid])
+        lo[open_[kept]], r[open_[kept]] = mid[kept], counts[kept]
+        hi[open_[~kept]] = mid[~kept]
+    return lo, hi, r
 
 
-def _batched_min_selected(rule, rest: np.ndarray, candidates: np.ndarray):
-    best = None
-    for block, rows in _inserted_rows(rest, candidates):
-        r = rejection_counts(rule.procedure, rows, rule._levels(block.size))
-        # the counts of the candidates that keep their family selected
-        counts = r[rejected_by_counts(rows, r, block)]
-        if counts.size and (best is None or counts.min() < best):
-            best = int(counts.min())
-    return best
+def _boundary_r_min(rule, rows: np.ndarray, fams: np.ndarray) -> np.ndarray:
+    """R(s*) of family fams[p] in summary row p for a GlobalNullTest, or 0
+    where no summary value selects it (`_r_min_scan`). Each row's `rest` is
+    its other summaries, sorted, and a +inf that stands for s."""
+    m = rows.shape[1]
+    q1 = stage_one_level(rule.level) if rule.procedure.kind == "two_stage" else None
+    cutoffs = rule.summary_thresholds(m) if q1 is None else bh_critical_values(m, q1)
+    fixed = np.concatenate([[0.0, 1.0], cutoffs[(cutoffs >= 0.0) & (cutoffs <= 1.0)]])
+    out = np.empty(len(rows), dtype=np.intp)
+    step = max(1, _SCAN_BLOCK_CELLS // (m + fixed.size))
+    for start in range(0, len(rows), step):
+        rest = np.array(rows[start : start + step], dtype=np.float64)
+        k = len(rest)
+        grid = np.sort(np.concatenate([rest, np.tile(fixed, (k, 1))], 1), 1)
+        rest[np.arange(k), fams[start : start + step]] = np.inf
+        rest.sort(axis=1)
+        lo, hi = np.full(k, -1), np.full(k, grid.shape[1])
+        lo, hi, r = _bisect(rule, rest, grid, lo, hi, np.zeros(k, dtype=np.intp))
+        inner = np.flatnonzero((lo >= 0) & (hi < grid.shape[1]))
+        if q1 is not None and inner.size:
+            # stage one's count is left-continuous in s, so the null count d
+            # on (grid[lo], grid[hi]] is the one at grid[hi], and only that
+            # d's stage-two cutoffs can change the outcome in between
+            edge, ps = grid[inner, hi[inner]], rest[inner]
+            ps[:, -1] = edge
+            ps.sort(axis=1)
+            r1 = rejection_counts(Procedure("bh"), ps, np.full(inner.size, q1))
+            level2 = stage_two_level(q1, m, np.maximum(m - r1, 1))
+            cuts = bh_critical_values(m, level2[:, None])
+            lo2 = (cuts <= grid[inner, lo[inner], None]).sum(axis=1) - 1
+            hi2 = (cuts < edge[:, None]).sum(axis=1)
+            r[inner] = _bisect(rule, rest[inner], cuts, lo2, hi2, r[inner])[2]
+        out[start : start + step] = r
+    return out
 
 
-def _batched_r_min(rule, summaries: np.ndarray, i: int) -> int | None:
-    """Smallest selected count keeping i selected, for a GlobalNullTest."""
-    m = summaries.size
-    rest = np.sort(np.delete(summaries, i))
-    if rule.procedure.kind != "two_stage":
-        return _batched_min_selected(
-            rule, rest, _candidates(summaries, rule.summary_thresholds(m))
-        )
-    # Stage two compares against BH cutoffs at (m/d)*q' only for the null
-    # counts d = m - r1 that stage one actually leaves for some s.
-    q1 = stage_one_level(rule.level)
-    cutoffs = [bh_critical_values(m, q1)]
-    null_counts = set()
-    for block, rows in _inserted_rows(rest, _candidates(summaries, cutoffs[0])):
-        r1 = rejection_counts(Procedure("bh"), rows, np.full(block.size, q1))
-        null_counts.update((m - r1).tolist())
-    cutoffs += [
-        bh_critical_values(m, stage_two_level(q1, m, d))
-        for d in sorted(null_counts)
-        if d > 0
-    ]
-    return _batched_min_selected(
-        rule, rest, _candidates(summaries, np.concatenate(cutoffs))
-    )
+def _r_min_scan(rule, summaries: np.ndarray, i):
+    """Exact minimization of the selected count over family i's summary s,
+    for one summary vector and family, or for a (P, m) stack of summary
+    rows with one family per row, giving P counts.
 
-
-def _r_min_scan(rule, summaries: np.ndarray, i: int) -> int:
-    """Exact minimization of the selected count over family i's summary.
-
-    The selected set, as a function of summary value s, can only change when
-    s crosses another family's summary or one of the rule's own cutoffs, so
-    evaluating at those breakpoints and at the midpoints between them covers
-    every attainable outcome.
-
-    A GlobalNullTest evaluates all candidates in one batched pass: every
-    candidate row is the other summaries, sorted once, with s inserted in
-    place, and the procedure kernel counts the rejections of a block of rows
-    at a time. For the adaptive two-stage procedure the cutoffs are stage
-    one's BH constants at q' plus, for each null count d = m - r1 that stage
-    one leaves at some candidate, stage two's BH constants at (m/d)*q'. Each
-    reachable d adds m cutoffs and stage one reaches few, so a family has
-    O(m) candidates (305 at m = 40 where every j*q'/d would give over 2000).
-    Any other summary rule runs one selection per candidate.
+    For a GlobalNullTest, lowering s never deselects i and never lowers the
+    selected count R, and every comparison is a <=, so the values of s that
+    keep i selected form a closed prefix [0, s*] and R_min(i) = R(s*). s* is
+    0, 1, another summary or one of the rule's cutoffs, so each row bisects
+    over those, sorted, all rows in lockstep: O(log m) rows per family, in
+    blocks of at most _SCAN_BLOCK_CELLS cells. The two-stage rule bisects
+    over stage one's breakpoints, then over the stage-two cutoffs just past
+    the last selecting one (`_boundary_r_min`). Any other summary rule runs
+    `_looped_r_min`.
     """
     if not _is_summary_rule(rule):
         raise UnsupportedRuleError(
             "R_min needs a rule that consumes one scalar summary per family"
         )
-    scan = _batched_r_min if isinstance(rule, GlobalNullTest) else _looped_r_min
-    best = scan(rule, summaries, i)
-    if best is None:
+    rows, fams = np.atleast_2d(summaries), np.atleast_1d(i)
+    if isinstance(rule, GlobalNullTest):
+        best = _boundary_r_min(rule, rows, fams)
+    else:
+        best = [_looped_r_min(rule, s, j) or 0 for s, j in zip(rows, fams)]
+        best = np.array(best, dtype=np.intp)
+    if (best == 0).any():
         raise UnsupportedRuleError(
-            f"family {i} is never selected for any summary value"
+            f"family {fams[best == 0][0]} is never selected for any summary value"
         )
-    return best
+    return int(best[0]) if np.ndim(i) == 0 else best
 
 
 def r_min(rule, ensemble: PValueEnsemble, i: int) -> int:
@@ -413,14 +413,8 @@ def check_simple(
         witnesses = np.flatnonzero(masks[:, i] & (counts != r_observed))
         if witnesses.size:
             t = int(witnesses[0])
-            return SimplenessReport(
-                True,
-                i,
-                r_observed,
-                int(counts[t]),
-                replacements[t].copy(),
-                start + t + 1,
-            )
+            found = (int(counts[t]), replacements[t].copy(), start + t + 1)
+            return SimplenessReport(True, i, r_observed, *found)
     return SimplenessReport(False, i, r_observed, None, None, trials)
 
 
@@ -457,26 +451,58 @@ def check_concordant(
     Raising p-values outside a family must never raise that family's
     attainable minimum selected count. Each trial bumps a random subset of
     the other families' p-values toward 1 and compares R_min before and
-    after. Finding no witness does not prove concordance.
+    after. Finding no witness does not prove concordance. Trials run in
+    blocks, one `_r_min_scan` call for every R_min after and one scan per
+    family for R_min before, and meet the first witness or error in order.
     """
     if not _is_summary_rule(rule):
-        raise UnsupportedRuleError(
-            "the concordance check needs a summary-based rule"
-        )
+        raise UnsupportedRuleError("the concordance check needs a summary-based rule")
     rng = np.random.default_rng(seed)
     summaries = rule.summaries(ensemble)
-    m = ensemble.m
-    for t in range(trials):
-        i = int(rng.integers(m))
-        before = _r_min_scan(rule, summaries, i)
-        bumped = summaries.copy()
-        others = [j for j in range(m) if j != i]
-        chosen = [j for j in others if rng.uniform() < 0.5] or others[:1]
-        for j in chosen:
-            p = ensemble.family(j)
-            raised = p + rng.uniform(size=p.size) * (1.0 - p)
-            bumped[j] = rule.summary_of(raised)
-        after = _r_min_scan(rule, bumped, i)
-        if after > before:
-            return ConcordanceReport(True, i, before, after, t + 1)
+    before = {}
+    step = max(1, _SCAN_BLOCK_CELLS // summaries.size)
+    for start in range(0, trials, step):
+        block = min(step, trials - start)
+        fams, bumped = _bumped_trials(rule, ensemble, summaries, rng, block)
+        try:
+            after = _r_min_scan(rule, bumped, fams).tolist()
+        except UnsupportedRuleError:
+            after = [None] * block  # rescanned one trial at a time below
+        for t, (i, r) in enumerate(zip(fams.tolist(), after)):
+            if i not in before:
+                before[i] = _r_min_scan(rule, summaries, i)
+            r = _r_min_scan(rule, bumped[t], i) if r is None else r
+            if r > before[i]:
+                return ConcordanceReport(True, i, before[i], r, start + t + 1)
     return ConcordanceReport(False, None, None, None, trials)
+
+
+def _bumped_trials(rule, ensemble, summaries, rng, trials):
+    """Each trial's family i and summaries with a random subset of the other
+    families' p-values raised toward 1, drawn as one trial at a time draws
+    them: i, a coin per other family, then each raised family's uniforms.
+    Each family is summarized once for all the trials that raise it."""
+    m, sizes = summaries.size, ensemble.sizes.tolist()
+    fams = np.empty(trials, dtype=np.intp)
+    drawn = [([], []) for _ in range(m)]
+    for t in range(trials):
+        i = fams[t] = rng.integers(m)
+        others = [j for j in range(m) if j != i]
+        coins = (rng.uniform(size=m - 1) < 0.5).tolist()
+        chosen = [j for j, c in zip(others, coins) if c] or others[:1]
+        u, at = rng.uniform(size=sum(sizes[j] for j in chosen)), 0
+        for j in chosen:
+            drawn[j][0].append(t)
+            drawn[j][1].append(u[at : at + sizes[j]])
+            at += sizes[j]
+    bumped = np.repeat(summaries[None, :], trials, axis=0)
+    for j, (at, u) in enumerate(drawn):
+        if not at:
+            continue
+        p = ensemble.family(j)
+        raised = p + np.array(u) * (1.0 - p)
+        if hasattr(rule, "block_summaries"):
+            bumped[at, j] = rule.block_summaries(raised[None])[0]
+        else:
+            bumped[at, j] = [rule.summary_of(row) for row in raised]
+    return fams, bumped

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 import textbook
+from rmin_oracle import oracle_r_min_scan
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
@@ -17,6 +19,7 @@ from famsel.selection import (
     MinPThreshold,
     TopKMinP,
     UnsupportedRuleError,
+    _candidates,
     _looped_r_min,
     _r_min_scan,
     check_concordant,
@@ -521,6 +524,238 @@ class TestBatchedScan:
         assert rule.select_from_summaries(work).tolist() == [0, 3]
 
 
+def oracle_or_none(rule, summaries, i):
+    try:
+        return oracle_r_min_scan(rule, summaries, i)
+    except UnsupportedRuleError:
+        return None
+
+
+def two_stage_bands(m, rng, level=0.1):
+    """Two-stage summaries where R_min differs from R: m // 5 strong families
+    pass both stages; m // 10 moderate ones lie between the stage-two
+    cutoffs at rank m // 5 + m // 10 for null counts m - m // 5 + 1 and
+    m - m // 5, so they stay selected only while every strong family passes
+    stage one. The rest lie in (0.5, 1)."""
+    q1 = level / (1.0 + level)
+    a, b = m // 5, m // 10
+    lo, hi = (a + b) * q1 / (m - a + 1), (a + b) * q1 / (m - a)
+    summaries = rng.uniform(0.5, 1.0, size=m)
+    summaries[:a] = rng.uniform(0.0, 1e-6, size=a)
+    summaries[a : a + b] = rng.uniform(lo + (hi - lo) / 10, hi - (hi - lo) / 10, b)
+    return summaries
+
+
+class TestBoundaryScan:
+    """The boundary bisection against the candidate scan it replaced."""
+
+    def _seeded_cases(self, seed):
+        rng = np.random.default_rng(seed)
+        for combiner in COMBINERS:
+            for kind in SCAN_KINDS:
+                for m in (int(rng.integers(1, 13)), int(rng.integers(13, 60)), 150):
+                    n = int(rng.integers(1, 5))
+                    pvals = rng.uniform(size=(m, n)) ** rng.uniform(1.0, 6.0)
+                    pvals[rng.uniform(size=pvals.shape) < 0.1] = 0.0
+                    pvals[rng.uniform(size=pvals.shape) < 0.1] = 1.0
+                    crit = tuple(np.sort(rng.choice(rng.uniform(0, 0.6, m), m)))
+                    level = float(rng.uniform(0.05, 0.6))
+                    k = int(rng.integers(1, m + 1))
+                    rule = scan_rule(combiner, kind, level, k, crit)
+                    summaries = rule.summaries(PValueEnsemble(pvals))
+                    # ties with other families and summaries of exactly 0 and 1
+                    tied = rng.uniform(size=m) < 0.3
+                    summaries[tied] = rng.choice(summaries, size=int(tied.sum()))
+                    summaries[rng.uniform(size=m) < 0.1] = 0.0
+                    summaries[rng.uniform(size=m) < 0.1] = 1.0
+                    on_cutoff = rng.uniform(size=m) < 0.4
+                    summaries[on_cutoff] = two_stage_cutoffs(
+                        level, m, rng, int(on_cutoff.sum())
+                    )
+                    # families selected now and families not selected now
+                    picked = rule.select_from_summaries(summaries)
+                    others = np.setdiff1d(np.arange(m), picked)
+                    families = np.concatenate(
+                        [
+                            rng.choice(picked, size=min(picked.size, 3), replace=False),
+                            rng.choice(others, size=min(others.size, 3), replace=False),
+                        ]
+                    ).astype(np.intp)
+                    yield rule, summaries, families, picked.size
+
+    def test_matches_the_candidate_scan(self):
+        unselected = moved = 0
+        for rule, summaries, families, r in self._seeded_cases(808):
+            want = [oracle_or_none(rule, summaries, int(i)) for i in families]
+            got = [scan_or_none(rule, summaries, int(i)) for i in families]
+            assert got == want, (rule, summaries.size, families)
+            stack = np.tile(summaries, (families.size, 1))
+            assert _r_min_scan(rule, stack, families).tolist() == want, rule
+            picked = rule.select_from_summaries(summaries)
+            unselected += int((~np.isin(families, picked)).sum())
+            moved += sum(w != r for w in want)
+        assert unselected > 200 and moved > 100
+
+    def test_two_stage_bisects_inside_the_last_interval(self):
+        # Summaries over (0, 3q') put stage two's cutoffs inside the interval
+        # past the last selecting stage-one breakpoint for many families.
+        rng = np.random.default_rng(31)
+        for case in range(60):
+            m = int(rng.integers(2, 80))
+            level = float(rng.uniform(0.05, 0.6))
+            rule = GlobalNullTest(COMBINERS[case % 4], Procedure("two_stage"), level)
+            summaries = rng.uniform(0.0, 3.0 * level / (1.0 + level), size=m)
+            stack = np.tile(summaries, (m, 1))
+            want = oracle_r_min_scan(rule, stack, np.arange(m))
+            assert _r_min_scan(rule, stack, np.arange(m)).tolist() == want.tolist()
+
+    def test_rows_of_a_stack_differ(self):
+        # one (replicate, family) pair per row, as the Monte Carlo block has
+        rng = np.random.default_rng(5)
+        for case in range(40):
+            m = int(rng.integers(1, 30))
+            rule = scan_rule(
+                COMBINERS[case % 4],
+                SCAN_KINDS[case % 8],
+                float(rng.uniform(0.05, 0.6)),
+                int(rng.integers(1, m + 1)),
+                tuple(np.sort(rng.uniform(0, 0.5, m))),
+            )
+            rows = rng.uniform(size=(50, m)) ** 3
+            families = rng.integers(m, size=50)
+            want = oracle_r_min_scan(rule, rows, families)
+            assert _r_min_scan(rule, rows, families).tolist() == want.tolist()
+
+    def test_errors_match_the_candidate_scan(self):
+        # step_up with one critical value too few fails in the kernel, and a
+        # rule that never selects a family fails on its first row
+        rule = GlobalNullTest("simes", Procedure("step_up", critical_values=(0.1,)))
+        summaries = np.array([0.01, 0.2])
+        for scan in (_r_min_scan, oracle_r_min_scan):
+            with pytest.raises(ValueError, match="one critical value per p-value"):
+                scan(rule, summaries, 0)
+
+        class FirstOnly(MinPThreshold):
+            def select_block(self, summaries):
+                return super().select_block(summaries) & (
+                    np.arange(summaries.shape[1]) == 0
+                )
+
+        rows = np.array([[0.1, 0.2, 0.3], [0.1, 0.2, 0.3]])
+        for scan in (_r_min_scan, oracle_r_min_scan):
+            with pytest.raises(UnsupportedRuleError, match="family 2 is never"):
+                scan(FirstOnly(0.5), rows, np.array([0, 2]))
+            assert scan(FirstOnly(0.5), rows, np.array([0, 0])).tolist() == [1, 1]
+
+    def test_small_blocks_give_the_same_answer(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        cases = []
+        for case in range(16):
+            m = int(rng.integers(1, 40))
+            rule = scan_rule(
+                COMBINERS[case % 4],
+                ("two_stage", "bh", "lr_kfwer", "step_down")[case % 4],
+                0.3,
+                1,
+                tuple(np.linspace(0.01, 0.3, m)),
+            )
+            rows = rng.uniform(0, 0.5, size=(30, m))
+            cases.append((rule, rows, rng.integers(m, size=30)))
+        want = [_r_min_scan(*case).tolist() for case in cases]
+        monkeypatch.setattr(selection, "_SCAN_BLOCK_CELLS", 50)
+        assert [_r_min_scan(*case).tolist() for case in cases] == want
+        assert want == [oracle_r_min_scan(*case).tolist() for case in cases]
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.sampled_from([0.0, 1.0, 0.01, 0.02]), st.floats(0.0, 1.0)),
+            min_size=1,
+            max_size=10,
+        ),
+        st.sampled_from(SCAN_KINDS),
+        st.sampled_from(COMBINERS),
+        st.floats(0.01, 0.9),
+        st.integers(0, 2**32 - 1),
+        st.data(),
+    )
+    def test_selecting_candidates_form_a_prefix(
+        self, values, kind, combiner, level, seed, data
+    ):
+        # Over the sorted breakpoints and the midpoints between them, the
+        # values that keep family i selected come first and R never
+        # increases, so R at the last selecting one is R_min.
+        summaries = np.array(values)
+        m = summaries.size
+        rng = np.random.default_rng(seed)
+        on_cutoff = rng.uniform(size=m) < 0.5
+        summaries[on_cutoff] = two_stage_cutoffs(
+            level, m, rng, int(on_cutoff.sum())
+        )
+        k = data.draw(st.integers(1, m))
+        crit = tuple(
+            sorted(data.draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m)))
+        )
+        rule = scan_rule(combiner, kind, level, k, crit)
+        points = np.sort(_candidates(summaries, rule.summary_thresholds(m)))
+        for i in range(m):
+            work = np.tile(summaries, (points.size, 1))
+            work[:, i] = points
+            picked = rule.select_block(work)
+            kept, r = picked[:, i], picked.sum(axis=1)
+            last = int(kept.sum()) - 1
+            assert kept[: last + 1].all() and not kept[last + 1 :].any()
+            assert (np.diff(r) <= 0).all()
+            assert _r_min_scan(rule, summaries, i) == r[last]
+
+
+class TestScanWork:
+    """The bisection's rows and memory stay small at large m."""
+
+    @pytest.mark.parametrize("m", [400, 1000])
+    def test_two_stage_rows_per_family(self, monkeypatch, m):
+        rule = GlobalNullTest("simes", Procedure("two_stage"), level=0.1)
+        summaries = two_stage_bands(m, np.random.default_rng(m))
+        picked = rule.select_from_summaries(summaries)
+        rows = []
+        kernel = selection.rejection_counts
+
+        def counted(procedure, ps, levels=None):
+            rows.append(len(ps))
+            return kernel(procedure, ps, levels)
+
+        monkeypatch.setattr(selection, "rejection_counts", counted)
+        bound = 4 * math.ceil(math.log2(m))
+        for i in picked[:: max(1, picked.size // 20)]:
+            rows.clear()
+            _r_min_scan(rule, summaries, int(i))
+            assert sum(rows) <= bound, (i, sum(rows))
+        rows.clear()
+        stack = np.broadcast_to(summaries, (picked.size, m))
+        counts = _r_min_scan(rule, stack, picked)
+        assert sum(rows) <= bound * picked.size
+        # the strong families drop to m // 5, the moderate ones keep R
+        assert sorted(set(counts.tolist())) == [m // 5, picked.size]
+
+    def test_memory_of_one_scan_is_bounded(self):
+        m = 2000
+        rule = GlobalNullTest("simes", Procedure("two_stage"), level=0.1)
+        summaries = two_stage_bands(m, np.random.default_rng(3))
+        picked = rule.select_from_summaries(summaries)
+        assert picked.size >= 300
+        stack = np.broadcast_to(summaries, (picked.size, m))
+        tracemalloc.start()
+        try:
+            counts = _r_min_scan(rule, stack, picked)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a (families, m) float64 stack alone would be 9.6 MB, and the
+        # candidate rows of one family 32 MB
+        assert peak < 16e6
+        assert sorted(set(counts.tolist())) == [m // 5, picked.size]
+
+
 def looped_check_simple(rule, ensemble, i, trials, seed=0):
     """check_simple one trial at a time, as it ran before it ran in blocks."""
     rng = np.random.default_rng(seed)
@@ -640,6 +875,80 @@ class TestCheckSimpleBlocks:
         assert got[0]
 
 
+class PanicRule:
+    """Selects everything once any summary looks large; no block methods."""
+
+    is_simple = False
+
+    def summaries(self, ensemble):
+        return ensemble.min_p()
+
+    def summary_of(self, pvalues):
+        return float(np.min(pvalues))
+
+    def select_from_summaries(self, summaries):
+        if (summaries >= 0.9).any():
+            return np.arange(summaries.size)
+        return np.flatnonzero(summaries <= 0.1)
+
+    def summary_thresholds(self, m):
+        return np.array([0.1, 0.9])
+
+
+class SwitchRule(PanicRule):
+    """Selects nothing once two summaries are large and everything once one
+    is very large, so bumps give both witnesses and families that no
+    summary value selects."""
+
+    def select_from_summaries(self, summaries):
+        if (summaries >= 0.8).sum() >= 2:
+            return np.empty(0, dtype=np.intp)
+        if (summaries >= 0.9).any():
+            return np.arange(summaries.size)
+        return np.flatnonzero(summaries <= 0.3)
+
+    def summary_thresholds(self, m):
+        return np.array([0.3, 0.8, 0.9])
+
+
+def looped_check_concordant(rule, ensemble, trials, seed=0):
+    """check_concordant one trial at a time, as it ran before it ran in
+    blocks, with R_min from the candidate scan."""
+    rng = np.random.default_rng(seed)
+    summaries = rule.summaries(ensemble)
+    m = ensemble.m
+    for t in range(trials):
+        i = int(rng.integers(m))
+        before = oracle_r_min_scan(rule, summaries, i)
+        bumped = summaries.copy()
+        others = [j for j in range(m) if j != i]
+        chosen = [j for j in others if rng.uniform() < 0.5] or others[:1]
+        for j in chosen:
+            p = ensemble.family(j)
+            raised = p + rng.uniform(size=p.size) * (1.0 - p)
+            bumped[j] = rule.summary_of(raised)
+        after = oracle_r_min_scan(rule, bumped, i)
+        if after > before:
+            return (True, i, before, after, t + 1)
+    return (False, None, None, None, trials)
+
+
+def concordance_outcome(check, *args, **kwargs):
+    try:
+        report = check(*args, **kwargs)
+    except UnsupportedRuleError as err:
+        return ("error", str(err))
+    if isinstance(report, tuple):
+        return report
+    return (
+        report.witness_found,
+        report.family,
+        report.r_min_before,
+        report.r_min_after,
+        report.trials,
+    )
+
+
 class TestCheckConcordant:
     def test_concordant_rules_have_no_witness(self):
         ens = PValueEnsemble(np.random.default_rng(8).uniform(size=(5, 3)) ** 2)
@@ -653,29 +962,53 @@ class TestCheckConcordant:
             assert not report.witness_found, rule
 
     def test_discordant_rule_is_caught(self):
-        class PanicRule:
-            """Selects everything once any summary looks large."""
-
-            is_simple = False
-
-            def summaries(self, ensemble):
-                return ensemble.min_p()
-
-            def summary_of(self, pvalues):
-                return float(np.min(pvalues))
-
-            def select_from_summaries(self, summaries):
-                if (summaries >= 0.9).any():
-                    return np.arange(summaries.size)
-                return np.flatnonzero(summaries <= 0.1)
-
-            def summary_thresholds(self, m):
-                return np.array([0.1, 0.9])
-
         ens = PValueEnsemble([[0.05], [0.5], [0.5], [0.5]])
         report = check_concordant(PanicRule(), ens, 400, seed=2)
         assert report.witness_found
         assert report.r_min_after > report.r_min_before
+
+
+class TestCheckConcordantBlocks:
+    """check_concordant in blocks against the per-trial loop."""
+
+    RULES = [MinPThreshold(0.3), TopKMinP(2), PanicRule()] + [
+        GlobalNullTest(combiner, Procedure(kind), level=0.3)
+        for combiner in COMBINERS
+        for kind in ("bh", "two_stage", "holm")
+    ]
+
+    def _cases(self, rules, count):
+        rng = np.random.default_rng(4242)
+        for rule in rules:
+            for _ in range(count):
+                m = int(rng.integers(2, 7))
+                sizes = rng.integers(1, 5, size=m)
+                if rng.uniform() < 0.5:
+                    sizes[:] = sizes[0]
+                ens = PValueEnsemble(
+                    [rng.uniform(size=int(n)) ** 3 for n in sizes]
+                )
+                yield rule, ens, int(rng.integers(0, 2**32))
+            # where the two-stage rule's R_min rises (the CLI's first probe)
+            q1 = 0.3 / 1.3
+            probe = singleton_ensemble([q1 / 6.0, q1 / 2.0, 2.0 * q1])
+            yield rule, probe, int(rng.integers(0, 2**32))
+
+    @pytest.mark.parametrize("switch, cells", [(False, 50), (True, 50), (True, None)])
+    def test_matches_the_trial_loop(self, monkeypatch, switch, cells):
+        if cells is not None:
+            # a few trials per block, so that runs cross block edges
+            monkeypatch.setattr(selection, "_SCAN_BLOCK_CELLS", cells)
+        kinds = {"witness": 0, "none": 0, "error": 0}
+        # SwitchRule meets errors, sometimes after a witness in one block
+        rules, count = ([SwitchRule()], 20) if switch else (self.RULES, 3)
+        for rule, ens, seed in self._cases(rules, count):
+            got = concordance_outcome(check_concordant, rule, ens, 100, seed=seed)
+            want = concordance_outcome(looped_check_concordant, rule, ens, 100, seed)
+            assert got == want, (rule, seed)
+            kind = "error" if got[0] == "error" else "witness" if got[0] else "none"
+            kinds[kind] += 1
+        assert kinds["witness"] >= 3 and kinds["error" if switch else "none"] >= 3
 
 
 class TestCombinerValidity:

@@ -1,12 +1,14 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from rmin_oracle import oracle_r_min_scan
 from scipy import special, stats
 
-from famsel import sim
+from famsel import adjust, sim
 from famsel.adjust import (
     selection_adjusted,
     simple_selection_adjusted,
@@ -642,6 +644,79 @@ class TestEstimate:
     def test_single_replicate_has_zero_se(self):
         cfg = example1_config(5, 2, reps=1)
         assert estimate(cfg).se == 0.0
+
+
+class ScannedGlobalNullTest(GlobalNullTest):
+    """A GlobalNullTest that does not declare itself simple, so that an
+    `rmin` adjustment scans for R_min rather than taking R."""
+
+    is_simple = False
+
+
+class TestRMinBlocks:
+    """The Monte Carlo block's R_min against the candidate scan, run
+    through the per-replicate analysis objects."""
+
+    def test_rmin_estimates_match_the_candidate_scan(self, monkeypatch):
+        common = dict(q=0.2, replicates=60, mu=1.5, adjustment="rmin")
+        configs = [
+            ScenarioConfig(
+                m=15,
+                n=2,
+                rule=GlobalNullTest("fisher", Procedure("two_stage"), level=0.4),
+                procedure=Procedure("bh"),
+                metric=ErrorMetric("fdr"),
+                seed=5,
+                pi1=0.5,
+                **common,
+            ),
+            ScenarioConfig(
+                m=8,
+                n=3,
+                rule=ScannedGlobalNullTest(
+                    "stouffer",
+                    Procedure("step_down", critical_values=np.linspace(0.01, 0.2, 8)),
+                ),
+                procedure=Procedure("holm"),
+                metric=ErrorMetric("fwer"),
+                seed=12,
+                pi1=1 / 3,
+                dependence="equicorrelated",
+                rho=0.4,
+                **common,
+            ),
+            ScenarioConfig(
+                m=9,
+                n=[1, 3, 5, 2, 4, 1, 6, 2, 3],
+                rule=GlobalNullTest("simes", Procedure("two_stage"), level=0.5),
+                procedure=Procedure("bonferroni"),
+                metric=ErrorMetric("pfer"),
+                seed=13,
+                pi1=0.3,
+                **common,
+            ),
+        ]
+        # a few replicates per block, so that runs cross block edges
+        monkeypatch.setattr(sim, "_BLOCK_CELLS", 40)
+        scanned = []
+
+        def oracle(rule, summaries, i):
+            scanned.append(np.size(i))
+            return oracle_r_min_scan(rule, summaries, i)
+
+        for cfg in configs:
+            est = estimate(cfg)
+            with monkeypatch.context() as patch:
+                patch.setattr(adjust, "_r_min_scan", oracle)
+                cs, frac = object_values(cfg, 0, cfg.replicates)
+            assert est.e_cs_hat == float(cs.mean()), cfg.rule
+            assert est.e_sel_frac_hat == float(frac.mean())
+            assert est.se == float(cs.std(ddof=1) / np.sqrt(cfg.replicates))
+        assert sum(scanned) > 300
+        # R_min is below R often enough to move the two-stage estimates
+        for cfg in configs[::2]:
+            simple = estimate(replace(cfg, adjustment="simple"))
+            assert simple.e_cs_hat != estimate(cfg).e_cs_hat
 
 
 class TestPrdsControlCheck:
