@@ -134,8 +134,7 @@ def selection_adjusted(
     if getattr(rule, "is_simple", False) or not order:
         counts = [len(order)] * len(order)
     else:
-        stack = np.broadcast_to(summaries, (len(order), summaries.size))
-        counts = _r_min_scan(rule, stack, np.array(order)).tolist()
+        counts = _r_min_scan(rule, summaries, np.array(order)).tolist()
     rmins = dict(zip(order, counts))
     outcome = SelectionOutcome(frozenset(order), len(order), rmins)
     levels = [rmins[i] * q / ensemble.m for i in order]

@@ -7,6 +7,7 @@ property-check suites. Exit codes: 0 success, 1 property violation,
 """
 
 import argparse
+import collections
 import csv
 import functools
 import hashlib
@@ -177,39 +178,57 @@ def parse_metric(text: str) -> ErrorMetric:
     raise CliError(EXIT_CONFIG, f"unknown metric {text!r}")
 
 
-def _split_records(text: str):
-    """Tokenise text that holds no '"' and no '\\r'.
+def _scan_records(raw: bytes, text: str):
+    """Tokenise text that holds no '"' and no '\\r' from one scan of its bytes.
 
     For such text every record of `csv`'s default dialect is one line split
-    at each comma, and an empty line is an empty record. Returns what
-    `_reader_records` returns, or None when a line is longer than the csv
-    field limit, where only `csv.reader` knows which field is too long.
+    at each comma, and an empty line is an empty record. NumPy scans of
+    `raw`, the UTF-8 bytes of `text`, find the line breaks, each line's
+    commas and each line's length; the fields then come from one split of
+    `text`. Returns what `_reader_records` returns, or None when a line is
+    longer than the csv field limit, where only `csv.reader` knows which
+    field is too long.
     """
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()  # the text ends with a line break, or is empty
-    if not lines:
-        return None, np.empty(0, dtype=np.intp), [], None
-    if max(map(len, lines)) > csv.field_size_limit():
-        return None
-    header = lines[0].split(",")
-    del lines[0]
-    commas = list(map(str.count, lines, repeat(",")))
-    width_error = None
-    if commas.count(2) != len(commas):
-        keep = []
-        for k, count in enumerate(commas):
-            if count == 2:
-                keep.append(k)
-            elif lines[k]:
-                width_error = (k + 2, f"expected 3 columns, got {count + 1}")
-                break
-        lines = [lines[k] for k in keep]
-        linenos = np.array(keep, dtype=np.intp) + 2
-    else:
-        linenos = np.arange(2, len(lines) + 2)
-    fields = ",".join(lines).split(",") if lines else []
-    return header, linenos, fields, width_error
+    if not raw:
+        return None, np.empty(0, dtype=np.intp), [], [], [], None
+    b = np.frombuffer(raw, dtype=np.uint8)
+    breaks = np.flatnonzero(b == 10)
+    ends = breaks if raw.endswith(b"\n") else np.append(breaks, len(raw))
+    lengths = np.diff(ends, prepend=-1) - 1
+    limit = csv.field_size_limit()
+    if lengths.max() > limit:
+        # The limit counts characters, and a UTF-8 continuation byte
+        # (0b10xxxxxx) is part of the character before it.
+        tails = np.searchsorted(np.flatnonzero((b & 0xC0) == 0x80), ends)
+        if (lengths - np.diff(tails, prepend=0)).max() > limit:
+            return None
+    commas = np.diff(np.searchsorted(np.flatnonzero(b == 44), ends), prepend=0)
+    # In ASCII text every character str.strip() removes is a byte <= 32, so
+    # when the line breaks are the only such bytes no field is padded.
+    padded = b.max() >= 128 or np.count_nonzero(b <= 32) > breaks.size
+    fields = text.replace("\n", ",").split(",")
+    header = fields[: commas[0] + 1]
+    first = np.cumsum(commas + 1)[:-1]  # index of each data line's first field
+    commas, lengths = commas[1:], lengths[1:]
+    stop = None
+    bad = np.flatnonzero((commas != 2) & (lengths > 0))
+    if bad.size:
+        k = int(bad[0])
+        stop = (k + 2, f"expected 3 columns, got {commas[k] + 1}")
+        commas = commas[:k]
+    keep = np.flatnonzero(commas == 2)
+    if keep.size == lengths.size:
+        start = int(first[0]) if keep.size else 0
+        end = start + 3 * keep.size
+        columns = [fields[start + j : end : 3] for j in range(3)]
+    else:  # blank lines, or a line of the wrong width
+        at = first[keep]
+        columns = [list(map(fields.__getitem__, (at + j).tolist())) for j in (0, 1, 2)]
+    del fields
+    fams, hyps, p_texts = columns
+    if padded:
+        fams, hyps = list(map(str.strip, fams)), list(map(str.strip, hyps))
+    return header, keep + 2, fams, hyps, p_texts, stop
 
 
 def _csv_error_message(err) -> str:
@@ -222,13 +241,14 @@ def _csv_error_message(err) -> str:
 def _reader_records(text: str):
     """Tokenise text with `csv.reader`.
 
-    Returns (header, linenos, fields, stop): the header record (None for
-    empty text), the line number of each 3-field data record before the
-    first malformed one, their fields one after another, and (line number,
-    message) of the first record that is not 3 fields or that `csv` cannot
-    read, or None. Empty records are skipped. A record's line number is the
-    physical line it starts on, so a quoted field that holds a line break
-    moves the records after it down a line.
+    Returns (header, linenos, fams, hyps, p_texts, stop): the header record
+    (None for empty text), the line number of each 3-field data record
+    before the first malformed one, their three fields as columns, the
+    first two stripped, and (line number, message) of the first record that
+    is not 3 fields or that `csv` cannot read, or None. Empty records are
+    skipped. A record's line number is the physical line it starts on, so a
+    quoted field that holds a line break moves the records after it down a
+    line.
     """
     reader = csv.reader(io.StringIO(text))
     records = []
@@ -245,7 +265,7 @@ def _reader_records(text: str):
     if not records:
         if stop is not None:
             raise CliError(EXIT_INPUT, f"line {stop[0]}: {stop[1]}")
-        return None, np.empty(0, dtype=np.intp), [], None
+        return None, np.empty(0, dtype=np.intp), [], [], [], None
     linenos, fields = [], []
     for lineno, row in zip(starts[1:], records[1:]):
         if not row:
@@ -255,7 +275,10 @@ def _reader_records(text: str):
             break
         linenos.append(lineno)
         fields.extend(row)
-    return records[0], np.array(linenos, dtype=np.intp), fields, stop
+    fams = list(map(str.strip, fields[0::3]))
+    hyps = list(map(str.strip, fields[1::3]))
+    linenos = np.array(linenos, dtype=np.intp)
+    return records[0], linenos, fams, hyps, fields[2::3], stop
 
 
 def _first_non_number(texts) -> int:
@@ -270,22 +293,27 @@ def _first_non_number(texts) -> int:
 def _first_appearance_codes(values):
     """The distinct values in order of first appearance, and each value's
     position among them as an integer array."""
-    distinct = list(dict.fromkeys(values))
-    position = dict(zip(distinct, range(len(distinct))))
-    codes = np.fromiter(map(position.__getitem__, values), np.intp, len(values))
-    return distinct, codes
+    n = len(values)
+    first_row = {}  # each distinct value's first row, in ascending order
+    rows = np.fromiter(map(first_row.setdefault, values, range(n)), np.intp, n)
+    starts = np.fromiter(first_row.values(), np.intp, len(first_row))
+    position = np.empty(n, dtype=np.intp)
+    position[starts] = np.arange(starts.size)
+    return list(first_row), position[rows]
 
 
 def _read_families_csv(path: str):
     """Families of a `family,hypothesis,p_value` CSV, in order of first appearance.
 
-    Returns (ids, pvalues, hypotheses, digest). pvalues is an (m, n) matrix
-    when every family has n rows and a list of m rows otherwise, and
-    hypotheses holds the hypothesis ids in the same layout (as object
-    arrays), each family's rows in file order. The text is
-    tokenised in one pass, then checked column by column. On a bad input
-    the message names the earliest bad record; within one record the
-    checks run in the order width, number, range, duplicate.
+    Returns (ids, pvalues, names, codes, digest). pvalues is an (m, n)
+    matrix when every family has n rows and a list of m rows otherwise, each
+    family's rows in file order. names are the distinct hypothesis ids in
+    order of first appearance, and codes holds each row's position among
+    them, as integers in the layout of pvalues. Text with no '"' and no
+    '\\r' is tokenised from NumPy scans of its bytes, any other by
+    `csv.reader`; the columns are then checked one by one. On a bad input
+    the message names the earliest bad record; within one record the checks
+    run in the order width, number, range, duplicate.
     """
     try:
         with open(path, "rb") as fh:
@@ -297,14 +325,16 @@ def _read_families_csv(path: str):
         text = raw.decode("utf-8")
     except UnicodeDecodeError as err:
         raise CliError(EXIT_INPUT, f"not valid UTF-8: {err}")
-    del raw
     tokens = None
-    if '"' not in text and "\r" not in text:
-        tokens = _split_records(text)
+    if b'"' not in raw and b"\r" not in raw:
+        tokens = _scan_records(raw, text)
+    del raw
     if tokens is None:
         tokens = _reader_records(text)
     del text
-    header, linenos, fields, stop = tokens
+    # float() ignores the surrounding whitespace that strip() removes, so
+    # the p-value texts are stripped only where a message quotes them.
+    header, linenos, fams, hyps, p_texts, stop = tokens
     del tokens
     if header is None or [h.strip() for h in header] != [
         "family",
@@ -314,12 +344,6 @@ def _read_families_csv(path: str):
         raise CliError(
             EXIT_INPUT, "line 1: expected header 'family,hypothesis,p_value'"
         )
-    fams = list(map(str.strip, fields[0::3]))
-    hyps = list(map(str.strip, fields[1::3]))
-    # float() ignores the surrounding whitespace that strip() removes, so
-    # the p-value texts are stripped only where a message quotes them.
-    p_texts = fields[2::3]
-    del fields
 
     # (line, check order, message) of the first failure of each check.
     errors = [] if stop is None else [(stop[0], 0, stop[1])]
@@ -369,12 +393,12 @@ def _read_families_csv(path: str):
     order = np.argsort(family_of, kind="stable")
     sizes = np.bincount(family_of, minlength=len(ids))
     p = p[order]
-    hyps = np.array(hyps, dtype=object)[order]
+    name_of = name_of[order]
     if (sizes == sizes[0]).all():
         shape = (len(ids), int(sizes[0]))
-        return ids, p.reshape(shape), hyps.reshape(shape), digest
+        return ids, p.reshape(shape), names, name_of.reshape(shape), digest
     bounds = np.cumsum(sizes)[:-1]
-    return ids, np.split(p, bounds), np.split(hyps, bounds), digest
+    return ids, np.split(p, bounds), names, np.split(name_of, bounds), digest
 
 
 def _threads(args) -> int:
@@ -399,9 +423,128 @@ def _write_text(text: str, output):
         sys.stdout.write(text)
 
 
-def _emit_json(report: dict, output):
-    """One-line JSON report; without indent json.dumps uses its C encoder."""
-    _write_text(json.dumps(report) + "\n", output)
+# The columns of an analyze report. ids: every family's id; selected: the
+# selected families' indices, ascending; r_min, levels and counts: each
+# selected family's R_min, test level and number of rejections, in that
+# order; names: the distinct hypothesis ids; rejected: the position in names
+# of every rejection, the selected families' one after another.
+_FamilyColumns = collections.namedtuple(
+    "_FamilyColumns", "ids selected r_min levels counts names rejected"
+)
+
+# An unselected family's JSON record after its id, as json.dumps writes it.
+_UNSELECTED_JSON = (
+    ', "selected": false, "r_min": null, "adjusted_level": null, "rejected": []}'
+)
+
+
+def _family_columns(ensemble, names, codes, analysis) -> _FamilyColumns:
+    """The report columns of an analysis of the families a CSV holds;
+    names and codes are as `_read_families_csv` returns them."""
+    outcome = analysis.selection
+    selected = sorted(outcome.selected)  # the order of analysis.decisions
+    rejected = [decision.rejected for decision in analysis.decisions]
+    counts = np.fromiter(map(len, rejected), np.intp, len(rejected))
+    flat = codes.ravel() if isinstance(codes, np.ndarray) else np.concatenate(codes)
+    starts = np.cumsum(ensemble.sizes) - ensemble.sizes
+    at = np.repeat(starts[selected], counts)
+    if rejected:
+        at += np.concatenate(rejected)
+    return _FamilyColumns(
+        ids=ensemble.family_ids,
+        selected=selected,
+        r_min=list(map(outcome.r_min.get, selected, repeat(outcome.r))),
+        levels=[decision.adjusted_level for decision in analysis.decisions],
+        counts=counts,
+        names=names,
+        rejected=flat[at],
+    )
+
+
+def _joined(texts, codes, counts, sep: str) -> list:
+    """For each run of `counts` consecutive entries of `codes`, the texts at
+    those codes joined with sep, cut out of one joined string."""
+    picked = list(map(texts.__getitem__, codes.tolist()))
+    whole = sep.join(picked)
+    lengths = np.fromiter(map(len, picked), np.intp, len(picked))
+    offsets = np.zeros(len(picked) + 1, dtype=np.intp)  # where each text starts
+    np.cumsum(lengths + len(sep), out=offsets[1:])
+    ends = np.zeros(len(counts) + 1, dtype=np.intp)
+    np.cumsum(counts, out=ends[1:])
+    first = offsets[ends[:-1]]
+    past = np.maximum(offsets[ends[1:]] - len(sep), first)  # no text: no sep
+    return list(map(whole.__getitem__, map(slice, first.tolist(), past.tolist())))
+
+
+def _families_json(families: _FamilyColumns) -> str:
+    """The JSON array of an analyze report's family records, byte for byte
+    what json.dumps writes, from one table of texts with a row per family:
+    every id and hypothesis name is encoded once, with the C encoder
+    json.dumps uses, and every unselected family shares one text."""
+    encode = json.encoder.encode_basestring_ascii
+    selected = np.asarray(families.selected, dtype=np.intp)
+    # Equal positive floats have one repr, so each distinct level is
+    # written once.
+    level_text = {level: float.__repr__(level) for level in set(families.levels)}
+    text = np.full((len(families.ids), 9), "", dtype=object)
+    text[:, 0] = ', {"family_id": '
+    text[0, 0] = '{"family_id": '
+    text[:, 1] = list(map(encode, families.ids))
+    text[:, 2] = _UNSELECTED_JSON
+    text[selected, 2] = ', "selected": true, "r_min": '
+    text[selected, 3] = list(map(int.__repr__, families.r_min))
+    text[selected, 4] = ', "adjusted_level": '
+    text[selected, 5] = list(map(level_text.__getitem__, families.levels))
+    text[selected, 6] = ', "rejected": ['
+    text[selected, 7] = _joined(
+        list(map(encode, families.names)), families.rejected, families.counts, ", "
+    )
+    text[selected, 8] = "]}"
+    return "[" + "".join(text.ravel().tolist()) + "]"
+
+
+def _families_csv(families: _FamilyColumns) -> str:
+    """The CSV report, one row per family, written by `csv.writer` from
+    columns."""
+    m, selected = len(families.ids), families.selected
+
+    def spread(values, fill) -> list:
+        """A column of every family: values for the selected ones."""
+        column = np.full(m, fill, dtype=object)
+        column[selected] = values
+        return column.tolist()
+
+    rejected = _joined(families.names, families.rejected, families.counts, ";")
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows(
+        zip(
+            families.ids,
+            spread(1, 0),
+            spread(families.r_min, ""),
+            spread(list(map(float.__repr__, families.levels)), ""),
+            spread(families.counts, 0),
+            spread(rejected, ""),
+        )
+    )
+    return buf.getvalue()
+
+
+def _emit_json(report: dict, output, families: _FamilyColumns | None = None):
+    """One-line JSON report, byte for byte what json.dumps(report) writes
+    (without indent it uses its C encoder). `families`, when given, is
+    written from its columns as the last key of report["selection"]."""
+    if families is None:
+        _write_text(json.dumps(report) + "\n", output)
+        return
+    # json.dumps writes a dict as "{" + ", ".join(key + ": " + value) + "}".
+    parts = {key: json.dumps(value) for key, value in report.items()}
+    parts["selection"] = (
+        parts["selection"][:-1] + ', "families": ' + _families_json(families) + "}"
+    )
+    members = (json.dumps(key) + ": " + value for key, value in parts.items())
+    _write_text("{" + ", ".join(members) + "}\n", output)
 
 
 def cmd_analyze(args) -> int:
@@ -411,7 +554,7 @@ def cmd_analyze(args) -> int:
         raise CliError(EXIT_CONFIG, "q must lie in (0, 1)")
     rule = parse_rule(args.rule, args.q)
     procedure = parse_procedure(args.procedure)
-    ids, pvalues, hypotheses, digest = _read_families_csv(args.input)
+    ids, pvalues, names, codes, digest = _read_families_csv(args.input)
     ensemble = PValueEnsemble(pvalues, family_ids=ids)
     try:
         if args.adjust == "simple":
@@ -421,25 +564,10 @@ def cmd_analyze(args) -> int:
     except (UnsupportedRuleError, ValueError) as err:
         raise CliError(EXIT_CONFIG, str(err))
 
-    outcome = analysis.selection
-    records = [
-        {
-            "family_id": fid,
-            "selected": False,
-            "r_min": None,
-            "adjusted_level": None,
-            "rejected": [],
-        }
-        for fid in ids
-    ]
-    # The decisions come in the order of the selected families' indices.
-    for i, decision in zip(sorted(outcome.selected), analysis.decisions):
-        records[i].update(
-            selected=True,
-            r_min=outcome.r_min.get(i, outcome.r),
-            adjusted_level=decision.adjusted_level,
-            rejected=hypotheses[i][decision.rejected].tolist(),
-        )
+    families = _family_columns(ensemble, names, codes, analysis)
+    if args.format == "csv":
+        _write_text(_families_csv(families), args.output)
+        return EXIT_OK
     report = {
         "config": {
             "q": args.q,
@@ -447,31 +575,14 @@ def cmd_analyze(args) -> int:
             "procedure": procedure.describe(),
             "adjust": args.adjust,
         },
-        "selection": {"r": outcome.r, "families": records},
+        "selection": {"r": analysis.selection.r},
         "metadata": {
             "input_digest": "sha256:" + digest,
             "version": __version__,
             "seed": None,
         },
     }
-    if args.format == "json":
-        _emit_json(report, args.output)
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(CSV_COLUMNS)
-        for rec in records:
-            writer.writerow(
-                [
-                    rec["family_id"],
-                    int(rec["selected"]),
-                    "" if rec["r_min"] is None else rec["r_min"],
-                    "" if rec["adjusted_level"] is None else repr(rec["adjusted_level"]),
-                    len(rec["rejected"]),
-                    ";".join(str(h) for h in rec["rejected"]),
-                ]
-            )
-        _write_text(buf.getvalue(), args.output)
+    _emit_json(report, args.output, families)
     return EXIT_OK
 
 

@@ -36,6 +36,8 @@ _P_CEIL = 1.0 - 1e-16
 # Cells in one block of the R_min scan's rows, and of the randomized checks'
 # trials, so that their memory stays bounded at any m.
 _SCAN_BLOCK_CELLS = 1 << 16
+# Trials in the concordance check's first block; each next block doubles.
+_FIRST_TRIAL_BLOCK = 16
 
 
 class UnsupportedRuleError(ValueError):
@@ -280,18 +282,19 @@ def _bisect(rule, rest, grid, lo, hi, r):
     return lo, hi, r
 
 
-def _boundary_r_min(rule, rows: np.ndarray, fams: np.ndarray) -> np.ndarray:
-    """R(s*) of family fams[p] in summary row p for a GlobalNullTest, or 0
-    where no summary value selects it (`_r_min_scan`). Each row's `rest` is
-    its other summaries, sorted, and a +inf that stands for s."""
-    m = rows.shape[1]
+def _boundary_r_min(rule, table: np.ndarray, rows, fams: np.ndarray) -> np.ndarray:
+    """R(s*) of family fams[p] in summary row table[rows[p]] for a
+    GlobalNullTest, or 0 where no summary value selects it (`_r_min_scan`).
+    Each row's `rest` is its other summaries, sorted, and a +inf that stands
+    for s."""
+    m = table.shape[1]
     q1 = stage_one_level(rule.level) if rule.procedure.kind == "two_stage" else None
     cutoffs = rule.summary_thresholds(m) if q1 is None else bh_critical_values(m, q1)
     fixed = np.concatenate([[0.0, 1.0], cutoffs[(cutoffs >= 0.0) & (cutoffs <= 1.0)]])
-    out = np.empty(len(rows), dtype=np.intp)
+    out = np.empty(len(fams), dtype=np.intp)
     step = max(1, _SCAN_BLOCK_CELLS // (m + fixed.size))
-    for start in range(0, len(rows), step):
-        rest = np.array(rows[start : start + step], dtype=np.float64)
+    for start in range(0, len(fams), step):
+        rest = table[rows[start : start + step]].astype(np.float64, copy=False)
         k = len(rest)
         grid = np.sort(np.concatenate([rest, np.tile(fixed, (k, 1))], 1), 1)
         rest[np.arange(k), fams[start : start + step]] = np.inf
@@ -316,30 +319,35 @@ def _boundary_r_min(rule, rows: np.ndarray, fams: np.ndarray) -> np.ndarray:
     return out
 
 
-def _r_min_scan(rule, summaries: np.ndarray, i):
+def _r_min_scan(rule, summaries: np.ndarray, i, rows=None):
     """Exact minimization of the selected count over family i's summary s,
-    for one summary vector and family, or for a (P, m) stack of summary
-    rows with one family per row, giving P counts.
+    for one summary vector and family, or for P families (i an array) of
+    the rows of a (B, m) matrix of summary vectors, giving P counts.
+    Family i[p] is scanned in row rows[p]; rows defaults to row p for a
+    (P, m) matrix and to the one vector for a vector.
 
     For a GlobalNullTest, lowering s never deselects i and never lowers the
     selected count R, and every comparison is a <=, so the values of s that
     keep i selected form a closed prefix [0, s*] and R_min(i) = R(s*). s* is
     0, 1, another summary or one of the rule's cutoffs, so each row bisects
     over those, sorted, all rows in lockstep: O(log m) rows per family, in
-    blocks of at most _SCAN_BLOCK_CELLS cells. The two-stage rule bisects
-    over stage one's breakpoints, then over the stage-two cutoffs just past
-    the last selecting one (`_boundary_r_min`). Any other summary rule runs
-    `_looped_r_min`.
+    blocks of at most _SCAN_BLOCK_CELLS cells, each block gathering its own
+    rows. The two-stage rule bisects over stage one's breakpoints, then over
+    the stage-two cutoffs just past the last selecting one
+    (`_boundary_r_min`). Any other summary rule runs `_looped_r_min`.
     """
     if not _is_summary_rule(rule):
         raise UnsupportedRuleError(
             "R_min needs a rule that consumes one scalar summary per family"
         )
-    rows, fams = np.atleast_2d(summaries), np.atleast_1d(i)
+    table, fams = np.atleast_2d(summaries), np.atleast_1d(i)
+    if rows is None:
+        one = np.ndim(summaries) == 1
+        rows = np.zeros(fams.size, dtype=np.intp) if one else np.arange(fams.size)
     if isinstance(rule, GlobalNullTest):
-        best = _boundary_r_min(rule, rows, fams)
+        best = _boundary_r_min(rule, table, rows, fams)
     else:
-        best = [_looped_r_min(rule, s, j) or 0 for s, j in zip(rows, fams)]
+        best = [_looped_r_min(rule, table[r], j) or 0 for r, j in zip(rows, fams)]
         best = np.array(best, dtype=np.intp)
     if (best == 0).any():
         raise UnsupportedRuleError(
@@ -454,15 +462,19 @@ def check_concordant(
     after. Finding no witness does not prove concordance. Trials run in
     blocks, one `_r_min_scan` call for every R_min after and one scan per
     family for R_min before, and meet the first witness or error in order.
+    The blocks start at _FIRST_TRIAL_BLOCK trials and double up to
+    _SCAN_BLOCK_CELLS cells, so an early witness costs few trials past it.
     """
     if not _is_summary_rule(rule):
         raise UnsupportedRuleError("the concordance check needs a summary-based rule")
     rng = np.random.default_rng(seed)
     summaries = rule.summaries(ensemble)
     before = {}
-    step = max(1, _SCAN_BLOCK_CELLS // summaries.size)
-    for start in range(0, trials, step):
+    cap = max(1, _SCAN_BLOCK_CELLS // summaries.size)
+    start, step = 0, min(_FIRST_TRIAL_BLOCK, cap)
+    while start < trials:
         block = min(step, trials - start)
+        step = min(2 * step, cap)
         fams, bumped = _bumped_trials(rule, ensemble, summaries, rng, block)
         try:
             after = _r_min_scan(rule, bumped, fams).tolist()
@@ -474,6 +486,7 @@ def check_concordant(
             r = _r_min_scan(rule, bumped[t], i) if r is None else r
             if r > before[i]:
                 return ConcordanceReport(True, i, before[i], r, start + t + 1)
+        start += block
     return ConcordanceReport(False, None, None, None, trials)
 
 

@@ -330,7 +330,7 @@ def _block_values(config: ScenarioConfig, layout: _Layout, streams, start, stop)
         elif config.adjustment == "simple" or getattr(rule, "is_simple", False):
             levels = counts[reps] * q / m
         else:
-            levels = _r_min_scan(rule, summaries[reps], fams) * q / m
+            levels = _r_min_scan(rule, summaries, fams, reps) * q / m
         # each tested family's group, and its row in the group's block
         # seen as a (B * count, n) matrix
         group_of, at = layout.slots[:, fams]

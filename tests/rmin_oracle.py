@@ -86,17 +86,23 @@ def batched_r_min(rule, summaries: np.ndarray, i: int) -> int | None:
     )
 
 
-def oracle_r_min_scan(rule, summaries, i):
-    """`_r_min_scan` through the candidate scan: one summary vector and
-    family give an int, a (P, m) stack with one family per row P counts."""
+def oracle_r_min_scan(rule, summaries, i, rows=None):
+    """`_r_min_scan` through the candidate scan, in its call forms: one
+    summary vector and family give an int; P families give P counts, family
+    i[p] scanned in row rows[p] of a (B, m) matrix (by default row p), or
+    all of them in one summary vector."""
     if not _is_summary_rule(rule):
         raise UnsupportedRuleError(
             "R_min needs a rule that consumes one scalar summary per family"
         )
     scan = batched_r_min if isinstance(rule, GlobalNullTest) else _looped_r_min
+    fams = np.atleast_1d(i).tolist()
+    if rows is None:
+        rows = [0] * len(fams) if np.ndim(summaries) == 1 else range(len(fams))
+    table = np.atleast_2d(summaries)
     best = []
-    for row, j in zip(np.atleast_2d(summaries), np.atleast_1d(i).tolist()):
-        count = scan(rule, np.array(row, dtype=np.float64), j)
+    for r, j in zip(rows, fams):
+        count = scan(rule, np.array(table[r], dtype=np.float64), j)
         if count is None:
             raise UnsupportedRuleError(
                 f"family {j} is never selected for any summary value"

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from famsel import cli
 from famsel.cli import CSV_COLUMNS, REPORT_SCHEMA, main
+from report_oracle import oracle_report
 
 THREE_FAMILY_CSV = """family,hypothesis,p_value
 g1,h1,0.001
@@ -594,12 +595,17 @@ def row_loop_reader(path):
 
 
 def read_outcome(reader, path):
-    """What a reader returns, with every p-value row as raw bytes, or the
-    exit code and message it fails with."""
+    """What a reader returns, with every p-value row as raw bytes and every
+    hypothesis id as its name, or the exit code and message it fails with."""
     try:
-        ids, pvalues, hypotheses, digest = reader(path)
+        result = reader(path)
     except cli.CliError as err:
         return ("error", err.code, str(err))
+    if len(result) == 5:  # hypotheses as codes into their distinct names
+        ids, pvalues, distinct, codes, digest = result
+        hypotheses = [[distinct[c] for c in row] for row in codes]
+    else:
+        ids, pvalues, hypotheses, digest = result
     rows = [np.asarray(row, dtype=np.float64).tobytes() for row in pvalues]
     names = [list(np.asarray(h, dtype=object).tolist()) for h in hypotheses]
     return ("ok", ids, rows, names, digest)
@@ -714,16 +720,138 @@ class TestReadFamiliesCsv:
         path.write_text(
             "family,hypothesis,p_value\ng2,a,0.5\ng1,b,0.25\ng2,c,1\ng1,d,0\n"
         )
-        ids, pvalues, hypotheses, _ = cli._read_families_csv(str(path))
+        ids, pvalues, names, codes, _ = cli._read_families_csv(str(path))
         assert ids == ["g2", "g1"]
         assert pvalues.shape == (2, 2)
         assert pvalues.tolist() == [[0.5, 1.0], [0.25, 0.0]]
-        assert hypotheses.tolist() == [["a", "c"], ["b", "d"]]
+        assert names == ["a", "b", "c", "d"]
+        assert codes.tolist() == [[0, 2], [1, 3]]
 
     def test_ragged_input_gives_rows(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("family,hypothesis,p_value\ng1,a,0.5\ng2,b,0.25\ng1,c,1\n")
-        ids, pvalues, hypotheses, _ = cli._read_families_csv(str(path))
+        ids, pvalues, names, codes, _ = cli._read_families_csv(str(path))
         assert ids == ["g1", "g2"]
         assert [row.tolist() for row in pvalues] == [[0.5, 1.0], [0.25]]
-        assert [h.tolist() for h in hypotheses] == [["a", "c"], ["b"]]
+        assert names == ["a", "b", "c"]
+        assert [row.tolist() for row in codes] == [[0, 2], [1]]
+
+
+# Characters that JSON must escape (quote, backslash, controls, non-ASCII,
+# a line separator, a character outside the BMP) or that CSV must quote.
+ID_CHARS = ["g", "h", "1", " ", ",", ";", '"', "\\", "\x00", "\x1f", "\t", "\n", "\r"]
+ID_CHARS += ["\x7f", "é", "\u2028", "\U0001f600"]
+ID_TEXTS = st.text(st.sampled_from(ID_CHARS + ["g", "h", "1"] * 6), max_size=4)
+REPORT_P = st.sampled_from([0.0, 1e-6, 0.001, 0.01, 0.2, 1.0]) | st.floats(0.0, 1.0)
+
+
+def csv_field(text: str) -> str:
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+@st.composite
+def report_inputs(draw):
+    """Analyze inputs whose ids need JSON escapes or CSV quotes now and
+    then: families of one size or ragged, their rows in file order or
+    interleaved."""
+    fams = draw(st.lists(ID_TEXTS, min_size=1, max_size=8, unique_by=str.strip))
+    size = draw(st.sampled_from([None, 1, 3]))
+    rows = []
+    for fam in fams:
+        n = size or draw(st.integers(1, 4))
+        names = draw(st.lists(ID_TEXTS, min_size=n, max_size=n, unique_by=str.strip))
+        rows += [(fam, name, draw(REPORT_P)) for name in names]
+    if draw(st.booleans()):
+        rows = draw(st.permutations(rows))
+    lines = ["family,hypothesis,p_value"]
+    lines += [f"{csv_field(f)},{csv_field(h)},{p!r}" for f, h, p in rows]
+    return "\n".join(lines) + "\n"
+
+
+REPORT_RULES = [
+    "minp:1e-9",  # nothing selected, unless a family holds a 0
+    "minp:1",  # everything selected
+    "minp:0.05",
+    "topk:2",
+    "global:simes:bh",
+    "global:simes:twostage",  # not simple: R_min is scanned
+]
+
+
+class TestReportFromColumns:
+    """The columnar report against the dict-building emitter it replaced."""
+
+    def check(self, path, out, rule, procedure, adjust, fmt):
+        try:
+            want = oracle_report(path, rule, procedure, 0.05, adjust, fmt)
+        except cli.CliError as err:
+            want = ("exit", err.code)
+        if out.exists():
+            out.unlink()
+        args = ["analyze", str(path), "--rule", rule, "--procedure", procedure]
+        args += ["--adjust", adjust, "--format", fmt, "--output", str(out)]
+        code = main(args)
+        got = out.read_bytes().decode("utf-8") if code == 0 else ("exit", code)
+        assert got == want
+        return got
+
+    @settings(
+        derandomize=True,
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        report_inputs(),
+        st.sampled_from(REPORT_RULES),
+        st.sampled_from(["bh", "holm", "twostage"]),
+        st.sampled_from(["simple", "rmin"]),
+        st.sampled_from(["json", "csv"]),
+    )
+    def test_matches_dict_emitter(
+        self, tmp_path_factory, text, rule, procedure, adjust, fmt
+    ):
+        base = tmp_path_factory.getbasetemp()
+        path = base / "report_input.csv"
+        path.write_bytes(text.encode("utf-8"))
+        self.check(path, base / "report_output", rule, procedure, adjust, fmt)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("adjust", ["simple", "rmin"])
+    @pytest.mark.parametrize("rule, selected", [("minp:1e-9", 0), ("minp:1", 4)])
+    def test_nothing_or_everything_selected(
+        self, tmp_path, rule, selected, adjust, fmt
+    ):
+        fams = ['a"b', "c\\d", "e\x01f", "é\u2028\U0001f600"]
+        rows = [(f, h, p) for f in fams for h, p in (('x"', 0.001), ("y\\", 0.5))]
+        rows.append((fams[3], "z", 0.002))  # ragged
+        path = tmp_path / "in.csv"
+        path.write_text(
+            "family,hypothesis,p_value\n"
+            + "".join(f"{csv_field(f)},{csv_field(h)},{p!r}\n" for f, h, p in rows),
+            encoding="utf-8",
+        )
+        got = self.check(path, tmp_path / "out", rule, "bh", adjust, fmt)
+        if fmt == "json":
+            families = json.loads(got)["selection"]["families"]
+            assert [rec["family_id"] for rec in families] == fams
+            assert sum(rec["selected"] for rec in families) == selected
+            assert sum(len(rec["rejected"]) for rec in families) == 5 * (selected > 0)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_r_min_below_r(self, tmp_path, fmt):
+        # three singletons where the adaptive two-stage rule's count drops
+        # while the middle family stays selected
+        q1 = 0.05 / 1.05
+        path = tmp_path / "in.csv"
+        path.write_text(
+            "family,hypothesis,p_value\n"
+            + "".join(f"g{i},h,{p!r}\n" for i, p in enumerate([q1 / 6, q1 / 2, 2 * q1]))
+        )
+        rule = "global:simes:twostage"
+        got = self.check(path, tmp_path / "out", rule, "bh", "rmin", fmt)
+        if fmt == "json":
+            families = json.loads(got)["selection"]["families"]
+            assert [rec["r_min"] for rec in families] == [3, 2, 3]

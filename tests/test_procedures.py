@@ -210,18 +210,25 @@ class TestNullSimulations:
         mean, se = self._rate(any_rejection.astype(float))
         assert mean <= self.LEVEL + 3 * se
 
+    # The rows the one-row public wrappers are checked against, row by row.
+    CHECKED_ROWS = 2000
+
+    def _any_rejection(self, kind, public, uniforms):
+        """1{any rejection} per row from one batched call, checked against
+        the public one-row wrapper on the first CHECKED_ROWS rows."""
+        levels = np.full(len(uniforms), self.LEVEL)
+        mask, r = rejected_entries(Procedure(kind), uniforms, levels)
+        for row, hit in zip(uniforms[: self.CHECKED_ROWS], mask):
+            assert public(row, self.LEVEL).tolist() == np.flatnonzero(hit).tolist()
+        return (r > 0).astype(float)
+
     def test_bh_fdr(self, uniforms):
-        fdp = np.array(
-            [bh(row, self.LEVEL).size > 0 for row in uniforms], dtype=float
-        )
+        fdp = self._any_rejection("bh", bh, uniforms)
         mean, se = self._rate(fdp)  # all-null: FDP = 1{any rejection}
         assert mean <= self.LEVEL + 3 * se
 
     def test_two_stage_fdr(self, uniforms):
-        fdp = np.array(
-            [two_stage_adaptive(row, self.LEVEL).size > 0 for row in uniforms],
-            dtype=float,
-        )
+        fdp = self._any_rejection("two_stage", two_stage_adaptive, uniforms)
         mean, se = self._rate(fdp)
         assert mean <= self.LEVEL + 3 * se
 

@@ -626,6 +626,33 @@ class TestBoundaryScan:
             want = oracle_r_min_scan(rule, rows, families)
             assert _r_min_scan(rule, rows, families).tolist() == want.tolist()
 
+    def test_pairs_name_their_row(self, monkeypatch):
+        # each (row, family) pair scanned in its own row of a shared matrix,
+        # as a Monte Carlo block passes them, and every family of one vector
+        rng = np.random.default_rng(9)
+        for case in range(16):
+            m = int(rng.integers(1, 30))
+            rule = scan_rule(
+                COMBINERS[case % 4],
+                SCAN_KINDS[case % 8],
+                float(rng.uniform(0.05, 0.6)),
+                int(rng.integers(1, m + 1)),
+                tuple(np.sort(rng.uniform(0, 0.5, m))),
+            )
+            table = rng.uniform(size=(7, m)) ** 3
+            rows, families = rng.integers(7, size=40), rng.integers(m, size=40)
+            want = oracle_r_min_scan(rule, table[rows], families).tolist()
+            assert oracle_r_min_scan(rule, table, families, rows).tolist() == want
+            one = oracle_r_min_scan(rule, np.tile(table[0], (m, 1)), np.arange(m))
+            for cells in (None, 50):  # a few pairs per block at 50 cells
+                with monkeypatch.context() as patch:
+                    if cells is not None:
+                        patch.setattr(selection, "_SCAN_BLOCK_CELLS", cells)
+                    got = _r_min_scan(rule, table, families, rows)
+                    assert got.tolist() == want
+                    got = _r_min_scan(rule, table[0], np.arange(m))
+                    assert got.tolist() == one.tolist()
+
     def test_errors_match_the_candidate_scan(self):
         # step_up with one critical value too few fails in the kernel, and a
         # rule that never selects a family fails on its first row
@@ -999,6 +1026,15 @@ class TestCheckConcordantBlocks:
         if cells is not None:
             # a few trials per block, so that runs cross block edges
             monkeypatch.setattr(selection, "_SCAN_BLOCK_CELLS", cells)
+        self.check_schedule(switch)
+
+    @pytest.mark.parametrize("first, switch", [(1, False), (5, True)])
+    def test_doubling_blocks_match_the_trial_loop(self, monkeypatch, first, switch):
+        # blocks of 1, 2, 4, ... or 5, 10, 20, ... trials, up to the cap
+        monkeypatch.setattr(selection, "_FIRST_TRIAL_BLOCK", first)
+        self.check_schedule(switch)
+
+    def check_schedule(self, switch):
         kinds = {"witness": 0, "none": 0, "error": 0}
         # SwitchRule meets errors, sometimes after a witness in one block
         rules, count = ([SwitchRule()], 20) if switch else (self.RULES, 3)

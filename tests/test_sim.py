@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from rmin_oracle import oracle_r_min_scan
 from scipy import special, stats
 
-from famsel import adjust, sim
+from famsel import adjust, selection, sim
 from famsel.adjust import (
     selection_adjusted,
     simple_selection_adjusted,
@@ -717,6 +717,33 @@ class TestRMinBlocks:
         for cfg in configs[::2]:
             simple = estimate(replace(cfg, adjustment="simple"))
             assert simple.e_cs_hat != estimate(cfg).e_cs_hat
+
+
+    def test_scan_memory_stays_at_its_block_size(self):
+        # every family selected in every replicate: one (replicate, family)
+        # pair per family, whose rows the scan gathers block by block
+        cfg = ScenarioConfig(
+            m=500,
+            n=2,
+            q=0.05,
+            rule=GlobalNullTest("simes", Procedure("two_stage"), level=0.05),
+            procedure=Procedure("bh"),
+            metric=ErrorMetric("fdr"),
+            replicates=16,
+            seed=7,
+            pi1=1.0,
+            mu=3.0,
+            adjustment="rmin",
+        )
+        tracemalloc.start()
+        try:
+            est = estimate(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.e_sel_frac_hat == 1.0
+        # about 2.4 MB; a copy of the summaries per pair peaked at 34 MB
+        assert peak < 12 * 8 * selection._SCAN_BLOCK_CELLS
 
 
 class TestPrdsControlCheck:
