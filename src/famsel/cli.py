@@ -185,9 +185,9 @@ def _scan_records(raw: bytes, text: str):
     at each comma, and an empty line is an empty record. NumPy scans of
     `raw`, the UTF-8 bytes of `text`, find the line breaks, each line's
     commas and each line's length; the fields then come from one split of
-    `text`. Returns what `_reader_records` returns, or None when a line is
-    longer than the csv field limit, where only `csv.reader` knows which
-    field is too long.
+    `text`. Returns what `_reader_records` returns for well-formed text, or
+    None for a non-blank line that is not 3 fields or a line longer in
+    bytes than the csv field limit: `csv.reader` then gives the message.
     """
     if not raw:
         return None, np.empty(0, dtype=np.intp), [], [], [], None
@@ -195,40 +195,30 @@ def _scan_records(raw: bytes, text: str):
     breaks = np.flatnonzero(b == 10)
     ends = breaks if raw.endswith(b"\n") else np.append(breaks, len(raw))
     lengths = np.diff(ends, prepend=-1) - 1
-    limit = csv.field_size_limit()
-    if lengths.max() > limit:
-        # The limit counts characters, and a UTF-8 continuation byte
-        # (0b10xxxxxx) is part of the character before it.
-        tails = np.searchsorted(np.flatnonzero((b & 0xC0) == 0x80), ends)
-        if (lengths - np.diff(tails, prepend=0)).max() > limit:
-            return None
     commas = np.diff(np.searchsorted(np.flatnonzero(b == 44), ends), prepend=0)
+    if lengths.max() > csv.field_size_limit() or (
+        (commas != 2) & (lengths > 0)
+    ).any():
+        return None
     # In ASCII text every character str.strip() removes is a byte <= 32, so
     # when the line breaks are the only such bytes no field is padded.
     padded = b.max() >= 128 or np.count_nonzero(b <= 32) > breaks.size
     fields = text.replace("\n", ",").split(",")
     header = fields[: commas[0] + 1]
     first = np.cumsum(commas + 1)[:-1]  # index of each data line's first field
-    commas, lengths = commas[1:], lengths[1:]
-    stop = None
-    bad = np.flatnonzero((commas != 2) & (lengths > 0))
-    if bad.size:
-        k = int(bad[0])
-        stop = (k + 2, f"expected 3 columns, got {commas[k] + 1}")
-        commas = commas[:k]
-    keep = np.flatnonzero(commas == 2)
-    if keep.size == lengths.size:
+    keep = np.flatnonzero(commas[1:] == 2)
+    if keep.size == lengths.size - 1:
         start = int(first[0]) if keep.size else 0
         end = start + 3 * keep.size
         columns = [fields[start + j : end : 3] for j in range(3)]
-    else:  # blank lines, or a line of the wrong width
+    else:  # blank lines
         at = first[keep]
         columns = [list(map(fields.__getitem__, (at + j).tolist())) for j in (0, 1, 2)]
     del fields
     fams, hyps, p_texts = columns
     if padded:
         fams, hyps = list(map(str.strip, fams)), list(map(str.strip, hyps))
-    return header, keep + 2, fams, hyps, p_texts, stop
+    return header, keep + 2, fams, hyps, p_texts, None
 
 
 def _csv_error_message(err) -> str:
@@ -417,8 +407,11 @@ def _threads(args) -> int:
 
 def _write_text(text: str, output):
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise CliError(EXIT_CONFIG, f"cannot write --output: {err}")
     else:
         sys.stdout.write(text)
 

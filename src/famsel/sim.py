@@ -5,8 +5,13 @@ keyed by (seed, replicate_index), runs the configured analysis, and records
 the realized average error measure over the selected families together with
 the selected fraction. Results are bit-identical for any worker count.
 
-Replicates run in blocks of at most _BLOCK_CELLS p-values: each replicate
-still draws from its own stream, in the order `generate` draws, into one
+A replicate's stream holds its null p-values, family by family, and then
+its non-null scores, family by family; under the equicorrelated model it
+holds the shared factor and then every score, family by family. Both
+`generate` and the Monte Carlo blocks draw it in this order (`_draw`), so
+every estimate's bits follow from it.
+
+Replicates run in blocks of at most _BLOCK_CELLS p-values, drawn into one
 (B, count, n) array per family size, laid out as `PValueEnsemble` stores
 an ensemble, and the block is then summarized, selected and tested in a
 few batched calls per size. Every estimate equals, bit for bit, the
@@ -170,8 +175,9 @@ def generate(
     (+ mu for non-nulls), and sets p = 1 - Phi(X). The leading
     round(pi1 * n_i) hypotheses of each family are the non-null ones.
 
-    rng, when supplied, must sit at the start of the (seed, replicate_index)
-    stream; the Monte Carlo loop passes a reused, rekeyed generator.
+    The draws come from the (seed, replicate_index) stream in the order the
+    module docstring gives. rng, when supplied, must sit at the start of
+    that stream; the Monte Carlo loop passes a reused, rekeyed generator.
     """
     if rng is None:
         rng = _replicate_rng(config.seed, replicate_index)
@@ -193,12 +199,21 @@ def _non_nulls(config: ScenarioConfig, n: int) -> int:
 
 
 class _Layout:
-    """A scenario's families, laid out as `PValueEnsemble` stores them.
+    """A scenario's families, laid out as `PValueEnsemble` stores them, and
+    where each p-value comes from in a replicate's stream.
 
     sizes holds each family's size, groups its `size_groups`, counts the
     number of families in each group, slots the (group, row) of each family
     and nulls each group's truth row: False on the leading non-null
     hypotheses, True after them.
+
+    The stream, in the module docstring's order, opens with `uniforms`
+    null p-values drawn uniform (none under the equicorrelated model); its
+    scores start at position `scores`, and shifted marks which of them get
+    + mu. source[g] holds the stream position of each cell of group g's
+    (count, n) matrix, in row-major order, and direct is True when the
+    stream is that matrix, so that replicates are drawn straight into the
+    one group's block.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -207,6 +222,28 @@ class _Layout:
         self.slots = group_slots(self.groups, self.sizes.size)
         self.counts = np.bincount(self.slots[0], minlength=len(self.groups))
         self.nulls = [np.arange(n) >= _non_nulls(config, n) for n, _ in self.groups]
+        # every p-value in family order: its column, and whether it is null
+        starts = np.cumsum(self.sizes) - self.sizes
+        cells = int(self.sizes.sum())
+        column = np.arange(cells) - np.repeat(starts, self.sizes)
+        k1 = [_non_nulls(config, n) for n in self.sizes.tolist()]
+        null = column >= np.repeat(k1, self.sizes)
+        factor = int(config.dependence == "equicorrelated")
+        uniform = null & (factor == 0)
+        self.uniforms = int(uniform.sum())
+        self.scores = self.uniforms + factor
+        # uniform p-values first, then the scores, each in family order
+        position = np.empty(cells, dtype=np.intp)
+        position[np.argsort(~uniform, kind="stable")] = np.arange(cells)
+        position[~uniform] += factor
+        self.shifted = ~null[~uniform]
+        self.source = [
+            position[starts[families, None] + np.arange(n)].ravel()
+            for n, families in self.groups
+        ]
+        self.direct = factor == 0 and np.array_equal(
+            self.source[0], np.arange(cells)
+        )
 
     def blocks(self, b: int) -> list:
         """One empty (b, count, n) array per group."""
@@ -216,80 +253,38 @@ class _Layout:
         ]
 
 
-def _to_pvalues(config: ScenarioConfig, x: np.ndarray, k1: int, z0):
-    """Turn the drawn (B, c, n) block x into p-values in place.
-
-    Independent: the k1 leading columns hold standard normal scores and the
-    rest uniform p-values. Equicorrelated (z0 holds each replicate's shared
-    factor): every column holds a standard normal score.
-    """
-    if z0 is None:
-        if k1:
-            z = x[:, :, :k1] + config.mu
-            x[:, :, :k1] = special.ndtr(np.negative(z, out=z), out=z)
-        return
-    x *= math.sqrt(1.0 - config.rho)
-    x += (math.sqrt(config.rho) * z0)[:, None, None]
-    x[:, :, :k1] += config.mu
-    special.ndtr(np.negative(x, out=x), out=x)
-
-
 def _draw(config: ScenarioConfig, layout: _Layout, rngs, blocks):
     """Fill blocks, `layout.blocks(B)`, with B replicates' p-values.
 
     rngs yields B generators in turn, each at the start of its replicate's
-    stream. This fixes the order of the draws from a replicate's stream for
-    both `generate` (B = 1) and the Monte Carlo blocks. When every family
-    has n p-values, each replicate costs one C fill per distribution:
-    `random` for the null columns (bit for bit what `uniform` draws) and
-    `standard_normal` for the non-null ones, or, under the equicorrelated
-    model, the shared factor and then every score. Families of different
-    sizes are filled one family at a time, straight into the family's row:
-    its nulls and then its non-null scores, or, under the equicorrelated
-    model, the shared factor first and then each family's scores. The
-    transforms are elementwise and run once per group over the block.
+    stream. Each replicate costs one `random` fill (bit for bit what
+    `uniform` draws) and one `standard_normal` fill of its stream, in the
+    module docstring's order; this fixes the draws for both `generate`
+    (B = 1) and the Monte Carlo blocks. The equicorrelated mixing, the
+    shift and `ndtr` then run once over the block's scores, and one gather
+    per size group copies each cell from its stream position.
     """
     b = len(blocks[0])
-    z0 = np.empty(b) if config.dependence == "equicorrelated" else None
-    ks = [_non_nulls(config, n) for n, _ in layout.groups]
-    if len(blocks) > 1:
-        fills = [
-            (blocks[g], at, ks[g]) for g, at in zip(*layout.slots.tolist())
-        ]
-        for j, rng in enumerate(rngs):
-            if z0 is not None:
-                z0[j] = rng.standard_normal()
-                for block, at, _ in fills:
-                    rng.standard_normal(out=block[j, at])
-            else:
-                for block, at, k in fills:
-                    row = block[j, at]
-                    rng.random(out=row[k:])
-                    rng.standard_normal(out=row[:k])
-        for block, k in zip(blocks, ks):
-            _to_pvalues(config, block, k, z0)
-        return
-    out, (k1,) = blocks[0], ks
-    n = out.shape[2]
-    if z0 is not None:
-        for j, rng in enumerate(rngs):
-            z0[j] = rng.standard_normal()
-            rng.standard_normal(out=out[j])
-        _to_pvalues(config, out, k1, z0)
-        return
-    # The null columns are drawn straight into out when there is no
-    # non-null column before them; otherwise into a contiguous buffer.
-    u = out if k1 == 0 else np.empty((b, out.shape[1], n - k1))
-    z = np.empty((b, out.shape[1], k1))
+    if layout.direct:
+        stream = blocks[0].reshape(b, -1)
+    else:
+        stream = np.empty((b, layout.scores + layout.shifted.size))
+    k, s = layout.uniforms, layout.scores
+    uniform, normal = stream[:, :k], stream[:, k:]
     for j, rng in enumerate(rngs):
-        if k1 < n:
-            rng.random(out=u[j])
-        if k1:
-            rng.standard_normal(out=z[j])
-    if k1:
-        out[:, :, k1:] = u
-        z += config.mu
-        special.ndtr(np.negative(z, out=z), out=out[:, :, :k1])
+        if k:
+            rng.random(out=uniform[j])
+        if normal.shape[1]:
+            rng.standard_normal(out=normal[j])
+    z = stream[:, s:]
+    if config.dependence == "equicorrelated":
+        z *= math.sqrt(1.0 - config.rho)
+        z += (math.sqrt(config.rho) * stream[:, s - 1])[:, None]
+    np.add(z, config.mu, out=z, where=layout.shifted)
+    special.ndtr(np.negative(z, out=z), out=z)
+    if not layout.direct:
+        for source, block in zip(layout.source, blocks):
+            np.take(stream, source, axis=1, out=block.reshape(b, -1), mode="clip")
 
 
 # p-values drawn per block of replicates (at least one replicate per block).

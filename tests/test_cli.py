@@ -227,6 +227,20 @@ class TestAnalyze:
         assert code == 0 and out == ""
         jsonschema.validate(json.loads(out_path.read_text()), REPORT_SCHEMA)
 
+    def test_unwritable_output_exits_config(self, three_family_csv, tmp_path, capsys):
+        # a missing directory and a directory in place of the file
+        simulate = ["simulate", "--m", "4", "--n", "2", "--reps", "10"]
+        for target in (tmp_path / "missing" / "out", tmp_path):
+            for args in (
+                ["analyze", three_family_csv],
+                ["analyze", three_family_csv, "--format", "csv"],
+                simulate,
+            ):
+                code, out, err = run_cli(args + ["--output", str(target)], capsys)
+                assert (code, out) == (3, ""), args
+                assert err.startswith("famsel: cannot write --output: "), args
+                assert err.count("\n") == 1 and err.endswith(f"{target}'\n"), args
+
     def test_stray_carriage_return_names_its_line(self, tmp_path, capsys):
         path = tmp_path / "cr.csv"
         path.write_bytes(b"family,hypothesis,p_value\ng1,h1,0.1\ng1,h\r2,0.2\n")

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -45,38 +46,30 @@ def example1_config(m, n, reps, seed=0, adjustment="none"):
 def reference_draw(config, idx):
     """One replicate's (m, n_max) p-values, padded with +inf, from
     whole-array `uniform` and `standard_normal` calls on a fresh generator:
-    the stream layout that every estimate's bits depend on. Equal sizes
-    draw every family's nulls and then every family's non-null scores;
-    mixed sizes draw family by family."""
+    the stream layout that every estimate's bits depend on. The independent
+    model draws every family's nulls and then every family's non-null
+    scores; the equicorrelated model draws the shared factor and then every
+    family's scores. Families are taken in order, each in column order."""
     rng = np.random.Generator(
         np.random.Philox(key=np.array([config.seed, idx], dtype=np.uint64))
     )
-    sizes = config.sizes()
-    m, n = config.m, max(sizes)
-    root, spread = np.sqrt(config.rho), np.sqrt(1.0 - config.rho)
-    equicorrelated = config.dependence == "equicorrelated"
-    if equicorrelated:
+    sizes = np.array(config.sizes())
+    columns = np.arange(sizes.max())
+    cells = columns < sizes[:, None]
+    non_null = columns < np.round(config.pi1 * sizes)[:, None]
+    out = np.full(cells.shape, np.inf)
+    x = np.zeros(cells.shape)
+    if config.dependence == "equicorrelated":
         z0 = rng.standard_normal()
-    if len(set(sizes)) == 1:
-        k1 = int(round(config.pi1 * n))
-        if equicorrelated:
-            x = root * z0 + spread * rng.standard_normal((m, n))
-            x[:, :k1] += config.mu
-            return special.ndtr(-x)
-        out = np.empty((m, n))
-        out[:, k1:] = rng.uniform(size=(m, n - k1))
-        out[:, :k1] = special.ndtr(-(rng.standard_normal((m, k1)) + config.mu))
-        return out
-    out = np.full((m, n), np.inf)
-    for row, n_i in zip(out, sizes):
-        k1 = int(round(config.pi1 * n_i))
-        if equicorrelated:
-            x = root * z0 + spread * rng.standard_normal(n_i)
-            x[:k1] += config.mu
-            row[:n_i] = special.ndtr(-x)
-        else:
-            row[k1:n_i] = rng.uniform(size=n_i - k1)
-            row[:k1] = special.ndtr(-(rng.standard_normal(k1) + config.mu))
+        z = rng.standard_normal(sizes.sum())
+        x[cells] = np.sqrt(config.rho) * z0 + np.sqrt(1.0 - config.rho) * z
+        scores = cells
+    else:
+        out[cells & ~non_null] = rng.uniform(size=(cells & ~non_null).sum())
+        x[non_null] = rng.standard_normal(non_null.sum())
+        scores = non_null
+    x[non_null] += config.mu
+    out[scores] = special.ndtr(-x[scores])
     return out
 
 
@@ -277,9 +270,9 @@ class TestGenerate:
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_block_draw_matches_generate(self, seed, monkeypatch):
-        # the block path fills one (B, count, n) array per family size, one
-        # C call per distribution and replicate, or per family when sizes
-        # differ; every block must equal one generate() per replicate
+        # the block path fills one (B, count, n) array per family size from
+        # one C call per distribution and replicate; every block must equal
+        # one generate() per replicate
         draw = sim._draw
         monkeypatch.setattr(sim, "_BLOCK_CELLS", 40)
         for n in (1, 5, [2, 5, 1, 3], [1, 1, 2, 1]):
@@ -323,6 +316,53 @@ class TestGenerate:
                     blocks = layout.blocks(stop - start)
                     streams = _ReplicateStreams(seed)
                     draw(cfg, layout, map(streams.rekey, range(start, stop)), blocks)
+                    assert np.array_equal(padded_blocks(layout, blocks), expected)
+
+    def test_at_most_two_fills_per_replicate(self):
+        # every layout draws a replicate with at most one `random` and one
+        # `standard_normal` call, whatever its sizes and dependence model
+        class CountingGenerator:
+            def __init__(self, rng):
+                self.rng, self.calls = rng, Counter()
+
+            def __getattr__(self, name):
+                method = getattr(self.rng, name)
+
+                def counted(*args, **kwargs):
+                    self.calls[name] += 1
+                    return method(*args, **kwargs)
+
+                return counted
+
+        for n in (5, [2, 5, 1, 3], [4, 6, 8, 10]):
+            for pi1 in (0.0, 1.0 / 3.0, 1.0):
+                for rho in (0.0, 0.6):
+                    cfg = ScenarioConfig(
+                        m=4,
+                        n=n,
+                        q=0.2,
+                        rule=MinPThreshold(0.3),
+                        procedure=Procedure("bh"),
+                        metric=ErrorMetric("fdr"),
+                        replicates=1,
+                        seed=11,
+                        pi1=pi1,
+                        mu=1.5,
+                        dependence="equicorrelated" if rho else "independent",
+                        rho=rho,
+                    )
+                    layout = sim._Layout(cfg)
+                    blocks = layout.blocks(6)
+                    rngs = [
+                        CountingGenerator(sim._replicate_rng(cfg.seed, i))
+                        for i in range(6)
+                    ]
+                    sim._draw(cfg, layout, rngs, blocks)
+                    case = (n, pi1, rho)
+                    for rng in rngs:
+                        assert set(rng.calls) <= {"random", "standard_normal"}
+                        assert max(rng.calls.values()) == 1, case
+                    expected = np.stack([reference_draw(cfg, i) for i in range(6)])
                     assert np.array_equal(padded_blocks(layout, blocks), expected)
 
     def test_seeds_above_2_63_key_their_own_streams(self):
