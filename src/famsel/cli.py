@@ -32,7 +32,7 @@ from .selection import (
     check_simple,
     select,
 )
-from .sim import ScenarioConfig, closed_form_example1, estimate
+from .sim import STREAM_LAYOUT, ScenarioConfig, closed_form_example1, estimate
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -64,6 +64,7 @@ REPORT_SCHEMA = {
                 "version": {"type": "string"},
                 "input_digest": {"type": "string"},
                 "seed": {"type": ["integer", "null"]},
+                "stream_layout": {"type": "integer"},
             },
         },
         "selection": {
@@ -673,7 +674,11 @@ def cmd_simulate(args) -> int:
             "se": est.se,
             "replicates": est.replicates,
         },
-        "metadata": {"version": __version__, "seed": args.seed},
+        "metadata": {
+            "version": __version__,
+            "seed": args.seed,
+            "stream_layout": STREAM_LAYOUT,
+        },
     }
     _emit_json(report, args.output)
     return EXIT_OK

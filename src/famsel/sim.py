@@ -1,15 +1,25 @@
 """Monte Carlo harness: data generators and error-rate estimation.
 
-Each replicate draws an ensemble from an independent counter-based stream
-keyed by (seed, replicate_index), runs the configured analysis, and records
-the realized average error measure over the selected families together with
-the selected fraction. Results are bit-identical for any worker count.
+Each replicate draws an ensemble, runs the configured analysis, and
+records the realized average error measure over the selected families
+together with the selected fraction. Results are bit-identical for any
+worker count.
 
-A replicate's stream holds its null p-values, family by family, and then
-its non-null scores, family by family; under the equicorrelated model it
-holds the shared factor and then every score, family by family. Both
-`generate` and the Monte Carlo blocks draw it in this order (`_draw`), so
-every estimate's bits follow from it.
+Stream layout 2 (`STREAM_LAYOUT`): the seed keys one Philox stream, read as
+uniform doubles of one 64-bit word each. A replicate takes W words, one per
+p-value plus the shared factor under the equicorrelated model; W4 is W
+rounded up to a multiple of 4, one Philox counter step, and replicate r's
+words start at counter offset r * W4 / 4, so one `advance` reaches any
+replicate and the W4 - W words after its own are skipped. Since Philox is
+counter based, every replicate's draws are the same whatever block or
+worker reads them. A replicate's W words are its null p-values, family by
+family, and then its non-null scores, family by family; under the
+equicorrelated model they are the shared factor and then every score,
+family by family. A score word u becomes the standard normal ndtri(u), with
+a 0.0 word read as 2**-54, the middle of the interval [0, 2**-53) it stands
+for, so that every score is finite. Both `generate` and the Monte Carlo
+blocks draw in this layout (`_draw`), so every estimate's bits follow from
+it.
 
 Replicates run in blocks of at most _BLOCK_CELLS p-values, drawn into one
 (B, count, n) array per family size, laid out as `PValueEnsemble` stores
@@ -42,6 +52,7 @@ from .selection import _r_min_scan, check_concordant
 
 ADJUSTMENTS = ("simple", "rmin", "none")
 DEPENDENCE_MODELS = ("independent", "equicorrelated")
+STREAM_LAYOUT = 2
 
 
 @dataclass(frozen=True)
@@ -113,57 +124,6 @@ class SimEstimate:
             raise ValueError("estimates and standard errors are nonnegative")
 
 
-def _replicate_rng(seed: int, replicate_index: int) -> np.random.Generator:
-    # Philox is counter based; keying by (seed, replicate) gives every
-    # replicate its own stream independent of execution order. The key goes
-    # in as uint64: a plain list with a value >= 2**63 passes through float64
-    # and loses bits.
-    key = np.array([seed, replicate_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-class _ReplicateStreams:
-    """One reusable Philox generator, rekeyed per replicate.
-
-    Resetting the bit generator's state to a fresh (seed, replicate) key
-    yields exactly the stream a newly constructed generator would, without
-    paying the construction cost inside the replicate loop. One state dict is
-    kept at the start of a stream (zero counter, empty buffer, no cached
-    32-bit half), and a rekey writes only the replicate slot of its key
-    before setting it. The entries are Python ints, which the state setter
-    casts to uint64 exactly and reads about twice as fast as a uint64
-    array's elements. The state layout is NumPy's own, not a public API, so
-    construction checks a rekeyed stream against a fresh one and raises
-    RuntimeError if they differ.
-    """
-
-    def __init__(self, seed: int):
-        self._gen = _replicate_rng(seed, 0)
-        self._bitgen = self._gen.bit_generator
-        self._key = [int(seed), 0]
-        self._state = {
-            **self._bitgen.state,
-            "state": {"counter": [0, 0, 0, 0], "key": self._key},
-            "buffer": [0, 0, 0, 0],
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        fresh = _replicate_rng(seed, 1).random(8)
-        if not np.array_equal(self.rekey(1).random(8), fresh):
-            raise RuntimeError(
-                "rekeying numpy's Philox state no longer reproduces a fresh "
-                "(seed, replicate) stream"
-            )
-
-    def rekey(self, replicate_index: int) -> np.random.Generator:
-        # Setting the state copies the dict's values into the bit generator,
-        # so the dict itself stays at the start of a stream.
-        self._key[1] = replicate_index
-        self._bitgen.state = self._state
-        return self._gen
-
-
 def generate(
     config: ScenarioConfig, replicate_index: int, rng: np.random.Generator | None = None
 ) -> PValueEnsemble:
@@ -175,15 +135,16 @@ def generate(
     (+ mu for non-nulls), and sets p = 1 - Phi(X). The leading
     round(pi1 * n_i) hypotheses of each family are the non-null ones.
 
-    The draws come from the (seed, replicate_index) stream in the order the
-    module docstring gives. rng, when supplied, must sit at the start of
-    that stream; the Monte Carlo loop passes a reused, rekeyed generator.
+    The draws are replicate_index's words of the seed's stream, in the
+    layout the module docstring gives. rng, when supplied, must sit at that
+    replicate's offset, counter replicate_index * W4 / 4 of the seed's
+    Philox stream; it is left at the next replicate's offset.
     """
-    if rng is None:
-        rng = _replicate_rng(config.seed, replicate_index)
     layout = _Layout(config)
+    if rng is None:
+        rng = _stream(config, layout, replicate_index)
     blocks = layout.blocks(1)
-    _draw(config, layout, [rng], blocks)
+    _draw(config, layout, rng, blocks)
     truths = [
         np.repeat(nulls[None], len(block[0]), axis=0)
         for nulls, block in zip(layout.nulls, blocks)
@@ -207,13 +168,14 @@ class _Layout:
     and nulls each group's truth row: False on the leading non-null
     hypotheses, True after them.
 
-    The stream, in the module docstring's order, opens with `uniforms`
-    null p-values drawn uniform (none under the equicorrelated model); its
-    scores start at position `scores`, and shifted marks which of them get
-    + mu. source[g] holds the stream position of each cell of group g's
-    (count, n) matrix, in row-major order, and direct is True when the
-    stream is that matrix, so that replicates are drawn straight into the
-    one group's block.
+    A replicate's `words` words, in the module docstring's order, open with
+    `uniforms` null p-values drawn uniform (none under the equicorrelated
+    model); its scores start at word `scores`, and shifted marks which of
+    them get + mu. width is W4, the words rounded up to a multiple of 4.
+    source[g] holds the word of each cell of group g's (count, n) matrix, in
+    row-major order, and direct is True when a replicate's width words are
+    that matrix, so that replicates are drawn straight into the one group's
+    block.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -237,13 +199,13 @@ class _Layout:
         position[np.argsort(~uniform, kind="stable")] = np.arange(cells)
         position[~uniform] += factor
         self.shifted = ~null[~uniform]
+        self.words = self.scores + self.shifted.size
+        self.width = -(-self.words // 4) * 4
         self.source = [
             position[starts[families, None] + np.arange(n)].ravel()
             for n, families in self.groups
         ]
-        self.direct = factor == 0 and np.array_equal(
-            self.source[0], np.arange(cells)
-        )
+        self.direct = np.array_equal(self.source[0], np.arange(self.width))
 
     def blocks(self, b: int) -> list:
         """One empty (b, count, n) array per group."""
@@ -253,35 +215,43 @@ class _Layout:
         ]
 
 
-def _draw(config: ScenarioConfig, layout: _Layout, rngs, blocks):
-    """Fill blocks, `layout.blocks(B)`, with B replicates' p-values.
+def _stream(config: ScenarioConfig, layout: _Layout, replicate_index: int):
+    """A generator at replicate_index's offset in the seed's stream."""
+    # a uint64 key keeps every bit of a seed >= 2**63
+    bitgen = np.random.Philox(key=np.array([config.seed, 0], dtype=np.uint64))
+    bitgen.advance(replicate_index * layout.width // 4)
+    return np.random.Generator(bitgen)
 
-    rngs yields B generators in turn, each at the start of its replicate's
-    stream. Each replicate costs one `random` fill (bit for bit what
-    `uniform` draws) and one `standard_normal` fill of its stream, in the
-    module docstring's order; this fixes the draws for both `generate`
-    (B = 1) and the Monte Carlo blocks. The equicorrelated mixing, the
-    shift and `ndtr` then run once over the block's scores, and one gather
-    per size group copies each cell from its stream position.
+
+def _draw(config: ScenarioConfig, layout: _Layout, rng, blocks):
+    """Fill blocks, `layout.blocks(B)`, with the next B replicates' p-values.
+
+    rng sits at the first replicate's offset. One `random` fill reads the
+    block's B * W4 words, which leaves rng at the offset of the replicate
+    after the block, so the draws are the same for `generate` (B = 1) and
+    the Monte Carlo blocks. The normal scores, the equicorrelated mixing,
+    the shift and `ndtr` then run once over the block's scores, and one
+    gather per size group copies each cell from its word.
     """
     b = len(blocks[0])
     if layout.direct:
         stream = blocks[0].reshape(b, -1)
     else:
-        stream = np.empty((b, layout.scores + layout.shifted.size))
-    k, s = layout.uniforms, layout.scores
-    uniform, normal = stream[:, :k], stream[:, k:]
-    for j, rng in enumerate(rngs):
-        if k:
-            rng.random(out=uniform[j])
-        if normal.shape[1]:
-            rng.standard_normal(out=normal[j])
-    z = stream[:, s:]
+        stream = np.empty((b, layout.width))
+    rng.random(out=stream)
+    k, s, w = layout.uniforms, layout.scores, layout.words
+    normal = stream[:, k:w]
+    # only a 0.0 word lies below 2**-54; ndtri(0.0) is -inf
+    special.ndtri(np.maximum(normal, 2.0**-54, out=normal), out=normal)
+    z = stream[:, s:w]
     if config.dependence == "equicorrelated":
         z *= math.sqrt(1.0 - config.rho)
         z += (math.sqrt(config.rho) * stream[:, s - 1])[:, None]
     np.add(z, config.mu, out=z, where=layout.shifted)
-    special.ndtr(np.negative(z, out=z), out=z)
+    # an exact sign flip: NumPy 2.4's in-place np.negative reads a view
+    # whose elements lie 64 bytes apart, such as one score in 8 words, as
+    # if it were contiguous
+    special.ndtr(np.multiply(z, -1.0, out=z), out=z)
     if not layout.direct:
         for source, block in zip(layout.source, blocks):
             np.take(stream, source, axis=1, out=block.reshape(b, -1), mode="clip")
@@ -298,8 +268,8 @@ def _batch_test_counts(procedure: Procedure, rows, nulls, levels):
     return r, (rejected & nulls).sum(axis=1)
 
 
-def _block_values(config: ScenarioConfig, layout: _Layout, streams, start, stop):
-    """(C_S, |S|/m) of replicates [start, stop).
+def _block_values(config: ScenarioConfig, layout: _Layout, rng, b: int):
+    """(C_S, |S|/m) of the next b replicates of rng.
 
     The block is drawn into one (B, count, n) array per size group,
     summarized and selected as (B, m) arrays, and the selected
@@ -310,8 +280,8 @@ def _block_values(config: ScenarioConfig, layout: _Layout, streams, start, stop)
     value equals the analysis objects' bit for bit.
     """
     rule, q, m = config.rule, config.q, config.m
-    blocks = layout.blocks(stop - start)
-    _draw(config, layout, map(streams.rekey, range(start, stop)), blocks)
+    blocks = layout.blocks(b)
+    _draw(config, layout, rng, blocks)
     parts = [rule.block_summaries(p) for p in blocks]
     summaries = in_family_order(layout.groups, parts)
     picked = rule.select_block(summaries)
@@ -352,12 +322,12 @@ def _replicate_values(config: ScenarioConfig, start: int, stop: int):
     """Per-replicate (C_S, |S|/m) for replicate indices [start, stop)."""
     cs = np.empty(stop - start)
     frac = np.empty(stop - start)
-    streams = _ReplicateStreams(config.seed)
     layout = _Layout(config)
+    rng = _stream(config, layout, start)
     step = max(1, _BLOCK_CELLS // int(layout.sizes.sum()))
     for a in range(start, stop, step):
         b = min(a + step, stop)
-        block = _block_values(config, layout, streams, a, b)
+        block = _block_values(config, layout, rng, b - a)
         cs[a - start : b - start], frac[a - start : b - start] = block
     return cs, frac
 
@@ -365,8 +335,9 @@ def _replicate_values(config: ScenarioConfig, start: int, stop: int):
 def estimate(config: ScenarioConfig, workers: int = 1) -> SimEstimate:
     """Monte Carlo estimate of E(C_S) and E(|S|/m) with its standard error.
 
-    Replicates may be spread over worker processes; per-replicate streams
-    and a fixed aggregation order make the result independent of workers.
+    Replicates may be spread over worker processes; fixed per-replicate
+    stream offsets and a fixed aggregation order make the result
+    independent of workers.
     The rule must summarize and select in blocks, as every shipped rule does.
     """
     methods = ("block_summaries", "select_block")

@@ -398,6 +398,20 @@ class TestSimulate:
         assert report["estimates"]["e_cs_hat"] == pytest.approx(0.506, abs=0.03)
         assert report["config"]["adjustment"] == "none"
 
+    def test_report_names_its_stream_layout(self, capsys):
+        code, out, _ = run_cli(
+            ["simulate", "--m", "4", "--n", "3", "--reps", "50", "--equicorrelated"],
+            capsys,
+        )
+        assert code == 0
+        report = json.loads(out)
+        jsonschema.validate(report, REPORT_SCHEMA)
+        assert list(report["metadata"]) == ["version", "seed", "stream_layout"]
+        assert report["metadata"]["stream_layout"] == 2
+        report["metadata"]["stream_layout"] = "2"
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(report, REPORT_SCHEMA)
+
     def test_seed_reproducibility(self, capsys):
         args = ["simulate", "--m", "10", "--n", "3", "--reps", "300", "--seed", "5"]
         _, out_a, _ = run_cli(args, capsys)

@@ -1,5 +1,4 @@
 import tracemalloc
-from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -21,7 +20,6 @@ from famsel.selection import COMBINERS, GlobalNullTest, MinPThreshold, TopKMinP
 from famsel.sim import (
     ScenarioConfig,
     _replicate_values,
-    _ReplicateStreams,
     closed_form_example1,
     estimate,
     generate,
@@ -44,29 +42,37 @@ def example1_config(m, n, reps, seed=0, adjustment="none"):
 
 
 def reference_draw(config, idx):
-    """One replicate's (m, n_max) p-values, padded with +inf, from
-    whole-array `uniform` and `standard_normal` calls on a fresh generator:
-    the stream layout that every estimate's bits depend on. The independent
-    model draws every family's nulls and then every family's non-null
-    scores; the equicorrelated model draws the shared factor and then every
-    family's scores. Families are taken in order, each in column order."""
-    rng = np.random.Generator(
-        np.random.Philox(key=np.array([config.seed, idx], dtype=np.uint64))
-    )
+    """One replicate's (m, n_max) p-values, padded with +inf, read from a
+    fresh Philox stream keyed by the seed: stream layout 2, which every
+    estimate's bits depend on. A replicate takes W words, one per p-value
+    plus the shared factor under the equicorrelated model, and replicate
+    idx's words start at counter offset idx * W4 / 4, W4 being W rounded up
+    to a multiple of 4. The independent model reads every family's nulls
+    and then every family's non-null scores; the equicorrelated model the
+    shared factor and then every family's scores. Families are taken in
+    order, each in column order. A score word u is the normal ndtri(u), a
+    0.0 word read as 2**-54."""
     sizes = np.array(config.sizes())
     columns = np.arange(sizes.max())
     cells = columns < sizes[:, None]
     non_null = columns < np.round(config.pi1 * sizes)[:, None]
+    equicorrelated = config.dependence == "equicorrelated"
+    w = int(sizes.sum()) + equicorrelated
+    w4 = -(-w // 4) * 4
+    bitgen = np.random.Philox(key=np.array([config.seed, 0], dtype=np.uint64))
+    bitgen.advance(idx * w4 // 4)
+    words = np.random.Generator(bitgen).random(w4)[:w]
+    normal = special.ndtri(np.where(words == 0.0, 2.0**-54, words))
     out = np.full(cells.shape, np.inf)
     x = np.zeros(cells.shape)
-    if config.dependence == "equicorrelated":
-        z0 = rng.standard_normal()
-        z = rng.standard_normal(sizes.sum())
-        x[cells] = np.sqrt(config.rho) * z0 + np.sqrt(1.0 - config.rho) * z
+    if equicorrelated:
+        rho = config.rho
+        x[cells] = np.sqrt(rho) * normal[0] + np.sqrt(1.0 - rho) * normal[1:]
         scores = cells
     else:
-        out[cells & ~non_null] = rng.uniform(size=(cells & ~non_null).sum())
-        x[non_null] = rng.standard_normal(non_null.sum())
+        k = (cells & ~non_null).sum()
+        out[cells & ~non_null] = words[:k]
+        x[non_null] = normal[k:]
         scores = non_null
     x[non_null] += config.mu
     out[scores] = special.ndtr(-x[scores])
@@ -88,6 +94,15 @@ def padded_blocks(layout, blocks):
     for (n, families), block in zip(layout.groups, blocks):
         out[:, families, :n] = block
     return out
+
+
+def drawn_block(config, start, stop):
+    """Replicates [start, stop), drawn by `_draw` as one block, as a (B, m,
+    n_max) array padded with +inf."""
+    layout = sim._Layout(config)
+    blocks = layout.blocks(stop - start)
+    sim._draw(config, layout, sim._stream(config, layout, start), blocks)
+    return padded_blocks(layout, blocks)
 
 
 def object_replicate(config, ens):
@@ -191,9 +206,9 @@ class TestGenerate:
             pi1=1.0,
             mu=3.0,
         )
-        draws = np.array(
-            [generate(cfg, k).rect[0, 0] for k in range(40000)]
-        )
+        draws = drawn_block(cfg, 0, 40000)[:, 0, 0]
+        for k in (0, 1, 20011, 39999):
+            assert draws[k] == generate(cfg, k).rect[0, 0]
         oracle = special.ndtr(3.0 - special.ndtri(0.95))
         hit = (draws <= 0.05).astype(float)
         se = hit.std(ddof=1) / np.sqrt(hit.size)
@@ -230,9 +245,10 @@ class TestGenerate:
             dependence="equicorrelated",
             rho=0.5,
         )
-        z = np.array(
-            [special.ndtri(1.0 - generate(cfg, k).rect.ravel()) for k in range(20000)]
-        )
+        p = drawn_block(cfg, 0, 20000)[:, :, 0]
+        for k in (0, 1, 10007, 19999):
+            assert np.array_equal(p[k], generate(cfg, k).rect[:, 0])
+        z = special.ndtri(1.0 - p)
         corr = np.corrcoef(z.T)[0, 1]
         assert corr == pytest.approx(0.5, abs=0.03)
 
@@ -245,34 +261,10 @@ class TestGenerate:
         assert not np.array_equal(a, c)
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
-    def test_rekeyed_streams_match_fresh_ones(self, seed):
-        streams = _ReplicateStreams(seed)
-        for idx in (0, 1, 2, 7, 2**32, 2**64 - 1):
-            key = np.array([seed, idx], dtype=np.uint64)
-            fresh = np.random.Generator(np.random.Philox(key=key))
-            rekeyed = streams.rekey(idx)
-            assert np.array_equal(rekeyed.random(5), fresh.random(5))
-            assert np.array_equal(
-                rekeyed.standard_normal(3), fresh.standard_normal(3)
-            )
-            # leave a cached 32-bit half and a part-used buffer behind: the
-            # next rekey must clear both
-            assert np.array_equal(
-                rekeyed.integers(0, 2**32 - 1, size=3, dtype=np.uint32),
-                fresh.integers(0, 2**32 - 1, size=3, dtype=np.uint32),
-            )
-            odd = rekeyed.random(out=np.empty(3))
-            assert np.array_equal(odd, fresh.random(out=np.empty(3)))
-        fresh = np.random.Generator(
-            np.random.Philox(key=np.array([seed, 3], dtype=np.uint64))
-        )
-        assert np.array_equal(streams.rekey(3).random(9), fresh.random(9))
-
-    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_block_draw_matches_generate(self, seed, monkeypatch):
-        # the block path fills one (B, count, n) array per family size from
-        # one C call per distribution and replicate; every block must equal
-        # one generate() per replicate
+        # a block is one fill from the span's first offset; every block must
+        # equal one generate() per replicate and the reference draw, for W
+        # a multiple of 4 or not and for spans that start inside a block
         draw = sim._draw
         monkeypatch.setattr(sim, "_BLOCK_CELLS", 40)
         for n in (1, 5, [2, 5, 1, 3], [1, 1, 2, 1]):
@@ -292,48 +284,50 @@ class TestGenerate:
                         dependence="equicorrelated" if rho else "independent",
                         rho=rho,
                     )
-                    start, stop = 5, 19
+                    layout = sim._Layout(cfg)
                     expected = np.stack(
-                        [padded(generate(cfg, idx)) for idx in range(start, stop)]
+                        [padded(generate(cfg, idx)) for idx in range(19)]
                     )
-                    reference = [reference_draw(cfg, i) for i in range(start, stop)]
+                    reference = [reference_draw(cfg, i) for i in range(19)]
                     assert np.array_equal(expected, np.stack(reference))
-                    drawn = []
-
-                    def recording(config, layout, rngs, blocks):
-                        draw(config, layout, rngs, blocks)
-                        drawn.append(padded_blocks(layout, blocks))
-
-                    monkeypatch.setattr(sim, "_draw", recording)
-                    _replicate_values(cfg, start, stop)
-                    monkeypatch.setattr(sim, "_draw", draw)
+                    at_offset = generate(cfg, 7, rng=sim._stream(cfg, layout, 7))
+                    assert np.array_equal(padded(at_offset), expected[7])
+                    # offsets past 2**64 words
+                    for idx in (2**62, 2**64 - 1):
+                        assert np.array_equal(
+                            padded(generate(cfg, idx)), reference_draw(cfg, idx)
+                        )
                     case = (n, pi1, rho)
                     step = max(1, 40 // sum(cfg.sizes()))
-                    assert len(drawn) == -(-(stop - start) // step)
-                    assert np.array_equal(np.concatenate(drawn), expected), case
-                    # one direct call over the whole span
-                    layout = sim._Layout(cfg)
-                    blocks = layout.blocks(stop - start)
-                    streams = _ReplicateStreams(seed)
-                    draw(cfg, layout, map(streams.rekey, range(start, stop)), blocks)
-                    assert np.array_equal(padded_blocks(layout, blocks), expected)
+                    for start, stop in ((0, 19), (5, 19), (7, 12)):
+                        drawn = []
 
-    def test_at_most_two_fills_per_replicate(self):
-        # every layout draws a replicate with at most one `random` and one
-        # `standard_normal` call, whatever its sizes and dependence model
+                        def recording(config, layout, rng, blocks):
+                            draw(config, layout, rng, blocks)
+                            drawn.append(padded_blocks(layout, blocks))
+
+                        monkeypatch.setattr(sim, "_draw", recording)
+                        _replicate_values(cfg, start, stop)
+                        monkeypatch.setattr(sim, "_draw", draw)
+                        assert len(drawn) == -(-(stop - start) // step)
+                        want = expected[start:stop]
+                        assert np.array_equal(np.concatenate(drawn), want), case
+                        # one direct call over the whole span
+                        assert np.array_equal(drawn_block(cfg, start, stop), want)
+
+    def test_one_fill_per_block(self, monkeypatch):
+        # every layout draws a block with one `random` call of B * W4 words,
+        # whatever its sizes and dependence model
         class CountingGenerator:
             def __init__(self, rng):
-                self.rng, self.calls = rng, Counter()
+                self.rng, self.fills = rng, []
 
-            def __getattr__(self, name):
-                method = getattr(self.rng, name)
+            def random(self, *, out):
+                self.fills.append(out.size)
+                return self.rng.random(out=out)
 
-                def counted(*args, **kwargs):
-                    self.calls[name] += 1
-                    return method(*args, **kwargs)
-
-                return counted
-
+        stream = sim._stream
+        monkeypatch.setattr(sim, "_BLOCK_CELLS", 60)
         for n in (5, [2, 5, 1, 3], [4, 6, 8, 10]):
             for pi1 in (0.0, 1.0 / 3.0, 1.0):
                 for rho in (0.0, 0.6):
@@ -351,36 +345,71 @@ class TestGenerate:
                         dependence="equicorrelated" if rho else "independent",
                         rho=rho,
                     )
-                    layout = sim._Layout(cfg)
-                    blocks = layout.blocks(6)
-                    rngs = [
-                        CountingGenerator(sim._replicate_rng(cfg.seed, i))
-                        for i in range(6)
-                    ]
-                    sim._draw(cfg, layout, rngs, blocks)
-                    case = (n, pi1, rho)
-                    for rng in rngs:
-                        assert set(rng.calls) <= {"random", "standard_normal"}
-                        assert max(rng.calls.values()) == 1, case
-                    expected = np.stack([reference_draw(cfg, i) for i in range(6)])
-                    assert np.array_equal(padded_blocks(layout, blocks), expected)
+                    rngs = []
+
+                    def counting(config, layout, idx):
+                        rngs.append(CountingGenerator(stream(config, layout, idx)))
+                        return rngs[-1]
+
+                    monkeypatch.setattr(sim, "_stream", counting)
+                    _replicate_values(cfg, 3, 20)
+                    monkeypatch.setattr(sim, "_stream", stream)
+                    cells = sum(cfg.sizes())
+                    step = max(1, 60 // cells)
+                    w4 = -(-(cells + bool(rho)) // 4) * 4
+                    blocks = [min(step, 20 - a) for a in range(3, 20, step)]
+                    assert len(rngs) == 1
+                    assert rngs[0].fills == [b * w4 for b in blocks], (n, pi1, rho)
+
+    @pytest.mark.parametrize("pi1", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize(
+        "dependence, rho",
+        [("independent", 0.0), ("equicorrelated", 0.0), ("equicorrelated", 0.5)],
+    )
+    def test_zero_words_give_finite_scores(self, dependence, rho, pi1):
+        # random() returns 0.0 with probability 2**-53 and ndtri(0.0) is
+        # -inf: with rho = 0 a -inf factor would give 0 * -inf = NaN scores
+        class ZeroStream:
+            def random(self, *, out):
+                out[...] = 0.0
+
+        cfg = ScenarioConfig(
+            m=3,
+            n=[2, 3, 1],
+            q=0.2,
+            rule=MinPThreshold(0.3),
+            procedure=Procedure("bh"),
+            metric=ErrorMetric("fdr"),
+            replicates=1,
+            pi1=pi1,
+            mu=1.5,
+            dependence=dependence,
+            rho=rho,
+        )
+        ens = generate(cfg, 0, rng=ZeroStream())
+        # a 0.0 word is the normal score ndtri(2**-54), about -8.3
+        z = special.ndtri(2.0**-54)
+        if dependence == "equicorrelated":
+            z = np.sqrt(rho) * z + np.sqrt(1.0 - rho) * z
+        for i, n in enumerate(cfg.sizes()):
+            truth = ens.truth_family(i)
+            expected = special.ndtr(-np.where(truth, z, z + cfg.mu))
+            if dependence == "independent":
+                expected[truth] = 0.0
+            assert np.array_equal(ens.family(i), expected), (i, n)
+        assert np.isfinite(object_replicate(cfg, ens)[0])
 
     def test_seeds_above_2_63_key_their_own_streams(self):
         draws = {}
         for seed in (0, 2**63, 2**63 + 1, 2**64 - 1):
             cfg = example1_config(3, 4, reps=1, seed=seed)
-            rekeyed = _ReplicateStreams(seed).rekey(5)
+            # the Python int key is Philox's own route to all 128 key bits
+            bitgen = np.random.Philox(key=seed)
+            bitgen.advance(5 * 12 // 4)
             draws[seed] = generate(cfg, 5).rect
-            assert np.array_equal(draws[seed], generate(cfg, 5, rng=rekeyed).rect)
+            at_offset = generate(cfg, 5, rng=np.random.Generator(bitgen))
+            assert np.array_equal(draws[seed], at_offset.rect)
         assert len({d.tobytes() for d in draws.values()}) == 4
-
-    def test_broken_rekey_is_caught_at_construction(self, monkeypatch):
-        rekey = _ReplicateStreams.rekey
-        monkeypatch.setattr(
-            _ReplicateStreams, "rekey", lambda self, idx: rekey(self, idx + 1)
-        )
-        with pytest.raises(RuntimeError, match="Philox"):
-            _ReplicateStreams(3)
 
     def test_ragged_sizes(self):
         cfg = ScenarioConfig(
@@ -453,6 +482,31 @@ class TestEstimate:
         serial = estimate(cfg, workers=1)
         assert estimate(cfg, workers=2) == serial
         assert estimate(cfg, workers=5) == serial
+
+    @pytest.mark.parametrize("block_cells", [1, 40, 1 << 14])
+    def test_split_spans_match_one_span(self, block_cells, monkeypatch):
+        # each replicate reads its words at a fixed offset, so any worker
+        # split gives the one-span bits, whatever the block size
+        monkeypatch.setattr(sim, "_BLOCK_CELLS", block_cells)
+        for n, rho in ((3, 0.0), ([2, 5, 1, 3], 0.0), ([2, 5, 1, 3], 0.5)):
+            cfg = ScenarioConfig(
+                m=4,
+                n=n,
+                q=0.2,
+                rule=GlobalNullTest("simes", Procedure("bh"), 0.3),
+                procedure=Procedure("bh"),
+                metric=ErrorMetric("fdr"),
+                replicates=19,
+                seed=2**64 - 3,
+                pi1=0.4,
+                mu=2.0,
+                dependence="equicorrelated" if rho else "independent",
+                rho=rho,
+            )
+            whole = _replicate_values(cfg, 0, 19)
+            parts = [_replicate_values(cfg, 0, 7), _replicate_values(cfg, 7, 19)]
+            for got, want in zip(map(np.concatenate, zip(*parts)), whole):
+                assert got.tobytes() == want.tobytes(), (n, rho)
 
     def test_fast_and_object_paths_agree_exactly(self, monkeypatch):
         rng = np.random.default_rng(31)
