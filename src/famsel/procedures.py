@@ -137,12 +137,10 @@ class Procedure:
         return np.flatnonzero(rejected_entries(self, p[None, :], levels)[0])
 
     def thresholds(self, n: int, level: float | None = None) -> np.ndarray:
-        """Every constant the rejection decision compares a p-value against.
-
-        A selection rule's R_min scan uses these as breakpoints so that its
-        search over one family's summary value is exact. For two_stage these
-        are all n**2 stage-two constants; the GlobalNullTest scan instead
-        bisects over stage one's and then one null count's stage-two ones.
+        """Every constant the rejection decision compares a p-value against:
+        the breakpoints that make a selection rule's R_min search exact. For
+        two_stage these are all n**2 stage-two constants; the R_min bisection
+        needs only stage one's, then one null count's stage-two ones.
         """
         if self.kind in ("step_up", "step_down"):
             return np.asarray(self.critical_values)

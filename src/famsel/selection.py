@@ -6,9 +6,10 @@ vector of summaries. That structure is what makes the exact R_min scan and
 the randomized property checks below possible. Each shipped rule also
 summarizes and selects a stack of ensembles of equal-size families at
 once (block_summaries, select_block), which the Monte Carlo harness runs
-on each family size in turn; its select_from_summaries is the one-row case
-of select_block. Families of mixed sizes are combined one size at a time:
-a sum over padding could group its terms differently.
+on each family size in turn, as does each step of the R_min bisection;
+select_from_summaries is the one-row case of select_block. Families of
+mixed sizes are combined one size at a time: a sum over padding could
+group its terms differently.
 """
 
 from dataclasses import dataclass
@@ -105,6 +106,9 @@ class _BlockSelection:
     families of size n to their (B, m) summaries, and select_block maps
     (B, m) summaries to a (B, m) selection mask, each row exactly as one
     ensemble would select.
+    The R_min bisection rests on their shared property: lowering family i's
+    summary never deselects i and never lowers the selected count R, and
+    R_min is reached at a breakpoint (0, 1, a summary or a cutoff).
     """
 
     def select_from_summaries(self, summaries: np.ndarray) -> np.ndarray:
@@ -218,11 +222,9 @@ class GlobalNullTest(_BlockSelection):
 
     def select_block(self, summaries: np.ndarray) -> np.ndarray:
         ps = np.sort(summaries, axis=1)
-        r = rejection_counts(self.procedure, ps, self._levels(len(ps)))
+        levels = None if self.level is None else np.full(len(ps), self.level)
+        r = rejection_counts(self.procedure, ps, levels)
         return rejected_by_counts(ps, r, summaries)
-
-    def _levels(self, rows: int):
-        return None if self.level is None else np.full(rows, self.level)
 
     def summary_thresholds(self, m: int) -> np.ndarray:
         return self.procedure.thresholds(m, self.level)
@@ -256,8 +258,7 @@ def _candidates(summaries: np.ndarray, cutoffs) -> np.ndarray:
 
 def _looped_r_min(rule, summaries: np.ndarray, i: int) -> int | None:
     """Smallest selected count keeping i selected, one selection per candidate."""
-    best = None
-    work = summaries.copy()
+    best, work = None, summaries.copy()
     for s in _candidates(summaries, rule.summary_thresholds(summaries.size)):
         work[i] = s
         picked = rule.select_from_summaries(work)
@@ -266,55 +267,53 @@ def _looped_r_min(rule, summaries: np.ndarray, i: int) -> int | None:
     return best
 
 
-def _bisect(rule, rest, grid, lo, hi, r):
+def _bisect(rule, work, fams, grid, lo, hi, r):
     """Move each row's lo to the last index in (lo, hi) of its sorted grid
-    whose value, as s, keeps the family selected, and r to R there; one
-    `rejection_counts` call per step evaluates every row still open."""
+    whose value, put in family fams[row]'s column of work, keeps that family
+    selected, and r to R there; one `select_block` call per step evaluates
+    every row still open."""
     while (open_ := np.flatnonzero(hi - lo > 1)).size:
-        mid = (lo[open_] + hi[open_]) // 2
-        ps = rest[open_]
-        ps[:, -1] = grid[open_, mid]
-        ps.sort(axis=1)
-        counts = rejection_counts(rule.procedure, ps, rule._levels(open_.size))
-        kept = rejected_by_counts(ps, counts, grid[open_, mid])
-        lo[open_[kept]], r[open_[kept]] = mid[kept], counts[kept]
+        mid, at, f = (lo[open_] + hi[open_]) // 2, np.arange(open_.size), fams[open_]
+        rows = work[open_]
+        rows[at, f] = grid[open_, mid]
+        mask = rule.select_block(rows)
+        kept = mask[at, f]
+        lo[open_[kept]], r[open_[kept]] = mid[kept], mask.sum(axis=1)[kept]
         hi[open_[~kept]] = mid[~kept]
     return lo, hi, r
 
 
 def _boundary_r_min(rule, table: np.ndarray, rows, fams: np.ndarray) -> np.ndarray:
-    """R(s*) of family fams[p] in summary row table[rows[p]] for a
-    GlobalNullTest, or 0 where no summary value selects it (`_r_min_scan`).
-    Each row's `rest` is its other summaries, sorted, and a +inf that stands
-    for s."""
+    """R(s*) of family fams[p] in summary row table[rows[p]], or 0 where no
+    summary value selects it (`_r_min_scan`). Each row's grid is its sorted
+    summaries, 0, 1 and the cutoffs in [0, 1], stage one's for two-stage."""
     m = table.shape[1]
-    q1 = stage_one_level(rule.level) if rule.procedure.kind == "two_stage" else None
+    two_stage = isinstance(rule, GlobalNullTest) and rule.procedure.kind == "two_stage"
+    q1 = stage_one_level(rule.level) if two_stage else None
     cutoffs = rule.summary_thresholds(m) if q1 is None else bh_critical_values(m, q1)
     fixed = np.concatenate([[0.0, 1.0], cutoffs[(cutoffs >= 0.0) & (cutoffs <= 1.0)]])
     out = np.empty(len(fams), dtype=np.intp)
     step = max(1, _SCAN_BLOCK_CELLS // (m + fixed.size))
     for start in range(0, len(fams), step):
-        rest = table[rows[start : start + step]].astype(np.float64, copy=False)
-        k = len(rest)
-        grid = np.sort(np.concatenate([rest, np.tile(fixed, (k, 1))], 1), 1)
-        rest[np.arange(k), fams[start : start + step]] = np.inf
-        rest.sort(axis=1)
+        work = table[rows[start : start + step]].astype(np.float64, copy=False)
+        fam, k = fams[start : start + step], len(work)
+        grid = np.sort(np.concatenate([work, np.tile(fixed, (k, 1))], 1), 1)
         lo, hi = np.full(k, -1), np.full(k, grid.shape[1])
-        lo, hi, r = _bisect(rule, rest, grid, lo, hi, np.zeros(k, dtype=np.intp))
+        lo, hi, r = _bisect(rule, work, fam, grid, lo, hi, np.zeros(k, dtype=np.intp))
         inner = np.flatnonzero((lo >= 0) & (hi < grid.shape[1]))
         if q1 is not None and inner.size:
             # stage one's count is left-continuous in s, so the null count d
             # on (grid[lo], grid[hi]] is the one at grid[hi], and only that
             # d's stage-two cutoffs can change the outcome in between
-            edge, ps = grid[inner, hi[inner]], rest[inner]
-            ps[:, -1] = edge
+            edge, ps, fi = grid[inner, hi[inner]], work[inner], fam[inner]
+            ps[np.arange(inner.size), fi] = edge
             ps.sort(axis=1)
             r1 = rejection_counts(Procedure("bh"), ps, np.full(inner.size, q1))
             level2 = stage_two_level(q1, m, np.maximum(m - r1, 1))
             cuts = bh_critical_values(m, level2[:, None])
             lo2 = (cuts <= grid[inner, lo[inner], None]).sum(axis=1) - 1
             hi2 = (cuts < edge[:, None]).sum(axis=1)
-            r[inner] = _bisect(rule, rest[inner], cuts, lo2, hi2, r[inner])[2]
+            r[inner] = _bisect(rule, work[inner], fi, cuts, lo2, hi2, r[inner])[2]
         out[start : start + step] = r
     return out
 
@@ -326,15 +325,15 @@ def _r_min_scan(rule, summaries: np.ndarray, i, rows=None):
     Family i[p] is scanned in row rows[p]; rows defaults to row p for a
     (P, m) matrix and to the one vector for a vector.
 
-    For a GlobalNullTest, lowering s never deselects i and never lowers the
-    selected count R, and every comparison is a <=, so the values of s that
-    keep i selected form a closed prefix [0, s*] and R_min(i) = R(s*). s* is
-    0, 1, another summary or one of the rule's cutoffs, so each row bisects
-    over those, sorted, all rows in lockstep: O(log m) rows per family, in
-    blocks of at most _SCAN_BLOCK_CELLS cells, each block gathering its own
-    rows. The two-stage rule bisects over stage one's breakpoints, then over
-    the stage-two cutoffs just past the last selecting one
-    (`_boundary_r_min`). Any other summary rule runs `_looped_r_min`.
+    For a shipped rule (a `_BlockSelection`) the values of s that keep i
+    selected form a prefix of [0, 1] and R never increases along it, so
+    R_min(i) is R at the last breakpoint s* in the prefix. Each row bisects
+    over its sorted breakpoints, all rows in lockstep, one `select_block`
+    call per step: O(log m) rows per family, in blocks of at most
+    _SCAN_BLOCK_CELLS cells, each block gathering its own rows. The
+    two-stage rule bisects over stage one's breakpoints, then over the
+    stage-two cutoffs just past the last selecting one (`_boundary_r_min`).
+    Any other summary rule runs `_looped_r_min`.
     """
     if not _is_summary_rule(rule):
         raise UnsupportedRuleError(
@@ -344,7 +343,7 @@ def _r_min_scan(rule, summaries: np.ndarray, i, rows=None):
     if rows is None:
         one = np.ndim(summaries) == 1
         rows = np.zeros(fams.size, dtype=np.intp) if one else np.arange(fams.size)
-    if isinstance(rule, GlobalNullTest):
+    if isinstance(rule, _BlockSelection):
         best = _boundary_r_min(rule, table, rows, fams)
     else:
         best = [_looped_r_min(rule, table[r], j) or 0 for r, j in zip(rows, fams)]
@@ -428,7 +427,7 @@ def check_simple(
 
 def _replaced_selections(rule, summaries, i, replacements) -> np.ndarray:
     """(B, m) selection masks with family i's p-values replaced by each row."""
-    if hasattr(rule, "select_block"):
+    if hasattr(rule, "select_block") and hasattr(rule, "block_summaries"):
         work = np.repeat(summaries[None, :], len(replacements), axis=0)
         work[:, i] = rule.block_summaries(replacements[:, None, :])[:, 0]
         return rule.select_block(work)

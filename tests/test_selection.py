@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 import textbook
-from rmin_oracle import oracle_r_min_scan
+from rmin_oracle import candidate_r_min, candidates, oracle_r_min_scan
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
@@ -19,8 +19,6 @@ from famsel.selection import (
     MinPThreshold,
     TopKMinP,
     UnsupportedRuleError,
-    _candidates,
-    _looped_r_min,
     _r_min_scan,
     check_concordant,
     check_simple,
@@ -413,7 +411,7 @@ def scan_or_none(rule, summaries, i):
 
 
 class TestBatchedScan:
-    """The batched GlobalNullTest scan against the per-candidate loop."""
+    """The GlobalNullTest scan against every candidate summary value."""
 
     def _seeded_cases(self, seed):
         rng = np.random.default_rng(seed)
@@ -446,7 +444,7 @@ class TestBatchedScan:
         for rule, summaries, families in self._seeded_cases(2024):
             for i in families:
                 scan = scan_or_none(rule, summaries, int(i))
-                assert scan == _looped_r_min(rule, summaries, int(i)), (rule, i)
+                assert scan == candidate_r_min(rule, summaries, int(i)), (rule, i)
                 selected += scan is not None
         assert selected > 250
 
@@ -460,7 +458,7 @@ class TestBatchedScan:
             rule = GlobalNullTest(COMBINERS[case % 4], Procedure("two_stage"), level)
             summaries = rng.uniform(0.0, 3.0 * level / (1.0 + level), size=m)
             for i in range(m):
-                assert scan_or_none(rule, summaries, i) == _looped_r_min(
+                assert scan_or_none(rule, summaries, i) == candidate_r_min(
                     rule, summaries, i
                 ), (case, i)
 
@@ -499,7 +497,9 @@ class TestBatchedScan:
         )
         rule = scan_rule("simes", kind, level, k, crit)
         for i in range(m):
-            assert scan_or_none(rule, summaries, i) == _looped_r_min(rule, summaries, i)
+            assert scan_or_none(rule, summaries, i) == candidate_r_min(
+                rule, summaries, i
+            )
 
     def test_outcome_only_at_an_exact_cutoff(self):
         # Family 0 is selected with one other family only at exactly the
@@ -711,7 +711,8 @@ class TestBoundaryScan:
     ):
         # Over the sorted breakpoints and the midpoints between them, the
         # values that keep family i selected come first and R never
-        # increases, so R at the last selecting one is R_min.
+        # increases, so R at the last selecting one is R_min; the same holds
+        # for min-p thresholds, one of them at a summary, and for top-k.
         summaries = np.array(values)
         m = summaries.size
         rng = np.random.default_rng(seed)
@@ -723,17 +724,53 @@ class TestBoundaryScan:
         crit = tuple(
             sorted(data.draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m)))
         )
-        rule = scan_rule(combiner, kind, level, k, crit)
-        points = np.sort(_candidates(summaries, rule.summary_thresholds(m)))
-        for i in range(m):
-            work = np.tile(summaries, (points.size, 1))
-            work[:, i] = points
-            picked = rule.select_block(work)
-            kept, r = picked[:, i], picked.sum(axis=1)
-            last = int(kept.sum()) - 1
-            assert kept[: last + 1].all() and not kept[last + 1 :].any()
-            assert (np.diff(r) <= 0).all()
-            assert _r_min_scan(rule, summaries, i) == r[last]
+        rules = [scan_rule(combiner, kind, level, k, crit)]
+        rules += [MinPThreshold(level), TopKMinP(k)]
+        if summaries.max() > 0.0:
+            rules.append(MinPThreshold(float(summaries.max())))
+        for rule in rules:
+            points = np.sort(candidates(summaries, rule.summary_thresholds(m)))
+            for i in range(m):
+                work = np.tile(summaries, (points.size, 1))
+                work[:, i] = points
+                picked = rule.select_block(work)
+                kept, r = picked[:, i], picked.sum(axis=1)
+                last = int(kept.sum()) - 1
+                assert kept[: last + 1].all() and not kept[last + 1 :].any()
+                assert (np.diff(r) <= 0).all()
+                if last < 0:  # top-k with k ties at 0 before family i
+                    with pytest.raises(UnsupportedRuleError, match="never selected"):
+                        _r_min_scan(rule, summaries, i)
+                else:
+                    assert _r_min_scan(rule, summaries, i) == r[last]
+
+    def test_min_p_and_top_k_match_the_candidate_scan(self):
+        # every family, with ties, summaries of 0 and 1, thresholds at a
+        # summary, k = m, and top-k families that k ties at 0 with smaller
+        # indices keep from ever being selected
+        rng = np.random.default_rng(606)
+        never = 0
+        for case in range(300):
+            m = int(rng.integers(1, 12))
+            summaries = rng.uniform(size=m) ** 2
+            summaries[rng.uniform(size=m) < 0.3] = 0.0
+            summaries[rng.uniform(size=m) < 0.1] = 1.0
+            tied = rng.uniform(size=m) < 0.3
+            summaries[tied] = rng.choice(summaries, size=int(tied.sum()))
+            t = summaries[rng.integers(m)] if case % 2 else rng.uniform(0.01, 1.0)
+            rules = [TopKMinP(int(rng.integers(1, m + 1))), TopKMinP(m)]
+            rules += [MinPThreshold(float(t))] if t > 0.0 else []
+            for rule in rules:
+                want = [oracle_or_none(rule, summaries, i) for i in range(m)]
+                assert [scan_or_none(rule, summaries, i) for i in range(m)] == want
+                stack, families = np.tile(summaries, (m, 1)), np.arange(m)
+                if None in want:
+                    never += 1
+                    with pytest.raises(UnsupportedRuleError, match="never selected"):
+                        _r_min_scan(rule, stack, families)
+                else:
+                    assert _r_min_scan(rule, stack, families).tolist() == want
+        assert never > 50
 
 
 class TestScanWork:
@@ -763,6 +800,31 @@ class TestScanWork:
         assert sum(rows) <= bound * picked.size
         # the strong families drop to m // 5, the moderate ones keep R
         assert sorted(set(counts.tolist())) == [m // 5, picked.size]
+
+    @pytest.mark.parametrize(
+        "rule", [TopKMinP(50), MinPThreshold(0.05)], ids=lambda rule: rule.describe()
+    )
+    def test_min_p_and_top_k_rows_per_family(self, monkeypatch, rule):
+        m = 1000
+        summaries = np.random.default_rng(17).uniform(size=m) ** 2
+        picked = rule.select_from_summaries(summaries)
+        rows = []
+        kernel = type(rule).select_block
+
+        def counted(self, block):
+            rows.append(len(block))
+            return kernel(self, block)
+
+        monkeypatch.setattr(type(rule), "select_block", counted)
+        bound = 4 * math.ceil(math.log2(m))
+        for i in picked[:: max(1, picked.size // 20)]:
+            rows.clear()
+            assert _r_min_scan(rule, summaries, int(i)) == picked.size
+            assert sum(rows) <= bound, (i, sum(rows))
+        rows.clear()
+        stack = np.broadcast_to(summaries, (picked.size, m))
+        assert (_r_min_scan(rule, stack, picked) == picked.size).all()
+        assert sum(rows) <= bound * picked.size
 
     def test_memory_of_one_scan_is_bounded(self):
         m = 2000
@@ -900,6 +962,32 @@ class TestCheckSimpleBlocks:
         got = report_tuple(check_simple(rule, ens, 0, 200, seed=3))
         assert got == looped_check_simple(rule, ens, 0, 200, seed=3)
         assert got[0]
+
+    def test_rule_without_block_summaries_uses_the_loop(self):
+        class RowRule:
+            """A min-p threshold rule with select_block but no block_summaries."""
+
+            def summaries(self, ensemble):
+                return ensemble.min_p()
+
+            def summary_of(self, pvalues):
+                return float(np.min(pvalues))
+
+            def select_block(self, summaries):
+                return summaries <= 0.3
+
+            def select_from_summaries(self, summaries):
+                return np.flatnonzero(self.select_block(summaries[None, :])[0])
+
+            def summary_thresholds(self, m):
+                return np.array([0.3])
+
+        ens = PValueEnsemble([[0.1, 0.5], [0.2, 0.9], [0.6, 0.7]])
+        rule = RowRule()
+        for i in (0, 1):
+            got = report_tuple(check_simple(rule, ens, i, 200, seed=i))
+            assert got == looped_check_simple(rule, ens, i, 200, seed=i)
+            assert not got[0] and got[1] == 2
 
 
 class PanicRule:
