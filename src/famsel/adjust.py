@@ -47,51 +47,98 @@ class AdjustedAnalysis:
         return average_over_selected(self.decisions, self.selection.r)
 
 
-def _decide(ensemble, selected, levels, procedure, metric) -> list:
-    """Decisions for the families `selected`, family selected[k] tested at levels[k].
+def _levels(rule, adjustment: str, q, summaries, fams, rows, r):
+    """The count and the level of each selected family fams[k] of summary
+    row rows[k]: R of its row, r[rows[k]], or its R_min when adjustment is
+    "rmin" and the rule is not simple; count * q / m, or q for "none"."""
+    # an empty selection scans nothing, whatever the rule
+    if adjustment == "rmin" and fams.size and not getattr(rule, "is_simple", False):
+        counts = _r_min_scan(rule, summaries, fams, rows)
+    else:
+        counts = r[rows]
+    m = summaries.shape[-1]
+    levels = np.full(fams.size, q) if adjustment == "none" else counts * q / m
+    return counts, levels
 
-    The selected families of each size are tested in one `rejected_entries`
-    call, sizes in order of first appearance. Each decision's rejected
-    indices equal ``procedure.apply(ensemble.family(i), level)``, and the
-    errors raised are the ones the first failing family would raise there.
+
+def _test_rows(procedure: Procedure, matrices, truths, group_of, rows, levels):
+    """Rejections r, false rejections v (None when truths is None) and the
+    (ks, rejected-entry mask) of each size group, testing rows[k] of
+    matrices[group_of[k]] at levels[k], or at no level when levels is None.
+
+    There is one matrix per family size and one truth per matrix: a matrix
+    with its rows, or one row they all share. Each size is one
+    `rejected_entries` call, sizes in order of their first row, so an error
+    is the one the first failing row raises.
     """
+    r = np.empty(rows.size, dtype=np.intp)
+    v = None if truths is None else np.empty(rows.size, dtype=np.intp)
+    masks = []
+    # group ids stand in for sizes, one to one
+    for g, ks in size_groups(group_of):
+        at = rows[ks]
+        tested_at = None if levels is None else levels[ks]
+        mask, r[ks] = rejected_entries(
+            procedure, matrices[g].take(at, axis=0), tested_at
+        )
+        if v is not None:
+            truth = truths[g]
+            if truth.ndim == 2:
+                truth = truth.take(at, axis=0)
+            v[ks] = (mask & truth).sum(axis=1)
+        masks.append((ks, mask))
+    return r, v, masks
+
+
+def _decide(ensemble, selected, levels, procedure, metric) -> list:
+    """Decisions for the families `selected`, family selected[k] tested at
+    levels[k]: what ``procedure.apply(ensemble.family(i), level)`` rejects,
+    or the error the first failing family raises there."""
     if not selected:
         return []
     families = np.asarray(selected, dtype=np.intp)
     tested_at = None if levels[0] is None else np.asarray(levels, dtype=np.float64)
+    group_of, rows = ensemble.slots[:, families]
+    r, v, masks = _test_rows(
+        procedure, ensemble.pvalues, ensemble.truths, group_of, rows, tested_at
+    )
     rejected = [None] * families.size
-    r = np.empty(families.size, dtype=np.intp)
-    v = np.empty(families.size, dtype=np.intp)
-    for _, group in size_groups(ensemble.sizes[families]):
-        rows, truth = ensemble._rows(families[group])
-        mask, r[group] = rejected_entries(
-            procedure, rows, None if tested_at is None else tested_at[group]
-        )
-        if truth is not None:
-            v[group] = (mask & truth).sum(axis=1)
+    for ks, mask in masks:
         row_of, cols = np.nonzero(mask)
-        bounds = np.searchsorted(row_of, np.arange(len(rows) + 1)).tolist()
+        bounds = np.searchsorted(row_of, np.arange(len(mask) + 1)).tolist()
         for k, start, end in zip(
-            np.arange(families.size)[group].tolist(), bounds[:-1], bounds[1:]
+            np.arange(families.size)[ks].tolist(), bounds[:-1], bounds[1:]
         ):
             rejected[k] = cols[start:end]
-    decisions = [
-        FamilyDecision(ensemble.id_of(i), level, rej)
-        for i, level, rej in zip(selected, levels, rejected)
-    ]
-    if ensemble.has_truth():
-        q_i = (v / np.maximum(r, 1)).tolist()
-        c = [None] * families.size
+    v_k = q_k = c_k = [None] * families.size
+    if v is not None:
+        v_k, q_k = v.tolist(), (v / np.maximum(r, 1)).tolist()
         if metric is not None:
-            c = _metric_values(metric, v, r).tolist()
-        for decision, v_k, q_k, c_k in zip(decisions, v.tolist(), q_i, c):
-            decision.v, decision.q_i, decision.realized_c = v_k, q_k, c_k
-    return decisions
+            c_k = _metric_values(metric, v, r).tolist()
+    return [
+        FamilyDecision(ensemble.id_of(i), *fields)
+        for i, *fields in zip(selected, levels, rejected, v_k, q_k, c_k)
+    ]
 
 
 def _check_q(q: float):
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
+
+
+def _analysis(ensemble, rule, procedure, q, metric, adjustment: str):
+    """Select, then test each selected family at its `_levels` level, as a
+    one-replicate Monte Carlo block does; only "rmin" records r_min."""
+    summaries = rule.summaries(ensemble)
+    order = sorted(int(j) for j in rule.select_from_summaries(summaries))
+    fams = np.array(order, dtype=np.intp)
+    counts, levels = _levels(
+        rule, adjustment, q, summaries, fams, np.zeros_like(fams), np.array([fams.size])
+    )
+    r_min = dict(zip(order, counts.tolist())) if adjustment == "rmin" else {}
+    outcome = SelectionOutcome(frozenset(order), len(order), r_min)
+    decisions = _decide(ensemble, order, levels.tolist(), procedure, metric)
+    return AdjustedAnalysis(outcome, decisions, q, procedure, metric)
 
 
 def simple_selection_adjusted(
@@ -108,11 +155,7 @@ def simple_selection_adjusted(
     families this reduces to ordinary per-family testing at q.
     """
     _check_q(q)
-    outcome = select(rule, ensemble)
-    level = outcome.r * q / ensemble.m
-    order = sorted(outcome.selected)
-    decisions = _decide(ensemble, order, [level] * len(order), procedure, metric)
-    return AdjustedAnalysis(outcome, decisions, q, procedure, metric)
+    return _analysis(ensemble, rule, procedure, q, metric, "simple")
 
 
 def selection_adjusted(
@@ -128,18 +171,7 @@ def selection_adjusted(
     ``simple_selection_adjusted`` whenever the rule is simple.
     """
     _check_q(q)
-    summaries = rule.summaries(ensemble)
-    picked = rule.select_from_summaries(summaries)
-    order = sorted(int(j) for j in picked)
-    if getattr(rule, "is_simple", False) or not order:
-        counts = [len(order)] * len(order)
-    else:
-        counts = _r_min_scan(rule, summaries, np.array(order)).tolist()
-    rmins = dict(zip(order, counts))
-    outcome = SelectionOutcome(frozenset(order), len(order), rmins)
-    levels = [rmins[i] * q / ensemble.m for i in order]
-    decisions = _decide(ensemble, order, levels, procedure, metric)
-    return AdjustedAnalysis(outcome, decisions, q, procedure, metric)
+    return _analysis(ensemble, rule, procedure, q, metric, "rmin")
 
 
 def unadjusted_analysis(
@@ -155,10 +187,7 @@ def unadjusted_analysis(
     the selected families inflates as selection gets more stringent; kept as
     an explicit entry point for bias demonstrations.
     """
-    outcome = select(rule, ensemble)
-    order = sorted(outcome.selected)
-    decisions = _decide(ensemble, order, [level] * len(order), procedure, metric)
-    return AdjustedAnalysis(outcome, decisions, level, procedure, metric)
+    return _analysis(ensemble, rule, procedure, level, metric, "none")
 
 
 def iterative_simple_adjusted(

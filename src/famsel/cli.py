@@ -27,7 +27,6 @@ from .selection import (
     GlobalNullTest,
     MinPThreshold,
     TopKMinP,
-    UnsupportedRuleError,
     check_concordant,
     check_simple,
     select,
@@ -555,7 +554,7 @@ def cmd_analyze(args) -> int:
             analysis = simple_selection_adjusted(ensemble, rule, procedure, args.q)
         else:
             analysis = selection_adjusted(ensemble, rule, procedure, args.q)
-    except (UnsupportedRuleError, ValueError) as err:
+    except ValueError as err:
         raise CliError(EXIT_CONFIG, str(err))
 
     families = _family_columns(ensemble, names, codes, analysis)
@@ -580,6 +579,15 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+def _estimate(workers: int, **scenario):
+    """`estimate` of the `ScenarioConfig` the keywords give; a scenario that
+    is invalid or cannot be run exits with EXIT_CONFIG."""
+    try:
+        return estimate(ScenarioConfig(**scenario), workers=workers)
+    except ValueError as err:
+        raise CliError(EXIT_CONFIG, str(err))
+
+
 def cmd_table1(args) -> int:
     workers = _threads(args)
     rows = []
@@ -600,21 +608,18 @@ def cmd_table1(args) -> int:
         if args.reps == 0:
             rows.append(f"{m:>5} {n:>5} {sel_frac:>10.4f} {e_cs:>8.4f}")
             continue
-        try:
-            config = ScenarioConfig(
-                m=m,
-                n=n,
-                q=0.05,
-                rule=MinPThreshold(0.05),
-                procedure=Procedure("bonferroni"),
-                metric=ErrorMetric("fwer"),
-                replicates=args.reps,
-                seed=args.seed,
-                adjustment="none",
-            )
-            est = estimate(config, workers=workers)
-        except ValueError as err:
-            raise CliError(EXIT_CONFIG, str(err))
+        est = _estimate(
+            workers,
+            m=m,
+            n=n,
+            q=0.05,
+            rule=MinPThreshold(0.05),
+            procedure=Procedure("bonferroni"),
+            metric=ErrorMetric("fwer"),
+            replicates=args.reps,
+            seed=args.seed,
+            adjustment="none",
+        )
         flag = "*" if abs(est.e_cs_hat - e_cs) > 3.0 * est.se else ""
         rows.append(
             f"{m:>5} {n:>5} {sel_frac:>10.4f} {e_cs:>8.4f} "
@@ -634,25 +639,22 @@ def cmd_simulate(args) -> int:
     dependence = (
         "equicorrelated" if (args.equicorrelated or args.rho > 0) else "independent"
     )
-    try:
-        config = ScenarioConfig(
-            m=args.m,
-            n=args.n,
-            q=args.q,
-            rule=rule,
-            procedure=procedure,
-            metric=metric,
-            replicates=args.reps,
-            seed=args.seed,
-            pi1=pi1,
-            mu=args.mu,
-            dependence=dependence,
-            rho=args.rho,
-            adjustment=adjustment,
-        )
-        est = estimate(config, workers=workers)
-    except (UnsupportedRuleError, ValueError) as err:
-        raise CliError(EXIT_CONFIG, str(err))
+    est = _estimate(
+        workers,
+        m=args.m,
+        n=args.n,
+        q=args.q,
+        rule=rule,
+        procedure=procedure,
+        metric=metric,
+        replicates=args.reps,
+        seed=args.seed,
+        pi1=pi1,
+        mu=args.mu,
+        dependence=dependence,
+        rho=args.rho,
+        adjustment=adjustment,
+    )
     report = {
         "config": {
             "m": args.m,
@@ -741,7 +743,7 @@ def cmd_check(args) -> int:
         for ens in _probe_ensembles(args.q):
             try:
                 report = check_concordant(rule, ens, args.trials, seed=args.seed)
-            except (UnsupportedRuleError, ValueError) as err:
+            except ValueError as err:
                 raise CliError(EXIT_CONFIG, str(err))
             if report.witness_found:
                 return _print_check(
@@ -759,23 +761,20 @@ def cmd_check(args) -> int:
     metric = parse_metric(args.metric)
     violations = []
     for pi1, mu in ((0.0, 0.0), (0.4, 2.5)):
-        try:
-            config = ScenarioConfig(
-                m=20,
-                n=5,
-                q=args.q,
-                rule=rule,
-                procedure=procedure,
-                metric=metric,
-                replicates=args.reps,
-                seed=args.seed,
-                pi1=pi1,
-                mu=mu,
-                adjustment="rmin",
-            )
-            est = estimate(config, workers=workers)
-        except (UnsupportedRuleError, ValueError) as err:
-            raise CliError(EXIT_CONFIG, str(err))
+        est = _estimate(
+            workers,
+            m=20,
+            n=5,
+            q=args.q,
+            rule=rule,
+            procedure=procedure,
+            metric=metric,
+            replicates=args.reps,
+            seed=args.seed,
+            pi1=pi1,
+            mu=mu,
+            adjustment="rmin",
+        )
         if est.e_cs_hat > args.q + 3.0 * est.se:
             violations.append(
                 {"pi1": pi1, "e_cs_hat": est.e_cs_hat, "se": est.se}

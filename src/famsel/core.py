@@ -141,6 +141,8 @@ class PValueEnsemble:
     def __init__(self, families, family_ids=None, truth=None):
         if isinstance(families, np.ndarray) and families.ndim == 2:
             rect = np.asarray(families, dtype=np.float64)
+            if rect.shape[0] == 0:
+                raise ValueError("an ensemble needs at least one family")
             if rect.shape[1] == 0:
                 raise ValueError("families must be non-empty")
             sizes = np.full(rect.shape[0], rect.shape[1])
@@ -185,16 +187,6 @@ class PValueEnsemble:
         self.pvalues = values
         self.truths = truths
         self.slots = group_slots(groups, self.m)
-
-    def _rows(self, families):
-        """(values, truth) of families that share one size: their (k, n)
-        p-value matrix and truth matrix (None without truth)."""
-        g = self.slots[0, families[0]]
-        at = self.slots[1, families]
-        truth = None
-        if self.truths is not None:
-            truth = self.truths[g].take(at, axis=0)
-        return self.pvalues[g].take(at, axis=0), truth
 
     @property
     def rect(self):

@@ -158,10 +158,9 @@ class Procedure:
         # against BH constants at (n/m0_hat)*q' for every possible m0_hat,
         # rounded exactly as two_stage_adaptive rounds them.
         q1 = stage_one_level(level)
-        stage_two = [
-            bh_critical_values(n, stage_two_level(q1, n, d)) for d in range(1, n + 1)
-        ]
-        return np.unique(np.concatenate([bh_critical_values(n, q1)] + stage_two))
+        d = np.arange(1, n + 1)[:, None]
+        stage_two = bh_critical_values(n, stage_two_level(q1, n, d))
+        return np.unique(np.concatenate([bh_critical_values(n, q1), stage_two.ravel()]))
 
     def describe(self) -> str:
         if self.kind == "lr_kfwer":
@@ -190,12 +189,11 @@ def rejection_counts(procedure: Procedure, ps: np.ndarray, levels=None) -> np.nd
     """Number of rejections in each row of a row-sorted (s, n) p-value matrix.
 
     levels holds one testing level per row, or is None for step_up and
-    step_down. The critical values are computed with the same floating-point
-    expressions as `bh_critical_values`, `holm_critical_values` and
-    `lr_kfwer_critical_values`, so each count equals the one `step_up` or
-    `step_down` gives over them, bit for bit. Critical values never
-    decrease, so a count never splits tied p-values: the rejected set of a
-    row is exactly its first r entries.
+    step_down. The critical values come from `bh_critical_values`,
+    `holm_critical_values` and `lr_kfwer_critical_values` at each row's
+    level, so each count equals the one `step_up` or `step_down` gives over
+    them. Critical values never decrease, so a count never splits tied
+    p-values: the rejected set of a row is exactly its first r entries.
     """
     n = ps.shape[1]
     kind = procedure.kind
@@ -213,25 +211,23 @@ def rejection_counts(procedure: Procedure, ps: np.ndarray, levels=None) -> np.nd
     if levels is None:
         raise ValueError(f"a level is required for {kind}")
     levels = np.asarray(levels, dtype=np.float64)[:, None]
-    ranks = np.arange(1, n + 1)
     if kind == "bonferroni":
         return (ps <= levels / n).sum(axis=1)
     if kind == "bh":
-        return _step_up_counts(ps, ranks * (levels / n))
+        return _step_up_counts(ps, bh_critical_values(n, levels))
     if kind == "hochberg":
-        return _step_up_counts(ps, levels / (n - ranks + 1))
+        return _step_up_counts(ps, holm_critical_values(n, levels))
     if kind == "holm":
-        return _step_down_counts(ps, levels / (n - ranks + 1))
+        return _step_down_counts(ps, holm_critical_values(n, levels))
     if kind == "lr_kfwer":
         k = procedure.k
         if not 1 <= k <= n:
             raise ValueError(f"k={k} out of range for {n} hypotheses")
-        crit = np.where(ranks <= k, k * levels / n, k * levels / (n + k - ranks))
-        return _step_down_counts(ps, crit)
+        return _step_down_counts(ps, lr_kfwer_critical_values(n, levels, k))
     q1 = stage_one_level(levels)
-    m0 = n - _step_up_counts(ps, ranks * (q1 / n))
+    m0 = n - _step_up_counts(ps, bh_critical_values(n, q1))
     level2 = stage_two_level(q1, n, np.maximum(m0, 1)[:, None])
-    r2 = _step_up_counts(ps, ranks * (level2 / n))
+    r2 = _step_up_counts(ps, bh_critical_values(n, level2))
     return np.where(m0 == 0, n, r2)
 
 

@@ -23,11 +23,13 @@ it.
 
 Replicates run in blocks of at most _BLOCK_CELLS p-values, drawn into one
 (B, count, n) array per family size, laid out as `PValueEnsemble` stores
-an ensemble, and the block is then summarized, selected and tested in a
-few batched calls per size. Every estimate equals, bit for bit, the
-realized average error that the public analyses in `adjust` give for each
-replicate's `generate` ensemble; the tests keep that per-replicate path as
-the oracle.
+an ensemble, and the block is then summarized and selected in a few
+batched calls per size. Its selected families get their levels and are
+tested by the steps the public analyses in `adjust` run (`_levels`,
+`_test_rows`), so an analysis is the one-replicate case of a block. The
+tests compare each estimate with those analyses on every replicate's
+`generate` ensemble, with the within-family test swapped for one textbook
+call per family and, for R_min, with the candidate scan.
 The rule must summarize and select in blocks (block_summaries and
 select_block), as every shipped rule does.
 """
@@ -39,6 +41,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import special
 
+from .adjust import _levels, _test_rows
 from .core import (
     ErrorMetric,
     PValueEnsemble,
@@ -47,8 +50,8 @@ from .core import (
     in_family_order,
     size_groups,
 )
-from .procedures import Procedure, rejected_entries
-from .selection import _r_min_scan, check_concordant
+from .procedures import Procedure
+from .selection import check_concordant
 
 ADJUSTMENTS = ("simple", "rmin", "none")
 DEPENDENCE_MODELS = ("independent", "equicorrelated")
@@ -261,23 +264,15 @@ def _draw(config: ScenarioConfig, layout: _Layout, rng, blocks):
 _BLOCK_CELLS = 1 << 14
 
 
-def _batch_test_counts(procedure: Procedure, rows, nulls, levels):
-    """Rejection and false-rejection counts of (s, n) tested families of one
-    size, at their levels; nulls is their size's truth row."""
-    rejected, r = rejected_entries(procedure, rows, levels)
-    return r, (rejected & nulls).sum(axis=1)
-
-
 def _block_values(config: ScenarioConfig, layout: _Layout, rng, b: int):
     """(C_S, |S|/m) of the next b replicates of rng.
 
     The block is drawn into one (B, count, n) array per size group,
-    summarized and selected as (B, m) arrays, and the selected
-    (replicate, family) rows of each size are tested in one batched call,
-    sizes in the order of their first selected row, so an error is the one
-    the first failing row raises. Each replicate's metric values are
-    summed in family order, as `average_over_selected` sums them, so every
-    value equals the analysis objects' bit for bit.
+    summarized and selected as (B, m) arrays, and its selected (replicate,
+    family) pairs are leveled and tested as the analyses do (`_levels`,
+    `_test_rows`). Each replicate's metric values are summed in family
+    order, as `average_over_selected` sums them, so every value equals the
+    analysis objects' bit for bit.
     """
     rule, q, m = config.rule, config.q, config.m
     blocks = layout.blocks(b)
@@ -290,28 +285,16 @@ def _block_values(config: ScenarioConfig, layout: _Layout, rng, b: int):
     tested = np.flatnonzero(picked)
     if tested.size:
         reps, fams = np.divmod(tested, m)
-        if config.adjustment == "none":
-            levels = np.full(reps.size, q)
-        elif config.adjustment == "simple" or getattr(rule, "is_simple", False):
-            levels = counts[reps] * q / m
-        else:
-            levels = _r_min_scan(rule, summaries, fams, reps) * q / m
+        levels = _levels(rule, config.adjustment, q, summaries, fams, reps, counts)[1]
         # each tested family's group, and its row in the group's block
         # seen as a (B * count, n) matrix
         group_of, at = layout.slots[:, fams]
         at += reps * layout.counts[group_of]
-        c = np.empty(reps.size)
-        # group ids stand in for sizes, one to one
-        for g, rows in size_groups(group_of):
-            block = blocks[g]
-            r, v = _batch_test_counts(
-                config.procedure,
-                block.reshape(-1, block.shape[2]).take(at[rows], axis=0),
-                layout.nulls[g],
-                levels[rows],
-            )
-            c[rows] = _metric_values(config.metric, v, r)
-        values.put(tested, c)
+        matrices = [block.reshape(-1, block.shape[2]) for block in blocks]
+        r, v, _ = _test_rows(
+            config.procedure, matrices, layout.nulls, group_of, at, levels
+        )
+        values.put(tested, _metric_values(config.metric, v, r))
     # cumsum adds left to right, and adding the zeros of unselected
     # families leaves a sum unchanged.
     totals = np.cumsum(values, axis=1)[:, -1]

@@ -11,7 +11,7 @@ from famsel.adjust import (
     simple_selection_adjusted,
     unadjusted_analysis,
 )
-from famsel.core import ErrorMetric, FamilyDecision, PValueEnsemble, metric_value
+from famsel.core import ErrorMetric, PValueEnsemble
 from famsel.procedures import PROCEDURE_KINDS, Procedure, bh
 from famsel.selection import GlobalNullTest, MinPThreshold, TopKMinP, combine
 
@@ -246,25 +246,6 @@ class TestGuaranteedRejection:
         assert analysis.decisions == []
 
 
-def looped_decide(ensemble, selected, levels, procedure, metric):
-    """The per-family decisions the batched _decide replaced: one textbook
-    procedure call per selected family."""
-    decisions = []
-    for i, level in zip(selected, levels):
-        rejected = textbook.apply(procedure, ensemble.family(i), level)
-        decision = FamilyDecision(ensemble.id_of(i), level, rejected)
-        truth = ensemble.truth_family(i)
-        if truth is not None:
-            r = int(rejected.size)
-            v = int(truth[rejected].sum())
-            decision.v = v
-            decision.q_i = v / max(r, 1)
-            if metric is not None:
-                decision.realized_c = metric_value(metric, v, r)
-        decisions.append(decision)
-    return decisions
-
-
 def analysis_outcome(run):
     """Everything an analysis returns, or the error it raises."""
     try:
@@ -351,7 +332,7 @@ class TestBatchedDecisions:
                     lambda: self._run(entry, ensemble, rule, procedure, level)
                 )
                 with monkeypatch.context() as patch:
-                    patch.setattr(adjust, "_decide", looped_decide)
+                    patch.setattr(adjust, "_decide", textbook.looped_decide)
                     looped = analysis_outcome(
                         lambda: self._run(entry, ensemble, rule, procedure, level)
                     )
@@ -370,7 +351,7 @@ class TestBatchedDecisions:
                 lambda: guaranteed_rejection_analysis(ensemble, 0.2)
             )
             with monkeypatch.context() as patch:
-                patch.setattr(adjust, "_decide", looped_decide)
+                patch.setattr(adjust, "_decide", textbook.looped_decide)
                 looped = analysis_outcome(
                     lambda: guaranteed_rejection_analysis(ensemble, 0.2)
                 )

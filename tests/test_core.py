@@ -160,6 +160,8 @@ class TestPValueEnsemble:
             PValueEnsemble([[0.1], []])
         with pytest.raises(ValueError):
             PValueEnsemble([])
+        with pytest.raises(ValueError, match="at least one family"):
+            PValueEnsemble(np.empty((0, 3)))
 
     def test_truth_shape_checked(self):
         with pytest.raises(ValueError):

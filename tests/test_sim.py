@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import textbook
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from rmin_oracle import oracle_r_min_scan
@@ -106,8 +107,10 @@ def drawn_block(config, start, stop):
 
 
 def object_replicate(config, ens):
-    """(C_S, |S|/m) through the full analysis objects: the per-replicate
-    path the Monte Carlo blocks replaced, kept as their oracle."""
+    """(C_S, |S|/m) through the full analysis objects, one replicate at a
+    time. The blocks share the analyses' level rule and within-family
+    test, so the tests that use this path as the blocks' oracle patch
+    `textbook.looped_decide` in as `adjust._decide`."""
     rule, proc, q, metric = config.rule, config.procedure, config.q, config.metric
     if config.adjustment == "simple":
         analysis = simple_selection_adjusted(ens, rule, proc, q, metric=metric)
@@ -567,7 +570,9 @@ class TestEstimate:
             # a span with start > 0, as one worker would run it
             start = (0, 7)[(case // 5) % 2]
             fast = values_or_error(_replicate_values, cfg, start, 25)
-            slow = values_or_error(object_values, cfg, start, 25)
+            with monkeypatch.context() as patch:
+                patch.setattr(adjust, "_decide", textbook.looped_decide)
+                slow = values_or_error(object_values, cfg, start, 25)
             assert fast == slow, case
             outcomes[fast[0]] += 1
             if rules[case % 8] is rules[7] and fast[0] == "ok":
@@ -651,7 +656,9 @@ class TestEstimate:
             fast = values_or_error(_replicate_values, cfg, 3, 12)
         finally:
             sim._BLOCK_CELLS = old_cells
-        slow = values_or_error(object_values, cfg, 3, 12)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(adjust, "_decide", textbook.looped_decide)
+            slow = values_or_error(object_values, cfg, 3, 12)
         assert fast == slow
 
     def test_ragged_config_uses_object_path(self):
@@ -794,9 +801,9 @@ class TestRMinBlocks:
         monkeypatch.setattr(sim, "_BLOCK_CELLS", 40)
         scanned = []
 
-        def oracle(rule, summaries, i):
+        def oracle(rule, summaries, i, rows=None):
             scanned.append(np.size(i))
-            return oracle_r_min_scan(rule, summaries, i)
+            return oracle_r_min_scan(rule, summaries, i, rows)
 
         for cfg in configs:
             est = estimate(cfg)

@@ -5,11 +5,13 @@ famsel runs every procedure through one batched test,
 `Procedure.apply` as its one-row case. These are the per-family loops that
 batched test replaced, kept as the reference the tests compare it against.
 The generic step_up and step_down are famsel's own, which keep their
-per-family code.
+per-family code. `looped_decide` tests the selected families of an
+analysis one textbook call at a time, in place of `famsel.adjust._decide`.
 """
 
 import numpy as np
 
+from famsel.core import FamilyDecision, metric_value
 from famsel.procedures import (
     bh_critical_values,
     holm_critical_values,
@@ -82,3 +84,22 @@ def apply(procedure, pvalues, level=None) -> np.ndarray:
         "two_stage": two_stage_adaptive,
     }
     return named[kind](p, level)
+
+
+def looped_decide(ensemble, selected, levels, procedure, metric):
+    """What `famsel.adjust._decide` returns, one textbook procedure call per
+    selected family: the per-family decisions its batched test replaced."""
+    decisions = []
+    for i, level in zip(selected, levels):
+        rejected = apply(procedure, ensemble.family(i), level)
+        decision = FamilyDecision(ensemble.id_of(i), level, rejected)
+        truth = ensemble.truth_family(i)
+        if truth is not None:
+            r = int(rejected.size)
+            v = int(truth[rejected].sum())
+            decision.v = v
+            decision.q_i = v / max(r, 1)
+            if metric is not None:
+                decision.realized_c = metric_value(metric, v, r)
+        decisions.append(decision)
+    return decisions
