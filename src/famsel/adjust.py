@@ -21,7 +21,7 @@ from .core import (
     size_groups,
 )
 from .procedures import Procedure, rejected_entries
-from .selection import GlobalNullTest, _r_min_scan, select
+from .selection import GlobalNullTest, _counts, _picked, _summaries, select
 
 
 class NonConvergenceError(RuntimeError):
@@ -49,11 +49,10 @@ class AdjustedAnalysis:
 
 def _levels(rule, adjustment: str, q, summaries, fams, rows, r):
     """The count and the level of each selected family fams[k] of summary
-    row rows[k]: R of its row, r[rows[k]], or its R_min when adjustment is
-    "rmin" and the rule is not simple; count * q / m, or q for "none"."""
-    # an empty selection scans nothing, whatever the rule
-    if adjustment == "rmin" and fams.size and not getattr(rule, "is_simple", False):
-        counts = _r_min_scan(rule, summaries, fams, rows)
+    row rows[k]: R of its row, r[rows[k]], or its `_counts` count when
+    adjustment is "rmin"; count * q / m, or q for "none"."""
+    if adjustment == "rmin":
+        counts = _counts(rule, summaries, fams, rows, r)
     else:
         counts = r[rows]
     m = summaries.shape[-1]
@@ -121,17 +120,17 @@ def _decide(ensemble, selected, levels, procedure, metric) -> list:
     ]
 
 
-def _check_q(q: float):
+def _check_q(q: float, name: str = "q"):
     if not 0.0 < q < 1.0:
-        raise ValueError("q must lie in (0, 1)")
+        raise ValueError(f"{name} must lie in (0, 1)")
 
 
 def _analysis(ensemble, rule, procedure, q, metric, adjustment: str):
     """Select, then test each selected family at its `_levels` level, as a
     one-replicate Monte Carlo block does; only "rmin" records r_min."""
-    summaries = rule.summaries(ensemble)
-    order = sorted(int(j) for j in rule.select_from_summaries(summaries))
-    fams = np.array(order, dtype=np.intp)
+    summaries = _summaries(rule, ensemble)
+    fams = _picked(rule, summaries)
+    order = fams.tolist()
     counts, levels = _levels(
         rule, adjustment, q, summaries, fams, np.zeros_like(fams), np.array([fams.size])
     )
@@ -185,8 +184,11 @@ def unadjusted_analysis(
 
     This is the selection-blind baseline whose average error measure over
     the selected families inflates as selection gets more stringent; kept as
-    an explicit entry point for bias demonstrations.
+    an explicit entry point for bias demonstrations. level is None for a
+    generic step_up or step_down, which carries its own critical values.
     """
+    if level is not None:
+        _check_q(level, "level")
     return _analysis(ensemble, rule, procedure, level, metric, "none")
 
 

@@ -392,7 +392,7 @@ def _read_families_csv(path: str):
 
 
 def _threads(args) -> int:
-    """Worker count from --threads or FAMSEL_THREADS, capped at the CPU count."""
+    """Worker count from --threads or FAMSEL_THREADS (`estimate` caps it)."""
     text = args.threads
     if text is None:
         text = os.environ.get("FAMSEL_THREADS", "1")
@@ -402,7 +402,7 @@ def _threads(args) -> int:
         raise CliError(EXIT_CONFIG, f"thread count {text!r} is not an integer")
     if count < 1:
         raise CliError(EXIT_CONFIG, f"thread count {count} is below 1")
-    return min(count, os.cpu_count() or 1)
+    return count
 
 
 def _write_text(text: str, output):

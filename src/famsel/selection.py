@@ -1,15 +1,17 @@
 """Family selection rules, global-null p-value combiners, and R_min.
 
-Every shipped rule reduces each family to a scalar summary (its minimal
+A selection rule reduces each family to a scalar summary (its minimal
 p-value, or a combined global-null p-value) and selects families from the
 vector of summaries. That structure is what makes the exact R_min scan and
-the randomized property checks below possible. Each shipped rule also
-summarizes and selects a stack of ensembles of equal-size families at
-once (block_summaries, select_block), which the Monte Carlo harness runs
-on each family size in turn, as does each step of the R_min bisection;
-select_from_summaries is the one-row case of select_block. Families of
-mixed sizes are combined one size at a time: a sum over padding could
-group its terms differently.
+the randomized property checks below possible. Every entry point speaks one
+protocol (`_check_rule`): block_summaries maps a (B, m, n) stack of B
+ensembles of m families of size n to their (B, m) summaries, and
+select_block maps (B, m) summaries to a (B, m) selection mask, each row
+exactly as one ensemble would select. An ensemble is the one-replicate case
+(`_summarize`), summarized one family size at a time: a sum over padding
+could group its terms differently. Where R_min is scanned the rule also
+names its summary_thresholds; is_simple (default False) and describe are
+optional.
 """
 
 from dataclasses import dataclass
@@ -42,7 +44,8 @@ _FIRST_TRIAL_BLOCK = 16
 
 
 class UnsupportedRuleError(ValueError):
-    """Raised when R_min cannot be computed for a selection rule."""
+    """Raised for a selection rule outside the rule protocol, or when R_min
+    cannot be computed for it."""
 
 
 def _combine_rows(kind: str, rows: np.ndarray, floor: float) -> np.ndarray:
@@ -74,6 +77,8 @@ def combine(combiner: str, pvalues, floor: float = DEFAULT_P_FLOOR) -> float:
     p = np.asarray(pvalues, dtype=np.float64)
     if p.size == 0:
         raise ValueError("cannot combine an empty p-value list")
+    if not ((p >= 0.0) & (p <= 1.0)).all():
+        raise ValueError("p-values must lie in [0, 1]")
     return float(_combine_rows(combiner, p[None, :], floor)[0])
 
 
@@ -98,21 +103,47 @@ def _min_last_axis(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(a, -1, 0)).min(axis=0)
 
 
-class _BlockSelection:
-    """Selection from one summary vector as the 1-row case of select_block,
-    and one family's summary as the 1-family case of block_summaries.
+def _check_rule(rule, scan: bool = False):
+    """Raise UnsupportedRuleError unless rule has block_summaries and
+    select_block and, when R_min is scanned, summary_thresholds."""
+    names = ("block_summaries", "select_block") + ("summary_thresholds",) * scan
+    missing = [name for name in names if not hasattr(rule, name)]
+    if missing:
+        needed = " and ".join(missing)
+        raise UnsupportedRuleError(f"famsel needs a rule with {needed}")
 
-    A rule's block_summaries maps a (B, m, n) stack of B ensembles of m
-    families of size n to their (B, m) summaries, and select_block maps
-    (B, m) summaries to a (B, m) selection mask, each row exactly as one
-    ensemble would select.
-    The R_min bisection rests on their shared property: lowering family i's
-    summary never deselects i and never lowers the selected count R, and
-    R_min is reached at a breakpoint (0, 1, a summary or a cutoff).
+
+def _summarize(rule, groups, blocks) -> np.ndarray:
+    """(B, m) summaries of B ensembles laid out as groups (`size_groups`),
+    from one (B, count, n) block per group."""
+    return in_family_order(groups, [rule.block_summaries(p) for p in blocks])
+
+
+def _summaries(rule, ensemble: PValueEnsemble) -> np.ndarray:
+    """The ensemble's summaries, the one-replicate case of `_summarize`."""
+    _check_rule(rule)
+    return _summarize(rule, ensemble.groups, [p[None] for p in ensemble.pvalues])[0]
+
+
+def _picked(rule, summaries: np.ndarray) -> np.ndarray:
+    """The families one summary vector selects, the 1-row case of select_block."""
+    return np.flatnonzero(rule.select_block(summaries[None, :])[0])
+
+
+class _BlockSelection:
+    """A shipped rule: its summaries, selection and one family's summary are
+    the one-replicate, 1-row and 1-family cases of its two primitives.
+
+    The R_min bisection rests on the shipped rules' shared property: lowering
+    family i's summary never deselects i and never lowers the selected count
+    R, and R_min is reached at a breakpoint (0, 1, a summary or a cutoff).
     """
 
+    def summaries(self, ensemble: PValueEnsemble) -> np.ndarray:
+        return _summaries(self, ensemble)
+
     def select_from_summaries(self, summaries: np.ndarray) -> np.ndarray:
-        return np.flatnonzero(self.select_block(np.asarray(summaries)[None, :])[0])
+        return _picked(self, np.asarray(summaries))
 
     def summary_of(self, pvalues) -> float:
         p = np.asarray(pvalues, dtype=np.float64)
@@ -130,9 +161,6 @@ class MinPThreshold(_BlockSelection):
     def __post_init__(self):
         if not 0.0 < self.t <= 1.0:
             raise ValueError("threshold must lie in (0, 1]")
-
-    def summaries(self, ensemble: PValueEnsemble) -> np.ndarray:
-        return ensemble.min_p()
 
     def block_summaries(self, p: np.ndarray) -> np.ndarray:
         return _min_last_axis(p)
@@ -162,9 +190,6 @@ class TopKMinP(_BlockSelection):
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be a positive integer")
-
-    def summaries(self, ensemble: PValueEnsemble) -> np.ndarray:
-        return ensemble.min_p()
 
     def block_summaries(self, p: np.ndarray) -> np.ndarray:
         return _min_last_axis(p)
@@ -213,9 +238,6 @@ class GlobalNullTest(_BlockSelection):
         # adaptive two-stage procedure does not.
         return self.procedure.stepwise != "adaptive"
 
-    def summaries(self, ensemble: PValueEnsemble) -> np.ndarray:
-        return combined_pvalues(self.combiner, ensemble, self.floor)
-
     def block_summaries(self, p: np.ndarray) -> np.ndarray:
         rows = p.reshape(-1, p.shape[2])
         return _combine_rows(self.combiner, rows, self.floor).reshape(p.shape[:2])
@@ -236,15 +258,8 @@ class GlobalNullTest(_BlockSelection):
 
 def select(rule, ensemble: PValueEnsemble) -> SelectionOutcome:
     """Apply the selection rule; r_min entries are filled later if needed."""
-    picked = rule.select_from_summaries(rule.summaries(ensemble))
+    picked = _picked(rule, _summaries(rule, ensemble))
     return SelectionOutcome(selected=frozenset(picked.tolist()), r=int(picked.size))
-
-
-def _is_summary_rule(rule) -> bool:
-    return all(
-        hasattr(rule, name)
-        for name in ("summaries", "select_from_summaries", "summary_thresholds")
-    )
 
 
 def _candidates(summaries: np.ndarray, cutoffs) -> np.ndarray:
@@ -256,15 +271,19 @@ def _candidates(summaries: np.ndarray, cutoffs) -> np.ndarray:
     return np.concatenate([pts, (pts[:-1] + pts[1:]) / 2.0])
 
 
-def _looped_r_min(rule, summaries: np.ndarray, i: int) -> int | None:
-    """Smallest selected count keeping i selected, one selection per candidate."""
-    best, work = None, summaries.copy()
-    for s in _candidates(summaries, rule.summary_thresholds(summaries.size)):
-        work[i] = s
-        picked = rule.select_from_summaries(work)
-        if (picked == i).any() and (best is None or picked.size < best):
-            best = int(picked.size)
-    return best
+def _looped_r_min(rule, summaries: np.ndarray, i: int) -> int:
+    """Smallest selected count keeping i selected, or 0 if no candidate does,
+    trying every candidate in `select_block` calls of at most
+    _SCAN_BLOCK_CELLS cells."""
+    m = summaries.size
+    points = _candidates(summaries, rule.summary_thresholds(m))
+    best, step = m + 1, max(1, _SCAN_BLOCK_CELLS // m)
+    for start in range(0, points.size, step):
+        work = np.tile(summaries, (min(step, points.size - start), 1))
+        work[:, i] = points[start : start + step]
+        mask = rule.select_block(work)
+        best = int(mask.sum(axis=1)[mask[:, i]].min(initial=best))
+    return best if best <= m else 0
 
 
 def _bisect(rule, work, fams, grid, lo, hi, r):
@@ -333,12 +352,10 @@ def _r_min_scan(rule, summaries: np.ndarray, i, rows=None):
     _SCAN_BLOCK_CELLS cells, each block gathering its own rows. The
     two-stage rule bisects over stage one's breakpoints, then over the
     stage-two cutoffs just past the last selecting one (`_boundary_r_min`).
-    Any other summary rule runs `_looped_r_min`.
+    Any other rule, which need not have the prefix property, runs
+    `_looped_r_min`.
     """
-    if not _is_summary_rule(rule):
-        raise UnsupportedRuleError(
-            "R_min needs a rule that consumes one scalar summary per family"
-        )
+    _check_rule(rule, scan=True)
     table, fams = np.atleast_2d(summaries), np.atleast_1d(i)
     if rows is None:
         one = np.ndim(summaries) == 1
@@ -346,7 +363,7 @@ def _r_min_scan(rule, summaries: np.ndarray, i, rows=None):
     if isinstance(rule, _BlockSelection):
         best = _boundary_r_min(rule, table, rows, fams)
     else:
-        best = [_looped_r_min(rule, table[r], j) or 0 for r, j in zip(rows, fams)]
+        best = [_looped_r_min(rule, table[r], j) for r, j in zip(rows, fams)]
         best = np.array(best, dtype=np.intp)
     if (best == 0).any():
         raise UnsupportedRuleError(
@@ -355,26 +372,34 @@ def _r_min_scan(rule, summaries: np.ndarray, i, rows=None):
     return int(best[0]) if np.ndim(i) == 0 else best
 
 
-def r_min(rule, ensemble: PValueEnsemble, i: int) -> int:
-    """Minimal number of selected families over replacements of family i's
-    p-values that keep family i selected, other families held fixed.
+def _counts(rule, summaries: np.ndarray, fams: np.ndarray, rows, r) -> np.ndarray:
+    """The count of each selected family fams[k] of summary row rows[k]: R
+    of its row, r[rows[k]], for a simple rule (the count cannot move while a
+    selected family stays selected), else its R_min from `_r_min_scan`."""
+    # an empty selection scans nothing, whatever the rule
+    if fams.size and not getattr(rule, "is_simple", False):
+        return _r_min_scan(rule, summaries, fams, rows)
+    return r[rows]
 
-    Simple rules take the shortcut r_min = R (the count cannot move while a
-    selected family stays selected); other summary-based rules get the exact
-    breakpoint scan. Rules that consume more than a per-family summary raise
-    UnsupportedRuleError.
-    """
-    if not _is_summary_rule(rule):
-        raise UnsupportedRuleError(
-            "R_min needs a rule that consumes one scalar summary per family"
-        )
-    summaries = rule.summaries(ensemble)
-    picked = rule.select_from_summaries(summaries)
+
+def _selecting(rule, ensemble: PValueEnsemble, i: int):
+    """The ensemble's summaries and its selected count, which family i is in."""
+    summaries = _summaries(rule, ensemble)
+    picked = _picked(rule, summaries)
     if not (picked == i).any():
         raise ValueError(f"family {i} is not selected")
-    if getattr(rule, "is_simple", False):
-        return int(picked.size)
-    return _r_min_scan(rule, summaries, i)
+    return summaries, picked.size
+
+
+def r_min(rule, ensemble: PValueEnsemble, i: int) -> int:
+    """Minimal number of selected families over replacements of family i's
+    p-values that keep family i selected, other families held fixed: R for
+    a simple rule, else the exact breakpoint scan (`_counts`). A rule outside
+    the rule protocol raises UnsupportedRuleError.
+    """
+    summaries, r = _selecting(rule, ensemble, i)
+    fams, rows = np.array([i]), np.zeros(1, dtype=np.intp)
+    return int(_counts(rule, summaries, fams, rows, np.array([r]))[0])
 
 
 @dataclass
@@ -401,21 +426,18 @@ def check_simple(
 
     Trials run in blocks of at most _SCAN_BLOCK_CELLS cells: one draw of
     (B, n_i) uniforms takes the same values from the stream as B draws of
-    n_i, and a rule with block_summaries and select_block summarizes and
-    selects the whole block in one call each. The first witness is the one
-    trial by trial would find.
+    n_i, and the whole block is summarized and selected in one call each.
+    The first witness is the one trial by trial would find.
     """
     rng = np.random.default_rng(seed)
-    summaries = rule.summaries(ensemble)
-    picked = rule.select_from_summaries(summaries)
-    if not (picked == i).any():
-        raise ValueError(f"family {i} is not selected")
-    r_observed = int(picked.size)
+    summaries, r_observed = _selecting(rule, ensemble, i)
     n_i = ensemble.size(i)
     step = max(1, _SCAN_BLOCK_CELLS // max(summaries.size, n_i))
     for start in range(0, trials, step):
         replacements = rng.uniform(size=(min(step, trials - start), n_i))
-        masks = _replaced_selections(rule, summaries, i, replacements)
+        work = np.repeat(summaries[None, :], len(replacements), axis=0)
+        work[:, i] = rule.block_summaries(replacements[:, None, :])[:, 0]
+        masks = rule.select_block(work)
         counts = masks.sum(axis=1)
         witnesses = np.flatnonzero(masks[:, i] & (counts != r_observed))
         if witnesses.size:
@@ -423,20 +445,6 @@ def check_simple(
             found = (int(counts[t]), replacements[t].copy(), start + t + 1)
             return SimplenessReport(True, i, r_observed, *found)
     return SimplenessReport(False, i, r_observed, None, None, trials)
-
-
-def _replaced_selections(rule, summaries, i, replacements) -> np.ndarray:
-    """(B, m) selection masks with family i's p-values replaced by each row."""
-    if hasattr(rule, "select_block") and hasattr(rule, "block_summaries"):
-        work = np.repeat(summaries[None, :], len(replacements), axis=0)
-        work[:, i] = rule.block_summaries(replacements[:, None, :])[:, 0]
-        return rule.select_block(work)
-    masks = np.zeros((len(replacements), summaries.size), dtype=bool)
-    work = summaries.copy()
-    for mask, replacement in zip(masks, replacements):
-        work[i] = rule.summary_of(replacement)
-        mask[rule.select_from_summaries(work)] = True
-    return masks
 
 
 @dataclass
@@ -464,10 +472,8 @@ def check_concordant(
     The blocks start at _FIRST_TRIAL_BLOCK trials and double up to
     _SCAN_BLOCK_CELLS cells, so an early witness costs few trials past it.
     """
-    if not _is_summary_rule(rule):
-        raise UnsupportedRuleError("the concordance check needs a summary-based rule")
     rng = np.random.default_rng(seed)
-    summaries = rule.summaries(ensemble)
+    summaries = _summaries(rule, ensemble)
     before = {}
     cap = max(1, _SCAN_BLOCK_CELLS // summaries.size)
     start, step = 0, min(_FIRST_TRIAL_BLOCK, cap)
@@ -513,8 +519,5 @@ def _bumped_trials(rule, ensemble, summaries, rng, trials):
             continue
         p = ensemble.family(j)
         raised = p + np.array(u) * (1.0 - p)
-        if hasattr(rule, "block_summaries"):
-            bumped[at, j] = rule.block_summaries(raised[None])[0]
-        else:
-            bumped[at, j] = [rule.summary_of(row) for row in raised]
+        bumped[at, j] = rule.block_summaries(raised[None])[0]
     return fams, bumped

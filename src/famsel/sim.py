@@ -30,11 +30,12 @@ tested by the steps the public analyses in `adjust` run (`_levels`,
 tests compare each estimate with those analyses on every replicate's
 `generate` ensemble, with the within-family test swapped for one textbook
 call per family and, for R_min, with the candidate scan.
-The rule must summarize and select in blocks (block_summaries and
-select_block), as every shipped rule does.
+The rule must follow the rule protocol of `selection`, as every shipped
+rule does.
 """
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -42,16 +43,9 @@ import numpy as np
 from scipy import special
 
 from .adjust import _levels, _test_rows
-from .core import (
-    ErrorMetric,
-    PValueEnsemble,
-    _metric_values,
-    group_slots,
-    in_family_order,
-    size_groups,
-)
+from .core import ErrorMetric, PValueEnsemble, _metric_values, group_slots, size_groups
 from .procedures import Procedure
-from .selection import check_concordant
+from .selection import _check_rule, _summarize, check_concordant
 
 ADJUSTMENTS = ("simple", "rmin", "none")
 DEPENDENCE_MODELS = ("independent", "equicorrelated")
@@ -277,8 +271,7 @@ def _block_values(config: ScenarioConfig, layout: _Layout, rng, b: int):
     rule, q, m = config.rule, config.q, config.m
     blocks = layout.blocks(b)
     _draw(config, layout, rng, blocks)
-    parts = [rule.block_summaries(p) for p in blocks]
-    summaries = in_family_order(layout.groups, parts)
+    summaries = _summarize(rule, layout.groups, blocks)
     picked = rule.select_block(summaries)
     counts = picked.sum(axis=1)
     values = np.zeros(picked.shape)
@@ -318,30 +311,22 @@ def _replicate_values(config: ScenarioConfig, start: int, stop: int):
 def estimate(config: ScenarioConfig, workers: int = 1) -> SimEstimate:
     """Monte Carlo estimate of E(C_S) and E(|S|/m) with its standard error.
 
-    Replicates may be spread over worker processes; fixed per-replicate
-    stream offsets and a fixed aggregation order make the result
-    independent of workers.
-    The rule must summarize and select in blocks, as every shipped rule does.
+    Replicates may be spread over up to `workers` worker processes, at most
+    one per CPU; fixed per-replicate stream offsets and a fixed aggregation
+    order make the result independent of workers. A rule outside the rule
+    protocol raises UnsupportedRuleError.
     """
-    methods = ("block_summaries", "select_block")
-    missing = [name for name in methods if not hasattr(config.rule, name)]
-    if missing:
-        needed = " and ".join(missing)
-        raise ValueError(f"the Monte Carlo harness needs a rule with {needed}")
+    _check_rule(config.rule)
     reps = config.replicates
-    if workers is None or workers < 2 or reps < 2:
+    workers = min(workers or 1, reps, os.cpu_count() or 1)
+    if workers < 2:
         cs, frac = _replicate_values(config, 0, reps)
     else:
-        edges = np.linspace(0, reps, num=min(workers, reps) + 1, dtype=int)
-        spans = [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
-        with ProcessPoolExecutor(max_workers=len(spans)) as pool:
+        # workers <= reps, so every span holds a replicate
+        edges = np.linspace(0, reps, num=workers + 1, dtype=int).tolist()
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(
-                pool.map(
-                    _replicate_values,
-                    [config] * len(spans),
-                    [a for a, _ in spans],
-                    [b for _, b in spans],
-                )
+                pool.map(_replicate_values, [config] * workers, edges[:-1], edges[1:])
             )
         cs = np.concatenate([p[0] for p in parts])
         frac = np.concatenate([p[1] for p in parts])

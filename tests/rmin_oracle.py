@@ -6,10 +6,9 @@ sorted breakpoints. This module shares no grid code with it. Every
 candidate value of family i's summary is tried: the breakpoints 0, 1, every
 summary and each of the rule's cutoffs in [0, 1], and the midpoints between
 consecutive ones. The smallest selected count among the candidates that
-keep i selected is R_min. A rule with `select_block` evaluates one family's
-candidates as the rows of a (candidates, m) matrix, one call per block of
-at most _BLOCK_CELLS cells; any other summary rule makes one
-`select_from_summaries` call per candidate.
+keep i selected is R_min. One family's candidates are the rows of a
+(candidates, m) matrix, one `select_block` call per block of at most
+_BLOCK_CELLS cells.
 
 `candidate_r_min` takes the rule's `summary_thresholds` as its cutoffs,
 which for the adaptive two-stage procedure are all m**2 stage-two
@@ -43,13 +42,6 @@ def candidates(summaries: np.ndarray, cutoffs) -> np.ndarray:
 
 def _selections(rule, summaries: np.ndarray, i: int, points: np.ndarray):
     """(kept, counts) of each block of candidates put in family i's place."""
-    if not hasattr(rule, "select_block"):
-        work = summaries.copy()
-        for s in points:
-            work[i] = s
-            picked = rule.select_from_summaries(work)
-            yield (picked == i).any(keepdims=True), np.array([picked.size])
-        return
     step = max(1, _BLOCK_CELLS // summaries.size)
     for start in range(0, points.size, step):
         block = points[start : start + step]
@@ -99,11 +91,9 @@ def oracle_r_min_scan(rule, summaries, i, rows=None):
     all of them in one summary vector."""
     if not all(
         hasattr(rule, name)
-        for name in ("summaries", "select_from_summaries", "summary_thresholds")
+        for name in ("block_summaries", "select_block", "summary_thresholds")
     ):
-        raise UnsupportedRuleError(
-            "R_min needs a rule that consumes one scalar summary per family"
-        )
+        raise UnsupportedRuleError("R_min needs a rule of the rule protocol")
     fams = np.atleast_1d(i).tolist()
     if rows is None:
         rows = [0] * len(fams) if np.ndim(summaries) == 1 else range(len(fams))

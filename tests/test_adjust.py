@@ -132,6 +132,12 @@ class TestUnadjusted:
         assert analysis.selection.selected == {0, 2}
         assert all(d.adjusted_level == 0.05 for d in analysis.decisions)
 
+    @pytest.mark.parametrize("level", [0.0, 1.0, -0.1, 1.5, float("nan")])
+    def test_level_validated(self, level):
+        ens = singleton_ensemble([0.01, 0.5])
+        with pytest.raises(ValueError, match=r"level must lie in \(0, 1\)"):
+            unadjusted_analysis(ens, MinPThreshold(0.5), Procedure("bh"), level)
+
 
 class TestIterative:
     def test_hand_traced_fixed_point(self):

@@ -1,4 +1,3 @@
-import argparse
 import csv
 import hashlib
 import io
@@ -457,13 +456,6 @@ class TestThreads:
     def test_bad_flag_exits_config(self, value, capsys):
         code, _, err = run_cli(["table1", "--reps", "10", "--threads", value], capsys)
         assert code == 3 and "thread count" in err
-
-    def test_capped_at_cpu_count(self, monkeypatch):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-        assert cli._threads(argparse.Namespace(threads="64")) == 2
-        assert cli._threads(argparse.Namespace(threads="1")) == 1
-        monkeypatch.setenv("FAMSEL_THREADS", "16")
-        assert cli._threads(argparse.Namespace(threads=None)) == 2
 
 
 class TestCheck:

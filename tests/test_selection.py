@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 from scipy import special
 
 from famsel import selection
-from famsel.core import PValueEnsemble
+from famsel.adjust import (
+    iterative_simple_adjusted,
+    selection_adjusted,
+    simple_selection_adjusted,
+    unadjusted_analysis,
+)
+from famsel.core import ErrorMetric, PValueEnsemble
 from famsel.procedures import Procedure
 from famsel.selection import (
     COMBINERS,
@@ -27,6 +33,7 @@ from famsel.selection import (
     r_min,
     select,
 )
+from famsel.sim import ScenarioConfig, estimate
 
 mpmath.mp.dps = 40
 
@@ -75,6 +82,12 @@ class TestCombine:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             combine("simes", [])
+
+    @pytest.mark.parametrize("kind", COMBINERS)
+    def test_pvalues_outside_unit_interval_rejected(self, kind):
+        for pvalues in ([-1.0], [2.0, 0.5], [math.nan], [0.1, 1.0 + 1e-12]):
+            with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+                combine(kind, pvalues)
 
     def test_unknown_combiner(self):
         with pytest.raises(ValueError):
@@ -845,19 +858,33 @@ class TestScanWork:
         assert sorted(set(counts.tolist())) == [m // 5, picked.size]
 
 
+def summary_of(rule, pvalues):
+    """One family's summary, as a block of one ensemble of one family."""
+    return rule.block_summaries(np.asarray(pvalues)[None, None, :])[0, 0]
+
+
+def family_summaries(rule, ensemble):
+    return np.array([summary_of(rule, f) for f in ensemble.families])
+
+
+def selected_by(rule, summaries):
+    """The families one summary vector selects, as a block of one row."""
+    return np.flatnonzero(rule.select_block(summaries[None, :])[0])
+
+
 def looped_check_simple(rule, ensemble, i, trials, seed=0):
     """check_simple one trial at a time, as it ran before it ran in blocks."""
     rng = np.random.default_rng(seed)
-    summaries = rule.summaries(ensemble)
-    picked = rule.select_from_summaries(summaries)
+    summaries = family_summaries(rule, ensemble)
+    picked = selected_by(rule, summaries)
     if not (picked == i).any():
         raise ValueError(f"family {i} is not selected")
     r_observed = int(picked.size)
     work = summaries.copy()
     for t in range(trials):
         replacement = rng.uniform(size=ensemble.size(i))
-        work[i] = rule.summary_of(replacement)
-        picked = rule.select_from_summaries(work)
+        work[i] = summary_of(rule, replacement)
+        picked = selected_by(rule, work)
         if (picked == i).any() and picked.size != r_observed:
             return (True, r_observed, int(picked.size), replacement.tobytes(), t + 1)
     return (False, r_observed, None, None, trials)
@@ -944,18 +971,18 @@ class TestCheckSimpleBlocks:
 
     def test_rule_without_blocks_uses_the_loop(self):
         class ThresholdRule:
-            """A min-p rule without block methods, which is not simple."""
+            """A min-p rule outside `_BlockSelection`, which is not simple."""
 
-            def summaries(self, ensemble):
-                return ensemble.min_p()
+            def block_summaries(self, p):
+                return p.min(axis=2)
 
-            def summary_of(self, pvalues):
-                return float(np.min(pvalues))
-
-            def select_from_summaries(self, summaries):
+            def select_block(self, summaries):
                 # drops the last selected family whenever family 0's summary is small
-                picked = np.flatnonzero(summaries <= 0.5)
-                return picked[:-1] if summaries[0] < 0.1 and picked.size > 1 else picked
+                mask = summaries <= 0.5
+                last = mask.shape[1] - 1 - np.argmax(mask[:, ::-1], axis=1)
+                drop = (summaries[:, 0] < 0.1) & (mask.sum(axis=1) > 1)
+                mask[np.flatnonzero(drop), last[drop]] = False
+                return mask
 
         ens = PValueEnsemble([[0.3], [0.2], [0.4]])
         rule = ThresholdRule()
@@ -963,48 +990,18 @@ class TestCheckSimpleBlocks:
         assert got == looped_check_simple(rule, ens, 0, 200, seed=3)
         assert got[0]
 
-    def test_rule_without_block_summaries_uses_the_loop(self):
-        class RowRule:
-            """A min-p threshold rule with select_block but no block_summaries."""
-
-            def summaries(self, ensemble):
-                return ensemble.min_p()
-
-            def summary_of(self, pvalues):
-                return float(np.min(pvalues))
-
-            def select_block(self, summaries):
-                return summaries <= 0.3
-
-            def select_from_summaries(self, summaries):
-                return np.flatnonzero(self.select_block(summaries[None, :])[0])
-
-            def summary_thresholds(self, m):
-                return np.array([0.3])
-
-        ens = PValueEnsemble([[0.1, 0.5], [0.2, 0.9], [0.6, 0.7]])
-        rule = RowRule()
-        for i in (0, 1):
-            got = report_tuple(check_simple(rule, ens, i, 200, seed=i))
-            assert got == looped_check_simple(rule, ens, i, 200, seed=i)
-            assert not got[0] and got[1] == 2
-
 
 class PanicRule:
-    """Selects everything once any summary looks large; no block methods."""
+    """Selects everything once any summary looks large. It is not a
+    `_BlockSelection`, so its R_min runs the candidate loop."""
 
     is_simple = False
 
-    def summaries(self, ensemble):
-        return ensemble.min_p()
+    def block_summaries(self, p):
+        return p.min(axis=2)
 
-    def summary_of(self, pvalues):
-        return float(np.min(pvalues))
-
-    def select_from_summaries(self, summaries):
-        if (summaries >= 0.9).any():
-            return np.arange(summaries.size)
-        return np.flatnonzero(summaries <= 0.1)
+    def select_block(self, summaries):
+        return (summaries >= 0.9).any(axis=1, keepdims=True) | (summaries <= 0.1)
 
     def summary_thresholds(self, m):
         return np.array([0.1, 0.9])
@@ -1015,12 +1012,9 @@ class SwitchRule(PanicRule):
     is very large, so bumps give both witnesses and families that no
     summary value selects."""
 
-    def select_from_summaries(self, summaries):
-        if (summaries >= 0.8).sum() >= 2:
-            return np.empty(0, dtype=np.intp)
-        if (summaries >= 0.9).any():
-            return np.arange(summaries.size)
-        return np.flatnonzero(summaries <= 0.3)
+    def select_block(self, summaries):
+        picked = (summaries >= 0.9).any(axis=1, keepdims=True) | (summaries <= 0.3)
+        return picked & ((summaries >= 0.8).sum(axis=1, keepdims=True) < 2)
 
     def summary_thresholds(self, m):
         return np.array([0.3, 0.8, 0.9])
@@ -1030,7 +1024,7 @@ def looped_check_concordant(rule, ensemble, trials, seed=0):
     """check_concordant one trial at a time, as it ran before it ran in
     blocks, with R_min from the candidate scan."""
     rng = np.random.default_rng(seed)
-    summaries = rule.summaries(ensemble)
+    summaries = family_summaries(rule, ensemble)
     m = ensemble.m
     for t in range(trials):
         i = int(rng.integers(m))
@@ -1041,7 +1035,7 @@ def looped_check_concordant(rule, ensemble, trials, seed=0):
         for j in chosen:
             p = ensemble.family(j)
             raised = p + rng.uniform(size=p.size) * (1.0 - p)
-            bumped[j] = rule.summary_of(raised)
+            bumped[j] = summary_of(rule, raised)
         after = oracle_r_min_scan(rule, bumped, i)
         if after > before:
             return (True, i, before, after, t + 1)
@@ -1147,3 +1141,89 @@ class TestCombinerValidity:
             hit = (values <= alpha).astype(float)
             se = hit.std(ddof=1) / np.sqrt(hit.size)
             assert hit.mean() <= alpha + 3 * se
+
+
+class LowPanicRule(PanicRule):
+    """Selects everything once any summary is very small, so that a family's
+    R_min is not reached at its lowest summary values."""
+
+    def select_block(self, summaries):
+        return (summaries < 0.05).any(axis=1, keepdims=True) | (summaries <= 0.5)
+
+    def summary_thresholds(self, m):
+        return np.array([0.05, 0.5])
+
+
+class RowOnlyRule:
+    """A rule with summaries, select_from_summaries and summary_thresholds
+    only: outside the rule protocol."""
+
+    is_simple = True
+
+    def summaries(self, ensemble):
+        return ensemble.min_p()
+
+    def select_from_summaries(self, summaries):
+        return np.flatnonzero(summaries <= 0.5)
+
+    def summary_thresholds(self, m):
+        return np.array([0.5])
+
+
+class TestRuleProtocol:
+    def test_row_only_rule_refused_by_every_entry_point(self):
+        rule, proc = RowOnlyRule(), Procedure("bh")
+        ens = PValueEnsemble([[0.1, 0.6], [0.7, 0.8]])
+        config = ScenarioConfig(
+            m=2,
+            n=2,
+            q=0.1,
+            rule=rule,
+            procedure=proc,
+            metric=ErrorMetric("fdr"),
+            replicates=5,
+        )
+        calls = [
+            lambda: select(rule, ens),
+            lambda: simple_selection_adjusted(ens, rule, proc, 0.1),
+            lambda: selection_adjusted(ens, rule, proc, 0.1),
+            lambda: unadjusted_analysis(ens, rule, proc, 0.1),
+            lambda: iterative_simple_adjusted(ens, rule, proc, 0.1),
+            lambda: r_min(rule, ens, 0),
+            lambda: check_simple(rule, ens, 0, 10),
+            lambda: check_concordant(rule, ens, 10),
+            lambda: _r_min_scan(rule, np.array([0.1, 0.7]), 0),
+            lambda: estimate(config),
+        ]
+        messages = set()
+        for call in calls:
+            with pytest.raises(UnsupportedRuleError) as err:
+                call()
+            messages.add(str(err.value))
+        assert messages == {
+            "famsel needs a rule with block_summaries and select_block"
+        }
+
+    @pytest.mark.parametrize("cells", [None, 1])
+    def test_rule_outside_block_selection_matches_the_candidate_scan(
+        self, monkeypatch, cells
+    ):
+        if cells is not None:
+            # one candidate per select_block call
+            monkeypatch.setattr(selection, "_SCAN_BLOCK_CELLS", cells)
+        rng = np.random.default_rng(31)
+        found = set()
+        for rule in (PanicRule(), SwitchRule(), LowPanicRule()):
+            for _ in range(60):
+                m = int(rng.integers(1, 8))
+                # values on each side of the rules' cutoffs, and anywhere
+                summaries = rng.choice([0.01, 0.05, 0.2, 0.5, 0.85, 0.95, 1.0], size=m)
+                anywhere = rng.uniform(size=m) < 0.3
+                summaries[anywhere] = rng.uniform(size=anywhere.sum())
+                i = int(rng.integers(m))
+                got = scan_or_none(rule, summaries, i)
+                assert got == oracle_or_none(rule, summaries, i), (rule, summaries, i)
+                r = selected_by(rule, summaries).size
+                found.add("never" if got is None else "below R" if got < r else "R")
+        assert found == {"never", "below R", "R"}
+

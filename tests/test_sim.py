@@ -1,3 +1,4 @@
+import argparse
 import tracemalloc
 from dataclasses import replace
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from rmin_oracle import oracle_r_min_scan
 from scipy import special, stats
 
-from famsel import adjust, selection, sim
+from famsel import adjust, cli, selection, sim
 from famsel.adjust import (
     selection_adjusted,
     simple_selection_adjusted,
@@ -486,6 +487,41 @@ class TestEstimate:
         assert estimate(cfg, workers=2) == serial
         assert estimate(cfg, workers=5) == serial
 
+    def test_workers_capped_at_cpu_count(self, monkeypatch):
+        opened = []
+
+        class RecordingPool:
+            """Runs the spans in process and records the workers asked for."""
+
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setenv("FAMSEL_THREADS", "16")
+        # the CLI parses the count as given; estimate caps it
+        counts = [
+            cli._threads(argparse.Namespace(threads=text)) for text in ("64", "1", None)
+        ]
+        assert counts == [64, 1, 16]
+        cfg = example1_config(20, 3, reps=301, seed=4)
+        serial = estimate(cfg)
+        for workers in counts:
+            assert estimate(cfg, workers=workers) == serial
+        assert opened == [2, 2]
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: None)
+        assert estimate(cfg, workers=16) == serial
+        assert opened == [2, 2]
+
     @pytest.mark.parametrize("block_cells", [1, 40, 1 << 14])
     def test_split_spans_match_one_span(self, block_cells, monkeypatch):
         # each replicate reads its words at a fixed offset, so any worker
@@ -808,7 +844,7 @@ class TestRMinBlocks:
         for cfg in configs:
             est = estimate(cfg)
             with monkeypatch.context() as patch:
-                patch.setattr(adjust, "_r_min_scan", oracle)
+                patch.setattr(selection, "_r_min_scan", oracle)
                 cs, frac = object_values(cfg, 0, cfg.replicates)
             assert est.e_cs_hat == float(cs.mean()), cfg.rule
             assert est.e_sel_frac_hat == float(frac.mean())
@@ -899,16 +935,12 @@ class TestPrdsControlCheck:
         class PanicRule:
             is_simple = False
 
-            def summaries(self, ensemble):
-                return ensemble.min_p()
+            def block_summaries(self, p):
+                return p.min(axis=2)
 
-            def summary_of(self, pvalues):
-                return float(np.min(pvalues))
-
-            def select_from_summaries(self, summaries):
-                if (summaries >= 0.9).any():
-                    return np.arange(summaries.size)
-                return np.flatnonzero(summaries <= 0.1)
+            def select_block(self, summaries):
+                panic = (summaries >= 0.9).any(axis=1, keepdims=True)
+                return panic | (summaries <= 0.1)
 
             def summary_thresholds(self, m):
                 return np.array([0.1, 0.9])
