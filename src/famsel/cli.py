@@ -581,10 +581,10 @@ def cmd_analyze(args) -> int:
 
 def _estimate(workers: int, **scenario):
     """`estimate` of the `ScenarioConfig` the keywords give; a scenario that
-    is invalid or cannot be run exits with EXIT_CONFIG."""
+    is invalid or too large to run exits with EXIT_CONFIG."""
     try:
         return estimate(ScenarioConfig(**scenario), workers=workers)
-    except ValueError as err:
+    except (ValueError, MemoryError) as err:
         raise CliError(EXIT_CONFIG, str(err))
 
 

@@ -11,13 +11,12 @@ exactly as one ensemble would select. An ensemble is the one-replicate case
 (`_summarize`), summarized one family size at a time: a sum over padding
 could group its terms differently. Where R_min is scanned the rule also
 names its summary_thresholds; is_simple (default False) and describe are
-optional.
+optional. Only the Fisher and Stouffer combiners import SciPy.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .core import PValueEnsemble, SelectionOutcome, in_family_order
 from .procedures import (
@@ -57,9 +56,11 @@ def _combine_rows(kind: str, rows: np.ndarray, floor: float) -> np.ndarray:
         ranked = np.sort(rows, axis=1)
         out = _min_last_axis(ranked * (n / np.arange(1.0, n + 1.0)))
     elif kind == "fisher":
+        from scipy import special
         stat = -2.0 * np.log(np.clip(rows, floor, 1.0)).sum(axis=1)
         out = special.chdtrc(2 * n, stat)
     elif kind == "stouffer":
+        from scipy import special
         z = -special.ndtri(np.clip(rows, floor, _P_CEIL))
         out = special.ndtr(-z.sum(axis=1) / np.sqrt(n))
     else:

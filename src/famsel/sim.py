@@ -31,16 +31,17 @@ tests compare each estimate with those analyses on every replicate's
 `generate` ensemble, with the within-family test swapped for one textbook
 call per family and, for R_min, with the candidate scan.
 The rule must follow the rule protocol of `selection`, as every shipped
-rule does.
+rule does. SciPy, numpy.random and the process pool are imported where
+they are first used, so that importing famsel loads none of them.
 """
+
+from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import special
 
 from .adjust import _levels, _test_rows
 from .core import ErrorMetric, PValueEnsemble, _metric_values, group_slots, size_groups
@@ -230,6 +231,7 @@ def _draw(config: ScenarioConfig, layout: _Layout, rng, blocks):
     the shift and `ndtr` then run once over the block's scores, and one
     gather per size group copies each cell from its word.
     """
+    from scipy import special
     b = len(blocks[0])
     if layout.direct:
         stream = blocks[0].reshape(b, -1)
@@ -324,6 +326,7 @@ def estimate(config: ScenarioConfig, workers: int = 1) -> SimEstimate:
     else:
         # workers <= reps, so every span holds a replicate
         edges = np.linspace(0, reps, num=workers + 1, dtype=int).tolist()
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(
                 pool.map(_replicate_values, [config] * workers, edges[:-1], edges[1:])

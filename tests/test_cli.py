@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from famsel import cli
+from famsel import cli, sim
 from famsel.cli import CSV_COLUMNS, REPORT_SCHEMA, main
 from report_oracle import oracle_report
 
@@ -430,6 +430,22 @@ class TestSimulate:
         )
         assert code == 3 and out == ""
         assert "mu must be finite and nonnegative" in err
+
+    def test_scenario_too_large_exits_config_everywhere(self, capsys, monkeypatch):
+        # NumPy raises MemoryError when it refuses an allocation; no large
+        # scenario runs here
+        def refuse(config):
+            raise MemoryError("Unable to allocate 745. GiB")
+
+        monkeypatch.setattr(sim, "_Layout", refuse)
+        for args in (
+            ["simulate", "--m", "4", "--n", "2", "--reps", "10"],
+            ["table1", "--reps", "10"],
+            ["check", "--suite", "control", "--reps", "10"],
+        ):
+            code, out, err = run_cli(args, capsys)
+            assert code == 3 and out == "", args
+            assert err == "famsel: Unable to allocate 745. GiB\n"
 
     def test_thread_env_fallback(self, capsys, monkeypatch):
         args = ["simulate", "--m", "8", "--n", "2", "--reps", "120", "--seed", "2"]

@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures
 import tracemalloc
 from dataclasses import replace
 
@@ -506,7 +507,8 @@ class TestEstimate:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
+        # estimate imports the pool where it opens one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setenv("FAMSEL_THREADS", "16")
         # the CLI parses the count as given; estimate caps it
         counts = [
