@@ -5,8 +5,12 @@ inside each selected family at level R*q/m (or, for selection rules without
 the fixed-count property, at R_min(i)*q/m) keeps the expected average error
 measure over the selected families at or below q. Unselected families are
 never tested, so they contribute 0 to the average.
+
+An analysis keeps its decisions in columns (`DecisionColumns`), a read-only
+sequence that builds a family's `FamilyDecision` only when it is indexed.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +25,7 @@ from .core import (
     size_groups,
 )
 from .procedures import Procedure, rejected_entries
-from .selection import GlobalNullTest, _counts, _picked, _summaries, select
+from .selection import GlobalNullTest, _counts, _picked, _summaries
 
 
 class NonConvergenceError(RuntimeError):
@@ -32,12 +36,50 @@ class NonConvergenceError(RuntimeError):
         self.trajectory = trajectory
 
 
+class DecisionColumns(Sequence):
+    """The decisions of an analysis in columns, read-only: the selected
+    `families`, ascending, their `counts` (R, or R_min under "rmin"),
+    `levels` (None when the procedure carries its own critical values) and
+    rejection counts `r`, their `v` and `c` (None without a truth mask, c
+    also without a metric), and the `cells` of every rejection, family after
+    family, a cell being a hypothesis' position among all the families laid
+    end to end. Indexing builds one family's FamilyDecision."""
+
+    def __init__(self, ensemble, families, counts, levels, r, cells, v=None, c=None):
+        self.families, self.counts, self.levels = families, counts, levels
+        self.r, self.cells, self.v, self.c = r, cells, v, c
+        self._ids = ensemble.family_ids
+        self._offsets = (np.cumsum(ensemble.sizes) - ensemble.sizes)[families]
+        self._ends = np.cumsum(r)
+
+    def __len__(self) -> int:
+        return self.families.size
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[j] for j in range(len(self))[k]]
+        k = range(len(self))[k]  # a list's negative indices and IndexError
+        i, r, end = int(self.families[k]), int(self.r[k]), int(self._ends[k])
+        v = None if self.v is None else int(self.v[k])
+        return FamilyDecision(
+            i if self._ids is None else self._ids[i],
+            None if self.levels is None else float(self.levels[k]),
+            self.cells[end - r : end] - self._offsets[k],
+            v,
+            None if v is None else v / max(r, 1),
+            None if self.c is None else float(self.c[k]),
+        )
+
+    def __eq__(self, other):
+        return list(self) == other if isinstance(other, list) else NotImplemented
+
+
 @dataclass
 class AdjustedAnalysis:
     """One full selection-adjusted analysis of an ensemble."""
 
     selection: SelectionOutcome
-    decisions: list = field(default_factory=list)
+    decisions: Sequence = field(default_factory=list)
     q: float = 0.0
     procedure: Procedure | None = None
     metric: ErrorMetric | None = None
@@ -89,35 +131,28 @@ def _test_rows(procedure: Procedure, matrices, truths, group_of, rows, levels):
     return r, v, masks
 
 
-def _decide(ensemble, selected, levels, procedure, metric) -> list:
-    """Decisions for the families `selected`, family selected[k] tested at
-    levels[k]: what ``procedure.apply(ensemble.family(i), level)`` rejects,
-    or the error the first failing family raises there."""
-    if not selected:
-        return []
-    families = np.asarray(selected, dtype=np.intp)
-    tested_at = None if levels[0] is None else np.asarray(levels, dtype=np.float64)
+def _decide(ensemble, families, counts, levels, procedure, metric):
+    """The decisions for the selected families, ascending, family
+    families[k] (of count counts[k]) tested at levels[k], or at no level when
+    levels is None: what ``procedure.apply(ensemble.family(i), level)``
+    rejects, or the error the first failing family raises there."""
+    cells = np.zeros(0, dtype=np.intp)
+    if not families.size:
+        return DecisionColumns(ensemble, families, counts, levels, cells, cells)
     group_of, rows = ensemble.slots[:, families]
     r, v, masks = _test_rows(
-        procedure, ensemble.pvalues, ensemble.truths, group_of, rows, tested_at
+        procedure, ensemble.pvalues, ensemble.truths, group_of, rows, levels
     )
-    rejected = [None] * families.size
+    offsets = (np.cumsum(ensemble.sizes) - ensemble.sizes)[families]
+    parts = []
     for ks, mask in masks:
         row_of, cols = np.nonzero(mask)
-        bounds = np.searchsorted(row_of, np.arange(len(mask) + 1)).tolist()
-        for k, start, end in zip(
-            np.arange(families.size)[ks].tolist(), bounds[:-1], bounds[1:]
-        ):
-            rejected[k] = cols[start:end]
-    v_k = q_k = c_k = [None] * families.size
-    if v is not None:
-        v_k, q_k = v.tolist(), (v / np.maximum(r, 1)).tolist()
-        if metric is not None:
-            c_k = _metric_values(metric, v, r).tolist()
-    return [
-        FamilyDecision(ensemble.id_of(i), *fields)
-        for i, *fields in zip(selected, levels, rejected, v_k, q_k, c_k)
-    ]
+        parts.append(offsets[ks][row_of] + cols)
+    # The families are ascending, so their cells are too: sorting the
+    # groups' cells puts the rejections family after family.
+    cells = parts[0] if len(parts) == 1 else np.sort(np.concatenate(parts))
+    c = None if v is None or metric is None else _metric_values(metric, v, r)
+    return DecisionColumns(ensemble, families, counts, levels, r, cells, v, c)
 
 
 def _check_q(q: float, name: str = "q"):
@@ -136,7 +171,8 @@ def _analysis(ensemble, rule, procedure, q, metric, adjustment: str):
     )
     r_min = dict(zip(order, counts.tolist())) if adjustment == "rmin" else {}
     outcome = SelectionOutcome(frozenset(order), len(order), r_min)
-    decisions = _decide(ensemble, order, levels.tolist(), procedure, metric)
+    levels = None if q is None else levels
+    decisions = _decide(ensemble, fams, counts, levels, procedure, metric)
     return AdjustedAnalysis(outcome, decisions, q, procedure, metric)
 
 
@@ -205,9 +241,9 @@ def iterative_simple_adjusted(
     Each round tests the currently selected families at |S|*q/m and then
     re-selects only those with at least one rejection. The selected set can
     only shrink (a family with no rejection at a level has none at a smaller
-    one), so at most m rounds are needed; max_iters defaults to m and a
-    NonConvergenceError carrying the selection trajectory is raised if it is
-    ever exceeded.
+    one), so at most m rounds are needed; max_iters, at least 1, defaults
+    to m, and a NonConvergenceError carrying the selection trajectory is
+    raised if it is ever exceeded.
 
     With singleton families and a first selection at threshold q, the final
     rejections coincide exactly with BH at level q on the pooled p-values.
@@ -216,33 +252,29 @@ def iterative_simple_adjusted(
     m = ensemble.m
     if max_iters is None:
         max_iters = m
-    outcome = select(rule, ensemble)
-    selected = sorted(outcome.selected)
-    trajectory = [frozenset(selected)]
-    for _ in range(max_iters):
-        if not selected:
-            break
-        level = len(selected) * q / m
-        decisions = _decide(
-            ensemble, selected, [level] * len(selected), procedure, metric
-        )
-        keep = [i for i, d in zip(selected, decisions) if d.rejected.size > 0]
-        if len(keep) == len(selected):
-            r = len(selected)
-            final = SelectionOutcome(
-                frozenset(selected), r, {i: r for i in selected}
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
+    selected = _picked(rule, _summaries(rule, ensemble))
+    trajectory = [frozenset(selected.tolist())]
+    # Each of max_iters rounds tests the selected families. The empty
+    # selection is a fixed point that needs no test, so a round may reach it
+    # after the last one.
+    for rounds in range(max_iters + 1):
+        r = selected.size
+        if r and rounds == max_iters:
+            raise NonConvergenceError(
+                f"no fixed point after {max_iters} iterations", trajectory
             )
+        decisions = _decide(
+            ensemble, selected, np.full(r, r), np.full(r, r * q / m), procedure, metric
+        )
+        keep = selected[decisions.r > 0]
+        if keep.size == r:
+            order = selected.tolist()
+            final = SelectionOutcome(frozenset(order), r, dict.fromkeys(order, r))
             return AdjustedAnalysis(final, decisions, q, procedure, metric)
         selected = keep
-        trajectory.append(frozenset(selected))
-    if not selected:
-        # the last families dropped out: the empty selection is the fixed point
-        return AdjustedAnalysis(
-            SelectionOutcome(frozenset(), 0), [], q, procedure, metric
-        )
-    raise NonConvergenceError(
-        f"no fixed point after {max_iters} iterations", trajectory
-    )
+        trajectory.append(frozenset(selected.tolist()))
 
 
 def guaranteed_rejection_analysis(
@@ -261,10 +293,10 @@ def guaranteed_rejection_analysis(
     analysis = simple_selection_adjusted(
         ensemble, rule, Procedure("bh"), q, metric=metric
     )
-    for decision in analysis.decisions:
-        if decision.rejected.size == 0:
-            raise AssertionError(
-                f"selected family {decision.family_id!r} has no rejection; "
-                "this indicates an implementation bug"
-            )
+    unrejected = analysis.decisions.families[analysis.decisions.r == 0]
+    if unrejected.size:
+        raise AssertionError(
+            f"selected family {ensemble.id_of(int(unrejected[0]))!r} has no "
+            "rejection; this indicates an implementation bug"
+        )
     return analysis

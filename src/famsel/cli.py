@@ -7,7 +7,6 @@ property-check suites. Exit codes: 0 success, 1 property violation,
 """
 
 import argparse
-import collections
 import csv
 import functools
 import hashlib
@@ -15,7 +14,6 @@ import io
 import json
 import os
 import sys
-from itertools import repeat
 
 import numpy as np
 
@@ -416,42 +414,10 @@ def _write_text(text: str, output):
         sys.stdout.write(text)
 
 
-# The columns of an analyze report. ids: every family's id; selected: the
-# selected families' indices, ascending; r_min, levels and counts: each
-# selected family's R_min, test level and number of rejections, in that
-# order; names: the distinct hypothesis ids; rejected: the position in names
-# of every rejection, the selected families' one after another.
-_FamilyColumns = collections.namedtuple(
-    "_FamilyColumns", "ids selected r_min levels counts names rejected"
-)
-
 # An unselected family's JSON record after its id, as json.dumps writes it.
 _UNSELECTED_JSON = (
     ', "selected": false, "r_min": null, "adjusted_level": null, "rejected": []}'
 )
-
-
-def _family_columns(ensemble, names, codes, analysis) -> _FamilyColumns:
-    """The report columns of an analysis of the families a CSV holds;
-    names and codes are as `_read_families_csv` returns them."""
-    outcome = analysis.selection
-    selected = sorted(outcome.selected)  # the order of analysis.decisions
-    rejected = [decision.rejected for decision in analysis.decisions]
-    counts = np.fromiter(map(len, rejected), np.intp, len(rejected))
-    flat = codes.ravel() if isinstance(codes, np.ndarray) else np.concatenate(codes)
-    starts = np.cumsum(ensemble.sizes) - ensemble.sizes
-    at = np.repeat(starts[selected], counts)
-    if rejected:
-        at += np.concatenate(rejected)
-    return _FamilyColumns(
-        ids=ensemble.family_ids,
-        selected=selected,
-        r_min=list(map(outcome.r_min.get, selected, repeat(outcome.r))),
-        levels=[decision.adjusted_level for decision in analysis.decisions],
-        counts=counts,
-        names=names,
-        rejected=flat[at],
-    )
 
 
 def _joined(texts, codes, counts, sep: str) -> list:
@@ -469,37 +435,37 @@ def _joined(texts, codes, counts, sep: str) -> list:
     return list(map(whole.__getitem__, map(slice, first.tolist(), past.tolist())))
 
 
-def _families_json(families: _FamilyColumns) -> str:
+def _families_json(ids, names, decisions, rejected) -> str:
     """The JSON array of an analyze report's family records, byte for byte
     what json.dumps writes, from one table of texts with a row per family:
     every id and hypothesis name is encoded once, with the C encoder
-    json.dumps uses, and every unselected family shares one text."""
+    json.dumps uses, and every unselected family shares one text. rejected
+    holds the position in names of each of the decisions' rejections."""
     encode = json.encoder.encode_basestring_ascii
-    selected = np.asarray(families.selected, dtype=np.intp)
+    selected = decisions.families
+    levels = decisions.levels.tolist()
     # Equal positive floats have one repr, so each distinct level is
     # written once.
-    level_text = {level: float.__repr__(level) for level in set(families.levels)}
-    text = np.full((len(families.ids), 9), "", dtype=object)
+    level_text = {level: float.__repr__(level) for level in set(levels)}
+    text = np.full((len(ids), 9), "", dtype=object)
     text[:, 0] = ', {"family_id": '
     text[0, 0] = '{"family_id": '
-    text[:, 1] = list(map(encode, families.ids))
+    text[:, 1] = list(map(encode, ids))
     text[:, 2] = _UNSELECTED_JSON
     text[selected, 2] = ', "selected": true, "r_min": '
-    text[selected, 3] = list(map(int.__repr__, families.r_min))
+    text[selected, 3] = list(map(int.__repr__, decisions.counts.tolist()))
     text[selected, 4] = ', "adjusted_level": '
-    text[selected, 5] = list(map(level_text.__getitem__, families.levels))
+    text[selected, 5] = list(map(level_text.__getitem__, levels))
     text[selected, 6] = ', "rejected": ['
-    text[selected, 7] = _joined(
-        list(map(encode, families.names)), families.rejected, families.counts, ", "
-    )
+    text[selected, 7] = _joined(list(map(encode, names)), rejected, decisions.r, ", ")
     text[selected, 8] = "]}"
     return "[" + "".join(text.ravel().tolist()) + "]"
 
 
-def _families_csv(families: _FamilyColumns) -> str:
+def _families_csv(ids, names, decisions, rejected) -> str:
     """The CSV report, one row per family, written by `csv.writer` from
-    columns."""
-    m, selected = len(families.ids), families.selected
+    columns; the arguments are those of `_families_json`."""
+    m, selected = len(ids), decisions.families
 
     def spread(values, fill) -> list:
         """A column of every family: values for the selected ones."""
@@ -507,34 +473,33 @@ def _families_csv(families: _FamilyColumns) -> str:
         column[selected] = values
         return column.tolist()
 
-    rejected = _joined(families.names, families.rejected, families.counts, ";")
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(CSV_COLUMNS)
     writer.writerows(
         zip(
-            families.ids,
+            ids,
             spread(1, 0),
-            spread(families.r_min, ""),
-            spread(list(map(float.__repr__, families.levels)), ""),
-            spread(families.counts, 0),
-            spread(rejected, ""),
+            spread(decisions.counts.tolist(), ""),
+            spread(list(map(float.__repr__, decisions.levels.tolist())), ""),
+            spread(decisions.r, 0),
+            spread(_joined(names, rejected, decisions.r, ";"), ""),
         )
     )
     return buf.getvalue()
 
 
-def _emit_json(report: dict, output, families: _FamilyColumns | None = None):
+def _emit_json(report: dict, output, families: tuple | None = None):
     """One-line JSON report, byte for byte what json.dumps(report) writes
-    (without indent it uses its C encoder). `families`, when given, is
-    written from its columns as the last key of report["selection"]."""
+    (without indent it uses its C encoder). `families`, when given, are the
+    arguments of `_families_json`, written as the last key of report["selection"]."""
     if families is None:
         _write_text(json.dumps(report) + "\n", output)
         return
     # json.dumps writes a dict as "{" + ", ".join(key + ": " + value) + "}".
     parts = {key: json.dumps(value) for key, value in report.items()}
     parts["selection"] = (
-        parts["selection"][:-1] + ', "families": ' + _families_json(families) + "}"
+        parts["selection"][:-1] + ', "families": ' + _families_json(*families) + "}"
     )
     members = (json.dumps(key) + ": " + value for key, value in parts.items())
     _write_text("{" + ", ".join(members) + "}\n", output)
@@ -557,9 +522,10 @@ def cmd_analyze(args) -> int:
     except ValueError as err:
         raise CliError(EXIT_CONFIG, str(err))
 
-    families = _family_columns(ensemble, names, codes, analysis)
+    flat = codes.ravel() if isinstance(codes, np.ndarray) else np.concatenate(codes)
+    families = (ids, names, analysis.decisions, flat[analysis.decisions.cells])
     if args.format == "csv":
-        _write_text(_families_csv(families), args.output)
+        _write_text(_families_csv(*families), args.output)
         return EXIT_OK
     report = {
         "config": {

@@ -4,6 +4,7 @@ import textbook
 
 from famsel import adjust
 from famsel.adjust import (
+    AdjustedAnalysis,
     NonConvergenceError,
     guaranteed_rejection_analysis,
     iterative_simple_adjusted,
@@ -11,7 +12,7 @@ from famsel.adjust import (
     simple_selection_adjusted,
     unadjusted_analysis,
 )
-from famsel.core import ErrorMetric, PValueEnsemble
+from famsel.core import ErrorMetric, FamilyDecision, PValueEnsemble, pooled_fdp
 from famsel.procedures import PROCEDURE_KINDS, Procedure, bh
 from famsel.selection import GlobalNullTest, MinPThreshold, TopKMinP, combine
 
@@ -182,6 +183,18 @@ class TestIterative:
             )
         assert info.value.trajectory[0] == frozenset({0, 1})
 
+    @pytest.mark.parametrize("max_iters", [0, -2])
+    def test_max_iters_below_one_rejected(self, max_iters):
+        for values in ([0.01, 0.04, 0.2], [0.9]):
+            with pytest.raises(ValueError, match="max_iters must be at least 1"):
+                iterative_simple_adjusted(
+                    singleton_ensemble(values),
+                    MinPThreshold(0.05),
+                    Procedure("bonferroni"),
+                    0.05,
+                    max_iters=max_iters,
+                )
+
     def test_last_family_dropping_out_is_a_fixed_point(self):
         # one selected family without a rejection: the first round empties
         # the selection, which needs no second round within max_iters = m
@@ -252,27 +265,112 @@ class TestGuaranteedRejection:
         assert analysis.decisions == []
 
 
+class TestDecisionColumns:
+    """The read-only sequence the analyses keep their decisions in."""
+
+    @staticmethod
+    def _analysis(threshold=0.05):
+        # ragged, with truth and a metric: at R = 2 of m = 3 the level is
+        # 0.4, so family "a" rejects its first two hypotheses, one of them a
+        # true null, and family "c" its first, a false null
+        ensemble = PValueEnsemble(
+            [[0.001, 0.002, 0.9], [0.8, 0.9], [0.004, 0.5]],
+            family_ids=["a", "b", "c"],
+            truth=[[True, False, True], [True, True], [False, True]],
+        )
+        return simple_selection_adjusted(
+            ensemble,
+            MinPThreshold(threshold),
+            Procedure("bonferroni"),
+            0.6,
+            metric=ErrorMetric("fdr"),
+        )
+
+    def test_sequence_behaviour(self):
+        decisions = self._analysis().decisions
+        assert len(decisions) == 2
+        assert [d.family_id for d in decisions] == ["a", "c"]
+        assert decisions[-1].family_id == "c" and decisions[-2].family_id == "a"
+        assert [d.family_id for d in decisions[::-1]] == ["c", "a"]
+        for k in (2, -3):
+            with pytest.raises(IndexError):
+                decisions[k]
+        with pytest.raises(TypeError):
+            decisions[0] = decisions[1]
+        a, c = decisions
+        assert type(a.adjusted_level) is float
+        assert a.adjusted_level == pytest.approx(0.4)
+        assert a.rejected.tolist() == [0, 1] and a.rejected.dtype == np.intp
+        assert (a.v, a.q_i, a.realized_c) == (1, 0.5, 0.5)
+        assert c.rejected.tolist() == [0]
+        assert (c.v, c.q_i, c.realized_c) == (0, 0.0, 0.0)
+        assert decisions.counts.tolist() == [2, 2]
+        assert decisions.r.tolist() == [2, 1]
+        assert decisions.cells.tolist() == [0, 1, 5]
+
+    def test_empty(self):
+        decisions = self._analysis(threshold=1e-4).decisions
+        assert decisions == [] and [] == decisions
+        assert len(decisions) == 0 and list(decisions) == []
+        with pytest.raises(IndexError):
+            decisions[0]
+
+    def test_hand_built_analysis_takes_a_list(self):
+        computed = self._analysis()
+        decisions = [
+            FamilyDecision("a", 0.4, np.array([0, 1]), v=1, q_i=0.5, realized_c=0.5),
+            FamilyDecision("c", 0.4, np.array([0]), v=0, q_i=0.0, realized_c=0.0),
+        ]
+        analysis = AdjustedAnalysis(
+            computed.selection,
+            decisions,
+            0.6,
+            Procedure("bonferroni"),
+            ErrorMetric("fdr"),
+        )
+        assert analysis.average_error() == computed.average_error() == 0.25
+        assert pooled_fdp(analysis.decisions) == pooled_fdp(computed.decisions)
+        assert pooled_fdp(analysis.decisions) == pytest.approx(1 / 3)
+
+
+def decision_fields(d) -> tuple:
+    """Every field of a FamilyDecision, with the types that must match."""
+    return (
+        d.family_id,
+        d.adjusted_level,
+        type(d.adjusted_level),
+        d.rejected.tolist(),
+        d.rejected.dtype,
+        d.v,
+        d.q_i,
+        d.realized_c,
+    )
+
+
 def analysis_outcome(run):
     """Everything an analysis returns, or the error it raises."""
     try:
         analysis = run()
     except ValueError as err:
         return ("error", type(err), str(err))
-    decisions = [
-        (
-            d.family_id,
-            d.adjusted_level,
-            type(d.adjusted_level),
-            d.rejected.tolist(),
-            d.rejected.dtype,
-            d.v,
-            d.q_i,
-            d.realized_c,
-        )
-        for d in analysis.decisions
-    ]
+    decisions = [decision_fields(d) for d in analysis.decisions]
     outcome = analysis.selection
     return ("ok", outcome.selected, outcome.r, outcome.r_min, decisions)
+
+
+def checked_against_apply(analysis, ensemble, procedure):
+    """The analysis, once each decisions[k] has matched the decision one
+    textbook procedure call makes on its family at its level."""
+    decisions = analysis.decisions
+    assert len(decisions) == analysis.selection.r
+    assert decisions.families.tolist() == sorted(analysis.selection.selected)
+    levels = [None] * len(decisions)
+    if decisions.levels is not None:
+        levels = decisions.levels.tolist()
+    for k, (i, level) in enumerate(zip(decisions.families.tolist(), levels)):
+        expected = textbook.decision(ensemble, i, level, procedure, analysis.metric)
+        assert decision_fields(decisions[k]) == decision_fields(expected), (k, i)
+    return analysis
 
 
 class TestBatchedDecisions:
@@ -335,7 +433,11 @@ class TestBatchedDecisions:
             level = float(rng.choice([0.05, 0.3, 0.9]))
             for entry in self.ENTRY_POINTS:
                 batched = analysis_outcome(
-                    lambda: self._run(entry, ensemble, rule, procedure, level)
+                    lambda: checked_against_apply(
+                        self._run(entry, ensemble, rule, procedure, level),
+                        ensemble,
+                        procedure,
+                    )
                 )
                 with monkeypatch.context() as patch:
                     patch.setattr(adjust, "_decide", textbook.looped_decide)
@@ -354,7 +456,11 @@ class TestBatchedDecisions:
         for _ in range(50):
             ensemble = self._ensemble(rng, ragged=bool(rng.integers(2)))
             batched = analysis_outcome(
-                lambda: guaranteed_rejection_analysis(ensemble, 0.2)
+                lambda: checked_against_apply(
+                    guaranteed_rejection_analysis(ensemble, 0.2),
+                    ensemble,
+                    Procedure("bh"),
+                )
             )
             with monkeypatch.context() as patch:
                 patch.setattr(adjust, "_decide", textbook.looped_decide)

@@ -876,6 +876,54 @@ class TestReportFromColumns:
             assert sum(rec["selected"] for rec in families) == selected
             assert sum(len(rec["rejected"]) for rec in families) == 5 * (selected > 0)
 
+    @staticmethod
+    def guard_input(shape) -> str:
+        """A CSV of rectangular, ragged or mostly singleton families, with
+        selected families that reject and, for "singletons" under the
+        adaptive two-stage rule, one that rejects nothing and R_min < R."""
+        if shape == "singletons":
+            q1 = 0.05 / 1.05
+            ps = [[q1 / 6], [q1 / 2], [2 * q1], [0.003, 0.5], [0.9]]
+            ps.append([0.02, 0.001, 0.7])
+        else:
+            sizes = [4] * 30 if shape == "rect" else [1 + i % 5 for i in range(25)]
+            ps = [
+                [round(0.9 - 0.13 * j - 0.02 * (i % 7), 4) for j in range(n)]
+                for i, n in enumerate(sizes)
+            ]
+            for i in range(0, len(ps), 3):
+                ps[i][-1] = 1e-5 * (i + 1)
+                ps[i][0] = min(ps[i][0], 2e-4 * (i + 1))
+        return "family,hypothesis,p_value\n" + "".join(
+            f"g{i},h{j},{p!r}\n" for i, fam in enumerate(ps) for j, p in enumerate(fam)
+        )
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "shape, rule, adjust",
+        [
+            ("rect", "minp:0.05", "simple"),
+            ("ragged", "minp:0.05", "rmin"),
+            ("singletons", "global:simes:two_stage", "rmin"),
+        ],
+    )
+    def test_builds_no_family_decision(
+        self, tmp_path, monkeypatch, shape, rule, adjust, fmt
+    ):
+        path = tmp_path / "in.csv"
+        path.write_text(self.guard_input(shape))
+        want = oracle_report(path, rule, "bh", 0.05, adjust, fmt)
+
+        def no_decision(*args, **kwargs):
+            raise AssertionError("analyze built a FamilyDecision")
+
+        monkeypatch.setattr("famsel.adjust.FamilyDecision", no_decision)
+        out = tmp_path / "out"
+        args = ["analyze", str(path), "--rule", rule, "--procedure", "bh"]
+        args += ["--adjust", adjust, "--format", fmt, "--output", str(out)]
+        assert main(args) == 0
+        assert out.read_bytes().decode("utf-8") == want
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_r_min_below_r(self, tmp_path, fmt):
         # three singletons where the adaptive two-stage rule's count drops

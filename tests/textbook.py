@@ -5,12 +5,17 @@ famsel runs every procedure through one batched test,
 `Procedure.apply` as its one-row case. These are the per-family loops that
 batched test replaced, kept as the reference the tests compare it against.
 The generic step_up and step_down are famsel's own, which keep their
-per-family code. `looped_decide` tests the selected families of an
-analysis one textbook call at a time, in place of `famsel.adjust._decide`.
+per-family code. `decision` tests one family with one textbook call.
+`looped_decide` stands in for `famsel.adjust._decide`: it tests the selected
+families of an analysis one `decision` at a time and writes what they
+reject into the columns of a `famsel.adjust.DecisionColumns`, family after
+family, with no batched test and no mask. The tests check the columns'
+per-family view against `decision` on its own.
 """
 
 import numpy as np
 
+from famsel.adjust import DecisionColumns
 from famsel.core import FamilyDecision, metric_value
 from famsel.procedures import (
     bh_critical_values,
@@ -86,20 +91,45 @@ def apply(procedure, pvalues, level=None) -> np.ndarray:
     return named[kind](p, level)
 
 
-def looped_decide(ensemble, selected, levels, procedure, metric):
+def decision(ensemble, i, level, procedure, metric) -> FamilyDecision:
+    """The decision for family i tested at level, from one textbook
+    procedure call."""
+    rejected = apply(procedure, ensemble.family(i), level)
+    decision = FamilyDecision(ensemble.id_of(i), level, rejected)
+    truth = ensemble.truth_family(i)
+    if truth is not None:
+        r = int(rejected.size)
+        v = int(truth[rejected].sum())
+        decision.v = v
+        decision.q_i = v / max(r, 1)
+        if metric is not None:
+            decision.realized_c = metric_value(metric, v, r)
+    return decision
+
+
+def looped_decide(ensemble, families, counts, levels, procedure, metric):
     """What `famsel.adjust._decide` returns, one textbook procedure call per
-    selected family: the per-family decisions its batched test replaced."""
-    decisions = []
-    for i, level in zip(selected, levels):
-        rejected = apply(procedure, ensemble.family(i), level)
-        decision = FamilyDecision(ensemble.id_of(i), level, rejected)
-        truth = ensemble.truth_family(i)
-        if truth is not None:
-            r = int(rejected.size)
-            v = int(truth[rejected].sum())
-            decision.v = v
-            decision.q_i = v / max(r, 1)
-            if metric is not None:
-                decision.realized_c = metric_value(metric, v, r)
-        decisions.append(decision)
-    return decisions
+    selected family: the per-family decisions its batched test replaced,
+    written into the columns of a `DecisionColumns` one family at a time."""
+    start, starts = 0, []  # where each family's cells start
+    for i in range(ensemble.m):
+        starts.append(start)
+        start += ensemble.size(i)
+    r, cells, v, c = [], [], [], []
+    for k, i in enumerate(families.tolist()):
+        level = None if levels is None else float(levels[k])
+        d = decision(ensemble, i, level, procedure, metric)
+        r.append(d.rejected.size)
+        cells.extend(starts[i] + j for j in d.rejected.tolist())
+        v.append(d.v)
+        c.append(d.realized_c)
+    return DecisionColumns(
+        ensemble,
+        families,
+        counts,
+        levels,
+        np.array(r, dtype=np.intp),
+        np.array(cells, dtype=np.intp),
+        np.array(v, dtype=np.intp) if ensemble.has_truth() else None,
+        np.array(c) if ensemble.has_truth() and metric is not None else None,
+    )
