@@ -85,8 +85,12 @@ class AdjustedAnalysis:
     metric: ErrorMetric | None = None
 
     def average_error(self) -> float:
-        """Realized average error measure over the selected families."""
-        return average_over_selected(self.decisions, self.selection.r)
+        """Realized average error measure over the selected families; the
+        c column is summed left to right, as `average_over_selected` sums."""
+        c, r = getattr(self.decisions, "c", None), self.selection.r
+        if c is None or r != c.size:
+            return average_over_selected(self.decisions, r)
+        return float(np.cumsum(c)[-1] / r) if r else 0.0
 
 
 def _levels(rule, adjustment: str, q, summaries, fams, rows, r):

@@ -5,13 +5,12 @@ records the realized average error measure over the selected families
 together with the selected fraction. Results are bit-identical for any
 worker count.
 
-Stream layout 2 (`STREAM_LAYOUT`): the seed keys one Philox stream, read as
-uniform doubles of one 64-bit word each. A replicate takes W words, one per
-p-value plus the shared factor under the equicorrelated model; W4 is W
-rounded up to a multiple of 4, one Philox counter step, and replicate r's
-words start at counter offset r * W4 / 4, so one `advance` reaches any
-replicate and the W4 - W words after its own are skipped. Since Philox is
-counter based, every replicate's draws are the same whatever block or
+Stream layout 3 (`STREAM_LAYOUT`): the seed keys one PCG64 stream through
+`SeedSequence`, read as uniform doubles of one 64-bit word each. A
+replicate takes W words, one per p-value plus the shared factor under the
+equicorrelated model, and replicate r's words start at word r * W. PCG64's
+`advance(k)` skips exactly k doubles, so one `advance` reaches any
+replicate, and every replicate's draws are the same whatever block or
 worker reads them. A replicate's W words are its null p-values, family by
 family, and then its non-null scores, family by family; under the
 equicorrelated model they are the shared factor and then every score,
@@ -50,7 +49,7 @@ from .selection import _check_rule, _summarize, check_concordant
 
 ADJUSTMENTS = ("simple", "rmin", "none")
 DEPENDENCE_MODELS = ("independent", "equicorrelated")
-STREAM_LAYOUT = 2
+STREAM_LAYOUT = 3
 
 
 @dataclass(frozen=True)
@@ -135,8 +134,8 @@ def generate(
 
     The draws are replicate_index's words of the seed's stream, in the
     layout the module docstring gives. rng, when supplied, must sit at that
-    replicate's offset, counter replicate_index * W4 / 4 of the seed's
-    Philox stream; it is left at the next replicate's offset.
+    replicate's offset, word replicate_index * W of the seed's stream; it is
+    left at the next replicate's offset.
     """
     layout = _Layout(config)
     if rng is None:
@@ -169,11 +168,10 @@ class _Layout:
     A replicate's `words` words, in the module docstring's order, open with
     `uniforms` null p-values drawn uniform (none under the equicorrelated
     model); its scores start at word `scores`, and shifted marks which of
-    them get + mu. width is W4, the words rounded up to a multiple of 4.
-    source[g] holds the word of each cell of group g's (count, n) matrix, in
-    row-major order, and direct is True when a replicate's width words are
-    that matrix, so that replicates are drawn straight into the one group's
-    block.
+    them get + mu. source[g] holds the word of each cell of group g's
+    (count, n) matrix, in row-major order, and direct is True when a
+    replicate's words are that matrix, so that replicates are drawn straight
+    into the one group's block.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -198,12 +196,11 @@ class _Layout:
         position[~uniform] += factor
         self.shifted = ~null[~uniform]
         self.words = self.scores + self.shifted.size
-        self.width = -(-self.words // 4) * 4
         self.source = [
             position[starts[families, None] + np.arange(n)].ravel()
             for n, families in self.groups
         ]
-        self.direct = np.array_equal(self.source[0], np.arange(self.width))
+        self.direct = np.array_equal(self.source[0], np.arange(self.words))
 
     def blocks(self, b: int) -> list:
         """One empty (b, count, n) array per group."""
@@ -215,9 +212,8 @@ class _Layout:
 
 def _stream(config: ScenarioConfig, layout: _Layout, replicate_index: int):
     """A generator at replicate_index's offset in the seed's stream."""
-    # a uint64 key keeps every bit of a seed >= 2**63
-    bitgen = np.random.Philox(key=np.array([config.seed, 0], dtype=np.uint64))
-    bitgen.advance(replicate_index * layout.width // 4)
+    bitgen = np.random.PCG64(np.random.SeedSequence(config.seed))
+    bitgen.advance(replicate_index * layout.words)
     return np.random.Generator(bitgen)
 
 
@@ -225,7 +221,7 @@ def _draw(config: ScenarioConfig, layout: _Layout, rng, blocks):
     """Fill blocks, `layout.blocks(B)`, with the next B replicates' p-values.
 
     rng sits at the first replicate's offset. One `random` fill reads the
-    block's B * W4 words, which leaves rng at the offset of the replicate
+    block's B * W words, which leaves rng at the offset of the replicate
     after the block, so the draws are the same for `generate` (B = 1) and
     the Monte Carlo blocks. The normal scores, the equicorrelated mixing,
     the shift and `ndtr` then run once over the block's scores, and one
@@ -236,7 +232,7 @@ def _draw(config: ScenarioConfig, layout: _Layout, rng, blocks):
     if layout.direct:
         stream = blocks[0].reshape(b, -1)
     else:
-        stream = np.empty((b, layout.width))
+        stream = np.empty((b, layout.words))
     rng.random(out=stream)
     k, s, w = layout.uniforms, layout.scores, layout.words
     normal = stream[:, k:w]

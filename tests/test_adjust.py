@@ -12,7 +12,13 @@ from famsel.adjust import (
     simple_selection_adjusted,
     unadjusted_analysis,
 )
-from famsel.core import ErrorMetric, FamilyDecision, PValueEnsemble, pooled_fdp
+from famsel.core import (
+    ErrorMetric,
+    FamilyDecision,
+    PValueEnsemble,
+    average_over_selected,
+    pooled_fdp,
+)
 from famsel.procedures import PROCEDURE_KINDS, Procedure, bh
 from famsel.selection import GlobalNullTest, MinPThreshold, TopKMinP, combine
 
@@ -331,6 +337,52 @@ class TestDecisionColumns:
         assert analysis.average_error() == computed.average_error() == 0.25
         assert pooled_fdp(analysis.decisions) == pooled_fdp(computed.decisions)
         assert pooled_fdp(analysis.decisions) == pytest.approx(1 / 3)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_average_error_sums_the_c_column(self, seed, monkeypatch):
+        # bit for bit the sum over the decisions as a list, built before
+        # FamilyDecision is patched to raise; the threshold 1e-9 selects
+        # nothing, so r = 0 is among the cases
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(1, 7, size=300)
+        truth = [rng.random(n) > 0.3 for n in sizes]
+        families = [
+            np.where(t, rng.random(t.size), rng.random(t.size) * 1e-3) for t in truth
+        ]
+        ensemble = PValueEnsemble(families, truth=truth)
+        cases = []
+        for kind, threshold in (("fdr", 0.05), ("fwer", 0.2), ("pfer", 1e-9)):
+            metric = ErrorMetric(kind)
+            rule, proc = MinPThreshold(threshold), Procedure("bh")
+            cases += [
+                simple_selection_adjusted(ensemble, rule, proc, 0.1, metric=metric),
+                selection_adjusted(ensemble, rule, proc, 0.1, metric=metric),
+                unadjusted_analysis(ensemble, rule, proc, 0.1, metric=metric),
+                iterative_simple_adjusted(ensemble, rule, proc, 0.1, metric=metric),
+            ]
+        expected = [
+            average_over_selected(list(a.decisions), a.selection.r) for a in cases
+        ]
+        assert 0 in [a.selection.r for a in cases]
+        assert any(e > 0.0 for e in expected)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("average_error built a FamilyDecision")
+
+        monkeypatch.setattr(adjust, "FamilyDecision", refused)
+        for analysis, want in zip(cases, expected):
+            got = analysis.average_error()
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_average_error_without_truth_is_refused(self):
+        ensemble = PValueEnsemble([[0.001, 0.5], [0.9, 0.8]])
+        analysis = simple_selection_adjusted(
+            ensemble, MinPThreshold(0.05), Procedure("bh"), 0.1
+        )
+        assert analysis.selection.r == 1
+        with pytest.raises(ValueError, match="no realized error measure"):
+            analysis.average_error()
 
 
 def decision_fields(d) -> tuple:

@@ -406,8 +406,8 @@ class TestSimulate:
         report = json.loads(out)
         jsonschema.validate(report, REPORT_SCHEMA)
         assert list(report["metadata"]) == ["version", "seed", "stream_layout"]
-        assert report["metadata"]["stream_layout"] == 2
-        report["metadata"]["stream_layout"] = "2"
+        assert report["metadata"]["stream_layout"] == 3
+        report["metadata"]["stream_layout"] = "3"
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(report, REPORT_SCHEMA)
 

@@ -46,25 +46,23 @@ def example1_config(m, n, reps, seed=0, adjustment="none"):
 
 def reference_draw(config, idx):
     """One replicate's (m, n_max) p-values, padded with +inf, read from a
-    fresh Philox stream keyed by the seed: stream layout 2, which every
-    estimate's bits depend on. A replicate takes W words, one per p-value
-    plus the shared factor under the equicorrelated model, and replicate
-    idx's words start at counter offset idx * W4 / 4, W4 being W rounded up
-    to a multiple of 4. The independent model reads every family's nulls
-    and then every family's non-null scores; the equicorrelated model the
-    shared factor and then every family's scores. Families are taken in
-    order, each in column order. A score word u is the normal ndtri(u), a
-    0.0 word read as 2**-54."""
+    fresh PCG64 stream keyed by the seed's SeedSequence: stream layout 3,
+    which every estimate's bits depend on. A replicate takes W words, one
+    per p-value plus the shared factor under the equicorrelated model, and
+    replicate idx's words start at word idx * W. The independent model
+    reads every family's nulls and then every family's non-null scores; the
+    equicorrelated model the shared factor and then every family's scores.
+    Families are taken in order, each in column order. A score word u is
+    the normal ndtri(u), a 0.0 word read as 2**-54."""
     sizes = np.array(config.sizes())
     columns = np.arange(sizes.max())
     cells = columns < sizes[:, None]
     non_null = columns < np.round(config.pi1 * sizes)[:, None]
     equicorrelated = config.dependence == "equicorrelated"
     w = int(sizes.sum()) + equicorrelated
-    w4 = -(-w // 4) * 4
-    bitgen = np.random.Philox(key=np.array([config.seed, 0], dtype=np.uint64))
-    bitgen.advance(idx * w4 // 4)
-    words = np.random.Generator(bitgen).random(w4)[:w]
+    bitgen = np.random.PCG64(np.random.SeedSequence(config.seed))
+    bitgen.advance(idx * w)
+    words = np.random.Generator(bitgen).random(w)
     normal = special.ndtri(np.where(words == 0.0, 2.0**-54, words))
     out = np.full(cells.shape, np.inf)
     x = np.zeros(cells.shape)
@@ -268,8 +266,8 @@ class TestGenerate:
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_block_draw_matches_generate(self, seed, monkeypatch):
         # a block is one fill from the span's first offset; every block must
-        # equal one generate() per replicate and the reference draw, for W
-        # a multiple of 4 or not and for spans that start inside a block
+        # equal one generate() per replicate and the reference draw, for
+        # direct and gathered layouts and for spans that start inside a block
         draw = sim._draw
         monkeypatch.setattr(sim, "_BLOCK_CELLS", 40)
         for n in (1, 5, [2, 5, 1, 3], [1, 1, 2, 1]):
@@ -321,7 +319,7 @@ class TestGenerate:
                         assert np.array_equal(drawn_block(cfg, start, stop), want)
 
     def test_one_fill_per_block(self, monkeypatch):
-        # every layout draws a block with one `random` call of B * W4 words,
+        # every layout draws a block with one `random` call of B * W words,
         # whatever its sizes and dependence model
         class CountingGenerator:
             def __init__(self, rng):
@@ -361,10 +359,10 @@ class TestGenerate:
                     monkeypatch.setattr(sim, "_stream", stream)
                     cells = sum(cfg.sizes())
                     step = max(1, 60 // cells)
-                    w4 = -(-(cells + bool(rho)) // 4) * 4
+                    w = cells + bool(rho)
                     blocks = [min(step, 20 - a) for a in range(3, 20, step)]
                     assert len(rngs) == 1
-                    assert rngs[0].fills == [b * w4 for b in blocks], (n, pi1, rho)
+                    assert rngs[0].fills == [b * w for b in blocks], (n, pi1, rho)
 
     @pytest.mark.parametrize("pi1", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize(
@@ -408,13 +406,49 @@ class TestGenerate:
         draws = {}
         for seed in (0, 2**63, 2**63 + 1, 2**64 - 1):
             cfg = example1_config(3, 4, reps=1, seed=seed)
-            # the Python int key is Philox's own route to all 128 key bits
-            bitgen = np.random.Philox(key=seed)
-            bitgen.advance(5 * 12 // 4)
+            bitgen = np.random.PCG64(np.random.SeedSequence(seed))
+            bitgen.advance(5 * 12)
             draws[seed] = generate(cfg, 5).rect
             at_offset = generate(cfg, 5, rng=np.random.Generator(bitgen))
             assert np.array_equal(draws[seed], at_offset.rect)
         assert len({d.tobytes() for d in draws.values()}) == 4
+
+    def test_pcg64_advance_skips_whole_doubles(self):
+        # stream layout 3 reaches replicate r with advance(r * W): that holds
+        # only while PCG64's advance(k) skips exactly k doubles of random()
+        seed = np.random.SeedSequence(2**64 - 1)
+        words = np.random.Generator(np.random.PCG64(seed)).random(16)
+        j = 7
+        for k in (0, 1, 3, 5, 2**40, 2**64 - 1):
+            bitgen = np.random.PCG64(seed)
+            bitgen.advance(k)
+            got = np.random.Generator(bitgen).random(j)
+            if k + j <= words.size:
+                assert np.array_equal(got, words[k : k + j]), k
+            else:
+                # the same words, reached by two advances and 3 doubles
+                split = np.random.PCG64(seed)
+                split.advance(k // 2)
+                split.advance(k - k // 2 - 3)
+                want = np.random.Generator(split).random(j + 3)[3:]
+                assert np.array_equal(got, want), k
+
+    @pytest.mark.parametrize("m, n", [(3, 7), (5, 3)])
+    def test_all_null_single_size_draws_direct(self, m, n, monkeypatch):
+        # W = m * n is not a multiple of 4, and the block is still drawn
+        # straight into its array: no gather runs
+        cfg = example1_config(m, n, reps=1, seed=2**63 + 1)
+        layout = sim._Layout(cfg)
+        assert layout.words % 4 and layout.direct
+
+        def refused(*args, **kwargs):
+            raise AssertionError("_draw gathered a direct layout")
+
+        monkeypatch.setattr(np, "take", refused)
+        for start, stop in ((0, 9), (4, 11)):
+            drawn = drawn_block(cfg, start, stop)
+            want = [reference_draw(cfg, i) for i in range(start, stop)]
+            assert np.array_equal(drawn, np.stack(want))
 
     def test_ragged_sizes(self):
         cfg = ScenarioConfig(
