@@ -73,6 +73,10 @@ class DecisionColumns(Sequence):
     def __eq__(self, other):
         return list(self) == other if isinstance(other, list) else NotImplemented
 
+    def __repr__(self) -> str:
+        shown = [f"{k}={getattr(self, k)!r}" for k in ("families", "counts", "levels")]
+        return f"DecisionColumns({', '.join(shown)}, r={self.r!r})"
+
 
 @dataclass
 class AdjustedAnalysis:

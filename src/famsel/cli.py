@@ -7,6 +7,8 @@ property-check suites. Exit codes: 0 success, 1 property violation,
 """
 
 import argparse
+import codecs
+import contextlib
 import csv
 import functools
 import hashlib
@@ -176,47 +178,49 @@ def parse_metric(text: str) -> ErrorMetric:
     raise CliError(EXIT_CONFIG, f"unknown metric {text!r}")
 
 
-def _scan_records(raw: bytes, text: str):
-    """Tokenise text that holds no '"' and no '\\r' from one scan of its bytes.
+# Data lines (or csv records) read and checked at a time.
+_CHUNK_LINES = 1 << 10
 
-    For such text every record of `csv`'s default dialect is one line split
-    at each comma, and an empty line is an empty record. NumPy scans of
-    `raw`, the UTF-8 bytes of `text`, find the line breaks, each line's
-    commas and each line's length; the fields then come from one split of
-    `text`. Returns what `_reader_records` returns for well-formed text, or
-    None for a non-blank line that is not 3 fields or a line longer in
-    bytes than the csv field limit: `csv.reader` then gives the message.
+
+def _scan_records(raw: bytes):
+    """Tokenise UTF-8 bytes from one NumPy scan; yields what `_reader_records` yields.
+
+    In text with no '"' and no '\\r' every record of `csv`'s default dialect
+    is one line split at each comma, and an empty line is an empty record.
+    The scan finds each line's end, commas and length; each chunk of
+    `_CHUNK_LINES` lines is then decoded from its own bytes (a newline byte
+    never falls inside a multi-byte character) and split. Other text, and a
+    non-blank line that is not 3 fields or is longer in bytes than the csv
+    field limit, go to `_reader_records`, so that `csv.reader` reads them.
     """
-    if not raw:
-        return None, np.empty(0, dtype=np.intp), [], [], [], None
     b = np.frombuffer(raw, dtype=np.uint8)
     breaks = np.flatnonzero(b == 10)
     ends = breaks if raw.endswith(b"\n") else np.append(breaks, len(raw))
     lengths = np.diff(ends, prepend=-1) - 1
     commas = np.diff(np.searchsorted(np.flatnonzero(b == 44), ends), prepend=0)
-    if lengths.max() > csv.field_size_limit() or (
-        (commas != 2) & (lengths > 0)
-    ).any():
-        return None
+    too_long = lengths.max() > csv.field_size_limit()
+    if b'"' in raw or b"\r" in raw or too_long or ((commas != 2) & (lengths > 0)).any():
+        yield from _reader_records(raw)
+        return
     # In ASCII text every character str.strip() removes is a byte <= 32, so
     # when the line breaks are the only such bytes no field is padded.
-    padded = b.max() >= 128 or np.count_nonzero(b <= 32) > breaks.size
-    fields = text.replace("\n", ",").split(",")
-    header = fields[: commas[0] + 1]
-    first = np.cumsum(commas + 1)[:-1]  # index of each data line's first field
-    keep = np.flatnonzero(commas[1:] == 2)
-    if keep.size == lengths.size - 1:
-        start = int(first[0]) if keep.size else 0
-        end = start + 3 * keep.size
-        columns = [fields[start + j : end : 3] for j in range(3)]
-    else:  # blank lines
-        at = first[keep]
-        columns = [list(map(fields.__getitem__, (at + j).tolist())) for j in (0, 1, 2)]
-    del fields
-    fams, hyps, p_texts = columns
-    if padded:
-        fams, hyps = list(map(str.strip, fams)), list(map(str.strip, hyps))
-    return header, keep + 2, fams, hyps, p_texts, None
+    padded = not raw.isascii() or np.count_nonzero(b <= 32) > breaks.size
+    view, starts = memoryview(raw), ends - lengths
+    yield str(view[: ends[0]], "utf-8").split(",")
+    for lo in range(1, ends.size, _CHUNK_LINES):
+        hi = min(lo + _CHUNK_LINES, ends.size)
+        text = str(view[starts[lo] : ends[hi - 1]], "utf-8")
+        fields = text.replace("\n", ",").split(",")
+        keep = np.flatnonzero(commas[lo:hi] == 2)
+        if keep.size == hi - lo:
+            fams, hyps, p_texts = (fields[j::3] for j in range(3))
+        else:  # blank lines
+            first = (np.cumsum(commas[lo:hi] + 1) - commas[lo:hi] - 1)[keep]
+            at = ((first + j).tolist() for j in range(3))  # each kept line's fields
+            fams, hyps, p_texts = (list(map(fields.__getitem__, a)) for a in at)
+        if padded:
+            fams, hyps = list(map(str.strip, fams)), list(map(str.strip, hyps))
+        yield keep + lo + 1, fams, hyps, p_texts, None
 
 
 def _csv_error_message(err) -> str:
@@ -226,47 +230,46 @@ def _csv_error_message(err) -> str:
     return text
 
 
-def _reader_records(text: str):
-    """Tokenise text with `csv.reader`.
+def _reader_records(raw: bytes):
+    """Tokenise UTF-8 bytes with `csv.reader`, one line at a time.
 
-    Returns (header, linenos, fams, hyps, p_texts, stop): the header record
-    (None for empty text), the line number of each 3-field data record
-    before the first malformed one, their three fields as columns, the
+    Yields the header record (None for empty input), then the data records
+    in chunks of at most `_CHUNK_LINES`, as (linenos, fams, hyps, p_texts,
+    stop): each record's line number, its three fields as columns, the
     first two stripped, and (line number, message) of the first record that
-    is not 3 fields or that `csv` cannot read, or None. Empty records are
-    skipped. A record's line number is the physical line it starts on, so a
-    quoted field that holds a line break moves the records after it down a
-    line.
+    is not 3 fields or that `csv` cannot read, which ends the chunks, or
+    None. Empty records are skipped. A record's line number is the physical
+    line it starts on, so a quoted field that holds a line break moves the
+    records after it down a line.
     """
-    reader = csv.reader(io.StringIO(text))
-    records = []
-    starts = []
-    stop = None
-    start = 1
+    reader = csv.reader(map(bytes.decode, io.BytesIO(raw)))
+    try:
+        yield next(reader, None)
+    except csv.Error as err:
+        raise CliError(EXIT_INPUT, f"line 1: {_csv_error_message(err)}")
+    stop, start = None, reader.line_num + 1
+    linenos, fields = [], []
     try:
         for row in reader:
-            records.append(row)
-            starts.append(start)
+            if row and len(row) != 3:
+                stop = (start, f"expected 3 columns, got {len(row)}")
+                break
+            if row:
+                linenos.append(start)
+                fields.extend(row)
             start = reader.line_num + 1
+            if len(linenos) == _CHUNK_LINES:
+                yield np.array(linenos, dtype=np.intp), *_columns(fields), None
+                linenos, fields = [], []
     except csv.Error as err:
         stop = (start, _csv_error_message(err))
-    if not records:
-        if stop is not None:
-            raise CliError(EXIT_INPUT, f"line {stop[0]}: {stop[1]}")
-        return None, np.empty(0, dtype=np.intp), [], [], [], None
-    linenos, fields = [], []
-    for lineno, row in zip(starts[1:], records[1:]):
-        if not row:
-            continue
-        if len(row) != 3:
-            stop = (lineno, f"expected 3 columns, got {len(row)}")
-            break
-        linenos.append(lineno)
-        fields.extend(row)
-    fams = list(map(str.strip, fields[0::3]))
-    hyps = list(map(str.strip, fields[1::3]))
-    linenos = np.array(linenos, dtype=np.intp)
-    return records[0], linenos, fams, hyps, fields[2::3], stop
+    yield np.array(linenos, dtype=np.intp), *_columns(fields), stop
+
+
+def _columns(fields) -> list:
+    """Records laid end to end as 3 columns, the first two stripped."""
+    fams, hyps = fields[0::3], fields[1::3]
+    return [list(map(str.strip, fams)), list(map(str.strip, hyps)), fields[2::3]]
 
 
 def _first_non_number(texts) -> int:
@@ -278,18 +281,6 @@ def _first_non_number(texts) -> int:
     raise AssertionError("every text parses")
 
 
-def _first_appearance_codes(values):
-    """The distinct values in order of first appearance, and each value's
-    position among them as an integer array."""
-    n = len(values)
-    first_row = {}  # each distinct value's first row, in ascending order
-    rows = np.fromiter(map(first_row.setdefault, values, range(n)), np.intp, n)
-    starts = np.fromiter(first_row.values(), np.intp, len(first_row))
-    position = np.empty(n, dtype=np.intp)
-    position[starts] = np.arange(starts.size)
-    return list(first_row), position[rows]
-
-
 def _read_families_csv(path: str):
     """Families of a `family,hypothesis,p_value` CSV, in order of first appearance.
 
@@ -297,10 +288,12 @@ def _read_families_csv(path: str):
     matrix when every family has n rows and a list of m rows otherwise, each
     family's rows in file order. names are the distinct hypothesis ids in
     order of first appearance, and codes holds each row's position among
-    them, as integers in the layout of pvalues. Text with no '"' and no
-    '\\r' is tokenised from NumPy scans of its bytes, any other by
-    `csv.reader`; the columns are then checked one by one. On a bad input
-    the message names the earliest bad record; within one record the checks
+    them, as integers in the layout of pvalues. One leading byte-order mark
+    is skipped; digest is the hash of the file as it is. Text with no '"'
+    and no '\\r' is tokenised from NumPy scans of its bytes, any other by
+    `csv.reader`; the records are then checked a chunk at a time, and the
+    first chunk with a bad record is the last one read. On a bad input the
+    message names the earliest bad record; within one record the checks
     run in the order width, number, range, duplicate.
     """
     try:
@@ -310,20 +303,14 @@ def _read_families_csv(path: str):
         raise CliError(EXIT_INPUT, str(err))
     digest = hashlib.sha256(raw).hexdigest()
     try:
-        text = raw.decode("utf-8")
+        if not raw.isascii():
+            raw.decode("utf-8")  # checked whole, then decoded chunk by chunk
     except UnicodeDecodeError as err:
         raise CliError(EXIT_INPUT, f"not valid UTF-8: {err}")
-    tokens = None
-    if b'"' not in raw and b"\r" not in raw:
-        tokens = _scan_records(raw, text)
-    del raw
-    if tokens is None:
-        tokens = _reader_records(text)
-    del text
-    # float() ignores the surrounding whitespace that strip() removes, so
-    # the p-value texts are stripped only where a message quotes them.
-    header, linenos, fams, hyps, p_texts, stop = tokens
-    del tokens
+    if raw.startswith(codecs.BOM_UTF8):
+        raw = raw[len(codecs.BOM_UTF8) :]
+    chunks = _scan_records(raw)
+    header = next(chunks)
     if header is None or [h.strip() for h in header] != [
         "family",
         "hypothesis",
@@ -333,47 +320,53 @@ def _read_families_csv(path: str):
             EXIT_INPUT, "line 1: expected header 'family,hypothesis,p_value'"
         )
 
-    # (line, check order, message) of the first failure of each check.
-    errors = [] if stop is None else [(stop[0], 0, stop[1])]
-    try:
-        p = np.fromiter(map(float, p_texts), np.float64, len(p_texts))
-    except ValueError:
-        k = _first_non_number(p_texts)
-        errors.append(
-            (
-                int(linenos[k]),
-                1,
-                f"p_value {p_texts[k].strip()!r} is not a number",
-            )
-        )
-        p = np.array([float(t) for t in p_texts[:k]])
-    outside = np.flatnonzero(~((p >= 0.0) & (p <= 1.0)))
-    if outside.size:
-        k = int(outside[0])
-        errors.append(
-            (int(linenos[k]), 2, f"p_value {p_texts[k].strip()} outside [0, 1]")
-        )
-    ids, family_of = _first_appearance_codes(fams)
-    names, name_of = _first_appearance_codes(hyps)
-    pair = family_of * len(names) + name_of
-    by_pair = np.argsort(pair, kind="stable")
-    later = by_pair[1:]
-    repeats = later[pair[later] == pair[by_pair[:-1]]]
-    if repeats.size:
-        k = int(repeats.min())
-        first = int(np.flatnonzero(pair == pair[k])[0])
-        errors.append(
-            (
-                int(linenos[k]),
-                3,
-                f"duplicate hypothesis {hyps[k]!r} in family {fams[k]!r} "
-                f"(first on line {int(linenos[first])})",
-            )
-        )
+    # (line, check order, message) of the first failure of each check, and
+    # each distinct family and hypothesis id's first row.
+    errors, family_rows, name_rows = [], {}, {}
+    parts, n = [], 0  # (linenos, p, family rows, name rows) of each chunk
+    for linenos, fams, hyps, p_texts, stop in chunks:
+        if stop is not None:
+            errors.append((stop[0], 0, stop[1]))
+        # float() ignores the surrounding whitespace that strip() removes,
+        # so the p-value texts are stripped only where a message quotes them.
+        try:
+            p = np.fromiter(map(float, p_texts), np.float64, len(p_texts))
+        except ValueError:
+            k = _first_non_number(p_texts)
+            message = f"p_value {p_texts[k].strip()!r} is not a number"
+            errors.append((int(linenos[k]), 1, message))
+            p = np.array([float(t) for t in p_texts[:k]])
+        outside = np.flatnonzero(~((p >= 0.0) & (p <= 1.0)))
+        if outside.size:
+            k = int(outside[0])
+            message = f"p_value {p_texts[k].strip()} outside [0, 1]"
+            errors.append((int(linenos[k]), 2, message))
+        rows = range(n, n + len(fams))
+        family_of = np.fromiter(map(family_rows.setdefault, fams, rows), np.intp)
+        name_of = np.fromiter(map(name_rows.setdefault, hyps, rows), np.intp)
+        parts.append((linenos, p, family_of, name_of))
+        n += len(rows)
+        if errors:  # a later chunk holds only later lines
+            break
+    if n:
+        linenos, p, family_of, name_of = map(np.concatenate, zip(*parts))
+        del parts
+        ids, family_of = _first_appearance_codes(family_rows, family_of)
+        names, name_of = _first_appearance_codes(name_rows, name_of)
+        pair = family_of * len(names) + name_of
+        by_pair = np.argsort(pair, kind="stable")
+        later = by_pair[1:]
+        repeats = later[pair[later] == pair[by_pair[:-1]]]
+        if repeats.size:
+            k = int(repeats.min())
+            first = int(linenos[np.flatnonzero(pair == pair[k])[0]])
+            message = f"duplicate hypothesis {names[name_of[k]]!r} in family "
+            message += f"{ids[family_of[k]]!r} (first on line {first})"
+            errors.append((int(linenos[k]), 3, message))
     if errors:
         lineno, _, message = min(errors)
         raise CliError(EXIT_INPUT, f"line {lineno}: {message}")
-    if not fams:
+    if not n:
         raise CliError(EXIT_INPUT, "no data rows found")
 
     # Group the rows by family in order of first appearance; the stable
@@ -387,6 +380,13 @@ def _read_families_csv(path: str):
         return ids, p.reshape(shape), names, name_of.reshape(shape), digest
     bounds = np.cumsum(sizes)[:-1]
     return ids, np.split(p, bounds), names, np.split(name_of, bounds), digest
+
+
+def _first_appearance_codes(first_row: dict, rows):
+    """The keys of first_row, whose first rows ascend, and each row's key's
+    position among them."""
+    starts = np.fromiter(first_row.values(), np.intp, len(first_row))
+    return list(first_row), np.searchsorted(starts, rows)
 
 
 def _threads(args) -> int:
@@ -403,21 +403,34 @@ def _threads(args) -> int:
     return count
 
 
+@contextlib.contextmanager
+def _output(path):
+    """The stream a command writes its result onto: the --output file, or
+    stdout, flushed at the end. A failed write exits with EXIT_CONFIG."""
+    try:
+        if path:
+            with open(path, "w", encoding="utf-8") as fh:
+                yield fh
+        else:
+            yield sys.stdout
+            sys.stdout.flush()
+    except OSError as err:
+        target = "--output" if path else "stdout"
+        raise CliError(EXIT_CONFIG, f"cannot write {target}: {err}")
+
+
 def _write_text(text: str, output):
-    if output:
-        try:
-            with open(output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as err:
-            raise CliError(EXIT_CONFIG, f"cannot write --output: {err}")
-    else:
-        sys.stdout.write(text)
+    with _output(output) as out:
+        out.write(text)
 
 
 # An unselected family's JSON record after its id, as json.dumps writes it.
 _UNSELECTED_JSON = (
     ', "selected": false, "r_min": null, "adjusted_level": null, "rejected": []}'
 )
+
+# Families whose report rows are built and written at a time.
+_REPORT_FAMILIES = 1 << 10
 
 
 def _joined(texts, codes, counts, sep: str) -> list:
@@ -435,74 +448,81 @@ def _joined(texts, codes, counts, sep: str) -> list:
     return list(map(whole.__getitem__, map(slice, first.tolist(), past.tolist())))
 
 
-def _families_json(ids, names, decisions, rejected) -> str:
-    """The JSON array of an analyze report's family records, byte for byte
-    what json.dumps writes, from one table of texts with a row per family:
-    every id and hypothesis name is encoded once, with the C encoder
-    json.dumps uses, and every unselected family shares one text. rejected
-    holds the position in names of each of the decisions' rejections."""
-    encode = json.encoder.encode_basestring_ascii
-    selected = decisions.families
-    levels = decisions.levels.tolist()
+def _report_blocks(ids, names, decisions, rejected, sep: str):
+    """For each block of at most `_REPORT_FAMILIES` families: their ids, the
+    positions in the block of the selected ones, and the columns of those:
+    counts, level texts, rejection counts and the names at their rejected
+    positions, joined with sep."""
     # Equal positive floats have one repr, so each distinct level is
     # written once.
-    level_text = {level: float.__repr__(level) for level in set(levels)}
-    text = np.full((len(ids), 9), "", dtype=object)
-    text[:, 0] = ', {"family_id": '
-    text[0, 0] = '{"family_id": '
-    text[:, 1] = list(map(encode, ids))
-    text[:, 2] = _UNSELECTED_JSON
-    text[selected, 2] = ', "selected": true, "r_min": '
-    text[selected, 3] = list(map(int.__repr__, decisions.counts.tolist()))
-    text[selected, 4] = ', "adjusted_level": '
-    text[selected, 5] = list(map(level_text.__getitem__, levels))
-    text[selected, 6] = ', "rejected": ['
-    text[selected, 7] = _joined(list(map(encode, names)), rejected, decisions.r, ", ")
-    text[selected, 8] = "]}"
-    return "[" + "".join(text.ravel().tolist()) + "]"
-
-
-def _families_csv(ids, names, decisions, rejected) -> str:
-    """The CSV report, one row per family, written by `csv.writer` from
-    columns; the arguments are those of `_families_json`."""
-    m, selected = len(ids), decisions.families
-
-    def spread(values, fill) -> list:
-        """A column of every family: values for the selected ones."""
-        column = np.full(m, fill, dtype=object)
-        column[selected] = values
-        return column.tolist()
-
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(CSV_COLUMNS)
-    writer.writerows(
-        zip(
-            ids,
-            spread(1, 0),
-            spread(decisions.counts.tolist(), ""),
-            spread(list(map(float.__repr__, decisions.levels.tolist())), ""),
-            spread(decisions.r, 0),
-            spread(_joined(names, rejected, decisions.r, ";"), ""),
+    level_text = {v: float.__repr__(v) for v in set(decisions.levels.tolist())}
+    ends = np.append(0, np.cumsum(decisions.r))
+    for a in range(0, len(ids), _REPORT_FAMILIES):
+        lo, hi = np.searchsorted(decisions.families, [a, a + _REPORT_FAMILIES])
+        r = decisions.r[lo:hi]
+        yield (
+            ids[a : a + _REPORT_FAMILIES],
+            decisions.families[lo:hi] - a,
+            decisions.counts[lo:hi].tolist(),
+            list(map(level_text.__getitem__, decisions.levels[lo:hi].tolist())),
+            r,
+            _joined(names, rejected[ends[lo] : ends[hi]], r, sep),
         )
-    )
-    return buf.getvalue()
+
+
+def _families_json(ids, names, decisions, rejected):
+    """The JSON array of an analyze report's family records, byte for byte
+    what json.dumps writes, in pieces of `_REPORT_FAMILIES` records, each
+    from one table of texts with a row per family: every id and hypothesis
+    name is encoded once, with the C encoder json.dumps uses, and every
+    unselected family shares one text. rejected holds the position in names
+    of each of the decisions' rejections."""
+    encode = json.encoder.encode_basestring_ascii
+    blocks = _report_blocks(ids, list(map(encode, names)), decisions, rejected, ", ")
+    for k, (ids, selected, counts, levels, _, joined) in enumerate(blocks):
+        text = np.full((len(ids), 9), "", dtype=object)
+        text[:, 0] = ', {"family_id": '
+        if k == 0:
+            text[0, 0] = '[{"family_id": '
+        text[:, 1] = list(map(encode, ids))
+        text[:, 2] = _UNSELECTED_JSON
+        text[selected, 2] = ', "selected": true, "r_min": '
+        text[selected, 3] = list(map(int.__repr__, counts))
+        text[selected, 4] = ', "adjusted_level": '
+        text[selected, 5] = levels
+        text[selected, 6] = ', "rejected": ['
+        text[selected, 7] = joined
+        text[selected, 8] = "]}"
+        yield "".join(text.ravel().tolist())
+    yield "]"
+
+
+def _families_csv(out, ids, names, decisions, rejected):
+    """Write the CSV report onto the stream out, one row per family, by
+    `csv.writer` from one table per `_REPORT_FAMILIES` families; the other
+    arguments are those of `_families_json`."""
+    writer = csv.writer(out)
+    writer.writerow(CSV_COLUMNS)
+    for ids, selected, *columns in _report_blocks(ids, names, decisions, rejected, ";"):
+        table = np.full((len(ids), 6), "", dtype=object)
+        table[:, 0], table[:, 1], table[:, 4] = ids, 0, 0
+        table[selected, 1] = 1
+        table[selected, 2:] = np.array(columns, dtype=object).T
+        writer.writerows(table.tolist())
 
 
 def _emit_json(report: dict, output, families: tuple | None = None):
     """One-line JSON report, byte for byte what json.dumps(report) writes
     (without indent it uses its C encoder). `families`, when given, are the
-    arguments of `_families_json`, written as the last key of report["selection"]."""
-    if families is None:
-        _write_text(json.dumps(report) + "\n", output)
-        return
-    # json.dumps writes a dict as "{" + ", ".join(key + ": " + value) + "}".
-    parts = {key: json.dumps(value) for key, value in report.items()}
-    parts["selection"] = (
-        parts["selection"][:-1] + ', "families": ' + _families_json(*families) + "}"
-    )
-    members = (json.dumps(key) + ": " + value for key, value in parts.items())
-    _write_text("{" + ", ".join(members) + "}\n", output)
+    arguments of `_families_json`, whose records are written a block at a
+    time in place of report["selection"]["families"], an empty list."""
+    head, _, tail = (json.dumps(report) + "\n").partition('"families": []')
+    with _output(output) as out:
+        out.write(head)
+        if families is not None:
+            out.write('"families": ')
+            out.writelines(_families_json(*families))
+        out.write(tail)
 
 
 def cmd_analyze(args) -> int:
@@ -525,7 +545,8 @@ def cmd_analyze(args) -> int:
     flat = codes.ravel() if isinstance(codes, np.ndarray) else np.concatenate(codes)
     families = (ids, names, analysis.decisions, flat[analysis.decisions.cells])
     if args.format == "csv":
-        _write_text(_families_csv(*families), args.output)
+        with _output(args.output) as out:
+            _families_csv(out, *families)
         return EXIT_OK
     report = {
         "config": {
@@ -534,7 +555,7 @@ def cmd_analyze(args) -> int:
             "procedure": procedure.describe(),
             "adjust": args.adjust,
         },
-        "selection": {"r": analysis.selection.r},
+        "selection": {"r": analysis.selection.r, "families": []},
         "metadata": {
             "input_digest": "sha256:" + digest,
             "version": __version__,
@@ -591,7 +612,7 @@ def cmd_table1(args) -> int:
             f"{m:>5} {n:>5} {sel_frac:>10.4f} {e_cs:>8.4f} "
             f"{est.e_sel_frac_hat:>12.4f} {est.e_cs_hat:>9.4f} {est.se:>10.3e}  {flag}"
         )
-    print("\n".join(rows))
+    _write_text("\n".join(rows) + "\n", None)
     return EXIT_OK
 
 
@@ -673,7 +694,7 @@ def _probe_ensembles(q: float):
 def _print_check(args, rule, violation: bool, **fields) -> int:
     """Print a `check` suite's one-line JSON result and return its exit code."""
     head = {"suite": args.suite, "violation": violation, "rule": rule.describe()}
-    print(json.dumps({**head, **fields}))
+    _write_text(json.dumps({**head, **fields}) + "\n", None)
     return EXIT_VIOLATION if violation else EXIT_OK
 
 

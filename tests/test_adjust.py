@@ -314,6 +314,16 @@ class TestDecisionColumns:
         assert decisions.r.tolist() == [2, 1]
         assert decisions.cells.tolist() == [0, 1, 5]
 
+    def test_repr_shows_the_columns(self):
+        analysis = self._analysis()
+        text = repr(analysis.decisions)
+        assert text == (
+            "DecisionColumns(families=array([0, 2]), counts=array([2, 2]), "
+            "levels=array([0.4, 0.4]), r=array([2, 1]))"
+        )
+        assert f"decisions={text}" in repr(analysis)
+        assert " object at " not in repr(analysis)
+
     def test_empty(self):
         decisions = self._analysis(threshold=1e-4).decisions
         assert decisions == [] and [] == decisions

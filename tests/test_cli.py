@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import sys
 import tracemalloc
 
 import jsonschema
@@ -239,6 +240,59 @@ class TestAnalyze:
                 assert (code, out) == (3, ""), args
                 assert err.startswith("famsel: cannot write --output: "), args
                 assert err.count("\n") == 1 and err.endswith(f"{target}'\n"), args
+
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    def test_failed_stdout_write_exits_config(
+        self, three_family_csv, monkeypatch, capsys, failing
+    ):
+        class FullStdout(io.StringIO):
+            """A stdout whose writes, or whose flush, fail as on a full disk."""
+
+            def write(self, text):
+                if failing == "write":
+                    raise OSError(28, "No space left on device")
+                return super().write(text)
+
+            def flush(self):
+                if failing == "flush":
+                    raise OSError(28, "No space left on device")
+
+        for args in (
+            ["analyze", three_family_csv],
+            ["analyze", three_family_csv, "--format", "csv"],
+            ["simulate", "--m", "4", "--n", "2", "--reps", "10"],
+            ["check", "--suite", "simple", "--trials", "20"],
+            ["table1", "--reps", "0"],
+        ):
+            with monkeypatch.context() as patch:
+                patch.setattr(sys, "stdout", FullStdout())
+                code = main(args)
+            out, err = capsys.readouterr()
+            assert (code, out) == (3, ""), args
+            assert err == (
+                "famsel: cannot write stdout: [Errno 28] No space left on device\n"
+            )
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("text", [THREE_FAMILY_CSV, IDS_CSV])
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path, capsys, text, fmt):
+        # Excel's "CSV UTF-8" export starts the file with one; IDS_CSV is
+        # quoted, so it goes through csv.reader
+        args = ["--rule", "minp:0.5", "--format", fmt]
+        reports = []
+        for mark in ("", "\ufeff"):
+            path = tmp_path / "marked.csv"
+            path.write_text(mark + text, encoding="utf-8")
+            code, out, err = run_cli(["analyze", str(path)] + args, capsys)
+            assert (code, err) == (0, "")
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            reports.append(out.replace(digest, "<digest>"))
+        assert reports[0] == reports[1]
+        assert ("<digest>" in reports[0]) == (fmt == "json")
+        path.write_text("\ufeff\ufeff" + text, encoding="utf-8")  # only one is skipped
+        code, _, err = run_cli(["analyze", str(path)] + args, capsys)
+        assert code == 2
+        assert err == "famsel: line 1: expected header 'family,hypothesis,p_value'\n"
 
     def test_stray_carriage_return_names_its_line(self, tmp_path, capsys):
         path = tmp_path / "cr.csv"
@@ -568,9 +622,10 @@ class TestCheck:
 
 def row_loop_reader(path):
     """famsel's row-by-row CSV reader before the columnar one, kept as the
-    oracle. Two changes: a record `csv` cannot read is an input error at its
-    line number, where the loop used to end in a traceback, and a record's
-    line number is the physical line it starts on, not its record count."""
+    oracle. Three changes: a record `csv` cannot read is an input error at
+    its line number, where the loop used to end in a traceback, a record's
+    line number is the physical line it starts on, not its record count,
+    and one leading byte-order mark is skipped."""
     with open(path, "rb") as fh:
         raw = fh.read()
     digest = hashlib.sha256(raw).hexdigest()
@@ -578,6 +633,8 @@ def row_loop_reader(path):
         text = raw.decode("utf-8")
     except UnicodeDecodeError as err:
         raise cli.CliError(2, f"not valid UTF-8: {err}")
+    if text.startswith("\ufeff"):  # one leading byte-order mark
+        text = text[1:]
     reader = csv.reader(io.StringIO(text))
 
     def records():
@@ -658,7 +715,8 @@ def csv_texts(draw):
     """CSV texts around famsel's layout: quoted ids with commas and line
     breaks, CRLF or LF line ends, blank lines, padded fields, ragged
     families, ties, p-values of 0 and 1, and now and then a bad header,
-    width, number, range, duplicate, or a stray carriage return."""
+    width, number, range, duplicate, a stray carriage return or a leading
+    byte-order mark or two."""
     header = draw(
         st.sampled_from(
             ["family,hypothesis,p_value"] * 6
@@ -688,7 +746,7 @@ def csv_texts(draw):
     if draw(st.sampled_from([False] * 11 + [True])):
         at = draw(st.integers(0, len(text)))
         text = text[:at] + "\r" + text[at:]
-    return text
+    return draw(st.sampled_from([""] * 10 + ["\ufeff", "\ufeff\ufeff"])) + text
 
 
 class TestReadFamiliesCsv:
@@ -700,18 +758,21 @@ class TestReadFamiliesCsv:
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    @given(csv_texts(), st.sampled_from([None, 6]))
-    def test_matches_row_loop(self, tmp_path_factory, text, field_limit):
+    @given(csv_texts(), st.sampled_from([None, 6]), st.sampled_from([None, 1, 2, 3]))
+    def test_matches_row_loop(self, tmp_path_factory, text, field_limit, chunk):
         path = tmp_path_factory.getbasetemp() / "differential.csv"
         path.write_bytes(text.encode("utf-8"))
-        saved = csv.field_size_limit()
+        saved = csv.field_size_limit(), cli._CHUNK_LINES
         if field_limit is not None:
             csv.field_size_limit(field_limit)
+        if chunk is not None:
+            cli._CHUNK_LINES = chunk
         try:
             got = read_outcome(cli._read_families_csv, path)
             want = read_outcome(row_loop_reader, path)
         finally:
-            csv.field_size_limit(saved)
+            csv.field_size_limit(saved[0])
+            cli._CHUNK_LINES = saved[1]
         assert got == want
 
     @pytest.mark.parametrize(
@@ -734,6 +795,71 @@ class TestReadFamiliesCsv:
             got = read_outcome(cli._read_families_csv, path)
             assert got[0] == "error"
             assert got == read_outcome(row_loop_reader, path)
+
+    # Data rows on lines 2-7, so that chunks of 2 lines hold lines 2-3, 4-5
+    # and 6-7.
+    ROWS = ["g1,h1,0.1", "g1,h2,0.2", "g2,h1,0.3", "g2,h2,0.4", "g3,h1,0.5", "g3,h2,0.6"]
+
+    @pytest.mark.parametrize(
+        "edits, message",
+        [
+            # errors on the first and on the last line of a chunk
+            ({2: "g2,h1,abc"}, "line 4: p_value 'abc' is not a number"),
+            ({3: "g2,h2,1.5"}, "line 5: p_value 1.5 outside [0, 1]"),
+            # a duplicate of a row in an earlier chunk
+            (
+                {4: "g1,h2,0.5"},
+                "line 6: duplicate hypothesis 'h2' in family 'g1' (first on line 3)",
+            ),
+            # a duplicate and a bad number two chunks apart, either way round
+            (
+                {1: "g1,h1,0.2", 4: "g3,h1,abc"},
+                "line 3: duplicate hypothesis 'h1' in family 'g1' (first on line 2)",
+            ),
+            ({0: "g1,h1,x", 5: "g1,h1,0.9"}, "line 2: p_value 'x' is not a number"),
+            ({3: "g2,h2,-1", 4: "g3,h1"}, "line 5: p_value -1 outside [0, 1]"),
+            ({2: "g2,h1,0.3,0.4", 5: "g3,h2,abc"}, "line 4: expected 3 columns, got 4"),
+            # blank lines and padded non-ASCII ids at the boundaries
+            (
+                {1: "", 2: " f\u00e9 ,h1,0.3", 3: "", 4: "f\u00e9, h1 ,0.5"},
+                "line 6: duplicate hypothesis 'h1' in family 'f\u00e9' (first on line 4)",
+            ),
+            ({1: "", 2: " f\u00e9 ,h1,0.3", 3: "", 4: "f\u00e9, h2 ,0.5"}, None),
+            # quoted files, read by csv.reader
+            (
+                {0: '"g,1",h1,0.1', 3: '"g,1",h1,0.4'},
+                "line 5: duplicate hypothesis 'h1' in family 'g,1' (first on line 2)",
+            ),
+            ({0: '"g\n1",h1,0.1', 2: "g2,h1,x"}, "line 5: p_value 'x' is not a number"),
+            ({0: '"g,1",h1,0.1', 4: "g3,h1"}, "line 6: expected 3 columns, got 2"),
+            ({0: '"g,1",h1,0.1', 1: ""}, None),
+        ],
+    )
+    def test_chunk_boundaries(self, tmp_path, monkeypatch, edits, message):
+        monkeypatch.setattr(cli, "_CHUNK_LINES", 2)
+        rows = [edits.get(k, row) for k, row in enumerate(self.ROWS)]
+        path = tmp_path / "chunks.csv"
+        path.write_text("family,hypothesis,p_value\n" + "\n".join(rows) + "\n")
+        got = read_outcome(cli._read_families_csv, path)
+        assert got == read_outcome(row_loop_reader, path)
+        assert got[0] == "ok" if message is None else got == ("error", 2, message)
+
+    @pytest.mark.parametrize("text", ["g1,h1,abc", "g1,h1,1.5", "g1,h1", '"g1",h1,abc'])
+    def test_reading_stops_at_the_first_bad_chunk(self, tmp_path, monkeypatch, text):
+        monkeypatch.setattr(cli, "_CHUNK_LINES", 2)
+        path = tmp_path / "stop.csv"
+        lines = ["family,hypothesis,p_value", text] + self.ROWS
+        path.write_text("\n".join(lines) + "\n")
+        scan, chunks = cli._scan_records, []
+
+        def counted(raw):
+            for chunk in scan(raw):
+                chunks.append(chunk)
+                yield chunk
+
+        monkeypatch.setattr(cli, "_scan_records", counted)
+        assert read_outcome(cli._read_families_csv, path)[0] == "error"
+        assert len(chunks) == 2  # the header and the first chunk of rows
 
     def test_lines_are_numbered_as_an_editor_shows_them(self, tmp_path, capsys):
         # the quoted id spans lines 2 and 3, so the bad p-value is on line 4
@@ -924,6 +1050,25 @@ class TestReportFromColumns:
         assert main(args) == 0
         assert out.read_bytes().decode("utf-8") == want
 
+    @pytest.mark.parametrize("block", [1, 2, None])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "shape, rule, adjust",
+        [
+            ("rect", "minp:0.05", "simple"),
+            ("ragged", "minp:0.05", "rmin"),
+            ("singletons", "global:simes:two_stage", "rmin"),
+        ],
+    )
+    def test_blocks_of_families(
+        self, tmp_path, monkeypatch, shape, rule, adjust, fmt, block
+    ):
+        if block is not None:
+            monkeypatch.setattr(cli, "_REPORT_FAMILIES", block)
+        path = tmp_path / "in.csv"
+        path.write_text(self.guard_input(shape))
+        self.check(path, tmp_path / "out", rule, "bh", adjust, fmt)
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_r_min_below_r(self, tmp_path, fmt):
         # three singletons where the adaptive two-stage rule's count drops
@@ -939,3 +1084,47 @@ class TestReportFromColumns:
         if fmt == "json":
             families = json.loads(got)["selection"]["families"]
             assert [rec["r_min"] for rec in families] == [3, 2, 3]
+
+
+class TestBoundedMemory:
+    """The reader and the report writers hold a bounded multiple of their
+    input and their report."""
+
+    def test_peaks_stay_in_proportion(self, tmp_path, monkeypatch):
+        # 4000 families x 5 = 2x10^4 rows, a tenth of the families with one
+        # strong signal
+        rng = np.random.default_rng(2014)
+        p = rng.uniform(size=(4000, 5))
+        p[rng.uniform(size=4000) < 0.1, 0] *= 1e-5
+        path = tmp_path / "wide.csv"
+        path.write_text(
+            "family,hypothesis,p_value\n"
+            + "".join(
+                f"g{i:06d},h{j + 1},{v!r}\n"
+                for i, row in enumerate(p.tolist())
+                for j, v in enumerate(row)
+            )
+        )
+        peaks = {}
+
+        def traced(name):
+            call = getattr(cli, name)
+
+            def wrapper(*args):
+                tracemalloc.start()
+                try:
+                    return call(*args)
+                finally:
+                    peaks[name] = tracemalloc.get_traced_memory()[1]
+                    tracemalloc.stop()
+
+            monkeypatch.setattr(cli, name, wrapper)
+
+        traced("_read_families_csv")
+        traced("_emit_json")
+        out = tmp_path / "report.json"
+        assert main(["analyze", str(path), "--output", str(out)]) == 0
+        ratio = peaks["_read_families_csv"] / path.stat().st_size
+        assert ratio < 8, f"the reader peaks at {ratio:.1f}x its input"
+        ratio = peaks["_emit_json"] / out.stat().st_size
+        assert ratio < 3, f"the JSON writer peaks at {ratio:.1f}x its report"
