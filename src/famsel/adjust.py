@@ -20,6 +20,7 @@ from .core import (
     FamilyDecision,
     PValueEnsemble,
     SelectionOutcome,
+    _last_axis_first,
     _metric_values,
     average_over_selected,
     size_groups,
@@ -100,13 +101,14 @@ class AdjustedAnalysis:
 def _levels(rule, adjustment: str, q, summaries, fams, rows, r):
     """The count and the level of each selected family fams[k] of summary
     row rows[k]: R of its row, r[rows[k]], or its `_counts` count when
-    adjustment is "rmin"; count * q / m, or q for "none"."""
-    if adjustment == "rmin":
-        counts = _counts(rule, summaries, fams, rows, r)
-    else:
-        counts = r[rows]
+    adjustment is "rmin"; count * q / m, q for "none", or None if q is."""
+    rmin = adjustment == "rmin"
+    counts = _counts(rule, summaries, fams, rows, r) if rmin else r[rows]
+    if q is None:
+        return counts, None
     m = summaries.shape[-1]
-    levels = np.full(fams.size, q) if adjustment == "none" else counts * q / m
+    # q + 0.0 is q, and costs less than np.full's Python wrappers
+    levels = q + np.zeros(counts.size) if adjustment == "none" else counts * q / m
     return counts, levels
 
 
@@ -134,7 +136,7 @@ def _test_rows(procedure: Procedure, matrices, truths, group_of, rows, levels):
             truth = truths[g]
             if truth.ndim == 2:
                 truth = truth.take(at, axis=0)
-            v[ks] = (mask & truth).sum(axis=1)
+            v[ks] = np.add.reduce(_last_axis_first(mask & truth), axis=0)
         masks.append((ks, mask))
     return r, v, masks
 
@@ -179,7 +181,6 @@ def _analysis(ensemble, rule, procedure, q, metric, adjustment: str):
     )
     r_min = dict(zip(order, counts.tolist())) if adjustment == "rmin" else {}
     outcome = SelectionOutcome(frozenset(order), len(order), r_min)
-    levels = None if q is None else levels
     decisions = _decide(ensemble, fams, counts, levels, procedure, metric)
     return AdjustedAnalysis(outcome, decisions, q, procedure, metric)
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .adjust import selection_adjusted, simple_selection_adjusted
-from .core import ErrorMetric, PValueEnsemble
+from .core import ErrorMetric, PValueEnsemble, _by_size, size_groups
 from .procedures import Procedure
 from .selection import (
     GlobalNullTest,
@@ -140,11 +140,14 @@ def parse_procedure(text: str) -> Procedure:
 
 
 def parse_rule(text: str, q: float):
-    """Rule syntax: minp:T | topk:K | global:COMBINER:PROCEDURE[:LEVEL].
+    """Rule syntax: minp:T | topk:K | global:COMBINER:PROCEDURE[:LEVEL],
+    where PROCEDURE may be lr_kfwer:K.
 
     A global rule's level defaults to q when omitted.
     """
     parts = text.strip().lower().split(":")
+    if parts[0] == "global" and len(parts) > 3 and parts[2] in ("lr_kfwer", "lr-kfwer"):
+        parts[2:4] = [f"{parts[2]}:{parts[3]}"]
     try:
         if parts[0] == "minp" and len(parts) == 2:
             return MinPThreshold(float(parts[1]))
@@ -284,17 +287,17 @@ def _first_non_number(texts) -> int:
 def _read_families_csv(path: str):
     """Families of a `family,hypothesis,p_value` CSV, in order of first appearance.
 
-    Returns (ids, pvalues, names, codes, digest). pvalues is an (m, n)
-    matrix when every family has n rows and a list of m rows otherwise, each
-    family's rows in file order. names are the distinct hypothesis ids in
-    order of first appearance, and codes holds each row's position among
-    them, as integers in the layout of pvalues. One leading byte-order mark
-    is skipped; digest is the hash of the file as it is. Text with no '"'
-    and no '\\r' is tokenised from NumPy scans of its bytes, any other by
-    `csv.reader`; the records are then checked a chunk at a time, and the
-    first chunk with a bad record is the last one read. On a bad input the
-    message names the earliest bad record; within one record the checks
-    run in the order width, number, range, duplicate.
+    Returns (ids, pvalues, sizes, names, codes, digest). pvalues holds the
+    checked p-values family after family, each family's rows in file order,
+    in one flat array, and sizes each family's number of rows. names are
+    the distinct hypothesis ids in order of first appearance, and codes
+    holds each row's position among them, in the order of pvalues. One
+    leading byte-order mark is skipped; digest is the hash of the file as it
+    is. Text with no '"' and no '\\r' is tokenised from NumPy scans of its
+    bytes, any other by `csv.reader`; the records are then checked a chunk
+    at a time, and the first chunk with a bad record is the last one read.
+    On a bad input the message names the earliest bad record; within one
+    record the checks run in the order width, number, range, duplicate.
     """
     try:
         with open(path, "rb") as fh:
@@ -373,13 +376,7 @@ def _read_families_csv(path: str):
     # sort keeps each family's rows in file order.
     order = np.argsort(family_of, kind="stable")
     sizes = np.bincount(family_of, minlength=len(ids))
-    p = p[order]
-    name_of = name_of[order]
-    if (sizes == sizes[0]).all():
-        shape = (len(ids), int(sizes[0]))
-        return ids, p.reshape(shape), names, name_of.reshape(shape), digest
-    bounds = np.cumsum(sizes)[:-1]
-    return ids, np.split(p, bounds), names, np.split(name_of, bounds), digest
+    return ids, p[order], sizes, names, name_of[order], digest
 
 
 def _first_appearance_codes(first_row: dict, rows):
@@ -532,8 +529,10 @@ def cmd_analyze(args) -> int:
         raise CliError(EXIT_CONFIG, "q must lie in (0, 1)")
     rule = parse_rule(args.rule, args.q)
     procedure = parse_procedure(args.procedure)
-    ids, pvalues, names, codes, digest = _read_families_csv(args.input)
-    ensemble = PValueEnsemble(pvalues, family_ids=ids)
+    ids, pvalues, sizes, names, codes, digest = _read_families_csv(args.input)
+    groups = size_groups(sizes)  # the reader has range-checked the rows
+    values = _by_size(pvalues, sizes, groups)
+    ensemble = PValueEnsemble._from_groups(sizes, groups, values, family_ids=ids)
     try:
         if args.adjust == "simple":
             analysis = simple_selection_adjusted(ensemble, rule, procedure, args.q)
@@ -542,8 +541,7 @@ def cmd_analyze(args) -> int:
     except ValueError as err:
         raise CliError(EXIT_CONFIG, str(err))
 
-    flat = codes.ravel() if isinstance(codes, np.ndarray) else np.concatenate(codes)
-    families = (ids, names, analysis.decisions, flat[analysis.decisions.cells])
+    families = (ids, names, analysis.decisions, codes[analysis.decisions.cells])
     if args.format == "csv":
         with _output(args.output) as out:
             _families_csv(out, *families)

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _last_axis_first
+
 PROCEDURE_KINDS = (
     "bonferroni",
     "holm",
@@ -212,7 +214,7 @@ def rejection_counts(procedure: Procedure, ps: np.ndarray, levels=None) -> np.nd
         raise ValueError(f"a level is required for {kind}")
     levels = np.asarray(levels, dtype=np.float64)[:, None]
     if kind == "bonferroni":
-        return (ps <= levels / n).sum(axis=1)
+        return np.add.reduce(_last_axis_first(ps <= levels / n), axis=0)
     if kind == "bh":
         return _step_up_counts(ps, bh_critical_values(n, levels))
     if kind == "hochberg":
@@ -254,9 +256,10 @@ def rejected_entries(procedure: Procedure, rows: np.ndarray, levels=None):
     if levels is not None:
         levels = np.asarray(levels, dtype=np.float64)
         if procedure.kind == "bonferroni":
-            # single step: no sort, the cutoff `rejection_counts` compares against
-            hit = rows <= levels[:, None] / rows.shape[1]
-            return hit, hit.sum(axis=1)
+            # single step: no sort; the cutoff `rejection_counts` compares
+            # against, applied one column of all the rows at a time
+            hit = _last_axis_first(rows) <= levels / rows.shape[1]
+            return hit.T, np.add.reduce(hit, axis=0)
     ps = np.sort(rows, axis=1)
     r = rejection_counts(procedure, ps, levels)
     return rejected_by_counts(ps, r, rows), r

@@ -22,16 +22,16 @@ it.
 
 Replicates run in blocks of at most _BLOCK_CELLS p-values, drawn into one
 (B, count, n) array per family size, laid out as `PValueEnsemble` stores
-an ensemble, and the block is then summarized and selected in a few
-batched calls per size. Its selected families get their levels and are
-tested by the steps the public analyses in `adjust` run (`_levels`,
-`_test_rows`), so an analysis is the one-replicate case of a block. The
-tests compare each estimate with those analyses on every replicate's
-`generate` ensemble, with the within-family test swapped for one textbook
-call per family and, for R_min, with the candidate scan.
+an ensemble and allocated once per span, and the block is then summarized
+and selected in a few batched calls per size. Its selected families get
+their levels and are tested by the steps the public analyses in `adjust`
+run (`_levels`, `_test_rows`), so an analysis is the one-replicate case of
+a block. The tests compare each estimate with those analyses on every
+replicate's `generate` ensemble, with the within-family test swapped for
+one textbook call per family and, for R_min, with the candidate scan.
 The rule must follow the rule protocol of `selection`, as every shipped
-rule does. SciPy, numpy.random and the process pool are imported where
-they are first used, so that importing famsel loads none of them.
+rule does. SciPy (only for normal scores), numpy.random and the process
+pool are imported where first used, so importing famsel loads none of them.
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .adjust import _levels, _test_rows
-from .core import ErrorMetric, PValueEnsemble, _metric_values, group_slots, size_groups
+from .core import ErrorMetric, PValueEnsemble, _last_axis_first, _metric_values
+from .core import group_slots, size_groups
 from .procedures import Procedure
 from .selection import _check_rule, _summarize, check_concordant
 
@@ -224,29 +225,30 @@ def _draw(config: ScenarioConfig, layout: _Layout, rng, blocks):
     block's B * W words, which leaves rng at the offset of the replicate
     after the block, so the draws are the same for `generate` (B = 1) and
     the Monte Carlo blocks. The normal scores, the equicorrelated mixing,
-    the shift and `ndtr` then run once over the block's scores, and one
-    gather per size group copies each cell from its word.
+    the shift and `ndtr` then run once over the block's scores, if any, and
+    one gather per size group copies each cell from its word.
     """
-    from scipy import special
-    b = len(blocks[0])
+    b = blocks[0].shape[0]
     if layout.direct:
         stream = blocks[0].reshape(b, -1)
     else:
         stream = np.empty((b, layout.words))
     rng.random(out=stream)
     k, s, w = layout.uniforms, layout.scores, layout.words
-    normal = stream[:, k:w]
-    # only a 0.0 word lies below 2**-54; ndtri(0.0) is -inf
-    special.ndtri(np.maximum(normal, 2.0**-54, out=normal), out=normal)
-    z = stream[:, s:w]
-    if config.dependence == "equicorrelated":
-        z *= math.sqrt(1.0 - config.rho)
-        z += (math.sqrt(config.rho) * stream[:, s - 1])[:, None]
-    np.add(z, config.mu, out=z, where=layout.shifted)
-    # an exact sign flip: NumPy 2.4's in-place np.negative reads a view
-    # whose elements lie 64 bytes apart, such as one score in 8 words, as
-    # if it were contiguous
-    special.ndtr(np.multiply(z, -1.0, out=z), out=z)
+    if k < w:
+        from scipy import special
+        normal = stream[:, k:w]
+        # only a 0.0 word lies below 2**-54; ndtri(0.0) is -inf
+        special.ndtri(np.maximum(normal, 2.0**-54, out=normal), out=normal)
+        z = stream[:, s:w]
+        if config.dependence == "equicorrelated":
+            z *= math.sqrt(1.0 - config.rho)
+            z += (math.sqrt(config.rho) * stream[:, s - 1])[:, None]
+        np.add(z, config.mu, out=z, where=layout.shifted)
+        # an exact sign flip: NumPy 2.4's in-place np.negative reads a view
+        # whose elements lie 64 bytes apart, such as one score in 8 words,
+        # as if it were contiguous
+        special.ndtr(np.multiply(z, -1.0, out=z), out=z)
     if not layout.direct:
         for source, block in zip(layout.source, blocks):
             np.take(stream, source, axis=1, out=block.reshape(b, -1), mode="clip")
@@ -256,39 +258,47 @@ def _draw(config: ScenarioConfig, layout: _Layout, rng, blocks):
 _BLOCK_CELLS = 1 << 14
 
 
-def _block_values(config: ScenarioConfig, layout: _Layout, rng, b: int):
-    """(C_S, |S|/m) of the next b replicates of rng.
+def _block_cells(layout: _Layout, step: int):
+    """Each (replicate, family) cell of a block of step replicates, in
+    row-major order: its replicate, family, group and row in the group's
+    (step * count, n) matrix. A shorter block's cells are a prefix."""
+    m = layout.sizes.size
+    reps, fams = np.divmod(np.arange(step * m), m)
+    group, at = layout.slots[:, fams]
+    at += reps * layout.counts[group]
+    return np.array([reps, fams, group, at])
 
-    The block is drawn into one (B, count, n) array per size group,
-    summarized and selected as (B, m) arrays, and its selected (replicate,
-    family) pairs are leveled and tested as the analyses do (`_levels`,
-    `_test_rows`). Each replicate's metric values are summed in family
-    order, as `average_over_selected` sums them, so every value equals the
-    analysis objects' bit for bit.
+
+def _block_values(
+    config: ScenarioConfig, layout: _Layout, rng, blocks, matrices, cells
+):
+    """(C_S, |S|/m) of the next B replicates of rng.
+
+    The block is drawn into blocks, prefixes of a full block's (step,
+    count, n) arrays whose (step * count, n) views are matrices and whose
+    cells are `_block_cells`, then summarized and selected as (B, m)
+    arrays. Its selected (replicate, family) pairs are leveled and tested
+    as the analyses do (`_levels`, `_test_rows`), and each replicate's
+    metric values are summed in family order, as `average_over_selected`
+    sums them, bit for bit.
     """
     rule, q, m = config.rule, config.q, config.m
-    blocks = layout.blocks(b)
     _draw(config, layout, rng, blocks)
     summaries = _summarize(rule, layout.groups, blocks)
     picked = rule.select_block(summaries)
-    counts = picked.sum(axis=1)
+    counts = np.add.reduce(_last_axis_first(picked), axis=0)
     values = np.zeros(picked.shape)
-    tested = np.flatnonzero(picked)
+    tested = picked.ravel().nonzero()[0]
     if tested.size:
-        reps, fams = np.divmod(tested, m)
+        reps, fams, group_of, at = cells.take(tested, axis=1)
         levels = _levels(rule, config.adjustment, q, summaries, fams, reps, counts)[1]
-        # each tested family's group, and its row in the group's block
-        # seen as a (B * count, n) matrix
-        group_of, at = layout.slots[:, fams]
-        at += reps * layout.counts[group_of]
-        matrices = [block.reshape(-1, block.shape[2]) for block in blocks]
         r, v, _ = _test_rows(
             config.procedure, matrices, layout.nulls, group_of, at, levels
         )
         values.put(tested, _metric_values(config.metric, v, r))
-    # cumsum adds left to right, and adding the zeros of unselected
-    # families leaves a sum unchanged.
-    totals = np.cumsum(values, axis=1)[:, -1]
+    # cumsum's accumulation adds left to right, and adding the zeros of
+    # unselected families leaves a sum unchanged.
+    totals = np.add.accumulate(values, axis=1)[:, -1]
     return totals / np.maximum(counts, 1), counts / m
 
 
@@ -299,9 +309,12 @@ def _replicate_values(config: ScenarioConfig, start: int, stop: int):
     layout = _Layout(config)
     rng = _stream(config, layout, start)
     step = max(1, _BLOCK_CELLS // int(layout.sizes.sum()))
+    full, cells = layout.blocks(step), _block_cells(layout, step)
+    matrices = [block.reshape(-1, block.shape[2]) for block in full]
     for a in range(start, stop, step):
         b = min(a + step, stop)
-        block = _block_values(config, layout, rng, b - a)
+        blocks = full if b - a == step else [block[: b - a] for block in full]
+        block = _block_values(config, layout, rng, blocks, matrices, cells)
         cs[a - start : b - start], frac[a - start : b - start] = block
     return cs, frac
 

@@ -27,12 +27,16 @@ def oracle_report(
         raise cli.CliError(cli.EXIT_CONFIG, "q must lie in (0, 1)")
     rule_obj = cli.parse_rule(rule, q)
     procedure_obj = cli.parse_procedure(procedure)
-    ids, pvalues, names, codes, digest = cli._read_families_csv(str(path))
+    ids, pvalues, sizes, names, codes, digest = cli._read_families_csv(str(path))
     names = np.array(names, dtype=object)
-    if isinstance(codes, np.ndarray):
-        hypotheses = names[codes]
+    # a matrix when all families have one size, else a list of rows
+    if (sizes == sizes[0]).all():
+        shape = (sizes.size, -1)
+        pvalues, codes = pvalues.reshape(shape), codes.reshape(shape)
     else:
-        hypotheses = [names[c] for c in codes]
+        bounds = np.cumsum(sizes)[:-1]
+        pvalues, codes = np.split(pvalues, bounds), np.split(codes, bounds)
+    hypotheses = [names[c] for c in codes]
     ensemble = PValueEnsemble(pvalues, family_ids=ids)
     try:
         if adjust == "simple":

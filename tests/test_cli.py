@@ -13,6 +13,9 @@ from hypothesis import strategies as st
 
 from famsel import cli, sim
 from famsel.cli import CSV_COLUMNS, REPORT_SCHEMA, main
+from famsel.core import METRIC_KINDS, ErrorMetric
+from famsel.procedures import Procedure
+from famsel.selection import COMBINERS, GlobalNullTest, MinPThreshold, TopKMinP
 from report_oracle import oracle_report
 
 THREE_FAMILY_CSV = """family,hypothesis,p_value
@@ -406,6 +409,126 @@ class TestParser:
         }
 
 
+LEVELS = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def rules_and_metrics(draw):
+    """A rule and a metric of every kind the CLI parses, at any level."""
+    kind = draw(st.sampled_from(["minp", "topk", "global"]))
+    if kind == "minp":
+        rule = MinPThreshold(draw(LEVELS | st.just(1.0)))
+    elif kind == "topk":
+        rule = TopKMinP(draw(st.integers(1, 10**6)))
+    else:
+        name = draw(st.sampled_from(["bonferroni", "holm", "hochberg", "bh"]))
+        name = draw(st.sampled_from([name, "two_stage", "lr_kfwer"]))
+        k = draw(st.integers(1, 50)) if name == "lr_kfwer" else None
+        combiner = draw(st.sampled_from(COMBINERS))
+        rule = GlobalNullTest(combiner, Procedure(name, k=k), level=draw(LEVELS))
+    kind = draw(st.sampled_from(METRIC_KINDS))
+    if kind == "fdx":
+        metric = ErrorMetric(kind, gamma=draw(LEVELS))
+    elif kind in ("kfwer", "kfdr"):
+        metric = ErrorMetric(kind, k=draw(st.integers(1, 10**6)))
+    else:
+        metric = ErrorMetric(kind)
+    return rule, metric
+
+
+class TestDescribe:
+    """A report names the rule and metric it applied, in text the CLI reads
+    back as that rule and metric."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(rules_and_metrics(), st.sampled_from([0.05, 0.2]))
+    def test_round_trip(self, rule_and_metric, q):
+        rule, metric = rule_and_metric
+        assert cli.parse_rule(rule.describe(), q) == rule
+        assert cli.parse_metric(metric.describe()) == metric
+
+    @pytest.mark.parametrize(
+        "rule, text",
+        [
+            (MinPThreshold(0.05), "minp:0.05"),
+            (MinPThreshold(1e-9), "minp:1e-09"),
+            (MinPThreshold(0.123456789), "minp:0.123456789"),
+            (
+                GlobalNullTest("simes", Procedure("two_stage"), 0.05),
+                "global:simes:two_stage:0.05",
+            ),
+            (
+                GlobalNullTest("simes", Procedure("bh"), 0.0123456789),
+                "global:simes:bh:0.0123456789",
+            ),
+            (
+                GlobalNullTest("fisher", Procedure("lr_kfwer", k=2), 0.05),
+                "global:fisher:lr_kfwer:2:0.05",
+            ),
+            (ErrorMetric("fdx", gamma=0.1), "fdx:0.1"),
+            (ErrorMetric("fdx", gamma=0.123456789), "fdx:0.123456789"),
+        ],
+    )
+    def test_exact_short_text_is_kept(self, rule, text):
+        # :g text where it reads back exactly, as every README example does
+        assert rule.describe() == text
+
+    def test_lossy_rule_is_reported_as_applied(self, three_family_csv, capsys):
+        args = ["analyze", three_family_csv, "--rule", "minp:0.123456789"]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        assert json.loads(out)["config"]["rule"] == "minp:0.123456789"
+        args = ["simulate", "--m", "3", "--n", "2", "--reps", "20"]
+        code, out, _ = run_cli(args + ["--metric", "fdx:0.123456789"], capsys)
+        assert code == 0 and json.loads(out)["config"]["metric"] == "fdx:0.123456789"
+
+
+class TestGlobalLrKfwer:
+    """global:COMBINER:lr_kfwer:K[:LEVEL] names the Lehmann-Romano step-down."""
+
+    @pytest.mark.parametrize(
+        "text, level",
+        [
+            ("global:fisher:lr_kfwer:2", 0.05),
+            ("global:fisher:lr_kfwer:2:0.1", 0.1),
+            ("global:simes:lr-kfwer:3:0.2", 0.2),
+        ],
+    )
+    def test_parses(self, text, level):
+        k = int(text.split(":")[3])
+        rule = cli.parse_rule(text, 0.05)
+        assert rule == GlobalNullTest(
+            rule.combiner, Procedure("lr_kfwer", k=k), level=level
+        )
+        assert cli.parse_rule(rule.describe(), 0.05) == rule
+
+    def test_analyze_matches_the_oracle(self, three_family_csv, tmp_path):
+        out = tmp_path / "out.json"
+        rule = "global:simes:lr_kfwer:2:0.2"
+        args = ["analyze", three_family_csv, "--rule", rule, "--output", str(out)]
+        assert main(args) == 0
+        assert out.read_text() == oracle_report(three_family_csv, rule, "bh", 0.05)
+        assert json.loads(out.read_text())["config"]["rule"] == rule
+
+    @pytest.mark.parametrize(
+        "rule, message",
+        [
+            ("global:fisher:lr_kfwer:0", "k must be a positive integer"),
+            ("global:fisher:lr_kfwer:0:0.05", "k must be a positive integer"),
+            ("global:fisher:lr_kfwer", "unknown procedure 'lr_kfwer'"),
+            ("global:fisher:lr_kfwer:x", "bad procedure 'lr_kfwer:x'"),
+            ("global:fisher:lr_kfwer:1.5:0.05", "bad procedure 'lr_kfwer:1.5'"),
+            ("global:fisher:lr_kfwer:2:0.05:1", "unknown rule"),
+            ("global:fisher:lr_kfwer:9", "k=9 out of range for 3 hypotheses"),
+        ],
+    )
+    def test_bad_k_exits_config(self, rule, message, three_family_csv, capsys):
+        args = ["analyze", three_family_csv, "--rule", rule]
+        code, out, err = run_cli(args, capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("famsel: ") and message in err
+
+
 class TestTable1:
     def test_closed_form_only(self, capsys):
         code, out, _ = run_cli(["table1", "--reps", "0"], capsys)
@@ -694,9 +817,12 @@ def read_outcome(reader, path):
         result = reader(path)
     except cli.CliError as err:
         return ("error", err.code, str(err))
-    if len(result) == 5:  # hypotheses as codes into their distinct names
-        ids, pvalues, distinct, codes, digest = result
-        hypotheses = [[distinct[c] for c in row] for row in codes]
+    if len(result) == 6:  # rows family after family, hypotheses as codes
+        ids, pvalues, sizes, distinct, codes, digest = result
+        bounds = np.cumsum(sizes)[:-1]
+        pvalues = np.split(pvalues, bounds)
+        rows = np.split(codes, bounds)
+        hypotheses = [[distinct[c] for c in row] for row in rows]
     else:
         ids, pvalues, hypotheses, digest = result
     rows = [np.asarray(row, dtype=np.float64).tobytes() for row in pvalues]
@@ -882,21 +1008,22 @@ class TestReadFamiliesCsv:
         path.write_text(
             "family,hypothesis,p_value\ng2,a,0.5\ng1,b,0.25\ng2,c,1\ng1,d,0\n"
         )
-        ids, pvalues, names, codes, _ = cli._read_families_csv(str(path))
+        ids, pvalues, sizes, names, codes, _ = cli._read_families_csv(str(path))
         assert ids == ["g2", "g1"]
-        assert pvalues.shape == (2, 2)
-        assert pvalues.tolist() == [[0.5, 1.0], [0.25, 0.0]]
+        assert sizes.tolist() == [2, 2]
+        assert pvalues.tolist() == [0.5, 1.0, 0.25, 0.0]
         assert names == ["a", "b", "c", "d"]
-        assert codes.tolist() == [[0, 2], [1, 3]]
+        assert codes.tolist() == [0, 2, 1, 3]
 
     def test_ragged_input_gives_rows(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("family,hypothesis,p_value\ng1,a,0.5\ng2,b,0.25\ng1,c,1\n")
-        ids, pvalues, names, codes, _ = cli._read_families_csv(str(path))
+        ids, pvalues, sizes, names, codes, _ = cli._read_families_csv(str(path))
         assert ids == ["g1", "g2"]
-        assert [row.tolist() for row in pvalues] == [[0.5, 1.0], [0.25]]
+        assert sizes.tolist() == [2, 1]
+        assert pvalues.tolist() == [0.5, 1.0, 0.25]
         assert names == ["a", "b", "c"]
-        assert [row.tolist() for row in codes] == [[0, 2], [1]]
+        assert codes.tolist() == [0, 2, 1]
 
 
 # Characters that JSON must escape (quote, backslash, controls, non-ASCII,
@@ -1068,6 +1195,41 @@ class TestReportFromColumns:
         path = tmp_path / "in.csv"
         path.write_text(self.guard_input(shape))
         self.check(path, tmp_path / "out", rule, "bh", adjust, fmt)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("adjust", ["simple", "rmin"])
+    @pytest.mark.parametrize(
+        "rule", ["minp:0.05", "global:simes:bh", "global:simes:twostage"]
+    )
+    def test_ragged_rows_grouped_by_size(
+        self, tmp_path, monkeypatch, rule, adjust, fmt
+    ):
+        # 400 families of sizes 1-9 with their rows interleaved: the flat
+        # rows the reader returns are grouped by size directly, not through
+        # PValueEnsemble's list of families, which the oracle builds
+        rng = np.random.default_rng(2014)
+        rows = [
+            (f"f{i}", f"h{j}", p)
+            for i, n in enumerate(rng.integers(1, 10, size=400))
+            for j, p in enumerate((rng.uniform(size=n) ** 4).tolist())
+        ]
+        rows = [rows[k] for k in rng.permutation(len(rows))]
+        path = tmp_path / "ragged.csv"
+        path.write_text(
+            "family,hypothesis,p_value\n"
+            + "".join(f"{f},{h},{p!r}\n" for f, h, p in rows)
+        )
+        want = oracle_report(path, rule, "bh", 0.05, adjust, fmt)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("analyze built a list of families")
+
+        monkeypatch.setattr(cli.PValueEnsemble, "__init__", refused)
+        out = tmp_path / "out"
+        args = ["analyze", str(path), "--rule", rule, "--procedure", "bh"]
+        args += ["--adjust", adjust, "--format", fmt, "--output", str(out)]
+        assert main(args) == 0
+        assert out.read_bytes().decode("utf-8") == want
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_r_min_below_r(self, tmp_path, fmt):

@@ -8,6 +8,7 @@ from famsel.core import (
     FamilyDecision,
     PValueEnsemble,
     SelectionOutcome,
+    _last_axis_first,
     average_over_selected,
     metric_value,
     pooled_fdp,
@@ -255,3 +256,41 @@ class TestSelectionOutcome:
             SelectionOutcome(frozenset({0, 2}), 2, {0: 3})
         with pytest.raises(ValueError):
             SelectionOutcome(frozenset({0, 2}), 2, {1: 1})
+
+
+class TestLastAxisFirst:
+    """Reductions over axis 0 of _last_axis_first(a) equal those over a's
+    last axis: counts of booleans and integers, and minima."""
+
+    @staticmethod
+    def layouts(a):
+        """a, a copy in Fortran order, and views that are not contiguous."""
+        n = a.shape[-1] // 2
+        half = a[..., :n]
+        return [half, np.asfortranarray(half), a[..., ::2], a[::-1, ..., n:]]
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_counts_equal_row_sums(self, n):
+        rng = np.random.default_rng(n)
+        for rows in (0, 1, 7, 300):
+            hits = rng.uniform(size=(rows, 2 * n)) < 0.4
+            counts = rng.integers(0, 5, size=(rows, 2 * n))
+            for a in self.layouts(hits) + self.layouts(counts):
+                got = np.add.reduce(_last_axis_first(a), axis=0)
+                want = a.sum(axis=1)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 31, 32, 33, 100])
+    def test_minima_equal_row_minima(self, n):
+        rng = np.random.default_rng(n)
+        for shape in ((4, 3, 2 * n), (0, 3, 2 * n), (9, 2 * n)):
+            p = rng.choice([0.0, 0.25, 0.5, 1.0], size=shape) * rng.uniform(size=shape)
+            for a in self.layouts(p):
+                got = np.minimum.reduce(_last_axis_first(a), axis=0)
+                assert got.tobytes() == a.min(axis=-1).tobytes()
+
+    def test_short_rows_are_copied_long_rows_viewed(self):
+        a = np.zeros((5, 31))
+        assert _last_axis_first(a).flags.c_contiguous
+        b = np.zeros((5, 32))
+        assert np.shares_memory(_last_axis_first(b), b)

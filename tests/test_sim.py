@@ -450,6 +450,32 @@ class TestGenerate:
             want = [reference_draw(cfg, i) for i in range(start, stop)]
             assert np.array_equal(drawn, np.stack(want))
 
+    @pytest.mark.parametrize("n", [[2, 5, 1, 3], [1, 1, 2, 1], 3])
+    def test_block_cells_follow_the_slots(self, n):
+        # each (replicate, family) cell of a full block, or of any shorter
+        # one, names its replicate, family, group and the row of its group's
+        # matrix that holds the family's p-values, at 40-cell blocks
+        cfg = replace(example1_config(4, n, reps=1, seed=3), pi1=0.5, mu=1.0)
+        layout = sim._Layout(cfg)
+        step = max(1, 40 // int(layout.sizes.sum()))
+        table = sim._block_cells(layout, step)
+        full = layout.blocks(step)
+        sim._draw(cfg, layout, sim._stream(cfg, layout, 0), full)
+        matrices = [block.reshape(-1, block.shape[2]) for block in full]
+        padded_full = padded_blocks(layout, full)
+        sizes = layout.sizes
+        for b in range(1, step + 1):
+            cells = np.arange(b * sizes.size)
+            reps, fams, group_of, at = table.take(cells, axis=1)
+            assert reps.tolist() == (cells // sizes.size).tolist()
+            assert fams.tolist() == (cells % sizes.size).tolist()
+            group, row = layout.slots[:, fams]
+            assert group_of.tolist() == group.tolist()
+            assert at.tolist() == (row + reps * layout.counts[group]).tolist()
+            for r, i, g, k in zip(reps, fams, group_of, at):
+                got = matrices[g][k]
+                assert np.array_equal(got, padded_full[r, i, : sizes[i]])
+
     def test_ragged_sizes(self):
         cfg = ScenarioConfig(
             m=3,
@@ -732,6 +758,45 @@ class TestEstimate:
             patch.setattr(adjust, "_decide", textbook.looped_decide)
             slow = values_or_error(object_values, cfg, 3, 12)
         assert fast == slow
+
+    @pytest.mark.parametrize(
+        "n, procedure, metric",
+        [
+            (20, "bonferroni", "fwer"),
+            ([3, 1, 4, 1, 5, 9, 2, 6], "bonferroni", "pfer"),
+            ([3, 1, 4, 1, 5, 9, 2, 6], "bh", "fdr"),
+        ],
+    )
+    def test_all_null_draws_run_no_score_step(self, n, procedure, metric, monkeypatch):
+        # all null and independent: every word is a uniform p-value, so no
+        # normal score, shift or ndtr runs, and the ragged layouts still
+        # gather their blocks; 301 replicates end in a shorter block
+        cfg = replace(
+            example1_config(8, n, reps=301, seed=2**63 + 5, adjustment="simple"),
+            q=0.2,
+            procedure=Procedure(procedure),
+            metric=ErrorMetric(metric),
+        )
+        with monkeypatch.context() as patch:
+            patch.setattr(adjust, "_decide", textbook.looped_decide)
+            cs, frac = object_values(cfg, 0, cfg.replicates)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("an all-null draw ran a score step")
+
+        monkeypatch.setattr(special, "ndtri", refused)
+        monkeypatch.setattr(special, "ndtr", refused)
+        monkeypatch.setattr(sim, "_BLOCK_CELLS", 100)
+        est = estimate(cfg)
+        assert est.e_cs_hat == float(cs.mean()) and est.e_cs_hat > 0.0
+        assert est.e_sel_frac_hat == float(frac.mean())
+        assert est.se == float(cs.std(ddof=1) / np.sqrt(cfg.replicates))
+        # the draws themselves, block by block, against the reference draw,
+        # computed once the score steps are back
+        drawn = drawn_block(cfg, 290, 301)
+        monkeypatch.undo()
+        want = np.stack([reference_draw(cfg, i) for i in range(290, 301)])
+        assert np.array_equal(drawn, want)
 
     def test_ragged_config_uses_object_path(self):
         cfg = ScenarioConfig(

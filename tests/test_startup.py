@@ -19,8 +19,9 @@ from famsel.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Needed only by the Fisher and Stouffer combiners, by simulations and by a
-# Monte Carlo estimate on two or more workers.
+# Needed only by the Fisher and Stouffer combiners, by simulations (SciPy
+# only where they draw normal scores) and by a Monte Carlo estimate on two
+# or more workers.
 DEFERRED = ("scipy", "numpy.random", "concurrent.futures", "multiprocessing")
 
 MARK = "\n# modules\n"
@@ -113,7 +114,8 @@ def test_analyze_loads_no_deferred_module(rule, csv_path, tmp_path, capsys):
     [
         ["analyze", "CSV", "--rule", "global:fisher:bh"],
         ["analyze", "CSV", "--rule", "global:stouffer:bh"],
-        ["simulate", "--m", "5", "--n", "2", "--reps", "50"],
+        ["simulate", "--m", "5", "--n", "2", "--reps", "50"]
+        + ["--pi1", "0.5", "--mu", "2.5"],
     ],
 )
 def test_deferred_imports_resolve(args, csv_path, tmp_path, capsys):
@@ -122,3 +124,19 @@ def test_deferred_imports_resolve(args, csv_path, tmp_path, capsys):
     assert (code, out) == in_process(args, capsys) and code == 0
     # the probe sees SciPy when a command loads it
     assert "scipy.special" in deferred
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["simulate", "--m", "5", "--n", "2", "--reps", "50"],
+        ["simulate", "--m", "3", "--n", "4", "--reps", "50", "--procedure", "bh"],
+        ["table1", "--reps", "50"],
+    ],
+)
+def test_all_null_simulations_load_no_scipy(args, tmp_path, capsys):
+    # all-null independent p-values are uniform words: no normal scores
+    code, out, deferred = probe_cli(args, tmp_path)
+    assert (code, out) == in_process(args, capsys) and code == 0
+    assert "numpy.random" in deferred
+    assert [name for name in deferred if name.split(".")[0] == "scipy"] == []
