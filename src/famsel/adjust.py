@@ -112,15 +112,18 @@ def _levels(rule, adjustment: str, q, summaries, fams, rows, r):
     return counts, levels
 
 
-def _test_rows(procedure: Procedure, matrices, truths, group_of, rows, levels):
+def _test_rows(
+    procedure: Procedure, matrices, truths, group_of, rows, levels, ranked=None
+):
     """Rejections r, false rejections v (None when truths is None) and the
     (ks, rejected-entry mask) of each size group, testing rows[k] of
     matrices[group_of[k]] at levels[k], or at no level when levels is None.
 
     There is one matrix per family size and one truth per matrix: a matrix
-    with its rows, or one row they all share. Each size is one
-    `rejected_entries` call, sizes in order of their first row, so an error
-    is the one the first failing row raises.
+    with its rows, or one row they all share; ranked, if given, holds each
+    matrix with its rows sorted. Each size is one `rejected_entries` call,
+    sizes in order of their first row, so an error is the one the first
+    failing row raises.
     """
     r = np.empty(rows.size, dtype=np.intp)
     v = None if truths is None else np.empty(rows.size, dtype=np.intp)
@@ -129,8 +132,9 @@ def _test_rows(procedure: Procedure, matrices, truths, group_of, rows, levels):
     for g, ks in size_groups(group_of):
         at = rows[ks]
         tested_at = None if levels is None else levels[ks]
+        ps = None if ranked is None else ranked[g].take(at, axis=0)
         mask, r[ks] = rejected_entries(
-            procedure, matrices[g].take(at, axis=0), tested_at
+            procedure, matrices[g].take(at, axis=0), tested_at, ps
         )
         if v is not None:
             truth = truths[g]

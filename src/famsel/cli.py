@@ -570,7 +570,7 @@ def _estimate(workers: int, **scenario):
     try:
         return estimate(ScenarioConfig(**scenario), workers=workers)
     except (ValueError, MemoryError) as err:
-        raise CliError(EXIT_CONFIG, str(err))
+        raise CliError(EXIT_CONFIG, str(err) or "scenario too large to allocate")
 
 
 def cmd_table1(args) -> int:

@@ -6,8 +6,10 @@ indices as a sorted integer array. Comparisons against critical values use
 
 One batched test, `rejected_entries`, runs a `Procedure` on many families
 of one size at once, each at its own level; `Procedure.apply` and the named
-procedures are its one-row case. `step_up` and `step_down` keep their own
-code: they accept decreasing critical values, which can split a tie.
+procedures are its one-row case. It sorts the rows unless the caller has,
+and forms step-up counts and the mask on `core._last_axis_first`'s layout.
+`step_up` and `step_down` keep their own code: they accept decreasing
+critical values, which can split a tie.
 """
 
 from dataclasses import dataclass
@@ -173,11 +175,10 @@ class Procedure:
 
 
 def _step_up_counts(ps: np.ndarray, crit: np.ndarray) -> np.ndarray:
-    # A row's count is the rank of its last hit: the first in the reversed
-    # row, where an appended hit stands for a count of 0.
-    hits = (ps <= crit)[:, ::-1]
-    hits = np.concatenate([hits, np.ones((len(ps), 1), dtype=bool)], axis=1)
-    return ps.shape[1] - np.argmax(hits, axis=1)
+    # A row's count is the rank of its last hit, the largest rank times hit,
+    # taken over the first axis of `_last_axis_first`'s layout.
+    ranks = np.arange(1, ps.shape[1] + 1)[:, None]
+    return np.maximum.reduce(_last_axis_first(ps <= crit) * ranks, axis=0)
 
 
 def _step_down_counts(ps: np.ndarray, crit: np.ndarray) -> np.ndarray:
@@ -239,19 +240,22 @@ def rejected_by_counts(ps: np.ndarray, r: np.ndarray, values: np.ndarray) -> np.
     ps is a row-sorted (s, n) matrix, r its rejection counts and values an
     (s,) or (s, k) array of values on the same scale. Counts never split a
     tie, so row i rejects exactly the values <= ps[i, r[i]-1] when r[i] > 0,
-    and none (no value is <= -inf) when r[i] = 0.
+    and none (no value is <= -inf) when r[i] = 0. The mask is compared on
+    `_last_axis_first`'s layout, so a first-axis count of it copies nothing.
     """
-    kth = np.where(r > 0, ps[np.arange(r.size), r - 1], -np.inf)
-    return values <= kth.reshape((-1,) + (1,) * (values.ndim - 1))
+    at = np.arange(-1, ps.size - 1, ps.shape[1]) + r  # flat index of ps[i, r[i]-1]
+    kth = np.where(r > 0, ps.take(at), -np.inf)
+    return (_last_axis_first(values) <= kth).T
 
 
-def rejected_entries(procedure: Procedure, rows: np.ndarray, levels=None):
+def rejected_entries(procedure: Procedure, rows: np.ndarray, levels=None, ps=None):
     """Which entries of each family the procedure rejects, and how many.
 
     rows is an (s, n) matrix of families of one size and levels holds one
-    level per row, or is None for step_up and step_down. Returns the
-    (s, n) rejected-entry mask and the (s,) rejection counts. Families of
-    mixed sizes are tested one `core.size_groups` group at a time.
+    level per row, or is None for step_up and step_down; ps, if the caller
+    has them, holds the rows sorted. Returns the (s, n) rejected-entry mask
+    and the (s,) rejection counts. Families of mixed sizes are tested one
+    `core.size_groups` group at a time.
     """
     if levels is not None:
         levels = np.asarray(levels, dtype=np.float64)
@@ -260,7 +264,7 @@ def rejected_entries(procedure: Procedure, rows: np.ndarray, levels=None):
             # against, applied one column of all the rows at a time
             hit = _last_axis_first(rows) <= levels / rows.shape[1]
             return hit.T, np.add.reduce(hit, axis=0)
-    ps = np.sort(rows, axis=1)
+    ps = np.sort(rows, axis=1) if ps is None else ps
     r = rejection_counts(procedure, ps, levels)
     return rejected_by_counts(ps, r, rows), r
 

@@ -11,7 +11,10 @@ exactly as one ensemble would select. An ensemble is the one-replicate case
 (`_summarize`), summarized one family size at a time: a sum over padding
 could group its terms differently. Where R_min is scanned the rule also
 names its summary_thresholds; is_simple (default False) and describe are
-optional. Only the Fisher and Stouffer combiners import SciPy.
+optional, and so is ranks_rows (default False): such a rule's summaries
+read sorted rows, and block_summaries(p, ranked) takes p's rows sorted from
+a caller that sorts them once for its tests too. Only the Fisher and
+Stouffer combiners import SciPy.
 """
 
 from dataclasses import dataclass
@@ -48,14 +51,16 @@ class UnsupportedRuleError(ValueError):
     cannot be computed for it."""
 
 
-def _combine_rows(kind: str, rows: np.ndarray, floor: float) -> np.ndarray:
-    """Combined global-null p-value for each row of a (k, n) matrix."""
+def _combine_rows(kind: str, rows: np.ndarray, floor: float, ranked=None) -> np.ndarray:
+    """Combined global-null p-value for each row of a (k, n) matrix. Only
+    Simes reads ranked, the rows sorted; a sum in sorted order can change bits."""
     n = rows.shape[1]
     if kind == "bonferroni_min":
         out = n * rows.min(axis=1)
     elif kind == "simes":
-        ranked = np.sort(rows, axis=1) * (n / np.arange(1.0, n + 1.0))
-        out = np.minimum.reduce(_last_axis_first(ranked), axis=0)
+        ranked = np.sort(rows, axis=1) if ranked is None else ranked
+        scaled = ranked * (n / np.arange(1.0, n + 1.0))
+        out = np.minimum.reduce(_last_axis_first(scaled), axis=0)
     elif kind == "fisher":
         from scipy import special
         stat = -2.0 * np.log(np.clip(rows, floor, 1.0)).sum(axis=1)
@@ -102,10 +107,12 @@ def _check_rule(rule, scan: bool = False):
         raise UnsupportedRuleError(f"famsel needs a rule with {needed}")
 
 
-def _summarize(rule, groups, blocks) -> np.ndarray:
+def _summarize(rule, groups, blocks, ranked=None) -> np.ndarray:
     """(B, m) summaries of B ensembles laid out as groups (`size_groups`),
-    from one (B, count, n) block per group."""
-    return in_family_order(groups, [rule.block_summaries(p) for p in blocks])
+    from one (B, count, n) block per group and, for a rule that ranks rows,
+    ranked: each block's (B * count, n) rows, sorted along each row."""
+    args = [(p,) for p in blocks] if ranked is None else zip(blocks, ranked)
+    return in_family_order(groups, [rule.block_summaries(*a) for a in args])
 
 
 def _summaries(rule, ensemble: PValueEnsemble) -> np.ndarray:
@@ -227,9 +234,14 @@ class GlobalNullTest(_BlockSelection):
         # adaptive two-stage procedure does not.
         return self.procedure.stepwise != "adaptive"
 
-    def block_summaries(self, p: np.ndarray) -> np.ndarray:
+    @property
+    def ranks_rows(self) -> bool:
+        return self.combiner == "simes"
+
+    def block_summaries(self, p: np.ndarray, ranked=None) -> np.ndarray:
         rows = p.reshape(-1, p.shape[2])
-        return _combine_rows(self.combiner, rows, self.floor).reshape(p.shape[:2])
+        out = _combine_rows(self.combiner, rows, self.floor, ranked)
+        return out.reshape(p.shape[:2])
 
     def select_block(self, summaries: np.ndarray) -> np.ndarray:
         ps = np.sort(summaries, axis=1)

@@ -23,7 +23,9 @@ it.
 Replicates run in blocks of at most _BLOCK_CELLS p-values, drawn into one
 (B, count, n) array per family size, laid out as `PValueEnsemble` stores
 an ensemble and allocated once per span, and the block is then summarized
-and selected in a few batched calls per size. Its selected families get
+and selected in a few batched calls per size: a rule whose summaries read
+sorted rows (Simes) has each size's rows sorted once, and the test of the
+selected rows reads them from that sort. Its selected families get
 their levels and are tested by the steps the public analyses in `adjust`
 run (`_levels`, `_test_rows`), so an analysis is the one-replicate case of
 a block. The tests compare each estimate with those analyses on every
@@ -168,11 +170,11 @@ class _Layout:
 
     A replicate's `words` words, in the module docstring's order, open with
     `uniforms` null p-values drawn uniform (none under the equicorrelated
-    model); its scores start at word `scores`, and shifted marks which of
-    them get + mu. source[g] holds the word of each cell of group g's
-    (count, n) matrix, in row-major order, and direct is True when a
-    replicate's words are that matrix, so that replicates are drawn straight
-    into the one group's block.
+    model); its scores start at word `scores`, and offset holds -mu for each
+    score that gets + mu and -0.0 for the others. source[g] holds the word of
+    each cell of group g's (count, n) matrix, in row-major order, and direct
+    is True when a replicate's words are that matrix, so that replicates are
+    drawn straight into the one group's block.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -195,8 +197,9 @@ class _Layout:
         position = np.empty(cells, dtype=np.intp)
         position[np.argsort(~uniform, kind="stable")] = np.arange(cells)
         position[~uniform] += factor
-        self.shifted = ~null[~uniform]
-        self.words = self.scores + self.shifted.size
+        shifted = ~null[~uniform]
+        self.offset = np.where(shifted, -config.mu, -0.0)
+        self.words = self.scores + shifted.size
         self.source = [
             position[starts[families, None] + np.arange(n)].ravel()
             for n, families in self.groups
@@ -244,11 +247,11 @@ def _draw(config: ScenarioConfig, layout: _Layout, rng, blocks):
         if config.dependence == "equicorrelated":
             z *= math.sqrt(1.0 - config.rho)
             z += (math.sqrt(config.rho) * stream[:, s - 1])[:, None]
-        np.add(z, config.mu, out=z, where=layout.shifted)
-        # an exact sign flip: NumPy 2.4's in-place np.negative reads a view
-        # whose elements lie 64 bytes apart, such as one score in 8 words,
-        # as if it were contiguous
-        special.ndtr(np.multiply(z, -1.0, out=z), out=z)
+        # shift and sign flip in one exact step, as rounding to nearest is
+        # symmetric: (-mu) - z is -(z + mu) and -0.0 - z is -z up to a zero's
+        # sign, which ndtr ignores. (NumPy 2.4's in-place np.negative reads a
+        # view of one score in 8 words, 64 bytes apart, as if contiguous.)
+        special.ndtr(np.subtract(layout.offset, z, out=z), out=z)
     if not layout.direct:
         for source, block in zip(layout.source, blocks):
             np.take(stream, source, axis=1, out=block.reshape(b, -1), mode="clip")
@@ -284,7 +287,9 @@ def _block_values(
     """
     rule, q, m = config.rule, config.q, config.m
     _draw(config, layout, rng, blocks)
-    summaries = _summarize(rule, layout.groups, blocks)
+    sort = getattr(rule, "ranks_rows", False)
+    ranked = [np.sort(p.reshape(-1, p.shape[2]), 1) for p in blocks] if sort else None
+    summaries = _summarize(rule, layout.groups, blocks, ranked)
     picked = rule.select_block(summaries)
     counts = np.add.reduce(_last_axis_first(picked), axis=0)
     values = np.zeros(picked.shape)
@@ -293,7 +298,7 @@ def _block_values(
         reps, fams, group_of, at = cells.take(tested, axis=1)
         levels = _levels(rule, config.adjustment, q, summaries, fams, reps, counts)[1]
         r, v, _ = _test_rows(
-            config.procedure, matrices, layout.nulls, group_of, at, levels
+            config.procedure, matrices, layout.nulls, group_of, at, levels, ranked
         )
         values.put(tested, _metric_values(config.metric, v, r))
     # cumsum's accumulation adds left to right, and adding the zeros of

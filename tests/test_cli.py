@@ -624,6 +624,16 @@ class TestSimulate:
             assert code == 3 and out == "", args
             assert err == "famsel: Unable to allocate 745. GiB\n"
 
+    def test_bare_memory_error_names_the_failure(self, capsys):
+        # 2**61 families overflow the byte count of their size list, so
+        # Python raises a MemoryError without text before allocating anything
+        code, out, err = run_cli(
+            ["simulate", "--m", str(2**61), "--n", "2", "--reps", "10"], capsys
+        )
+        assert code == 3 and out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("famsel: ") and line[len("famsel: ") :].strip()
+
     def test_thread_env_fallback(self, capsys, monkeypatch):
         args = ["simulate", "--m", "8", "--n", "2", "--reps", "120", "--seed", "2"]
         _, serial, _ = run_cli(args, capsys)

@@ -343,8 +343,10 @@ class TestRejectionCounts:
     """The batched kernel counts exactly what the scalar procedures reject."""
 
     def test_matches_scalar_procedures(self):
+        # sizes on both sides of the 32 columns at which `_last_axis_first`
+        # turns from a copy into a view
         rng = np.random.default_rng(12)
-        for n in (1, 2, 5, 13):
+        for n in (1, 2, 5, 13, 31, 32, 40):
             rows = rng.uniform(size=(80, n)) ** 3
             rows[rng.uniform(size=rows.shape) < 0.1] = 0.0
             rows[rng.uniform(size=rows.shape) < 0.1] = 1.0
@@ -355,19 +357,26 @@ class TestRejectionCounts:
                 Procedure(kind)
                 for kind in ("bonferroni", "holm", "hochberg", "bh", "two_stage")
             ] + [Procedure("lr_kfwer", k=min(2, n))]
-            for proc in procedures:
-                expected = [
-                    textbook.apply(proc, row, lv).size for row, lv in zip(rows, levels)
-                ]
-                assert rejection_counts(proc, ps, levels).tolist() == expected
-                applied = [proc.apply(row, lv).size for row, lv in zip(rows, levels)]
-                assert applied == expected
             crit = tuple(np.sort(rng.uniform(size=n)))
-            for kind in ("step_up", "step_down"):
-                proc = Procedure(kind, critical_values=crit)
-                expected = [textbook.apply(proc, row).size for row in rows]
-                assert rejection_counts(proc, ps).tolist() == expected
-                assert [proc.apply(row).size for row in rows] == expected
+            procedures += [
+                Procedure(kind, critical_values=crit)
+                for kind in ("step_up", "step_down")
+            ]
+            for proc in procedures:
+                lv = None if proc.critical_values else levels
+                row_levels = [None] * len(rows) if lv is None else lv
+                expected = np.zeros(rows.shape, dtype=bool)
+                for i, (row, level) in enumerate(zip(rows, row_levels)):
+                    expected[i, textbook.apply(proc, row, level)] = True
+                counts = expected.sum(axis=1).tolist()
+                assert rejection_counts(proc, ps, lv).tolist() == counts
+                applied = [proc.apply(*args).size for args in zip(rows, row_levels)]
+                assert applied == counts
+                # the caller's sorted rows give what sorting here gives
+                for given in (None, ps):
+                    mask, r = rejected_entries(proc, rows, lv, given)
+                    assert np.array_equal(mask, expected), (n, proc)
+                    assert r.tolist() == counts
 
     def test_level_and_shape_errors(self):
         ps = np.array([[0.01, 0.2, 0.5]])

@@ -135,6 +135,30 @@ class TestCombine:
             )
             got = selection._combine_rows("simes", rows, selection.DEFAULT_P_FLOOR)
             assert got.tobytes() == want.tobytes()
+            # from the caller's sorted rows, as a Monte Carlo block passes them
+            rule = GlobalNullTest("simes", Procedure("bh"), 0.1)
+            block = rows.reshape(3, 100, n)
+            assert rule.ranks_rows
+            from_ranked = rule.block_summaries(block, ranked)
+            assert from_ranked.tobytes() == want.reshape(3, 100).tobytes()
+
+    @pytest.mark.parametrize(
+        "kind, row",
+        [
+            ("fisher", [0.652, 0.235, 0.435, 0.974, 0.898]),
+            ("stouffer", [0.719, 0.02, 0.225, 0.948, 0.698]),
+        ],
+    )
+    def test_sums_read_rows_in_their_given_order(self, kind, row):
+        # these rows sum to a different last bit in sorted order, so a
+        # combiner that read the caller's sorted rows would change its value
+        row = np.array(row)
+        given = combine(kind, row)
+        assert given != combine(kind, np.sort(row))
+        rule = GlobalNullTest(kind, Procedure("bh"), 0.1)
+        assert not rule.ranks_rows
+        got = rule.block_summaries(row[None, None], np.sort(row)[None])
+        assert got.tobytes() == np.array([[given]]).tobytes()
 
 
 class TestSurvivalFunctionAccuracy:

@@ -364,6 +364,48 @@ class TestGenerate:
                     assert len(rngs) == 1
                     assert rngs[0].fills == [b * w for b in blocks], (n, pi1, rho)
 
+    def test_one_sort_of_family_rows_per_block(self, monkeypatch):
+        # Simes selection and the within-family test share one sort of each
+        # size group's rows; min-p selection with Bonferroni inside sorts
+        # nothing. The (B, m) summaries have m = 4 columns, which no family
+        # size here has.
+        sorted_widths = []
+        sort = np.sort
+
+        def counting(a, *args, **kwargs):
+            sorted_widths.append(np.shape(a)[-1])
+            return sort(a, *args, **kwargs)
+
+        monkeypatch.setattr(sim, "_BLOCK_CELLS", 60)
+        monkeypatch.setattr(np, "sort", counting)
+        simes = GlobalNullTest("simes", Procedure("bh"), 0.2)
+        for rule, procedure, sorts in (
+            (simes, "bh", 1),
+            (simes, "holm", 1),
+            (MinPThreshold(0.3), "bonferroni", 0),
+        ):
+            for n in (5, [2, 5, 1, 3]):
+                cfg = ScenarioConfig(
+                    m=4,
+                    n=n,
+                    q=0.2,
+                    rule=rule,
+                    procedure=Procedure(procedure),
+                    metric=ErrorMetric("fdr"),
+                    replicates=1,
+                    seed=3,
+                    pi1=0.5,
+                    mu=2.0,
+                )
+                sorted_widths.clear()
+                _replicate_values(cfg, 3, 20)
+                step = max(1, 60 // sum(cfg.sizes()))
+                blocks = len(range(3, 20, step))
+                rows = [w for w in sorted_widths if w != cfg.m]
+                assert sorted(rows) == sorted(list(set(cfg.sizes())) * blocks * sorts)
+                if not sorts:
+                    assert sorted_widths == [], (rule, n)
+
     @pytest.mark.parametrize("pi1", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize(
         "dependence, rho",
