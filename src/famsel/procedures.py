@@ -142,10 +142,8 @@ class Procedure:
 
     def thresholds(self, n: int, level: float | None = None) -> np.ndarray:
         """Every constant the rejection decision compares a p-value against:
-        the breakpoints that make a selection rule's R_min search exact. For
-        two_stage these are all n**2 stage-two constants; the R_min bisection
-        needs only stage one's, then one null count's stage-two ones.
-        """
+        with them a candidate scan of a global rule's R_min is exact. For
+        two_stage these are all n**2 stage-two ones (`_r_min_scan` reads none)."""
         if self.kind in ("step_up", "step_down"):
             return np.asarray(self.critical_values)
         if level is None:

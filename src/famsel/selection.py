@@ -130,9 +130,9 @@ class _BlockSelection:
     """A shipped rule: its summaries, selection and one family's summary are
     the one-replicate, 1-row and 1-family cases of its two primitives.
 
-    The R_min bisection rests on the shipped rules' shared property: lowering
-    family i's summary never deselects i and never lowers the selected count
-    R, and R_min is reached at a breakpoint (0, 1, a summary or a cutoff).
+    The exact R_min scan rests on the shipped rules' shared property:
+    lowering family i's summary never deselects i and never lowers the
+    selected count R, so `_r_min_scan` needs no search.
     """
 
     def summaries(self, ensemble: PValueEnsemble) -> np.ndarray:
@@ -263,78 +263,80 @@ def select(rule, ensemble: PValueEnsemble) -> SelectionOutcome:
     return SelectionOutcome(selected=frozenset(picked.tolist()), r=int(picked.size))
 
 
-def _candidates(summaries: np.ndarray, cutoffs) -> np.ndarray:
-    """Candidate summary values: the breakpoints 0, 1, every summary and
-    each cutoff in [0, 1], plus the midpoints between consecutive ones."""
-    cutoffs = np.asarray(cutoffs, dtype=np.float64)
-    inside = cutoffs[(cutoffs >= 0.0) & (cutoffs <= 1.0)]
-    pts = np.unique(np.concatenate([summaries, [0.0, 1.0], inside]))
-    return np.concatenate([pts, (pts[:-1] + pts[1:]) / 2.0])
+def _placed(rule, table: np.ndarray, rows, fams: np.ndarray, values) -> np.ndarray:
+    """R with family fams[p]'s summary set to values[p] in row table[rows[p]],
+    or 0 where that does not select it; blocks keep to _SCAN_BLOCK_CELLS."""
+    out = np.empty(fams.size, dtype=np.intp)
+    step = max(1, _SCAN_BLOCK_CELLS // table.shape[1])
+    for start in range(0, fams.size, step):
+        work = table[rows[start : start + step]].astype(np.float64)
+        at, f = np.arange(len(work)), fams[start : start + step]
+        work[at, f] = values[start : start + step]
+        mask = rule.select_block(work)
+        out[start : start + step] = np.where(mask[at, f], mask.sum(axis=1), 0)
+    return out
 
 
 def _looped_r_min(rule, summaries: np.ndarray, i: int) -> int:
-    """Smallest selected count keeping i selected, or 0 if no candidate does,
-    trying every candidate in `select_block` calls of at most
-    _SCAN_BLOCK_CELLS cells."""
-    m = summaries.size
-    points = _candidates(summaries, rule.summary_thresholds(m))
-    best, step = m + 1, max(1, _SCAN_BLOCK_CELLS // m)
-    for start in range(0, points.size, step):
-        work = np.tile(summaries, (min(step, points.size - start), 1))
-        work[:, i] = points[start : start + step]
-        mask = rule.select_block(work)
-        best = int(mask.sum(axis=1)[mask[:, i]].min(initial=best))
-    return best if best <= m else 0
+    """Smallest selected count keeping i selected, or 0 if none does, over
+    the candidates 0, 1, every summary and each cutoff in [0, 1], and the
+    midpoints between consecutive ones."""
+    cutoffs = np.asarray(rule.summary_thresholds(summaries.size))
+    inside = cutoffs[(cutoffs >= 0.0) & (cutoffs <= 1.0)].astype(np.float64)
+    pts = np.unique(np.concatenate([summaries, [0.0, 1.0], inside]))
+    points = np.concatenate([pts, (pts[:-1] + pts[1:]) / 2.0])
+    at = np.zeros(points.size, dtype=np.intp)
+    kept = _placed(rule, summaries[None], at, at + i, points)
+    return int(kept[kept > 0].min(initial=kept.max()))
 
 
-def _bisect(rule, work, fams, grid, lo, hi, r):
-    """Move each row's lo to the last index in (lo, hi) of its sorted grid
-    whose value, put in family fams[row]'s column of work, keeps that family
-    selected, and r to R there; one `select_block` call per step evaluates
-    every row still open."""
-    while (open_ := np.flatnonzero(hi - lo > 1)).size:
-        mid, at, f = (lo[open_] + hi[open_]) // 2, np.arange(open_.size), fams[open_]
-        rows = work[open_]
-        rows[at, f] = grid[open_, mid]
-        mask = rule.select_block(rows)
-        kept = mask[at, f]
-        lo[open_[kept]], r[open_[kept]] = mid[kept], mask.sum(axis=1)[kept]
-        hi[open_[~kept]] = mid[~kept]
-    return lo, hi, r
+def _moved_counts(ps, cuts, at, j):
+    """Step-up counts of row at[k] of the row-sorted ps at its cutoffs (a
+    row of cuts, or cuts itself if 1-d) with its entry of rank j[k] (from
+    0) moved below every cutoff, and moved above every cutoff."""
+    ranks = np.arange(1, ps.shape[1] + 1)
+    hits = np.maximum.accumulate(np.where(ps <= cuts, ranks, 0), axis=1)
+    last, up = hits[at, -1], np.where(j > 0, hits[at, j - 1], 0)
+    # below: the moved entry is rank 1, ranks 2 to j+1 meet the one a rank down
+    down = np.concatenate([ps[:, :1], ps[:, :-1]], axis=1) <= cuts
+    down = np.maximum.accumulate(np.where(down, ranks, 0), axis=1)[at, j]
+    # above: ranks j+1 to m-1 meet the entries one rank up
+    past = np.where(ps[:, 1:] <= cuts[..., :-1], ranks[:-1], 0).max(1, initial=0)[at]
+    below = np.maximum(np.maximum(down, 1), np.where(last > j + 1, last, 0))
+    return below, np.maximum(up, np.where(past > j, past, 0))
 
 
-def _boundary_r_min(rule, table: np.ndarray, rows, fams: np.ndarray) -> np.ndarray:
-    """R(s*) of family fams[p] in summary row table[rows[p]], or 0 where no
-    summary value selects it (`_r_min_scan`). Each row's grid is its sorted
-    summaries, 0, 1 and the cutoffs in [0, 1], stage one's for two-stage."""
-    m = table.shape[1]
-    two_stage = isinstance(rule, GlobalNullTest) and rule.procedure.kind == "two_stage"
-    q1 = stage_one_level(rule.level) if two_stage else None
-    cutoffs = rule.summary_thresholds(m) if q1 is None else bh_critical_values(m, q1)
-    fixed = np.concatenate([[0.0, 1.0], cutoffs[(cutoffs >= 0.0) & (cutoffs <= 1.0)]])
-    out = np.empty(len(fams), dtype=np.intp)
-    step = max(1, _SCAN_BLOCK_CELLS // (m + fixed.size))
-    for start in range(0, len(fams), step):
-        work = table[rows[start : start + step]].astype(np.float64, copy=False)
-        fam, k = fams[start : start + step], len(work)
-        grid = np.sort(np.concatenate([work, np.tile(fixed, (k, 1))], 1), 1)
-        lo, hi = np.full(k, -1), np.full(k, grid.shape[1])
-        lo, hi, r = _bisect(rule, work, fam, grid, lo, hi, np.zeros(k, dtype=np.intp))
-        inner = np.flatnonzero((lo >= 0) & (hi < grid.shape[1]))
-        if q1 is not None and inner.size:
-            # stage one's count is left-continuous in s, so the null count d
-            # on (grid[lo], grid[hi]] is the one at grid[hi], and only that
-            # d's stage-two cutoffs can change the outcome in between
-            edge, ps, fi = grid[inner, hi[inner]], work[inner], fam[inner]
-            ps[np.arange(inner.size), fi] = edge
-            ps.sort(axis=1)
-            r1 = rejection_counts(Procedure("bh"), ps, np.full(inner.size, q1))
-            level2 = stage_two_level(q1, m, np.maximum(m - r1, 1))
-            cuts = bh_critical_values(m, level2[:, None])
-            lo2 = (cuts <= grid[inner, lo[inner], None]).sum(axis=1) - 1
-            hi2 = (cuts < edge[:, None]).sum(axis=1)
-            r[inner] = _bisect(rule, work[inner], fi, cuts, lo2, hi2, r[inner])[2]
-        out[start : start + step] = r
+def _two_stage_r_min(rule, table: np.ndarray, rows, fams: np.ndarray) -> np.ndarray:
+    """R_min of family fams[p] in summary row table[rows[p]] under the
+    two-stage rule: stage two's count with i moved below every cutoff at the
+    null count d = m - B1 (m if d = 0), or the smaller one at d = m - A1 if i
+    stays selected just above c1[B1], where B1 and A1 are stage one's counts
+    with i moved below and above every cutoff. Each row is sorted once."""
+    m, q1 = table.shape[1], stage_one_level(rule.level)
+    c1, out = bh_critical_values(m, q1), np.empty(fams.size, dtype=np.intp)
+    step = max(1, _SCAN_BLOCK_CELLS // m)
+    names, row_of = np.unique(rows, return_inverse=True)
+    for start in range(0, names.size, step):
+        mine = np.flatnonzero((row_of >= start) & (row_of < start + step))
+        work = table[names[start : start + step]].astype(np.float64)
+        ps, at = np.sort(work, axis=1), row_of[mine] - start
+        j = work.argsort(axis=1).argsort(axis=1)[at, fams[mine]]
+        b1, a1 = _moved_counts(ps, c1, at, j)
+        at, j = np.concatenate([at, at]), np.concatenate([j, j])
+        d = np.maximum(m - np.concatenate([b1, a1]), 1)
+        names2, profile = np.unique(at * (m + 1) + d, return_inverse=True)
+        r2, edge = np.empty(d.size, dtype=np.intp), np.empty(d.size)
+        for first in range(0, names2.size, step):
+            sel = np.flatnonzero((profile >= first) & (profile < first + step))
+            row2, null = np.divmod(names2[first : first + step], m + 1)
+            cuts = bh_critical_values(m, stage_two_level(q1, m, null)[:, None])
+            p = profile[sel] - first
+            r2[sel] = _moved_counts(ps[row2], cuts, p, j[sel])[0]
+            edge[sel] = cuts[p, r2[sel] - 1]
+        r2, edge = r2.reshape(2, -1), edge.reshape(2, -1)
+        r0 = np.where(b1 == m, m, r2[0])
+        later = (a1 < b1) & (edge[1] > c1[b1 - 1])
+        out[mine] = np.where(later, np.minimum(r0, r2[1]), r0)
     return out
 
 
@@ -345,27 +347,27 @@ def _r_min_scan(rule, summaries: np.ndarray, i, rows=None):
     Family i[p] is scanned in row rows[p]; rows defaults to row p for a
     (P, m) matrix and to the one vector for a vector.
 
-    For a shipped rule (a `_BlockSelection`) the values of s that keep i
-    selected form a prefix of [0, 1] and R never increases along it, so
-    R_min(i) is R at the last breakpoint s* in the prefix. Each row bisects
-    over its sorted breakpoints, all rows in lockstep, one `select_block`
-    call per step: O(log m) rows per family, in blocks of at most
-    _SCAN_BLOCK_CELLS cells, each block gathering its own rows. The
-    two-stage rule bisects over stage one's breakpoints, then over the
-    stage-two cutoffs just past the last selecting one (`_boundary_r_min`).
-    Any other rule, which need not have the prefix property, runs
-    `_looped_r_min`.
+    For a shipped rule the values of s that keep i selected form a prefix
+    of [0, 1] and R never increases along it (`_BlockSelection`), so no
+    search is needed: a simple rule's R_min(i) is R at s = 0 (`_placed`),
+    and the two-stage rule's comes from counts on each sorted row
+    (`_two_stage_r_min`), in blocks of at most _SCAN_BLOCK_CELLS cells. A
+    rule that overrides select_block, or any other, runs `_looped_r_min`.
     """
     _check_rule(rule, scan=True)
     table, fams = np.atleast_2d(summaries), np.atleast_1d(i)
     if rows is None:
         one = np.ndim(summaries) == 1
         rows = np.zeros(fams.size, dtype=np.intp) if one else np.arange(fams.size)
-    if isinstance(rule, _BlockSelection):
-        best = _boundary_r_min(rule, table, rows, fams)
-    else:
+    kinds = (MinPThreshold, TopKMinP, GlobalNullTest)
+    shipped = [c.select_block for c in kinds if isinstance(rule, c)]
+    if shipped != [type(rule).select_block]:
         best = [_looped_r_min(rule, table[r], j) for r, j in zip(rows, fams)]
         best = np.array(best, dtype=np.intp)
+    elif isinstance(rule, GlobalNullTest) and rule.procedure.kind == "two_stage":
+        best = _two_stage_r_min(rule, table, rows, fams)
+    else:
+        best = _placed(rule, table, rows, fams, np.zeros(fams.size))
     if (best == 0).any():
         raise UnsupportedRuleError(
             f"family {fams[best == 0][0]} is never selected for any summary value"

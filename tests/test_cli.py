@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -365,6 +366,107 @@ class TestAnalyze:
         assert len(families) == 2001 and families[-1]["selected"]
         # about 3 MB, against 51 MB with a padded matrix
         assert peak < 16e6
+
+# Option texts for the analyze argv property: extreme and malformed values
+# next to valid ones. argparse itself rejects a --q that is no float and an
+# --adjust or --format outside its choices (exit 2).
+LEVEL_TEXTS = ["nan", "NaN", "0", "1", "inf", "-inf", "1e-300", "0.5", "-0", "1e309"]
+LEVEL_TEXTS += ["", "abc", "0x1p-2", "1_0", " 0.2", "2", "-0.1", str(2**63), str(2**64)]
+RULE_TEXTS = st.one_of(
+    st.sampled_from(
+        [
+            "minp:0.05",
+            "topk:2",
+            "topk:10",
+            "topk:0",
+            f"topk:{2**63}",
+            "topk:-1",
+            "global:simes:bh",
+            "global:simes:twostage",
+            "global:simes:twostage:0.3",
+            "global:bonferroni_min:twostage:0.05",
+            "global:fisher:twostage:0.1",
+            "global:stouffer:lr_kfwer:2:0.2",
+            "global:bonferroni:lr_kfwer:x",
+            "global:simes",
+            "global::twostage",
+            ":",
+            "",
+        ]
+    ),
+    st.builds(
+        "global:{}:twostage:{}".format,
+        st.sampled_from(COMBINERS),
+        st.sampled_from(["0.05", "0.1", "0.3"]),
+    ),
+    st.builds(
+        "global:{}:{}:{}".format,
+        st.sampled_from(COMBINERS + ("bonf", "SIMES", "nope", "")),
+        st.sampled_from(["twostage", "two_stage", "two-stage", "bh", "tukey"]),
+        st.sampled_from(LEVEL_TEXTS),
+    ),
+    st.builds("minp:{}".format, st.sampled_from(LEVEL_TEXTS)),
+    st.builds("topk:{}".format, st.sampled_from(LEVEL_TEXTS)),
+    st.text(alphabet="globaminpktwostage:0123456789.-enif ", max_size=30),
+)
+
+
+@pytest.fixture(scope="module")
+def argv_inputs(tmp_path_factory):
+    """A valid three-family file, a 12-family file that the two-stage rule
+    selects from, a file with a bad p-value and a missing path."""
+    folder = tmp_path_factory.mktemp("argv")
+    rows = ["family,hypothesis,p_value"]
+    for f, p in enumerate([1e-5] * 3 + [0.004] * 2 + [0.6] * 7):
+        rows += [f"g{f},h{f}a,{p}", f"g{f},h{f}b,0.9"]
+    files = {
+        "three.csv": THREE_FAMILY_CSV,
+        "twelve.csv": "\n".join(rows) + "\n",
+        "bad.csv": "family,hypothesis,p_value\nf1,h1,1.5\n",
+    }
+    for name, text in files.items():
+        (folder / name).write_text(text)
+    return [str(folder / name) for name in files] + [str(folder / "missing.csv")]
+
+
+class TestAnalyzeArgv:
+    """`famsel analyze` on drawn option texts ends in a documented exit code,
+    with one `famsel` line and no traceback on failure."""
+
+    @settings(
+        derandomize=True,
+        max_examples=400,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        st.sampled_from([0, 1, 1, 1, 2, 3]),
+        RULE_TEXTS,
+        st.sampled_from(["bh"] * 3 + ["holm", "twostage", "lr_kfwer:0", "tukey"]),
+        st.one_of(st.sampled_from(["0.05", "0.2", "0.5"]), st.sampled_from(LEVEL_TEXTS)),
+        st.sampled_from(["simple", "rmin"] * 4 + ["none", "RMIN", ""]),
+        st.sampled_from(["json", "csv"] * 4 + ["xml"]),
+    )
+    def test_exit_codes(self, argv_inputs, which, rule, procedure, q, adjust, fmt):
+        argv = ["analyze", argv_inputs[which], "--rule", rule, "--procedure"]
+        argv += [procedure, "--q", q, "--adjust", adjust, "--format", fmt]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as stop:  # argparse's own errors
+                code = stop.code
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in err, argv
+        if code == 0:
+            assert err == "" and out, argv
+        else:
+            lines = [line for line in err.splitlines() if line.startswith("famsel")]
+            assert out == "" and len(lines) == 1, (argv, err)
+            assert lines[0].startswith(("famsel: ", "famsel analyze: error: "))
+            assert lines[0].split(": ", 1)[1].strip(), argv
+
 
 class TestParser:
     def test_main_calls_share_no_state(

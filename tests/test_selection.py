@@ -5,7 +5,12 @@ import mpmath
 import numpy as np
 import pytest
 import textbook
-from rmin_oracle import candidate_r_min, candidates, oracle_r_min_scan
+from rmin_oracle import (
+    bisect_r_min_scan,
+    candidate_r_min,
+    candidates,
+    oracle_r_min_scan,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
@@ -584,7 +589,7 @@ def two_stage_bands(m, rng, level=0.1):
 
 
 class TestBoundaryScan:
-    """The boundary bisection against the candidate scan it replaced."""
+    """The exact scan against the candidate scan, on every shipped rule."""
 
     def _seeded_cases(self, seed):
         rng = np.random.default_rng(seed)
@@ -634,8 +639,9 @@ class TestBoundaryScan:
         assert unselected > 200 and moved > 100
 
     def test_two_stage_bisects_inside_the_last_interval(self):
-        # Summaries over (0, 3q') put stage two's cutoffs inside the interval
-        # past the last selecting stage-one breakpoint for many families.
+        # Summaries over (0, 3q') make many families stay selected just
+        # above their last selecting stage-one cutoff, where R_min is stage
+        # two's count at the null count A1 leaves.
         rng = np.random.default_rng(31)
         for case in range(60):
             m = int(rng.integers(2, 80))
@@ -810,8 +816,110 @@ class TestBoundaryScan:
         assert never > 50
 
 
+def adversarial_two_stage(rng, m, level):
+    """Two-stage summaries on the edges of both stages: stage one's cutoffs
+    j*(q'/m) exactly and stage two's one ulp either way (`two_stage_cutoffs`),
+    ties, 0 and 1, and in one case in five the k smallest on stage one's
+    cutoffs exactly, so that moving any of them changes stage one's count."""
+    stage_one = np.arange(1, m + 1) * (level / (1.0 + level) / m)
+    summaries = rng.uniform(size=m) ** rng.uniform(1.0, 8.0)
+    grid = two_stage_cutoffs(level, m, rng, m)
+    grid = np.where(rng.uniform(size=m) < 0.3, rng.choice(stage_one, m), grid)
+    on_grid = rng.uniform(size=m) < rng.uniform(0.3, 1.0)
+    summaries[on_grid] = grid[on_grid]
+    summaries[rng.uniform(size=m) < 0.1] = 0.0
+    summaries[rng.uniform(size=m) < 0.1] = 1.0
+    tied = rng.uniform(size=m) < 0.3
+    summaries[tied] = rng.choice(summaries, size=int(tied.sum()))
+    if rng.uniform() < 0.2:
+        k = int(rng.integers(0, m + 1))
+        summaries = np.sort(summaries)
+        summaries[:k] = stage_one[:k]
+        rng.shuffle(summaries)
+    return np.clip(summaries, 0.0, 1.0)
+
+
+class OwnSelectTwoStage(GlobalNullTest):
+    """The two-stage rule with its own select_block, which also drops the
+    last family: an override, so its R_min runs the candidate loop."""
+
+    def select_block(self, summaries):
+        kept = super().select_block(summaries)
+        kept[:, -1] = False
+        return kept
+
+
+class TestTwoStageCounts:
+    """The two-stage counts against the bisection they replaced and the
+    candidate scan, seeded."""
+
+    LEVELS = (0.05, 0.2, 0.5)
+
+    def _rule(self, rng, case):
+        level = self.LEVELS[case % 3] if case % 4 else float(rng.uniform(0.01, 0.9))
+        return GlobalNullTest(COMBINERS[case % 4], Procedure("two_stage"), level)
+
+    def test_small_m_matches_both_references(self):
+        rng = np.random.default_rng(2201)
+        moved = 0
+        for case in range(150):
+            m = int(rng.integers(1, 31))
+            rule = self._rule(rng, case)
+            summaries = adversarial_two_stage(rng, m, rule.level)
+            families = np.arange(m)
+            want = oracle_r_min_scan(rule, summaries, families).tolist()
+            assert bisect_r_min_scan(rule, summaries, families).tolist() == want
+            assert _r_min_scan(rule, summaries, families).tolist() == want, case
+            i = int(rng.integers(m))
+            assert _r_min_scan(rule, summaries, i) == want[i]
+            # (B, m) rows, each pair naming its row, as a Monte Carlo block
+            table = np.stack([summaries] + [adversarial_two_stage(rng, m, rule.level)])
+            rows, fams = rng.integers(2, size=2 * m), rng.integers(m, size=2 * m)
+            want = oracle_r_min_scan(rule, table, fams, rows).tolist()
+            assert bisect_r_min_scan(rule, table, fams, rows).tolist() == want
+            assert _r_min_scan(rule, table, fams, rows).tolist() == want, case
+            picked = rule.select_from_summaries(summaries)
+            moved += sum(w != picked.size for w in want)
+        assert moved > 2000
+
+    @pytest.mark.parametrize("m", [1000, 10_000])
+    def test_large_m_matches_the_bisection(self, m):
+        rng = np.random.default_rng(m)
+        for case in range(4):
+            rule = self._rule(rng, case)
+            bands = two_stage_bands(m, rng, rule.level)
+            table = np.stack([bands, adversarial_two_stage(rng, m, rule.level)])
+            fams = np.concatenate(
+                [rng.choice(m // 5, 10), m // 5 + rng.choice(m // 10, 10)]
+            )
+            fams = np.concatenate([fams, rng.choice(m, 20)])
+            rows = rng.integers(2, size=fams.size)
+            want = bisect_r_min_scan(rule, table, fams, rows).tolist()
+            assert _r_min_scan(rule, table, fams, rows).tolist() == want, case
+            want = bisect_r_min_scan(rule, bands, fams).tolist()
+            assert _r_min_scan(rule, bands, fams).tolist() == want, case
+            # the strong families drop to m // 5, the moderate ones keep R
+            assert set(want[:20]) == {m // 5, m // 5 + m // 10}
+
+    def test_select_block_override_runs_the_candidate_scan(self):
+        rng = np.random.default_rng(2203)
+        checked = 0
+        for case in range(40):
+            m = int(rng.integers(2, 16))
+            level = self._rule(rng, case).level
+            rule = OwnSelectTwoStage(COMBINERS[case % 4], Procedure("two_stage"), level)
+            summaries = adversarial_two_stage(rng, m, level)
+            for i in range(m):
+                want = oracle_or_none(rule, summaries, i)
+                assert scan_or_none(rule, summaries, i) == want, (case, i)
+                checked += want is not None
+            # the last family is never selected, whatever its summary
+            assert scan_or_none(rule, summaries, m - 1) is None
+        assert checked > 150
+
+
 class TestScanWork:
-    """The bisection's rows and memory stay small at large m."""
+    """The scan's rows and memory stay small at large m."""
 
     @pytest.mark.parametrize("m", [400, 1000])
     def test_two_stage_rows_per_family(self, monkeypatch, m):
@@ -880,6 +988,41 @@ class TestScanWork:
         # candidate rows of one family 32 MB
         assert peak < 16e6
         assert sorted(set(counts.tolist())) == [m // 5, picked.size]
+
+    def test_two_stage_work_does_not_grow_with_m(self, monkeypatch):
+        # every selected family in one scan of one summary vector, as an
+        # analysis makes it; the bisection passed 7,500 rows to the kernel
+        # at m = 10^3 and 99,000 at m = 10^4
+        rule = GlobalNullTest("simes", Procedure("two_stage"), level=0.1)
+        rows = []
+        kernel, select = selection.rejection_counts, GlobalNullTest.select_block
+
+        def counted_kernel(procedure, ps, levels=None):
+            rows.append(len(ps))
+            return kernel(procedure, ps, levels)
+
+        def counted_select(self, block):
+            rows.append(len(block))
+            return select(self, block)
+
+        work = {}
+        for m in (1000, 10_000):
+            summaries = two_stage_bands(m, np.random.default_rng(m))
+            picked = rule.select_from_summaries(summaries)
+            with monkeypatch.context() as patch:
+                patch.setattr(selection, "rejection_counts", counted_kernel)
+                patch.setattr(GlobalNullTest, "select_block", counted_select)
+                rows.clear()
+                tracemalloc.start()
+                try:
+                    counts = _r_min_scan(rule, summaries, picked)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            work[m] = sum(rows)
+            assert peak < 16e6
+            assert sorted(set(counts.tolist())) == [m // 5, picked.size]
+        assert work[10_000] == work[1000] <= 4
 
 
 def summary_of(rule, pvalues):
