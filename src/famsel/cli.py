@@ -776,8 +776,16 @@ def cmd_check(args) -> int:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors, its subcommands' too, exit with
+    EXIT_INPUT after one `famsel: ` line and no usage block."""
+
+    def error(self, message):
+        self.exit(EXIT_INPUT, f"famsel: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="famsel",
         description="Selection-adjusted testing of families of hypotheses.",
     )

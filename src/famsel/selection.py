@@ -40,9 +40,9 @@ DEFAULT_P_FLOOR = 1e-300
 _P_CEIL = 1.0 - 1e-16
 
 # Cells in one block of the R_min scan's rows, and of the randomized checks'
-# trials, so that their memory stays bounded at any m.
+# trial words, so that their memory stays bounded at any m.
 _SCAN_BLOCK_CELLS = 1 << 16
-# Trials in the concordance check's first block; each next block doubles.
+# Trials in a randomized check's first block; each next block doubles.
 _FIRST_TRIAL_BLOCK = 16
 
 
@@ -340,6 +340,20 @@ def _two_stage_r_min(rule, table: np.ndarray, rows, fams: np.ndarray) -> np.ndar
     return out
 
 
+def _r_min_counts(rule, table: np.ndarray, fams: np.ndarray, rows) -> np.ndarray:
+    """R_min of family fams[p] in summary row table[rows[p]] (`_r_min_scan`),
+    or 0 where no summary value selects it."""
+    _check_rule(rule, scan=True)
+    kinds = (MinPThreshold, TopKMinP, GlobalNullTest)
+    shipped = [c.select_block for c in kinds if isinstance(rule, c)]
+    if shipped != [type(rule).select_block]:
+        best = [_looped_r_min(rule, table[r], j) for r, j in zip(rows, fams)]
+        return np.array(best, dtype=np.intp)
+    if isinstance(rule, GlobalNullTest) and rule.procedure.kind == "two_stage":
+        return _two_stage_r_min(rule, table, rows, fams)
+    return _placed(rule, table, rows, fams, np.zeros(fams.size))
+
+
 def _r_min_scan(rule, summaries: np.ndarray, i, rows=None):
     """Exact minimization of the selected count over family i's summary s,
     for one summary vector and family, or for P families (i an array) of
@@ -354,20 +368,11 @@ def _r_min_scan(rule, summaries: np.ndarray, i, rows=None):
     (`_two_stage_r_min`), in blocks of at most _SCAN_BLOCK_CELLS cells. A
     rule that overrides select_block, or any other, runs `_looped_r_min`.
     """
-    _check_rule(rule, scan=True)
     table, fams = np.atleast_2d(summaries), np.atleast_1d(i)
     if rows is None:
         one = np.ndim(summaries) == 1
         rows = np.zeros(fams.size, dtype=np.intp) if one else np.arange(fams.size)
-    kinds = (MinPThreshold, TopKMinP, GlobalNullTest)
-    shipped = [c.select_block for c in kinds if isinstance(rule, c)]
-    if shipped != [type(rule).select_block]:
-        best = [_looped_r_min(rule, table[r], j) for r, j in zip(rows, fams)]
-        best = np.array(best, dtype=np.intp)
-    elif isinstance(rule, GlobalNullTest) and rule.procedure.kind == "two_stage":
-        best = _two_stage_r_min(rule, table, rows, fams)
-    else:
-        best = _placed(rule, table, rows, fams, np.zeros(fams.size))
+    best = _r_min_counts(rule, table, fams, rows)
     if (best == 0).any():
         raise UnsupportedRuleError(
             f"family {fams[best == 0][0]} is never selected for any summary value"
@@ -417,6 +422,18 @@ class SimplenessReport:
     trials: int = 0
 
 
+def _trial_blocks(rng, trials: int, width: int, m: int):
+    """(first trial, (B, width) words) per block of B trials, trial t reading
+    words [t*width, (t+1)*width) of rng's stream. Blocks start at
+    _FIRST_TRIAL_BLOCK trials and double up to _SCAN_BLOCK_CELLS cells."""
+    cap = max(1, _SCAN_BLOCK_CELLS // max(width, m))
+    first, step = 0, min(_FIRST_TRIAL_BLOCK, cap)
+    while first < trials:
+        block = min(step, trials - first)
+        yield first, rng.random((block, width))
+        first, step = first + block, min(2 * step, cap)
+
+
 def check_simple(
     rule, ensemble: PValueEnsemble, i: int, trials: int, seed: int = 0
 ) -> SimplenessReport:
@@ -427,25 +444,19 @@ def check_simple(
     selected families ever differs from the observed one. Finding no witness
     does not prove simpleness.
 
-    Trials run in blocks of at most _SCAN_BLOCK_CELLS cells: one draw of
-    (B, n_i) uniforms takes the same values from the stream as B draws of
-    n_i, and the whole block is summarized and selected in one call each.
-    The first witness is the one trial by trial would find.
+    Trial t's replacement is words [t*n_i, (t+1)*n_i) of the seed's stream
+    (`_trial_blocks`), and each block is summarized and placed in one call.
     """
     rng = np.random.default_rng(seed)
     summaries, r_observed = _selecting(rule, ensemble, i)
-    n_i = ensemble.size(i)
-    step = max(1, _SCAN_BLOCK_CELLS // max(summaries.size, n_i))
-    for start in range(0, trials, step):
-        replacements = rng.uniform(size=(min(step, trials - start), n_i))
-        work = np.repeat(summaries[None, :], len(replacements), axis=0)
-        work[:, i] = rule.block_summaries(replacements[:, None, :])[:, 0]
-        masks = rule.select_block(work)
-        counts = masks.sum(axis=1)
-        witnesses = np.flatnonzero(masks[:, i] & (counts != r_observed))
+    for first, words in _trial_blocks(rng, trials, ensemble.size(i), summaries.size):
+        at = np.zeros(len(words), dtype=np.intp)
+        values = rule.block_summaries(words[:, None, :])[:, 0]
+        counts = _placed(rule, summaries[None], at, at + i, values)
+        witnesses = np.flatnonzero((counts > 0) & (counts != r_observed))
         if witnesses.size:
             t = int(witnesses[0])
-            found = (int(counts[t]), replacements[t].copy(), start + t + 1)
+            found = (int(counts[t]), words[t].copy(), first + t + 1)
             return SimplenessReport(True, i, r_observed, *found)
     return SimplenessReport(False, i, r_observed, None, None, trials)
 
@@ -469,58 +480,46 @@ def check_concordant(
     Raising p-values outside a family must never raise that family's
     attainable minimum selected count. Each trial bumps a random subset of
     the other families' p-values toward 1 and compares R_min before and
-    after. Finding no witness does not prove concordance. Trials run in
-    blocks, one `_r_min_scan` call for every R_min after and one scan per
-    family for R_min before, and meet the first witness or error in order.
-    The blocks start at _FIRST_TRIAL_BLOCK trials and double up to
-    _SCAN_BLOCK_CELLS cells, so an early witness costs few trials past it.
+    after. Finding no witness does not prove concordance. Trial t reads its
+    own words of the seed's stream (`_bumped_trials`), whatever the data and
+    the blocks; the first trial that shows a witness, or a family that no
+    summary value selects, ends the check.
     """
     rng = np.random.default_rng(seed)
     summaries = _summaries(rule, ensemble)
-    before = {}
-    cap = max(1, _SCAN_BLOCK_CELLS // summaries.size)
-    start, step = 0, min(_FIRST_TRIAL_BLOCK, cap)
-    while start < trials:
-        block = min(step, trials - start)
-        step = min(2 * step, cap)
-        fams, bumped = _bumped_trials(rule, ensemble, summaries, rng, block)
-        try:
-            after = _r_min_scan(rule, bumped, fams).tolist()
-        except UnsupportedRuleError:
-            after = [None] * block  # rescanned one trial at a time below
-        for t, (i, r) in enumerate(zip(fams.tolist(), after)):
-            if i not in before:
-                before[i] = _r_min_scan(rule, summaries, i)
-            r = _r_min_scan(rule, bumped[t], i) if r is None else r
-            if r > before[i]:
-                return ConcordanceReport(True, i, before[i], r, start + t + 1)
-        start += block
+    m = summaries.size
+    for first, words in _trial_blocks(rng, trials, 1 + m + ensemble.sizes.sum(), m):
+        if first == 0:  # R_min before, of every family
+            every = np.arange(m)
+            before = _r_min_counts(rule, summaries[None], every, 0 * every)
+        fams, bumped = _bumped_trials(rule, ensemble, summaries, words)
+        after = _r_min_counts(rule, bumped, fams, np.arange(len(fams)))
+        was = before[fams]
+        stops = np.flatnonzero((after > was) | (np.minimum(after, was) == 0))
+        if stops.size:
+            t, i = int(stops[0]), int(fams[stops[0]])
+            if not min(after[t], was[t]):
+                raise UnsupportedRuleError(
+                    f"family {i} is never selected for any summary value"
+                )
+            return ConcordanceReport(True, i, int(was[t]), int(after[t]), first + t + 1)
     return ConcordanceReport(False, None, None, None, trials)
 
 
-def _bumped_trials(rule, ensemble, summaries, rng, trials):
-    """Each trial's family i and summaries with a random subset of the other
-    families' p-values raised toward 1, drawn as one trial at a time draws
-    them: i, a coin per other family, then each raised family's uniforms.
-    Each family is summarized once for all the trials that raise it."""
-    m, sizes = summaries.size, ensemble.sizes.tolist()
-    fams = np.empty(trials, dtype=np.intp)
-    drawn = [([], []) for _ in range(m)]
-    for t in range(trials):
-        i = fams[t] = rng.integers(m)
-        others = [j for j in range(m) if j != i]
-        coins = (rng.uniform(size=m - 1) < 0.5).tolist()
-        chosen = [j for j, c in zip(others, coins) if c] or others[:1]
-        u, at = rng.uniform(size=sum(sizes[j] for j in chosen)), 0
-        for j in chosen:
-            drawn[j][0].append(t)
-            drawn[j][1].append(u[at : at + sizes[j]])
-            at += sizes[j]
-    bumped = np.repeat(summaries[None, :], trials, axis=0)
-    for j, (at, u) in enumerate(drawn):
-        if not at:
-            continue
-        p = ensemble.family(j)
-        raised = p + np.array(u) * (1.0 - p)
-        bumped[at, j] = rule.block_summaries(raised[None])[0]
-    return fams, bumped
+def _bumped_trials(rule, ensemble, summaries, words):
+    """Each trial's family i and summaries, from its row of words: word 0
+    picks i, word 1 + j is family j's coin (below 0.5 raises j; i's is
+    ignored, and the first other family is raised if none comes up), and the
+    last N hold a u per p-value, family after family, to raise p to p + u(1 - p)."""
+    m, at = summaries.size, np.arange(len(words))
+    fams = np.minimum((words[:, 0] * m).astype(np.intp), m - 1)
+    coins = words[:, 1 : m + 1] < 0.5
+    coins[at, fams] = False
+    other = np.minimum(fams == 0, m - 1)  # the first family but i, or i if m = 1
+    coins[at, other] |= (other != fams) & ~coins.any(axis=1)
+    starts = 1 + m + np.cumsum(ensemble.sizes) - ensemble.sizes
+    raised = [
+        p + words[:, starts[f, None] + np.arange(n)] * (1.0 - p)
+        for (n, f), p in zip(ensemble.groups, ensemble.pvalues)
+    ]
+    return fams, np.where(coins, _summarize(rule, ensemble.groups, raised), summaries)

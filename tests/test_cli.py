@@ -3,8 +3,10 @@ import csv
 import hashlib
 import io
 import json
+import os
 import sys
 import tracemalloc
+from unittest import mock
 
 import jsonschema
 import numpy as np
@@ -429,9 +431,30 @@ def argv_inputs(tmp_path_factory):
     return [str(folder / name) for name in files] + [str(folder / "missing.csv")]
 
 
+def assert_documented_exit(argv):
+    """main(argv) ends in exit code 0-3 with no traceback; a nonzero exit
+    writes one non-empty `famsel: ` line to stderr and nothing to stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as stop:  # argparse's own errors
+            code = stop.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err, argv
+    if code in (0, 1):
+        assert err == "" and out, argv
+    else:
+        lines = err.splitlines()
+        assert out == "" and len(lines) == 1, (argv, err)
+        assert lines[0].startswith("famsel: "), (argv, err)
+        assert lines[0].split(": ", 1)[1].strip(), argv
+
+
 class TestAnalyzeArgv:
     """`famsel analyze` on drawn option texts ends in a documented exit code,
-    with one `famsel` line and no traceback on failure."""
+    with one `famsel: ` line and no traceback on failure."""
 
     @settings(
         derandomize=True,
@@ -450,22 +473,42 @@ class TestAnalyzeArgv:
     def test_exit_codes(self, argv_inputs, which, rule, procedure, q, adjust, fmt):
         argv = ["analyze", argv_inputs[which], "--rule", rule, "--procedure"]
         argv += [procedure, "--q", q, "--adjust", adjust, "--format", fmt]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as stop:  # argparse's own errors
-                code = stop.code
-        out, err = out.getvalue(), err.getvalue()
-        assert code in (0, 1, 2, 3), argv
-        assert "Traceback" not in err, argv
-        if code == 0:
-            assert err == "" and out, argv
-        else:
-            lines = [line for line in err.splitlines() if line.startswith("famsel")]
-            assert out == "" and len(lines) == 1, (argv, err)
-            assert lines[0].startswith(("famsel: ", "famsel analyze: error: "))
-            assert lines[0].split(": ", 1)[1].strip(), argv
+        assert_documented_exit(argv)
+
+
+class TestCheckArgv:
+    """`famsel check` on drawn option texts ends in a documented exit code,
+    with one `famsel: ` line and no traceback on failure. --trials and --reps
+    stay small, and no thread count above 1 is drawn, so no pool starts."""
+
+    @settings(
+        derandomize=True,
+        max_examples=400,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        st.sampled_from(["simple", "concordant", "control"] * 6 + ["bogus", ""]),
+        RULE_TEXTS,
+        st.sampled_from(["0.05", "0.2", "0.5"] * 6 + LEVEL_TEXTS),
+        st.sampled_from(["0", "7", str(2**64 - 1)] * 6 + [str(2**64), "-1", "nan", ""]),
+        st.sampled_from(["bonferroni", "bh", "holm"] * 6 + ["lr_kfwer:0", "tukey", ""]),
+        st.sampled_from(["fwer", "fdr", "kfwer:2"] * 6 + ["fdx:nan", "kfdr:-1", ""]),
+        st.sampled_from(["1", "50", "200"] * 6 + ["0", "-3", "nan", "1e3", ""]),
+        st.sampled_from(["1", "20", "50"] * 6 + ["0", "-1", "nan", ""]),
+        st.sampled_from([None, "1"] * 6 + ["0", "-2", "abc", ""]),
+    )
+    def test_exit_codes(
+        self, suite, rule, q, seed, procedure, metric, trials, reps, threads
+    ):
+        argv = ["check", "--suite", suite, "--rule", rule, "--q", q, "--seed", seed]
+        argv += ["--procedure", procedure, "--metric", metric]
+        argv += ["--trials", trials, "--reps", reps]
+        argv += [] if threads is None else ["--threads", threads]
+        # an absent --threads reads FAMSEL_THREADS; keep it from the environment
+        with mock.patch.dict(os.environ):
+            os.environ.pop("FAMSEL_THREADS", None)
+            assert_documented_exit(argv)
 
 
 class TestParser:

@@ -1125,13 +1125,22 @@ class TestCheckSimpleBlocks:
                 for i in sorted(select(rule, ens).selected):
                     yield rule, ens, i, int(rng.integers(0, 2**32))
 
-    def test_matches_the_trial_loop(self, monkeypatch):
-        # 50-cell blocks split every run into several blocks
+    @pytest.fixture(scope="class")
+    def looped(self):
+        """The per-trial loop's outcome of each case, run once for every schedule."""
+        cases = self._cases()
+        return [looped_check_simple(r, e, i, 300, seed=s) for r, e, i, s in cases]
+
+    @pytest.mark.parametrize("first", [1, 5])
+    def test_matches_the_trial_loop(self, monkeypatch, looped, first):
+        # 50-cell blocks of 1, 2, 4, ... or 5, 10, ... trials split every
+        # run into several blocks
         monkeypatch.setattr(selection, "_SCAN_BLOCK_CELLS", 50)
+        monkeypatch.setattr(selection, "_FIRST_TRIAL_BLOCK", first)
         witnesses = checked = 0
-        for rule, ens, i, seed in self._cases():
+        for (rule, ens, i, seed), want in zip(self._cases(), looped, strict=True):
             got = report_tuple(check_simple(rule, ens, i, 300, seed=seed))
-            assert got == looped_check_simple(rule, ens, i, 300, seed=seed)
+            assert got == want
             witnesses += got[0]
             checked += 1
         assert checked > 30 and witnesses > 0
@@ -1188,21 +1197,26 @@ class SwitchRule(PanicRule):
 
 
 def looped_check_concordant(rule, ensemble, trials, seed=0):
-    """check_concordant one trial at a time, as it ran before it ran in
-    blocks, with R_min from the candidate scan."""
+    """check_concordant one trial at a time, with R_min from the candidate
+    scan. Trial t reads its own 1 + m + N words of the seed's stream, N the
+    number of p-values: word 0 picks the family i, word 1 + j is family j's
+    coin, and the last N words hold one uniform per p-value, family after
+    family; a raised family's p-values move to p + u * (1 - p)."""
     rng = np.random.default_rng(seed)
     summaries = family_summaries(rule, ensemble)
-    m = ensemble.m
+    m, families = ensemble.m, ensemble.families
     for t in range(trials):
-        i = int(rng.integers(m))
+        words = rng.random(1 + m + sum(p.size for p in families))
+        i = min(int(words[0] * m), m - 1)
         before = oracle_r_min_scan(rule, summaries, i)
-        bumped = summaries.copy()
         others = [j for j in range(m) if j != i]
-        chosen = [j for j in others if rng.uniform() < 0.5] or others[:1]
-        for j in chosen:
-            p = ensemble.family(j)
-            raised = p + rng.uniform(size=p.size) * (1.0 - p)
-            bumped[j] = summary_of(rule, raised)
+        chosen = [j for j in others if words[1 + j] < 0.5] or others[:1]
+        bumped, at = summaries.copy(), 1 + m
+        for j, p in enumerate(families):
+            if j in chosen:
+                u = words[at : at + p.size]
+                bumped[j] = summary_of(rule, p + u * (1.0 - p))
+            at += p.size
         after = oracle_r_min_scan(rule, bumped, i)
         if after > before:
             return (True, i, before, after, t + 1)
@@ -1294,6 +1308,52 @@ class TestCheckConcordantBlocks:
             kind = "error" if got[0] == "error" else "witness" if got[0] else "none"
             kinds[kind] += 1
         assert kinds["witness"] >= 3 and kinds["error" if switch else "none"] >= 3
+
+
+class TestConcordanceWork:
+    """check_concordant's calls per block stay fixed, whatever the trials."""
+
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            MinPThreshold(0.3),
+            TopKMinP(2),
+            GlobalNullTest("simes", Procedure("bh"), level=0.3),
+        ],
+        ids=lambda rule: rule.describe(),
+    )
+    def test_one_summary_and_one_scan_per_block(self, monkeypatch, rule):
+        # the CLI's first probe at q = 0.3, where none of these rules has a witness
+        q1 = 0.3 / 1.3
+        probe = singleton_ensemble([q1 / 6.0, q1 / 2.0, 2.0 * q1])
+        calls = {"blocks": 0, "trials": 0, "summarize": 0, "counts": 0}
+        blocks, summarize = selection._trial_blocks, selection._summarize
+        counts = selection._r_min_counts
+
+        def counted_blocks(rng, trials, width, m):
+            for first, words in blocks(rng, trials, width, m):
+                calls["blocks"] += 1
+                calls["trials"] += len(words)
+                yield first, words
+
+        def counted(name, function):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(selection, "_trial_blocks", counted_blocks)
+        monkeypatch.setattr(selection, "_summarize", counted("summarize", summarize))
+        monkeypatch.setattr(selection, "_r_min_counts", counted("counts", counts))
+        report = check_concordant(rule, probe, 10**4, seed=5)
+        assert not report.witness_found and report.trials == 10**4
+        assert calls["trials"] == 10**4
+        # blocks of 16, 32, ... trials: 16 * (2**10 - 1) >= 10**4
+        assert calls["blocks"] <= 10
+        # one more summary for the ensemble, one more scan for R_min before
+        assert calls["summarize"] == calls["blocks"] + 1
+        assert calls["counts"] == calls["blocks"] + 1
 
 
 class TestCombinerValidity:
