@@ -120,27 +120,33 @@ def _test_rows(
     matrices[group_of[k]] at levels[k], or at no level when levels is None.
 
     There is one matrix per family size and one truth per matrix: a matrix
-    with its rows, or one row they all share; ranked, if given, holds each
-    matrix with its rows sorted. Each size is one `rejected_entries` call,
-    sizes in order of their first row, so an error is the one the first
-    failing row raises.
+    with its rows, or the count k1 of leading non-null columns that every
+    row shares, so that v counts the rejections from column k1 on and is r
+    where k1 is 0. ranked, if given, holds each matrix with its rows sorted.
+    Each size is one `rejected_entries` call, sizes in order of their first
+    row, so an error is the one the first failing row raises.
     """
     r = np.empty(rows.size, dtype=np.intp)
     v = None if truths is None else np.empty(rows.size, dtype=np.intp)
     masks = []
     # group ids stand in for sizes, one to one
-    for g, ks in size_groups(group_of):
+    groups = [(0, slice(None))] if len(matrices) == 1 else size_groups(group_of)
+    for g, ks in groups:
         at = rows[ks]
         tested_at = None if levels is None else levels[ks]
         ps = None if ranked is None else ranked[g].take(at, axis=0)
         mask, r[ks] = rejected_entries(
             procedure, matrices[g].take(at, axis=0), tested_at, ps
         )
-        if v is not None:
-            truth = truths[g]
-            if truth.ndim == 2:
-                truth = truth.take(at, axis=0)
-            v[ks] = np.add.reduce(_last_axis_first(mask & truth), axis=0)
+        truth = None if v is None else truths[g]
+        if isinstance(truth, np.ndarray):
+            false = mask & truth.take(at, axis=0)
+            v[ks] = np.add.reduce(_last_axis_first(false), axis=0)
+        elif truth == 0:
+            v[ks] = r[ks]
+        elif truth is not None:
+            # the mask's layout makes its columns from k1 on a view
+            v[ks] = np.add.reduce(_last_axis_first(mask[:, truth:]), axis=0)
         masks.append((ks, mask))
     return r, v, masks
 

@@ -37,6 +37,8 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_CONFIG = 3
+# the most trials `check` runs; 10^6 of them take about a second
+MAX_TRIALS = 10**7
 
 TABLE1_ROWS = ((20, 100), (100, 20), (100, 10), (100, 2))
 
@@ -704,6 +706,8 @@ def cmd_check(args) -> int:
         raise CliError(EXIT_CONFIG, "seed must lie in [0, 2**64)")
     if args.trials < 1:
         raise CliError(EXIT_CONFIG, "trials must be at least 1")
+    if args.trials > MAX_TRIALS:
+        raise CliError(EXIT_CONFIG, f"trials must be at most {MAX_TRIALS}")
     rule = parse_rule(args.rule, args.q)
     if args.suite == "simple":
         for ens in _probe_ensembles(args.q):

@@ -28,9 +28,14 @@ sorted rows (Simes) has each size's rows sorted once, and the test of the
 selected rows reads them from that sort. Its selected families get
 their levels and are tested by the steps the public analyses in `adjust`
 run (`_levels`, `_test_rows`), so an analysis is the one-replicate case of
-a block. The tests compare each estimate with those analyses on every
-replicate's `generate` ensemble, with the within-family test swapped for
-one textbook call per family and, for R_min, with the candidate scan.
+a block. Each family puts its non-null hypotheses first, so a block's truth
+is each size's count of leading non-nulls: a family's false rejections are
+all its rejections where that count is 0, as in every all-null scenario,
+and its rejections from that column on otherwise. A replicate's total is
+summed from its tested cells alone. The tests compare each estimate with
+those analyses on every replicate's `generate` ensemble, with the
+within-family test swapped for one textbook call per family and, for
+R_min, with the candidate scan.
 The rule must follow the rule protocol of `selection`, as every shipped
 rule does. SciPy (only for normal scores), numpy.random and the process
 pool are imported where first used, so importing famsel loads none of them.
@@ -81,8 +86,8 @@ class ScenarioConfig:
     adjustment: str = "simple"
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("m must be at least 1")
+        if not 1 <= self.m < 2**63:
+            raise ValueError("m must lie in [1, 2**63)")
         if not 0.0 < self.q < 1.0:
             raise ValueError("q must lie in (0, 1)")
         if self.replicates < 1:
@@ -103,6 +108,9 @@ class ScenarioConfig:
         sizes = self.sizes()
         if len(sizes) != self.m or any(s < 1 for s in sizes):
             raise ValueError("need one positive family size per family")
+        # the layout counts p-values in 64-bit integers
+        if sum(sizes) >= 2**63:
+            raise ValueError("a replicate must hold fewer than 2**63 p-values")
 
     def sizes(self) -> list:
         if isinstance(self.n, (int, np.integer)):
@@ -146,8 +154,8 @@ def generate(
     blocks = layout.blocks(1)
     _draw(config, layout, rng, blocks)
     truths = [
-        np.repeat(nulls[None], len(block[0]), axis=0)
-        for nulls, block in zip(layout.nulls, blocks)
+        np.repeat((np.arange(n) >= k1)[None], len(block[0]), axis=0)
+        for (n, _), k1, block in zip(layout.groups, layout.non_nulls, blocks)
     ]
     return PValueEnsemble._from_groups(
         layout.sizes, layout.groups, [block[0] for block in blocks], truths
@@ -165,8 +173,8 @@ class _Layout:
 
     sizes holds each family's size, groups its `size_groups`, counts the
     number of families in each group, slots the (group, row) of each family
-    and nulls each group's truth row: False on the leading non-null
-    hypotheses, True after them.
+    and non_nulls each group's number of leading non-null hypotheses, its
+    families' truth rows being False on those columns and True after them.
 
     A replicate's `words` words, in the module docstring's order, open with
     `uniforms` null p-values drawn uniform (none under the equicorrelated
@@ -182,21 +190,23 @@ class _Layout:
         self.groups = size_groups(self.sizes)
         self.slots = group_slots(self.groups, self.sizes.size)
         self.counts = np.bincount(self.slots[0], minlength=len(self.groups))
-        self.nulls = [np.arange(n) >= _non_nulls(config, n) for n, _ in self.groups]
+        self.non_nulls = [_non_nulls(config, n) for n, _ in self.groups]
         # every p-value in family order: its column, and whether it is null
         starts = np.cumsum(self.sizes) - self.sizes
         cells = int(self.sizes.sum())
         column = np.arange(cells) - np.repeat(starts, self.sizes)
-        k1 = [_non_nulls(config, n) for n in self.sizes.tolist()]
+        k1 = np.array(self.non_nulls)[self.slots[0]]
         null = column >= np.repeat(k1, self.sizes)
         factor = int(config.dependence == "equicorrelated")
         uniform = null & (factor == 0)
         self.uniforms = int(uniform.sum())
         self.scores = self.uniforms + factor
-        # uniform p-values first, then the scores, each in family order
-        position = np.empty(cells, dtype=np.intp)
-        position[np.argsort(~uniform, kind="stable")] = np.arange(cells)
-        position[~uniform] += factor
+        # uniform p-values first, then the scores, each in family order; the
+        # order is family order when the p-values are all of one kind
+        position = np.arange(factor, cells + factor)
+        if 0 < self.uniforms < cells:
+            position[np.argsort(~uniform, kind="stable")] = np.arange(cells)
+            position[~uniform] += factor
         shifted = ~null[~uniform]
         self.offset = np.where(shifted, -config.mu, -0.0)
         self.words = self.scores + shifted.size
@@ -281,9 +291,10 @@ def _block_values(
     count, n) arrays whose (step * count, n) views are matrices and whose
     cells are `_block_cells`, then summarized and selected as (B, m)
     arrays. Its selected (replicate, family) pairs are leveled and tested
-    as the analyses do (`_levels`, `_test_rows`), and each replicate's
-    metric values are summed in family order, as `average_over_selected`
-    sums them, bit for bit.
+    as the analyses do (`_levels`, `_test_rows`), with each size's count of
+    leading non-nulls for a truth, and each replicate's metric values are
+    summed from its tested cells in family order, as
+    `average_over_selected` sums them, bit for bit.
     """
     rule, q, m = config.rule, config.q, config.m
     _draw(config, layout, rng, blocks)
@@ -292,18 +303,20 @@ def _block_values(
     summaries = _summarize(rule, layout.groups, blocks, ranked)
     picked = rule.select_block(summaries)
     counts = np.add.reduce(_last_axis_first(picked), axis=0)
-    values = np.zeros(picked.shape)
     tested = picked.ravel().nonzero()[0]
-    if tested.size:
-        reps, fams, group_of, at = cells.take(tested, axis=1)
-        levels = _levels(rule, config.adjustment, q, summaries, fams, reps, counts)[1]
-        r, v, _ = _test_rows(
-            config.procedure, matrices, layout.nulls, group_of, at, levels, ranked
-        )
-        values.put(tested, _metric_values(config.metric, v, r))
-    # cumsum's accumulation adds left to right, and adding the zeros of
-    # unselected families leaves a sum unchanged.
-    totals = np.add.accumulate(values, axis=1)[:, -1]
+    if not tested.size:
+        return np.zeros(counts.size), counts / m
+    reps, fams, group_of, at = cells.take(tested, axis=1)
+    levels = _levels(rule, config.adjustment, q, summaries, fams, reps, counts)[1]
+    r, v, _ = _test_rows(
+        config.procedure, matrices, layout.non_nulls, group_of, at, levels, ranked
+    )
+    # bincount adds each weight to its bin in input order, and the tested
+    # cells ascend, so each replicate's values are summed left to right in
+    # family order, as cumsum and `average_over_selected` sum them.
+    totals = np.bincount(
+        reps, weights=_metric_values(config.metric, v, r), minlength=counts.size
+    )
     return totals / np.maximum(counts, 1), counts / m
 
 

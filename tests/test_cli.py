@@ -2,6 +2,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
 import sys
@@ -494,7 +495,10 @@ class TestCheckArgv:
         st.sampled_from(["0", "7", str(2**64 - 1)] * 6 + [str(2**64), "-1", "nan", ""]),
         st.sampled_from(["bonferroni", "bh", "holm"] * 6 + ["lr_kfwer:0", "tukey", ""]),
         st.sampled_from(["fwer", "fdr", "kfwer:2"] * 6 + ["fdx:nan", "kfdr:-1", ""]),
-        st.sampled_from(["1", "50", "200"] * 6 + ["0", "-3", "nan", "1e3", ""]),
+        st.sampled_from(
+            ["1", "50", "200"] * 6
+            + ["0", "-3", "nan", "1e3", "", str(10**12), str(2**64)]
+        ),
         st.sampled_from(["1", "20", "50"] * 6 + ["0", "-1", "nan", ""]),
         st.sampled_from([None, "1"] * 6 + ["0", "-2", "abc", ""]),
     )
@@ -506,6 +510,89 @@ class TestCheckArgv:
         argv += ["--trials", trials, "--reps", reps]
         argv += [] if threads is None else ["--threads", threads]
         # an absent --threads reads FAMSEL_THREADS; keep it from the environment
+        with mock.patch.dict(os.environ):
+            os.environ.pop("FAMSEL_THREADS", None)
+            assert_documented_exit(argv)
+
+
+SEED_TEXTS = ["0", "7", str(2**64 - 1)] * 6 + [str(2**64), "-1", "nan", ""]
+THREAD_TEXTS = [None, "1"] * 6 + ["0", "-2", "abc", ""]
+# too large to store, refused before anything is allocated, or unparsable
+HUGE_TEXTS = [str(2**63), str(2**64)]
+
+
+class TestSimulateArgv:
+    """`famsel simulate` on drawn option texts ends in a documented exit
+    code, with one `famsel: ` line and no traceback on failure. A scenario
+    that runs has m <= 20, n <= 5 and at most 20 replicates; the only larger
+    sizes are ones refused or failing to allocate at once, m = 10^11 among
+    them. No thread count above 1 is drawn, so no pool starts."""
+
+    @settings(
+        derandomize=True,
+        max_examples=400,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        st.sampled_from(["1", "3", "20"] * 6 + ["0", "-1", "", str(10**11)] + HUGE_TEXTS),
+        st.sampled_from(["1", "2", "5"] * 6 + ["0", "-3", "nan", ""] + HUGE_TEXTS),
+        st.sampled_from(["0.05", "0.2", "0.5"] * 6 + LEVEL_TEXTS),
+        RULE_TEXTS,
+        st.sampled_from(["bonferroni", "bh", "holm"] * 6 + ["lr_kfwer:0", "tukey", ""]),
+        st.sampled_from(["fwer", "fdr", "kfwer:2"] * 6 + ["fdx:nan", "kfdr:-1", ""]),
+        st.sampled_from(["0", "0.3", "1"] * 6 + ["nan", "-0.1", "1.5", "inf", ""]),
+        st.sampled_from(["0", "2.5"] * 6 + ["nan", "inf", "-1", ""]),
+        st.sampled_from(["0", "0.5"] * 6 + ["nan", "1", "-0.5", ""]),
+        st.sampled_from(["simple", "rmin", "none"] * 4 + ["RMIN", ""]),
+        st.lists(st.sampled_from(["--all-null", "--equicorrelated", "--unadjusted"])),
+        st.sampled_from(["1", "5", "20"] * 6 + ["0", "-1", "nan", ""] + HUGE_TEXTS),
+        st.sampled_from(SEED_TEXTS),
+        st.sampled_from(THREAD_TEXTS),
+    )
+    def test_exit_codes(
+        self, m, n, q, rule, procedure, metric, pi1, mu, rho, adjust, flags, reps,
+        seed, threads,
+    ):
+        argv = ["simulate", "--m", m, "--n", n, "--q", q, "--rule", rule]
+        argv += ["--procedure", procedure, "--metric", metric, "--pi1", pi1]
+        argv += ["--mu", mu, "--rho", rho, "--adjust", adjust, *flags]
+        argv += ["--reps", reps, "--seed", seed]
+        argv += [] if threads is None else ["--threads", threads]
+        with mock.patch.dict(os.environ):
+            os.environ.pop("FAMSEL_THREADS", None)
+            assert_documented_exit(argv)
+
+    def test_every_pair_of_sizes(self):
+        # the drawn examples rarely pair a huge size with otherwise valid
+        # options, so every pair runs here; m * n = 2**64 once wrapped to 0
+        sizes = ["1", "4", "0", "-1", str(10**11), str(2**62)] + HUGE_TEXTS
+        with mock.patch.dict(os.environ):
+            os.environ.pop("FAMSEL_THREADS", None)
+            for m, n in itertools.product(sizes, sizes):
+                argv = ["simulate", "--m", m, "--n", n, "--reps", "5"]
+                assert_documented_exit(argv)
+
+
+class TestTable1Argv:
+    """`famsel table1` on drawn option texts ends in a documented exit code,
+    with one `famsel: ` line and no traceback on failure. At most 20
+    replicates run per row, and no thread count above 1 is drawn."""
+
+    @settings(
+        derandomize=True,
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        st.sampled_from(["0", "1", "20"] * 6 + ["-1", "nan", "1e3", ""] + HUGE_TEXTS),
+        st.sampled_from(SEED_TEXTS),
+        st.sampled_from(THREAD_TEXTS),
+    )
+    def test_exit_codes(self, reps, seed, threads):
+        argv = ["table1", "--reps", reps, "--seed", seed]
+        argv += [] if threads is None else ["--threads", threads]
         with mock.patch.dict(os.environ):
             os.environ.pop("FAMSEL_THREADS", None)
             assert_documented_exit(argv)
@@ -885,6 +972,8 @@ class TestCheck:
             (["--suite", "simple", "--seed", str(2**64)], "seed must lie in"),
             (["--suite", "simple", "--trials", "-1"], "trials must be at least 1"),
             (["--suite", "control", "--trials", "0"], "trials must be at least 1"),
+            (["--suite", "simple", "--trials", str(10**7 + 1)], "at most 10000000"),
+            (["--suite", "concordant", "--trials", str(2**64)], "at most 10000000"),
         ],
     )
     def test_bad_numbers_exit_config(self, args, message, capsys):

@@ -18,7 +18,7 @@ from famsel.adjust import (
     unadjusted_analysis,
 )
 from famsel.core import ErrorMetric, average_over_selected
-from famsel.procedures import PROCEDURE_KINDS, Procedure
+from famsel.procedures import PROCEDURE_KINDS, Procedure, rejected_entries
 from famsel.selection import COMBINERS, GlobalNullTest, MinPThreshold, TopKMinP
 from famsel.sim import (
     ScenarioConfig,
@@ -839,6 +839,101 @@ class TestEstimate:
         monkeypatch.undo()
         want = np.stack([reference_draw(cfg, i) for i in range(290, 301)])
         assert np.array_equal(drawn, want)
+
+    @pytest.mark.parametrize("block_cells", [900, 1 << 14])
+    def test_sums_add_left_to_right(self, block_cells, monkeypatch):
+        # about 90 of 100 families are selected, and their FDP values sum to
+        # different floats in different orders; a pairwise sum of a
+        # replicate's values would change the estimate's bits
+        cfg = ScenarioConfig(
+            m=100,
+            n=4,
+            q=0.2,
+            rule=MinPThreshold(0.3),
+            procedure=Procedure("bh"),
+            metric=ErrorMetric("fdr"),
+            replicates=40,
+            seed=11,
+            pi1=0.5,
+            mu=1.5,
+        )
+        monkeypatch.setattr(sim, "_BLOCK_CELLS", block_cells)
+        fast = _replicate_values(cfg, 0, 40)
+        monkeypatch.setattr(adjust, "_decide", textbook.looped_decide)
+        slow = object_values(cfg, 0, 40)
+        for got, want in zip(fast, slow):
+            assert got.tobytes() == want.tobytes()
+        order_dependent = 0
+        for idx in range(40):
+            ens = generate(cfg, idx)
+            c = simple_selection_adjusted(
+                ens, cfg.rule, cfg.procedure, cfg.q, metric=cfg.metric
+            ).decisions.c
+            order_dependent += np.cumsum(c)[-1] != np.add.reduce(c)
+        assert order_dependent >= 10
+
+    @pytest.mark.parametrize(
+        "n, procedure", [(20, "bonferroni"), (20, "bh"), ([3, 1, 4, 1, 5], "holm")]
+    )
+    def test_all_null_blocks_read_no_mask_and_no_values_array(
+        self, n, procedure, monkeypatch
+    ):
+        # with no non-null hypothesis every rejection is false: v is r, so
+        # no block reads a rejected-entry mask, and each block sums its
+        # tested cells with one weighted bincount, building no (B, m) array
+        cfg = replace(
+            example1_config(5, n, reps=60, seed=9, adjustment="simple"),
+            q=0.3,
+            rule=MinPThreshold(0.3),
+            procedure=Procedure(procedure),
+            metric=ErrorMetric("pfer"),
+        )
+        with monkeypatch.context() as patch:
+            patch.setattr(adjust, "_decide", textbook.looped_decide)
+            cs, frac = object_values(cfg, 0, cfg.replicates)
+
+        class Unread(np.ndarray):
+            def __array_ufunc__(self, *args, **kwargs):
+                raise AssertionError("a block read the rejected-entry mask")
+
+            def __getitem__(self, key):
+                raise AssertionError("a block read the rejected-entry mask")
+
+        def unread(*args):
+            mask, r = rejected_entries(*args)
+            return mask.view(Unread), r
+
+        shapes, weighted = [], []  # of float zeros, of weighted bincounts
+        zeros, bincount = np.zeros, np.bincount
+
+        def recording_zeros(*args, **kwargs):
+            out = zeros(*args, **kwargs)
+            if out.dtype == np.float64:
+                shapes.append(out.shape)
+            return out
+
+        def recording_bincount(x, weights=None, minlength=0):
+            if weights is not None:
+                weighted.append(minlength)
+            return bincount(x, weights, minlength)
+
+        monkeypatch.setattr(adjust, "rejected_entries", unread)
+        monkeypatch.setattr(np, "zeros", recording_zeros)
+        monkeypatch.setattr(np, "bincount", recording_bincount)
+        monkeypatch.setattr(sim, "_BLOCK_CELLS", 200)
+        est = estimate(cfg)
+        monkeypatch.undo()
+        assert est.e_cs_hat == float(cs.mean()) and est.e_cs_hat > 0.0
+        assert est.e_sel_frac_hat == float(frac.mean())
+        assert all(len(shape) == 1 for shape in shapes), shapes
+        # one sum per block with a tested cell, over that block's replicates
+        step = max(1, 200 // sum(cfg.sizes()))
+        assert weighted and set(weighted) <= {step, cfg.replicates % step}
+        assert len(weighted) <= -(-cfg.replicates // step)
+        # the same wrapped mask is read once a family has a non-null
+        monkeypatch.setattr(adjust, "rejected_entries", unread)
+        with pytest.raises(AssertionError, match="read the rejected-entry mask"):
+            estimate(replace(cfg, pi1=0.5, mu=1.0))
 
     def test_ragged_config_uses_object_path(self):
         cfg = ScenarioConfig(
