@@ -572,7 +572,11 @@ def _estimate(workers: int, **scenario):
     try:
         return estimate(ScenarioConfig(**scenario), workers=workers)
     except (ValueError, MemoryError) as err:
-        raise CliError(EXIT_CONFIG, str(err) or "scenario too large to allocate")
+        text = str(err) or "scenario too large to allocate"
+        if isinstance(err, MemoryError):
+            sizes = (f"{key}={scenario[key]}" for key in ("m", "n", "replicates"))
+            text = f"{', '.join(sizes)}: {text}"
+        raise CliError(EXIT_CONFIG, text)
 
 
 def cmd_table1(args) -> int:
@@ -618,45 +622,26 @@ def cmd_table1(args) -> int:
 
 def cmd_simulate(args) -> int:
     workers = _threads(args)
-    rule = parse_rule(args.rule, args.q)
-    procedure = parse_procedure(args.procedure)
-    metric = parse_metric(args.metric)
-    adjustment = "none" if args.unadjusted else args.adjust
-    pi1 = 0.0 if args.all_null else args.pi1
-    dependence = (
-        "equicorrelated" if (args.equicorrelated or args.rho > 0) else "independent"
-    )
-    est = _estimate(
-        workers,
-        m=args.m,
-        n=args.n,
-        q=args.q,
-        rule=rule,
-        procedure=procedure,
-        metric=metric,
-        replicates=args.reps,
-        seed=args.seed,
-        pi1=pi1,
-        mu=args.mu,
-        dependence=dependence,
-        rho=args.rho,
-        adjustment=adjustment,
-    )
+    equicorrelated = args.equicorrelated or args.rho > 0
+    scenario = {
+        "m": args.m,
+        "n": args.n,
+        "q": args.q,
+        "rule": parse_rule(args.rule, args.q),
+        "procedure": parse_procedure(args.procedure),
+        "metric": parse_metric(args.metric),
+        "pi1": 0.0 if args.all_null else args.pi1,
+        "mu": args.mu,
+        "dependence": "equicorrelated" if equicorrelated else "independent",
+        "rho": args.rho,
+        "adjustment": "none" if args.unadjusted else args.adjust,
+        "replicates": args.reps,
+    }
+    est = _estimate(workers, seed=args.seed, **scenario)
+    for key in ("rule", "procedure", "metric"):
+        scenario[key] = scenario[key].describe()
     report = {
-        "config": {
-            "m": args.m,
-            "n": args.n,
-            "q": args.q,
-            "rule": rule.describe(),
-            "procedure": procedure.describe(),
-            "metric": metric.describe(),
-            "pi1": pi1,
-            "mu": args.mu,
-            "dependence": dependence,
-            "rho": args.rho,
-            "adjustment": adjustment,
-            "replicates": args.reps,
-        },
+        "config": scenario,
         "estimates": {
             "e_cs_hat": est.e_cs_hat,
             "e_sel_frac_hat": est.e_sel_frac_hat,

@@ -8,8 +8,10 @@ One batched test, `rejected_entries`, runs a `Procedure` on many families
 of one size at once, each at its own level; `Procedure.apply` and the named
 procedures are its one-row case. It sorts the rows unless the caller has,
 and forms step-up counts and the mask on `core._last_axis_first`'s layout.
-`step_up` and `step_down` keep their own code: they accept decreasing
-critical values, which can split a tie.
+One table, `_KINDS`, gives each kind its stepwise label and its critical
+values, and the counts and `Procedure.thresholds` both read it. `step_up`
+and `step_down` are the one-row case of the step counts on the stable
+sort, so a decreasing critical value can split a tie there.
 """
 
 from dataclasses import dataclass
@@ -18,56 +20,28 @@ import numpy as np
 
 from .core import _last_axis_first
 
-PROCEDURE_KINDS = (
-    "bonferroni",
-    "holm",
-    "hochberg",
-    "bh",
-    "two_stage",
-    "lr_kfwer",
-    "step_up",
-    "step_down",
-)
 
-_STEPWISE = {
-    "bonferroni": "single-step",
-    "holm": "step-down",
-    "hochberg": "step-up",
-    "bh": "step-up",
-    "two_stage": "adaptive",
-    "lr_kfwer": "step-down",
-    "step_up": "step-up",
-    "step_down": "step-down",
-}
+def _one_row(counts, pvalues, critical_values) -> np.ndarray:
+    """Ascending indices of the p-values rejected by the count `counts` makes
+    on their stable sort, so a split tie keeps its first entries."""
+    p = np.asarray(pvalues, dtype=np.float64)
+    crit = np.asarray(critical_values, dtype=np.float64)
+    if crit.shape != p.shape:
+        raise ValueError("need exactly one critical value per p-value")
+    order = np.argsort(p, kind="stable")
+    rejected = order[: counts(p[order][None, :], crit)[0]]
+    rejected.sort()
+    return rejected
 
 
 def step_up(pvalues, critical_values) -> np.ndarray:
     """Generic step-up: reject the k* smallest p-values, k* = max{k : p_(k) <= c_k}."""
-    p = np.asarray(pvalues, dtype=np.float64)
-    crit = np.asarray(critical_values, dtype=np.float64)
-    if crit.shape != p.shape:
-        raise ValueError("need exactly one critical value per p-value")
-    order = np.argsort(p, kind="stable")
-    hits = np.flatnonzero(p[order] <= crit)
-    if hits.size == 0:
-        return np.empty(0, dtype=np.intp)
-    rejected = order[: hits[-1] + 1]
-    rejected.sort()
-    return rejected
+    return _one_row(_step_up_counts, pvalues, critical_values)
 
 
 def step_down(pvalues, critical_values) -> np.ndarray:
     """Generic step-down: reject the k* smallest, k* = max{k : p_(j) <= c_j for all j <= k}."""
-    p = np.asarray(pvalues, dtype=np.float64)
-    crit = np.asarray(critical_values, dtype=np.float64)
-    if crit.shape != p.shape:
-        raise ValueError("need exactly one critical value per p-value")
-    order = np.argsort(p, kind="stable")
-    ok = p[order] <= crit
-    kstar = ok.size if ok.all() else int(np.argmin(ok))
-    rejected = order[:kstar]
-    rejected.sort()
-    return rejected
+    return _one_row(_step_down_counts, pvalues, critical_values)
 
 
 def bh_critical_values(n: int, level: float) -> np.ndarray:
@@ -91,6 +65,42 @@ def stage_one_level(level):
 def stage_two_level(q1, n, m0_hat):
     """BH level (n / m0_hat) * q' of the second stage, as every caller rounds it."""
     return q1 * n / m0_hat
+
+
+def _stage_two_cutoffs(n: int, level, m0_hat) -> np.ndarray:
+    """The two-stage procedure's stage-two critical values for n p-values at
+    a level, one row for each null-count estimate in the column m0_hat."""
+    return bh_critical_values(n, stage_two_level(stage_one_level(level), n, m0_hat))
+
+
+# Each kind's stepwise label and its critical values for n p-values at a
+# level, a scalar or an (s, 1) column of row levels: every cutoff that
+# `rejection_counts` compares a p-value against, save two_stage's second
+# stage (`_stage_two_cutoffs`); two_stage's are its first stage's, and the
+# single step's is one value per level.
+_KINDS = {
+    "bonferroni": ("single-step", lambda proc, n, level: level / n),
+    "holm": ("step-down", lambda proc, n, level: holm_critical_values(n, level)),
+    "hochberg": ("step-up", lambda proc, n, level: holm_critical_values(n, level)),
+    "bh": ("step-up", lambda proc, n, level: bh_critical_values(n, level)),
+    "two_stage": (
+        "adaptive",
+        lambda proc, n, level: bh_critical_values(n, stage_one_level(level)),
+    ),
+    "lr_kfwer": (
+        "step-down",
+        lambda proc, n, level: lr_kfwer_critical_values(n, level, proc.k),
+    ),
+    "step_up": ("step-up", lambda proc, n, level: np.asarray(proc.critical_values)),
+    "step_down": ("step-down", lambda proc, n, level: np.asarray(proc.critical_values)),
+}
+
+PROCEDURE_KINDS = tuple(_KINDS)
+
+
+def _cutoffs(procedure, n: int, level) -> np.ndarray:
+    """The procedure's critical values in `_KINDS` for n p-values at level."""
+    return _KINDS[procedure.kind][1](procedure, n, level)
 
 
 @dataclass(frozen=True)
@@ -130,7 +140,7 @@ class Procedure:
     @property
     def stepwise(self) -> str:
         """One of single-step / step-up / step-down / adaptive."""
-        return _STEPWISE[self.kind]
+        return _KINDS[self.kind][0]
 
     def apply(self, pvalues, level: float | None = None) -> np.ndarray:
         """Rejected index set when run at the given level."""
@@ -141,28 +151,17 @@ class Procedure:
         return np.flatnonzero(rejected_entries(self, p[None, :], levels)[0])
 
     def thresholds(self, n: int, level: float | None = None) -> np.ndarray:
-        """Every constant the rejection decision compares a p-value against:
-        with them a candidate scan of a global rule's R_min is exact. For
-        two_stage these are all n**2 stage-two ones (`_r_min_scan` reads none)."""
-        if self.kind in ("step_up", "step_down"):
-            return np.asarray(self.critical_values)
-        if level is None:
+        """Every constant the rejection decision compares a p-value against,
+        the kind's cutoffs in `_KINDS`: with them a candidate scan of a global
+        rule's R_min is exact. For two_stage these are its stage-one cutoffs
+        and all n**2 stage-two ones (`_r_min_scan` reads none)."""
+        if level is None and self.critical_values is None:
             raise ValueError(f"a level is required for {self.kind}")
-        if self.kind == "bonferroni":
-            return np.array([level / n])
-        if self.kind == "bh":
-            return bh_critical_values(n, level)
-        if self.kind in ("holm", "hochberg"):
-            return holm_critical_values(n, level)
-        if self.kind == "lr_kfwer":
-            return lr_kfwer_critical_values(n, level, self.k)
-        # two_stage: stage one compares against BH constants at q', stage two
-        # against BH constants at (n/m0_hat)*q' for every possible m0_hat,
-        # rounded exactly as two_stage_adaptive rounds them.
-        q1 = stage_one_level(level)
-        d = np.arange(1, n + 1)[:, None]
-        stage_two = bh_critical_values(n, stage_two_level(q1, n, d))
-        return np.unique(np.concatenate([bh_critical_values(n, q1), stage_two.ravel()]))
+        crit = np.atleast_1d(_cutoffs(self, n, level))
+        if self.stepwise != "adaptive":
+            return crit
+        stage_two = _stage_two_cutoffs(n, level, np.arange(1, n + 1)[:, None])
+        return np.unique(np.concatenate([crit, stage_two.ravel()]))
 
     def describe(self) -> str:
         if self.kind == "lr_kfwer":
@@ -176,7 +175,7 @@ def _step_up_counts(ps: np.ndarray, crit: np.ndarray) -> np.ndarray:
     # A row's count is the rank of its last hit, the largest rank times hit,
     # taken over the first axis of `_last_axis_first`'s layout.
     ranks = np.arange(1, ps.shape[1] + 1)[:, None]
-    return np.maximum.reduce(_last_axis_first(ps <= crit) * ranks, axis=0)
+    return np.maximum.reduce(_last_axis_first(ps <= crit) * ranks, axis=0, initial=0)
 
 
 def _step_down_counts(ps: np.ndarray, crit: np.ndarray) -> np.ndarray:
@@ -190,45 +189,40 @@ def rejection_counts(procedure: Procedure, ps: np.ndarray, levels=None) -> np.nd
     """Number of rejections in each row of a row-sorted (s, n) p-value matrix.
 
     levels holds one testing level per row, or is None for step_up and
-    step_down. The critical values come from `bh_critical_values`,
-    `holm_critical_values` and `lr_kfwer_critical_values` at each row's
-    level, so each count equals the one `step_up` or `step_down` gives over
-    them. Critical values never decrease, so a count never splits tied
-    p-values: the rejected set of a row is exactly its first r entries.
+    step_down. Each row meets its kind's critical values in `_KINDS` at its
+    level, counted as the kind's stepwise label says, so each count equals
+    the one `step_up` or `step_down` gives over them. Critical values never
+    decrease, so a count never splits tied p-values: the rejected set of a
+    row is exactly its first r entries.
     """
     n = ps.shape[1]
-    kind = procedure.kind
-    if kind in ("step_up", "step_down"):
+    if procedure.critical_values is not None:
         if levels is not None:
             raise ValueError(
-                f"{kind} carries fixed critical values and cannot be applied "
-                "at a level"
+                f"{procedure.kind} carries fixed critical values and cannot be "
+                "applied at a level"
             )
-        crit = np.asarray(procedure.critical_values)
-        if crit.size != n:
+        if len(procedure.critical_values) != n:
             raise ValueError("need exactly one critical value per p-value")
-        counts = _step_up_counts if kind == "step_up" else _step_down_counts
-        return counts(ps, crit)
-    if levels is None:
-        raise ValueError(f"a level is required for {kind}")
-    levels = np.asarray(levels, dtype=np.float64)[:, None]
-    if kind == "bonferroni":
-        return np.add.reduce(_last_axis_first(ps <= levels / n), axis=0)
-    if kind == "bh":
-        return _step_up_counts(ps, bh_critical_values(n, levels))
-    if kind == "hochberg":
-        return _step_up_counts(ps, holm_critical_values(n, levels))
-    if kind == "holm":
-        return _step_down_counts(ps, holm_critical_values(n, levels))
-    if kind == "lr_kfwer":
-        k = procedure.k
-        if not 1 <= k <= n:
-            raise ValueError(f"k={k} out of range for {n} hypotheses")
-        return _step_down_counts(ps, lr_kfwer_critical_values(n, levels, k))
-    q1 = stage_one_level(levels)
-    m0 = n - _step_up_counts(ps, bh_critical_values(n, q1))
-    level2 = stage_two_level(q1, n, np.maximum(m0, 1)[:, None])
-    r2 = _step_up_counts(ps, bh_critical_values(n, level2))
+    elif levels is None:
+        raise ValueError(f"a level is required for {procedure.kind}")
+    else:
+        levels = np.asarray(levels, dtype=np.float64)[:, None]
+    k = procedure.k
+    if k is not None and not 1 <= k <= n:
+        raise ValueError(f"k={k} out of range for {n} hypotheses")
+    stepwise, cutoffs = _KINDS[procedure.kind]
+    crit = cutoffs(procedure, n, levels)
+    if stepwise == "single-step":
+        return np.add.reduce(_last_axis_first(ps <= crit), axis=0)
+    if stepwise == "step-down":
+        return _step_down_counts(ps, crit)
+    r = _step_up_counts(ps, crit)
+    if stepwise == "step-up":
+        return r
+    # adaptive: stage one's count gives the null-count estimate m0_hat
+    m0 = n - r
+    r2 = _step_up_counts(ps, _stage_two_cutoffs(n, levels, np.maximum(m0, 1)[:, None]))
     return np.where(m0 == 0, n, r2)
 
 
@@ -255,13 +249,12 @@ def rejected_entries(procedure: Procedure, rows: np.ndarray, levels=None, ps=Non
     and the (s,) rejection counts. Families of mixed sizes are tested one
     `core.size_groups` group at a time.
     """
-    if levels is not None:
+    if levels is not None and procedure.stepwise == "single-step":
+        # no sort: a single step has one cutoff per row, and levels as they
+        # come give them as a row that meets `_last_axis_first`'s columns
         levels = np.asarray(levels, dtype=np.float64)
-        if procedure.kind == "bonferroni":
-            # single step: no sort; the cutoff `rejection_counts` compares
-            # against, applied one column of all the rows at a time
-            hit = _last_axis_first(rows) <= levels / rows.shape[1]
-            return hit.T, np.add.reduce(hit, axis=0)
+        hit = _last_axis_first(rows) <= _cutoffs(procedure, rows.shape[1], levels)
+        return hit.T, np.add.reduce(hit, axis=0)
     ps = np.sort(rows, axis=1) if ps is None else ps
     r = rejection_counts(procedure, ps, levels)
     return rejected_by_counts(ps, r, rows), r

@@ -23,14 +23,7 @@ import numpy as np
 
 from .core import PValueEnsemble, SelectionOutcome, _last_axis_first, _number_text
 from .core import in_family_order
-from .procedures import (
-    Procedure,
-    bh_critical_values,
-    rejected_by_counts,
-    rejection_counts,
-    stage_one_level,
-    stage_two_level,
-)
+from .procedures import Procedure, _cutoffs, _stage_two_cutoffs, rejected_entries
 
 COMBINERS = ("bonferroni_min", "simes", "fisher", "stouffer")
 
@@ -244,10 +237,8 @@ class GlobalNullTest(_BlockSelection):
         return out.reshape(p.shape[:2])
 
     def select_block(self, summaries: np.ndarray) -> np.ndarray:
-        ps = np.sort(summaries, axis=1)
-        levels = None if self.level is None else np.full(len(ps), self.level)
-        r = rejection_counts(self.procedure, ps, levels)
-        return rejected_by_counts(ps, r, summaries)
+        levels = None if self.level is None else np.full(len(summaries), self.level)
+        return rejected_entries(self.procedure, summaries, levels)[0]
 
     def summary_thresholds(self, m: int) -> np.ndarray:
         return self.procedure.thresholds(m, self.level)
@@ -312,8 +303,8 @@ def _two_stage_r_min(rule, table: np.ndarray, rows, fams: np.ndarray) -> np.ndar
     null count d = m - B1 (m if d = 0), or the smaller one at d = m - A1 if i
     stays selected just above c1[B1], where B1 and A1 are stage one's counts
     with i moved below and above every cutoff. Each row is sorted once."""
-    m, q1 = table.shape[1], stage_one_level(rule.level)
-    c1, out = bh_critical_values(m, q1), np.empty(fams.size, dtype=np.intp)
+    m, out = table.shape[1], np.empty(fams.size, dtype=np.intp)
+    c1 = _cutoffs(rule.procedure, m, rule.level)
     step = max(1, _SCAN_BLOCK_CELLS // m)
     names, row_of = np.unique(rows, return_inverse=True)
     for start in range(0, names.size, step):
@@ -329,7 +320,7 @@ def _two_stage_r_min(rule, table: np.ndarray, rows, fams: np.ndarray) -> np.ndar
         for first in range(0, names2.size, step):
             sel = np.flatnonzero((profile >= first) & (profile < first + step))
             row2, null = np.divmod(names2[first : first + step], m + 1)
-            cuts = bh_critical_values(m, stage_two_level(q1, m, null)[:, None])
+            cuts = _stage_two_cutoffs(m, rule.level, null[:, None])
             p = profile[sel] - first
             r2[sel] = _moved_counts(ps[row2], cuts, p, j[sel])[0]
             edge[sel] = cuts[p, r2[sel] - 1]

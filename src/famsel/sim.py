@@ -68,7 +68,8 @@ class ScenarioConfig:
     each family's hypotheses is non-null with one-sided normal shift mu;
     pi1 = 0 is the all-null case. Under the equicorrelated model every test
     statistic shares a latent factor with weight sqrt(rho), which keeps the
-    null p-values positively regression dependent.
+    null p-values positively regression dependent; the independent model
+    has no such factor, and takes only rho = 0.
     """
 
     m: int
@@ -92,6 +93,9 @@ class ScenarioConfig:
             raise ValueError("q must lie in (0, 1)")
         if self.replicates < 1:
             raise ValueError("replicates must be at least 1")
+        # no float64 array holds 2**60 values, 2**63 bytes
+        if self.replicates >= 2**60:
+            raise ValueError("replicates must be below 2**60")
         if not 0.0 <= self.pi1 <= 1.0:
             raise ValueError("pi1 must lie in [0, 1]")
         # written so that NaN fails, as it does every other range check here
@@ -101,6 +105,8 @@ class ScenarioConfig:
             raise ValueError(f"unknown dependence model {self.dependence!r}")
         if not 0.0 <= self.rho < 1.0:
             raise ValueError("rho must lie in [0, 1)")
+        if self.rho != 0.0 and self.dependence == "independent":
+            raise ValueError("rho must be 0 under the independent dependence model")
         if self.adjustment not in ADJUSTMENTS:
             raise ValueError(f"unknown adjustment {self.adjustment!r}")
         if not 0 <= self.seed < 2**64:
@@ -108,9 +114,10 @@ class ScenarioConfig:
         sizes = self.sizes()
         if len(sizes) != self.m or any(s < 1 for s in sizes):
             raise ValueError("need one positive family size per family")
-        # the layout counts p-values in 64-bit integers
-        if sum(sizes) >= 2**63:
-            raise ValueError("a replicate must hold fewer than 2**63 p-values")
+        # the layout's int64 index arrays come from np.arange, which raises
+        # ValueError, not MemoryError, from 2**60 - 64 elements on
+        if sum(sizes) >= 2**59:
+            raise ValueError("the m family sizes n must total under 2**59 p-values")
 
     def sizes(self) -> list:
         if isinstance(self.n, (int, np.integer)):

@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import os
+import re
 import sys
 import tracemalloc
 from unittest import mock
@@ -451,6 +452,7 @@ def assert_documented_exit(argv):
         assert out == "" and len(lines) == 1, (argv, err)
         assert lines[0].startswith("famsel: "), (argv, err)
         assert lines[0].split(": ", 1)[1].strip(), argv
+    return code, err
 
 
 class TestAnalyzeArgv:
@@ -519,6 +521,22 @@ SEED_TEXTS = ["0", "7", str(2**64 - 1)] * 6 + [str(2**64), "-1", "nan", ""]
 THREAD_TEXTS = [None, "1"] * 6 + ["0", "-2", "abc", ""]
 # too large to store, refused before anything is allocated, or unparsable
 HUGE_TEXTS = [str(2**63), str(2**64)]
+# A failure line about an allocation or an array's size names the options
+# behind it: the scenario's own size checks name their field, and any other
+# MemoryError is prefixed with m, n and replicates.
+SIZE_FAILURE = re.compile(r"allocat|array|dimension|p-values")
+SIZES_NAMED = re.compile(
+    r"famsel: (m=-?\d+, n=-?\d+, replicates=\d+: "
+    r"|m must lie|replicates must|the m family sizes n)"
+)
+
+
+def assert_sizes_named(argv):
+    """assert_documented_exit(argv), and a failure line about a size names
+    the options; returns the exit code and the line."""
+    code, err = assert_documented_exit(argv)
+    assert not SIZE_FAILURE.search(err) or SIZES_NAMED.match(err), (argv, err)
+    return code, err
 
 
 class TestSimulateArgv:
@@ -561,7 +579,7 @@ class TestSimulateArgv:
         argv += [] if threads is None else ["--threads", threads]
         with mock.patch.dict(os.environ):
             os.environ.pop("FAMSEL_THREADS", None)
-            assert_documented_exit(argv)
+            assert_sizes_named(argv)
 
     def test_every_pair_of_sizes(self):
         # the drawn examples rarely pair a huge size with otherwise valid
@@ -571,7 +589,10 @@ class TestSimulateArgv:
             os.environ.pop("FAMSEL_THREADS", None)
             for m, n in itertools.product(sizes, sizes):
                 argv = ["simulate", "--m", m, "--n", n, "--reps", "5"]
-                assert_documented_exit(argv)
+                code, err = assert_sizes_named(argv)
+                # a size too large to run fails on its size, naming it
+                if int(m) > 0 and int(n) > 0 and max(int(m), int(n)) > 4:
+                    assert code == 3 and SIZES_NAMED.match(err), (argv, err)
 
 
 class TestTable1Argv:
@@ -595,7 +616,7 @@ class TestTable1Argv:
         argv += [] if threads is None else ["--threads", threads]
         with mock.patch.dict(os.environ):
             os.environ.pop("FAMSEL_THREADS", None)
-            assert_documented_exit(argv)
+            assert_sizes_named(argv)
 
 
 class TestParser:
@@ -847,14 +868,15 @@ class TestSimulate:
             raise MemoryError("Unable to allocate 745. GiB")
 
         monkeypatch.setattr(sim, "_Layout", refuse)
-        for args in (
-            ["simulate", "--m", "4", "--n", "2", "--reps", "10"],
-            ["table1", "--reps", "10"],
-            ["check", "--suite", "control", "--reps", "10"],
+        for args, sizes in (
+            (["simulate", "--m", "4", "--n", "2", "--reps", "10"], "m=4, n=2"),
+            (["table1", "--reps", "10"], "m=20, n=100"),
+            (["check", "--suite", "control", "--reps", "10"], "m=20, n=5"),
         ):
             code, out, err = run_cli(args, capsys)
             assert code == 3 and out == "", args
-            assert err == "famsel: Unable to allocate 745. GiB\n"
+            line = f"famsel: {sizes}, replicates=10: Unable to allocate 745. GiB\n"
+            assert err == line
 
     def test_bare_memory_error_names_the_failure(self, capsys):
         # 2**61 families overflow the byte count of their size list, so

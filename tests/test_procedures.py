@@ -1,9 +1,10 @@
+import itertools
 import re
 
 import numpy as np
 import pytest
 import textbook
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from famsel.procedures import (
@@ -56,6 +57,48 @@ class TestStepUp:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             step_up([0.1, 0.2], [0.05])
+
+
+class TestGenericStepsMatchTextbook:
+    """famsel's step_up and step_down, the one-row case of the batched step
+    counts, against the per-family loops in tests/textbook.py."""
+
+    VALUES = st.sampled_from([0.0, 1.0, 0.02, 0.05, np.nan]) | st.floats(0.0, 1.0)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(VALUES, max_size=10), st.data())
+    def test_rejected_sets(self, pvals, data):
+        n = len(pvals)
+        size = data.draw(st.sampled_from([n] * 6 + [n + 1, max(n - 1, 0)]))
+        crit = data.draw(st.lists(self.VALUES, min_size=size, max_size=size))
+        shape = data.draw(st.sampled_from(["nondecreasing", "decreasing", "drawn"]))
+        if shape != "drawn":
+            crit = sorted(crit, reverse=shape == "decreasing")
+        pairs = [(step_up, textbook.step_up), (step_down, textbook.step_down)]
+        for ours, reference in pairs:
+            try:
+                expected = reference(pvals, crit)
+            except ValueError as err:
+                with pytest.raises(ValueError, match=re.escape(str(err))):
+                    ours(pvals, crit)
+                continue
+            got = ours(pvals, crit)
+            assert got.tolist() == expected.tolist(), (ours.__name__, crit)
+            assert got.dtype == expected.dtype == np.intp
+            # a Procedure takes nondecreasing critical values in [0, 1]
+            nondecreasing = shape == "nondecreasing" and not np.isnan(crit).any()
+            if n and size == n and nondecreasing:
+                proc = Procedure(ours.__name__, critical_values=tuple(crit))
+                assert proc.apply(pvals).tolist() == expected.tolist()
+
+    def test_decreasing_critical_values_split_a_tie(self):
+        for step in (step_up, step_down, textbook.step_up, textbook.step_down):
+            assert step([0.03, 0.5, 0.03], [0.05, 0.01, 0.2]).tolist() == [0]
+
+    def test_empty_input(self):
+        for step in (step_up, step_down):
+            got = step([], [])
+            assert got.tolist() == [] and got.dtype == np.intp
 
 
 class TestStepDown:
@@ -326,17 +369,34 @@ class TestProcedureType:
         assert Procedure("holm").stepwise == "step-down"
         assert Procedure("two_stage").stepwise == "adaptive"
 
-    def test_thresholds_cover_rejection_cutoffs(self):
-        # every cutoff a p-value is compared against appears in thresholds()
-        n, level = 4, 0.2
-        assert np.allclose(
-            Procedure("bh").thresholds(n, level), np.arange(1, 5) * level / 4
-        )
-        q1 = level / (1.0 + level)
-        grid = Procedure("two_stage").thresholds(n, level)
-        for j in range(1, n + 1):
-            for d in range(1, n + 1):
-                assert np.isclose(grid, j * q1 / d).any()
+    def test_thresholds_cover_rejection_cutoffs(self, monkeypatch):
+        # every critical value a textbook procedure compares a p-value
+        # against appears in thresholds() exactly; r zeros before n - r ones
+        # make stage one of two_stage reject r, so stage two runs at every
+        # null-count estimate m0_hat = n - r
+        seen = []
+        for name in ("step_up", "step_down"):
+            step = getattr(textbook, name)
+            recorded = lambda p, crit, step=step: seen.append(crit) or step(p, crit)
+            monkeypatch.setattr(textbook, name, recorded)
+        rng = np.random.default_rng(8)
+        for kind, n in itertools.product(PROCEDURE_KINDS, range(1, 13)):
+            for level in (0.01, 0.05, 0.1, 0.2, 0.5, 0.9):
+                if kind in ("step_up", "step_down"):
+                    crit = tuple(np.sort(rng.uniform(0.0, level, size=n)))
+                    procs, level = [Procedure(kind, critical_values=crit)], None
+                elif kind == "lr_kfwer":
+                    procs = [Procedure(kind, k=k) for k in range(1, n + 1)]
+                else:
+                    procs = [Procedure(kind)]
+                for proc in procs:
+                    seen.clear()
+                    for r in range(n + 1):
+                        textbook.apply(proc, [0.0] * r + [1.0] * (n - r), level)
+                    # textbook.bonferroni compares against level / n itself
+                    cutoffs = np.concatenate(seen) if seen else np.array([level / n])
+                    got = proc.thresholds(n, level)
+                    assert np.isin(cutoffs, got).all(), (proc, n, level)
 
 
 class TestRejectionCounts:

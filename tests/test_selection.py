@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from famsel import selection
+from famsel import procedures, selection
 from famsel.adjust import (
     iterative_simple_adjusted,
     selection_adjusted,
@@ -927,13 +927,13 @@ class TestScanWork:
         summaries = two_stage_bands(m, np.random.default_rng(m))
         picked = rule.select_from_summaries(summaries)
         rows = []
-        kernel = selection.rejection_counts
+        kernel = procedures.rejection_counts
 
         def counted(procedure, ps, levels=None):
             rows.append(len(ps))
             return kernel(procedure, ps, levels)
 
-        monkeypatch.setattr(selection, "rejection_counts", counted)
+        monkeypatch.setattr(procedures, "rejection_counts", counted)
         bound = 4 * math.ceil(math.log2(m))
         for i in picked[:: max(1, picked.size // 20)]:
             rows.clear()
@@ -995,7 +995,7 @@ class TestScanWork:
         # at m = 10^3 and 99,000 at m = 10^4
         rule = GlobalNullTest("simes", Procedure("two_stage"), level=0.1)
         rows = []
-        kernel, select = selection.rejection_counts, GlobalNullTest.select_block
+        kernel, select = procedures.rejection_counts, GlobalNullTest.select_block
 
         def counted_kernel(procedure, ps, levels=None):
             rows.append(len(ps))
@@ -1010,7 +1010,7 @@ class TestScanWork:
             summaries = two_stage_bands(m, np.random.default_rng(m))
             picked = rule.select_from_summaries(summaries)
             with monkeypatch.context() as patch:
-                patch.setattr(selection, "rejection_counts", counted_kernel)
+                patch.setattr(procedures, "rejection_counts", counted_kernel)
                 patch.setattr(GlobalNullTest, "select_block", counted_select)
                 rows.clear()
                 tracemalloc.start()

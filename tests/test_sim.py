@@ -548,6 +548,18 @@ class TestGenerate:
                 replicates=1,
                 rho=1.0,
             )
+        # the independent model has no shared factor for rho to weight
+        with pytest.raises(ValueError, match="rho must be 0 under the independent"):
+            ScenarioConfig(
+                m=2,
+                n=2,
+                q=0.05,
+                rule=MinPThreshold(0.05),
+                procedure=Procedure("bonferroni"),
+                metric=ErrorMetric("fwer"),
+                replicates=1,
+                rho=0.5,
+            )
         with pytest.raises(ValueError):
             ScenarioConfig(
                 m=2,

@@ -4,8 +4,9 @@ famsel runs every procedure through one batched test,
 `famsel.procedures.rejected_entries`, with the named procedures and
 `Procedure.apply` as its one-row case. These are the per-family loops that
 batched test replaced, kept as the reference the tests compare it against.
-The generic step_up and step_down are famsel's own, which keep their
-per-family code. `decision` tests one family with one textbook call.
+The generic step_up and step_down here sort and step once per family,
+apart from the batched step counts that famsel's own run on. `decision`
+tests one family with one textbook call.
 `looped_decide` stands in for `famsel.adjust._decide`: it tests the selected
 families of an analysis one `decision` at a time and writes what they
 reject into the columns of a `famsel.adjust.DecisionColumns`, family after
@@ -23,9 +24,36 @@ from famsel.procedures import (
     lr_kfwer_critical_values,
     stage_one_level,
     stage_two_level,
-    step_down,
-    step_up,
 )
+
+
+def step_up(pvalues, critical_values) -> np.ndarray:
+    """Generic step-up: reject the k* smallest p-values, k* = max{k : p_(k) <= c_k}."""
+    p = np.asarray(pvalues, dtype=np.float64)
+    crit = np.asarray(critical_values, dtype=np.float64)
+    if crit.shape != p.shape:
+        raise ValueError("need exactly one critical value per p-value")
+    order = np.argsort(p, kind="stable")
+    hits = np.flatnonzero(p[order] <= crit)
+    if hits.size == 0:
+        return np.empty(0, dtype=np.intp)
+    rejected = order[: hits[-1] + 1]
+    rejected.sort()
+    return rejected
+
+
+def step_down(pvalues, critical_values) -> np.ndarray:
+    """Generic step-down: reject the k* smallest, k* = max{k : p_(j) <= c_j for all j <= k}."""
+    p = np.asarray(pvalues, dtype=np.float64)
+    crit = np.asarray(critical_values, dtype=np.float64)
+    if crit.shape != p.shape:
+        raise ValueError("need exactly one critical value per p-value")
+    order = np.argsort(p, kind="stable")
+    ok = p[order] <= crit
+    kstar = ok.size if ok.all() else int(np.argmin(ok))
+    rejected = order[:kstar]
+    rejected.sort()
+    return rejected
 
 
 def bonferroni(pvalues, level: float) -> np.ndarray:
