@@ -98,18 +98,22 @@ class AdjustedAnalysis:
         return float(np.cumsum(c)[-1] / r) if r else 0.0
 
 
+def _level_of(adjustment: str, q: float, counts, m: int):
+    """The level of a family of each count among m families: count * q / m,
+    or q for "none"."""
+    # q + 0.0 is q, and costs less than np.full's Python wrappers
+    return q + np.zeros(counts.size) if adjustment == "none" else counts * q / m
+
+
 def _levels(rule, adjustment: str, q, summaries, fams, rows, r):
     """The count and the level of each selected family fams[k] of summary
     row rows[k]: R of its row, r[rows[k]], or its `_counts` count when
-    adjustment is "rmin"; count * q / m, q for "none", or None if q is."""
+    adjustment is "rmin"; its `_level_of` level, or None if q is."""
     rmin = adjustment == "rmin"
     counts = _counts(rule, summaries, fams, rows, r) if rmin else r[rows]
     if q is None:
         return counts, None
-    m = summaries.shape[-1]
-    # q + 0.0 is q, and costs less than np.full's Python wrappers
-    levels = q + np.zeros(counts.size) if adjustment == "none" else counts * q / m
-    return counts, levels
+    return counts, _level_of(adjustment, q, counts, summaries.shape[-1])
 
 
 def _test_rows(

@@ -103,6 +103,26 @@ def _cutoffs(procedure, n: int, level) -> np.ndarray:
     return _KINDS[procedure.kind][1](procedure, n, level)
 
 
+def _entry_cutoffs(procedure, n: int, levels) -> np.ndarray:
+    """The entry cutoff of a family of n p-values at each of the 1-d levels
+    (None for step_up and step_down): the procedure rejects nothing in a
+    family whose smallest p-value lies above it.
+
+    It is the first critical value in `_KINDS` of a single step or a step
+    down, which must pass first, and the last one of a step up, as critical
+    values never decrease. Two-stage rejects something only once stage one
+    does, or else stage two at m0_hat = n, which runs at q1 * n / n and can
+    round one ulp above q1: its cutoff is the larger of the two last ones.
+    """
+    column = None if levels is None else np.asarray(levels, dtype=np.float64)[:, None]
+    crit = np.atleast_2d(_cutoffs(procedure, n, column))
+    if procedure.stepwise == "step-up":
+        return crit[:, -1]
+    if procedure.stepwise == "adaptive":
+        return np.maximum(crit[:, -1], _stage_two_cutoffs(n, column, n)[:, -1])
+    return crit[:, 0]
+
+
 @dataclass(frozen=True)
 class Procedure:
     """A named within-family testing procedure.
@@ -185,6 +205,24 @@ def _step_down_counts(ps: np.ndarray, crit: np.ndarray) -> np.ndarray:
     return np.argmin(ok, axis=1)
 
 
+def _check_testable(procedure: Procedure, n: int, levels):
+    """Raise the ValueError `rejection_counts` raises when the procedure
+    cannot test families of n p-values at levels (None for no level)."""
+    if procedure.critical_values is not None:
+        if levels is not None:
+            raise ValueError(
+                f"{procedure.kind} carries fixed critical values and cannot be "
+                "applied at a level"
+            )
+        if len(procedure.critical_values) != n:
+            raise ValueError("need exactly one critical value per p-value")
+    elif levels is None:
+        raise ValueError(f"a level is required for {procedure.kind}")
+    k = procedure.k
+    if k is not None and not 1 <= k <= n:
+        raise ValueError(f"k={k} out of range for {n} hypotheses")
+
+
 def rejection_counts(procedure: Procedure, ps: np.ndarray, levels=None) -> np.ndarray:
     """Number of rejections in each row of a row-sorted (s, n) p-value matrix.
 
@@ -196,21 +234,9 @@ def rejection_counts(procedure: Procedure, ps: np.ndarray, levels=None) -> np.nd
     row is exactly its first r entries.
     """
     n = ps.shape[1]
-    if procedure.critical_values is not None:
-        if levels is not None:
-            raise ValueError(
-                f"{procedure.kind} carries fixed critical values and cannot be "
-                "applied at a level"
-            )
-        if len(procedure.critical_values) != n:
-            raise ValueError("need exactly one critical value per p-value")
-    elif levels is None:
-        raise ValueError(f"a level is required for {procedure.kind}")
-    else:
+    _check_testable(procedure, n, levels)
+    if levels is not None:
         levels = np.asarray(levels, dtype=np.float64)[:, None]
-    k = procedure.k
-    if k is not None and not 1 <= k <= n:
-        raise ValueError(f"k={k} out of range for {n} hypotheses")
     stepwise, cutoffs = _KINDS[procedure.kind]
     crit = cutoffs(procedure, n, levels)
     if stepwise == "single-step":

@@ -139,8 +139,15 @@ class _BlockSelection:
         return float(self.block_summaries(p[None, None, :])[0, 0])
 
 
+class _MinPSelection(_BlockSelection):
+    """A shipped rule whose summary of a family is its smallest p-value."""
+
+    def block_summaries(self, p: np.ndarray) -> np.ndarray:
+        return np.minimum.reduce(_last_axis_first(p), axis=0)
+
+
 @dataclass(frozen=True)
-class MinPThreshold(_BlockSelection):
+class MinPThreshold(_MinPSelection):
     """Select every family whose smallest p-value is <= t."""
 
     t: float
@@ -150,9 +157,6 @@ class MinPThreshold(_BlockSelection):
     def __post_init__(self):
         if not 0.0 < self.t <= 1.0:
             raise ValueError("threshold must lie in (0, 1]")
-
-    def block_summaries(self, p: np.ndarray) -> np.ndarray:
-        return np.minimum.reduce(_last_axis_first(p), axis=0)
 
     def select_block(self, summaries: np.ndarray) -> np.ndarray:
         return summaries <= self.t
@@ -165,7 +169,7 @@ class MinPThreshold(_BlockSelection):
 
 
 @dataclass(frozen=True)
-class TopKMinP(_BlockSelection):
+class TopKMinP(_MinPSelection):
     """Select the k families with the smallest minimal p-values.
 
     Ties are broken in favor of the smaller family index, so exactly k
@@ -179,9 +183,6 @@ class TopKMinP(_BlockSelection):
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be a positive integer")
-
-    def block_summaries(self, p: np.ndarray) -> np.ndarray:
-        return np.minimum.reduce(_last_axis_first(p), axis=0)
 
     def select_block(self, summaries: np.ndarray) -> np.ndarray:
         if self.k > summaries.shape[1]:

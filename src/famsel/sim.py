@@ -20,22 +20,26 @@ for, so that every score is finite. Both `generate` and the Monte Carlo
 blocks draw in this layout (`_draw`), so every estimate's bits follow from
 it.
 
-Replicates run in blocks of at most _BLOCK_CELLS p-values, drawn into one
-(B, count, n) array per family size, laid out as `PValueEnsemble` stores
-an ensemble and allocated once per span, and the block is then summarized
-and selected in a few batched calls per size: a rule whose summaries read
-sorted rows (Simes) has each size's rows sorted once, and the test of the
-selected rows reads them from that sort. Its selected families get
-their levels and are tested by the steps the public analyses in `adjust`
-run (`_levels`, `_test_rows`), so an analysis is the one-replicate case of
-a block. Each family puts its non-null hypotheses first, so a block's truth
-is each size's count of leading non-nulls: a family's false rejections are
-all its rejections where that count is 0, as in every all-null scenario,
-and its rejections from that column on otherwise. A replicate's total is
-summed from its tested cells alone. The tests compare each estimate with
-those analyses on every replicate's `generate` ensemble, with the
-within-family test swapped for one textbook call per family and, for
-R_min, with the candidate scan.
+Replicates run in blocks of at most _BLOCK_CELLS p-values, drawn (`_draw`)
+into one (B, count, n) array per family size, laid out as `PValueEnsemble`
+stores an ensemble and allocated once per span, and then scored (`_score`):
+summarized and selected in a few batched calls per size. A rule whose
+summaries read sorted rows (Simes) has each size's rows sorted once, and
+the test of the selected rows reads them from that sort. Its selected
+families get their levels and are tested by the steps the public analyses
+in `adjust` run (`_levels`, `_test_rows`), so an analysis is the
+one-replicate case of a block. Under a min-p rule (`MinPThreshold`,
+`TopKMinP`) a selected family is tested only if its summary, its smallest
+p-value, meets the procedure's entry cutoff at its level
+(`procedures._entry_cutoffs`); any other family rejects nothing, so its
+error is 0.0 under every metric. Each family puts its non-null hypotheses
+first, so a block's truth is each size's count of leading non-nulls: a
+family's false rejections are all its rejections where that count is 0, as
+in every all-null scenario, and its rejections from that column on
+otherwise. A replicate's total is summed from its tested cells alone. The
+tests compare each estimate with those analyses on every replicate's
+`generate` ensemble, with the within-family test swapped for one textbook
+call per family and, for R_min, with the candidate scan.
 The rule must follow the rule protocol of `selection`, as every shipped
 rule does. SciPy (only for normal scores), numpy.random and the process
 pool are imported where first used, so importing famsel loads none of them.
@@ -49,11 +53,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .adjust import _levels, _test_rows
+from .adjust import _level_of, _levels, _test_rows
 from .core import ErrorMetric, PValueEnsemble, _last_axis_first, _metric_values
 from .core import group_slots, size_groups
-from .procedures import Procedure
-from .selection import _check_rule, _summarize, check_concordant
+from .procedures import Procedure, _check_testable, _entry_cutoffs
+from .selection import _MinPSelection, _check_rule, _summarize, check_concordant
 
 ADJUSTMENTS = ("simple", "rmin", "none")
 DEPENDENCE_MODELS = ("independent", "equicorrelated")
@@ -111,12 +115,14 @@ class ScenarioConfig:
             raise ValueError(f"unknown adjustment {self.adjustment!r}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
-        sizes = self.sizes()
-        if len(sizes) != self.m or any(s < 1 for s in sizes):
+        # an int n is checked as it is, before sizes() lists m copies of it
+        uniform = isinstance(self.n, (int, np.integer))
+        sizes = [int(self.n)] if uniform else self.sizes()
+        if len(sizes) != (1 if uniform else self.m) or any(s < 1 for s in sizes):
             raise ValueError("need one positive family size per family")
         # the layout's int64 index arrays come from np.arange, which raises
         # ValueError, not MemoryError, from 2**60 - 64 elements on
-        if sum(sizes) >= 2**59:
+        if (sizes[0] * self.m if uniform else sum(sizes)) >= 2**59:
             raise ValueError("the m family sizes n must total under 2**59 p-values")
 
     def sizes(self) -> list:
@@ -289,32 +295,63 @@ def _block_cells(layout: _Layout, step: int):
     return np.array([reps, fams, group, at])
 
 
-def _block_values(
-    config: ScenarioConfig, layout: _Layout, rng, blocks, matrices, cells
-):
-    """(C_S, |S|/m) of the next B replicates of rng.
+def _entry_table(config: ScenarioConfig, layout: _Layout):
+    """Each size group's entry cutoffs (`_entry_cutoffs`) at the level of
+    each count 0..m, a (groups, m + 1) array computed at most _BLOCK_CELLS
+    critical values at a time, under a rule whose summaries are the shipped
+    min-p ones; None under any other. A group the procedure cannot test at
+    a level gets +inf, so that its rows reach `_test_rows` and raise there
+    as an analysis does."""
+    min_p = _MinPSelection.block_summaries
+    if getattr(type(config.rule), "block_summaries", None) is not min_p:
+        return None
+    m, procedure = config.m, config.procedure
+    levels = _level_of(config.adjustment, config.q, np.arange(m + 1), m)
+    table = np.full((len(layout.groups), m + 1), np.inf)
+    for g, (n, _) in enumerate(layout.groups):
+        try:
+            _check_testable(procedure, n, levels)
+        except ValueError:
+            continue
+        step = max(1, _BLOCK_CELLS // n)
+        for a in range(0, m + 1, step):
+            table[g, a : a + step] = _entry_cutoffs(procedure, n, levels[a : a + step])
+    return table
 
-    The block is drawn into blocks, prefixes of a full block's (step,
-    count, n) arrays whose (step * count, n) views are matrices and whose
-    cells are `_block_cells`, then summarized and selected as (B, m)
-    arrays. Its selected (replicate, family) pairs are leveled and tested
-    as the analyses do (`_levels`, `_test_rows`), with each size's count of
-    leading non-nulls for a truth, and each replicate's metric values are
-    summed from its tested cells in family order, as
-    `average_over_selected` sums them, bit for bit.
+
+def _score(config: ScenarioConfig, layout: _Layout, blocks, matrices, cells, entry):
+    """(C_S, |S|/m) of the B replicates drawn into blocks.
+
+    blocks are prefixes of a full block's (step, count, n) arrays whose
+    (step * count, n) views are matrices and whose cells are
+    `_block_cells`; they are summarized and selected as (B, m) arrays. The
+    selected (replicate, family) pairs are leveled and tested as the
+    analyses do (`_levels`, `_test_rows`), with each size's count of leading
+    non-nulls for a truth, and each replicate's metric values are summed
+    from its tested cells in family order, as `average_over_selected` sums
+    them, bit for bit. entry is the span's `_entry_table`: where it is not
+    None, a selected family whose summary, its smallest p-value, lies above
+    its entry cutoff is not tested. It would reject nothing, so its value
+    is 0.0 under every metric and leaves its replicate's sum as it is.
     """
     rule, q, m = config.rule, config.q, config.m
-    _draw(config, layout, rng, blocks)
     sort = getattr(rule, "ranks_rows", False)
     ranked = [np.sort(p.reshape(-1, p.shape[2]), 1) for p in blocks] if sort else None
     summaries = _summarize(rule, layout.groups, blocks, ranked)
     picked = rule.select_block(summaries)
     counts = np.add.reduce(_last_axis_first(picked), axis=0)
     tested = picked.ravel().nonzero()[0]
-    if not tested.size:
+    rows = cells.take(tested, axis=1)  # replicate, family, group, row
+    family_counts, levels = _levels(
+        rule, config.adjustment, q, summaries, rows[1], rows[0], counts
+    )
+    if entry is not None:
+        cutoffs = entry[rows[2], family_counts]
+        kept = np.flatnonzero(summaries.take(tested) <= cutoffs)
+        rows, levels = rows.take(kept, axis=1), levels.take(kept)
+    reps, _, group_of, at = rows
+    if not reps.size:
         return np.zeros(counts.size), counts / m
-    reps, fams, group_of, at = cells.take(tested, axis=1)
-    levels = _levels(rule, config.adjustment, q, summaries, fams, reps, counts)[1]
     r, v, _ = _test_rows(
         config.procedure, matrices, layout.non_nulls, group_of, at, levels, ranked
     )
@@ -336,10 +373,12 @@ def _replicate_values(config: ScenarioConfig, start: int, stop: int):
     step = max(1, _BLOCK_CELLS // int(layout.sizes.sum()))
     full, cells = layout.blocks(step), _block_cells(layout, step)
     matrices = [block.reshape(-1, block.shape[2]) for block in full]
+    entry = _entry_table(config, layout)
     for a in range(start, stop, step):
         b = min(a + step, stop)
         blocks = full if b - a == step else [block[: b - a] for block in full]
-        block = _block_values(config, layout, rng, blocks, matrices, cells)
+        _draw(config, layout, rng, blocks)
+        block = _score(config, layout, blocks, matrices, cells, entry)
         cs[a - start : b - start], frac[a - start : b - start] = block
     return cs, frac
 

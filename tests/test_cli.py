@@ -879,14 +879,23 @@ class TestSimulate:
             assert err == line
 
     def test_bare_memory_error_names_the_failure(self, capsys):
-        # 2**61 families overflow the byte count of their size list, so
-        # Python raises a MemoryError without text before allocating anything
+        # the size list of 10^11 families cannot be allocated, so Python
+        # raises a MemoryError without text at once
         code, out, err = run_cli(
-            ["simulate", "--m", str(2**61), "--n", "2", "--reps", "10"], capsys
+            ["simulate", "--m", str(10**11), "--n", "2", "--reps", "10"], capsys
         )
         assert code == 3 and out == ""
         (line,) = err.splitlines()
         assert line.startswith("famsel: ") and line[len("famsel: ") :].strip()
+
+    @pytest.mark.parametrize("n", ["-1", "0"])
+    def test_bad_size_is_refused_before_the_size_list(self, n, capsys):
+        # 10^11 families would need a size list too large to allocate
+        code, out, err = run_cli(
+            ["simulate", "--m", str(10**11), "--n", n, "--reps", "5"], capsys
+        )
+        assert code == 3 and out == ""
+        assert err == "famsel: need one positive family size per family\n"
 
     def test_thread_env_fallback(self, capsys, monkeypatch):
         args = ["simulate", "--m", "8", "--n", "2", "--reps", "120", "--seed", "2"]

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from famsel.procedures import (
     PROCEDURE_KINDS,
     Procedure,
+    _entry_cutoffs,
     bh,
+    bh_critical_values,
     bonferroni,
     hochberg,
     holm,
@@ -18,6 +20,8 @@ from famsel.procedures import (
     lr_kfwer_critical_values,
     rejected_entries,
     rejection_counts,
+    stage_one_level,
+    stage_two_level,
     step_down,
     step_up,
     two_stage_adaptive,
@@ -449,6 +453,56 @@ class TestRejectionCounts:
             rejection_counts(generic, ps[:, :2])
         with pytest.raises(ValueError, match="out of range"):
             rejection_counts(Procedure("lr_kfwer", k=4), ps, np.array([0.05]))
+
+
+def two_stage_ulp_case():
+    """A (level, n) at which stage two at m0_hat = n runs at q1 * n / n one
+    ulp above q1, and its last cutoff lies above stage one's: n p-values
+    tied just above stage one's last cutoff are all rejected."""
+    for level in np.linspace(0.01, 0.5, 50):
+        for n in range(2, 7):
+            q1 = stage_one_level(level)
+            c2 = bh_critical_values(n, stage_two_level(q1, n, n))[-1]
+            if c2 > bh_critical_values(n, q1)[-1]:
+                return float(level), n
+    raise AssertionError("no level rounds stage two up")
+
+
+class TestEntryCutoffs:
+    """A family whose smallest p-value lies above its entry cutoff rejects
+    nothing, and for a single step or a step down one at or below it does."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(PROCEDURE_KINDS),
+        case=st.just(two_stage_ulp_case())
+        | st.tuples(st.sampled_from([0.05, 0.3]) | st.floats(1e-3, 0.99), st.integers(1, 6)),
+        data=st.data(),
+    )
+    def test_a_rejection_needs_the_minimum_at_the_cutoff(self, kind, case, data):
+        (level, n), pool = case, [0.0, 1.0, 0.01, 0.05, 0.2]
+        if kind in ("step_up", "step_down"):
+            crit = sorted(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+            procedure, level = Procedure(kind, critical_values=crit), None
+        else:
+            k = data.draw(st.integers(1, n)) if kind == "lr_kfwer" else None
+            procedure = Procedure(kind, k=k)
+        # every value the procedure compares against, and one ulp either side
+        cuts = procedure.thresholds(n, level)
+        pool += [*cuts, *np.nextafter(cuts, 0.0), *np.nextafter(cuts, 1.0)]
+        values = st.sampled_from(pool) | st.floats(0.0, 1.0)
+        rows = data.draw(
+            st.lists(st.lists(values, min_size=n, max_size=n), min_size=1, max_size=8)
+        )
+        # and rows of ties at each of those values
+        rows += [[v] * n for v in pool[5:]]
+        ps = np.sort(np.array(rows), axis=1)
+        levels = None if level is None else np.full(len(ps), level)
+        r = rejection_counts(procedure, ps, levels)
+        meets = ps[:, 0] <= _entry_cutoffs(procedure, n, levels)
+        assert not (r > 0)[~meets].any()
+        if procedure.stepwise in ("single-step", "step-down"):
+            assert np.array_equal(r > 0, meets)
 
 
 class TestRejectedEntries:

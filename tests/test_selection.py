@@ -923,26 +923,27 @@ class TestScanWork:
 
     @pytest.mark.parametrize("m", [400, 1000])
     def test_two_stage_rows_per_family(self, monkeypatch, m):
+        # a family's row is counted once at stage one's cutoffs and once at
+        # each of at most two stage-two null counts: three rows per family
         rule = GlobalNullTest("simes", Procedure("two_stage"), level=0.1)
         summaries = two_stage_bands(m, np.random.default_rng(m))
         picked = rule.select_from_summaries(summaries)
         rows = []
-        kernel = procedures.rejection_counts
+        kernel = selection._moved_counts
 
-        def counted(procedure, ps, levels=None):
+        def counted(ps, cuts, at, j):
             rows.append(len(ps))
-            return kernel(procedure, ps, levels)
+            return kernel(ps, cuts, at, j)
 
-        monkeypatch.setattr(procedures, "rejection_counts", counted)
-        bound = 4 * math.ceil(math.log2(m))
+        monkeypatch.setattr(selection, "_moved_counts", counted)
         for i in picked[:: max(1, picked.size // 20)]:
             rows.clear()
             _r_min_scan(rule, summaries, int(i))
-            assert sum(rows) <= bound, (i, sum(rows))
+            assert 2 <= sum(rows) <= 3, (i, sum(rows))
         rows.clear()
         stack = np.broadcast_to(summaries, (picked.size, m))
         counts = _r_min_scan(rule, stack, picked)
-        assert sum(rows) <= bound * picked.size
+        assert 2 * picked.size <= sum(rows) <= 3 * picked.size
         # the strong families drop to m // 5, the moderate ones keep R
         assert sorted(set(counts.tolist())) == [m // 5, picked.size]
 

@@ -19,6 +19,7 @@ from famsel.adjust import (
 )
 from famsel.core import ErrorMetric, average_over_selected
 from famsel.procedures import PROCEDURE_KINDS, Procedure, rejected_entries
+from famsel.procedures import _entry_cutoffs
 from famsel.selection import COMBINERS, GlobalNullTest, MinPThreshold, TopKMinP
 from famsel.sim import (
     ScenarioConfig,
@@ -140,6 +141,20 @@ def values_or_error(run, *args):
     except ValueError as err:
         return ("error", type(err), str(err))
     return ("ok", cs.tobytes(), frac.tobytes())
+
+
+def recorded_test_rows(patch):
+    """The number of rows of each `sim._test_rows` call, recorded into the
+    returned list while patch holds the wrapper."""
+    tested = []
+    test_rows = sim._test_rows
+
+    def recording(procedure, matrices, truths, group_of, rows, *args):
+        tested.append(rows.size)
+        return test_rows(procedure, matrices, truths, group_of, rows, *args)
+
+    patch.setattr(sim, "_test_rows", recording)
+    return tested
 
 
 class TestClosedForm:
@@ -730,6 +745,33 @@ class TestEstimate:
             if rules[case % 8] is rules[7] and fast[0] == "ok":
                 assert (np.frombuffer(fast[2]) == 0.0).any()
         assert outcomes["ok"] >= 90 and outcomes["error"] >= 20
+        # all null under the min-p rules, whose selected families mostly miss
+        # their entry cutoffs and are not tested
+        dropped = 0
+        for case in range(32):
+            monkeypatch.setattr(sim, "_BLOCK_CELLS", (100, 7)[case % 2])
+            cfg = ScenarioConfig(
+                m=6,
+                n=5 if case < 16 else ragged_sizes[case % 2],
+                q=0.2,
+                rule=(MinPThreshold(0.3), TopKMinP(3))[(case // 2) % 2],
+                procedure=procedures[(case // 4) % 6],
+                metric=metrics[case % 6],
+                replicates=25,
+                seed=int(rng.integers(10**6)),
+                adjustment=("simple", "rmin", "none")[case % 3],
+            )
+            with monkeypatch.context() as patch:
+                tested = recorded_test_rows(patch)
+                fast = values_or_error(_replicate_values, cfg, 3, 25)
+            with monkeypatch.context() as patch:
+                patch.setattr(adjust, "_decide", textbook.looped_decide)
+                slow = values_or_error(object_values, cfg, 3, 25)
+            assert fast == slow, case
+            if fast[0] == "ok":
+                selected = np.rint(np.frombuffer(fast[2]) * 6).sum()
+                dropped += sum(tested) < selected
+        assert dropped >= 20
         cfg = ScenarioConfig(
             m=3,
             n=4,
@@ -1031,6 +1073,106 @@ class TestEstimate:
     def test_single_replicate_has_zero_se(self):
         cfg = example1_config(5, 2, reps=1)
         assert estimate(cfg).se == 0.0
+
+
+class MaxPThreshold(MinPThreshold):
+    """Selects every family whose largest p-value is <= t: a min-p rule with
+    its own summaries, so its families' summaries are not their minima."""
+
+    def block_summaries(self, p):
+        return np.maximum.reduce(np.moveaxis(p, -1, 0), axis=0)
+
+
+class TestEntryCutoffs:
+    """A min-p rule's selected family is tested only if its smallest p-value
+    meets the procedure's entry cutoff; the others reject nothing."""
+
+    @pytest.mark.parametrize("t, c_s, frac", [(0.05, 2.0, 1 / 3), (1.0, 2 / 3, 1.0)])
+    def test_score_of_a_hand_filled_block(self, t, c_s, frac):
+        # every p-value is 1 but family 1's two, which are 0; a threshold
+        # of 1 selects the families of 1 too, which miss the cutoff
+        cfg = replace(example1_config(3, 2, reps=4), rule=MinPThreshold(t))
+        cfg = replace(cfg, metric=ErrorMetric("pfer"), adjustment="simple")
+        layout = sim._Layout(cfg)
+        blocks = layout.blocks(4)
+        blocks[0][:] = 1.0
+        blocks[0][:, 1] = 0.0
+        matrices, cells = [blocks[0].reshape(-1, 2)], sim._block_cells(layout, 4)
+        for entry in (sim._entry_table(cfg, layout), None):
+            cs, got = sim._score(cfg, layout, blocks, matrices, cells, entry)
+            assert cs.tolist() == [c_s] * 4 and got.tolist() == [frac] * 4
+
+    @pytest.mark.parametrize(
+        "rule, adjustment", [(MinPThreshold(0.05), "none"), (TopKMinP(10), "simple")]
+    )
+    def test_only_families_that_can_reject_are_tested(
+        self, rule, adjustment, monkeypatch
+    ):
+        # a table-1 scenario: Bonferroni inside rejects something only in a
+        # family whose smallest p-value is at most its level / n
+        cfg = replace(example1_config(100, 10, reps=200, seed=5), rule=rule)
+        cfg = replace(cfg, adjustment=adjustment)
+        tested = []
+        test_rows = sim._test_rows
+
+        def recording(procedure, matrices, truths, group_of, rows, levels, *args):
+            p = matrices[0].take(rows, axis=0)
+            assert (p.min(axis=1) <= levels / 10).all()
+            tested.append(rows.size)
+            return test_rows(procedure, matrices, truths, group_of, rows, levels, *args)
+
+        monkeypatch.setattr(sim, "_test_rows", recording)
+        estimate(cfg)
+        mins = np.array(
+            [[f.min() for f in generate(cfg, i).families] for i in range(200)]
+        )
+        if adjustment == "none":
+            selected, level = mins <= 0.05, 0.05
+        else:
+            smallest = np.argsort(mins, 1, kind="stable")[:, :10]
+            selected = np.zeros(mins.shape, dtype=bool)
+            np.put_along_axis(selected, smallest, True, 1)
+            level = 10 * 0.05 / 100
+        want = (selected & (mins <= level / 10)).sum()
+        assert sum(tested) == want and selected.sum() > 5 * want
+
+    @pytest.mark.parametrize(
+        "procedure, n, match",
+        [
+            (Procedure("step_up", critical_values=(1e-9,) * 2), 2, "cannot be"),
+            (Procedure("step_down", critical_values=(1e-9,) * 2), 2, "cannot be"),
+            (Procedure("lr_kfwer", k=3), 2, "k=3 out of range for 2"),
+            (Procedure("lr_kfwer", k=3), [4, 2, 1, 3], "k=3 out of range"),
+        ],
+    )
+    def test_errors_stay_where_every_selected_family_misses(
+        self, procedure, n, match
+    ):
+        # on seed 1 no selected family's smallest p-value meets its entry
+        # cutoff, yet the scenario raises what the analyses raise
+        cfg = replace(example1_config(4, n, reps=3, seed=1), q=0.01)
+        cfg = replace(cfg, rule=MinPThreshold(0.5), procedure=procedure)
+        for i in range(3):
+            for p in generate(cfg, i).families:
+                cut = _entry_cutoffs(procedure, p.size, np.array([0.01]))[0]
+                assert p.min() > 0.5 or p.min() > cut
+        fast = values_or_error(_replicate_values, cfg, 0, 3)
+        assert fast == values_or_error(object_values, cfg, 0, 3)
+        assert fast[:2] == ("error", ValueError) and match in fast[2]
+
+    def test_own_summaries_are_not_filtered(self, monkeypatch):
+        # the largest p-value is no entry test: a filter on it would drop
+        # families that reject
+        cfg = replace(example1_config(6, [3, 1, 4, 2, 5, 2], reps=60, seed=8), q=0.2)
+        cfg = replace(cfg, rule=MaxPThreshold(0.6), adjustment="simple")
+        tested = recorded_test_rows(monkeypatch)
+        cs, frac = _replicate_values(cfg, 0, 60)
+        monkeypatch.undo()
+        assert sum(tested) == np.rint(frac * 6).sum()
+        monkeypatch.setattr(adjust, "_decide", textbook.looped_decide)
+        want = object_values(cfg, 0, 60)
+        assert cs.tobytes() == want[0].tobytes() and frac.tobytes() == want[1].tobytes()
+        assert cs.max() > 0.0
 
 
 class ScannedGlobalNullTest(GlobalNullTest):
