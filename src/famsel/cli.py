@@ -428,86 +428,61 @@ _UNSELECTED_JSON = (
     ', "selected": false, "r_min": null, "adjusted_level": null, "rejected": []}'
 )
 
-# Families whose report rows are built and written at a time.
+# Families whose report records are formatted and written at a time.
 _REPORT_FAMILIES = 1 << 10
 
 
-def _joined(texts, codes, counts, sep: str) -> list:
-    """For each run of `counts` consecutive entries of `codes`, the texts at
-    those codes joined with sep, cut out of one joined string."""
-    picked = list(map(texts.__getitem__, codes.tolist()))
-    whole = sep.join(picked)
-    lengths = np.fromiter(map(len, picked), np.intp, len(picked))
-    offsets = np.zeros(len(picked) + 1, dtype=np.intp)  # where each text starts
-    np.cumsum(lengths + len(sep), out=offsets[1:])
-    ends = np.zeros(len(counts) + 1, dtype=np.intp)
-    np.cumsum(counts, out=ends[1:])
-    first = offsets[ends[:-1]]
-    past = np.maximum(offsets[ends[1:]] - len(sep), first)  # no text: no sep
-    return list(map(whole.__getitem__, map(slice, first.tolist(), past.tolist())))
-
-
-def _report_blocks(ids, names, decisions, rejected, sep: str):
-    """For each block of at most `_REPORT_FAMILIES` families: their ids, the
-    positions in the block of the selected ones, and the columns of those:
-    counts, level texts, rejection counts and the names at their rejected
-    positions, joined with sep."""
-    # Equal positive floats have one repr, so each distinct level is
-    # written once.
-    level_text = {v: float.__repr__(v) for v in set(decisions.levels.tolist())}
+def _report_blocks(ids, decisions, rejected):
+    """Each block of at most `_REPORT_FAMILIES` families as its ids and one
+    record per selected family: its position in the block, count, level,
+    rejection count, and its slice of rejected, the codes of its rejections."""
     ends = np.append(0, np.cumsum(decisions.r))
     for a in range(0, len(ids), _REPORT_FAMILIES):
         lo, hi = np.searchsorted(decisions.families, [a, a + _REPORT_FAMILIES])
-        r = decisions.r[lo:hi]
-        yield (
-            ids[a : a + _REPORT_FAMILIES],
-            decisions.families[lo:hi] - a,
+        codes = rejected[ends[lo] : ends[hi]].tolist()
+        cuts = (ends[lo : hi + 1] - ends[lo]).tolist()
+        yield ids[a : a + _REPORT_FAMILIES], zip(
+            (decisions.families[lo:hi] - a).tolist(),
             decisions.counts[lo:hi].tolist(),
-            list(map(level_text.__getitem__, decisions.levels[lo:hi].tolist())),
-            r,
-            _joined(names, rejected[ends[lo] : ends[hi]], r, sep),
+            decisions.levels[lo:hi].tolist(),
+            decisions.r[lo:hi].tolist(),
+            map(codes.__getitem__, map(slice, cuts, cuts[1:])),
         )
 
 
 def _families_json(ids, names, decisions, rejected):
     """The JSON array of an analyze report's family records, byte for byte
-    what json.dumps writes, in pieces of `_REPORT_FAMILIES` records, each
-    from one table of texts with a row per family: every id and hypothesis
-    name is encoded once, with the C encoder json.dumps uses, and every
-    unselected family shares one text. rejected holds the position in names
-    of each of the decisions' rejections."""
+    what json.dumps writes, in pieces of `_REPORT_FAMILIES` records: every
+    id and hypothesis name is encoded once, with the C encoder json.dumps
+    uses, and every unselected family shares one text. rejected holds the
+    position in names of each of the decisions' rejections."""
     encode = json.encoder.encode_basestring_ascii
-    blocks = _report_blocks(ids, list(map(encode, names)), decisions, rejected, ", ")
-    for k, (ids, selected, counts, levels, _, joined) in enumerate(blocks):
-        text = np.full((len(ids), 9), "", dtype=object)
-        text[:, 0] = ', {"family_id": '
-        if k == 0:
-            text[0, 0] = '[{"family_id": '
-        text[:, 1] = list(map(encode, ids))
-        text[:, 2] = _UNSELECTED_JSON
-        text[selected, 2] = ', "selected": true, "r_min": '
-        text[selected, 3] = list(map(int.__repr__, counts))
-        text[selected, 4] = ', "adjusted_level": '
-        text[selected, 5] = levels
-        text[selected, 6] = ', "rejected": ['
-        text[selected, 7] = joined
-        text[selected, 8] = "]}"
-        yield "".join(text.ravel().tolist())
+    names, opening = list(map(encode, names)), '[{"family_id": '
+    for ids, records in _report_blocks(ids, decisions, rejected):
+        # each family's opening, id and the rest of its record
+        texts = [', {"family_id": ', "", _UNSELECTED_JSON] * len(ids)
+        texts[0], texts[1::3] = opening, map(encode, ids)
+        for at, count, level, _, codes in records:
+            texts[3 * at + 2] = (
+                f', "selected": true, "r_min": {count}, "adjusted_level": {level!r}, '
+                f'"rejected": [{", ".join(map(names.__getitem__, codes))}]}}'
+            )
+        yield "".join(texts)
+        opening = ', {"family_id": '
     yield "]"
 
 
 def _families_csv(out, ids, names, decisions, rejected):
-    """Write the CSV report onto the stream out, one row per family, by
-    `csv.writer` from one table per `_REPORT_FAMILIES` families; the other
-    arguments are those of `_families_json`."""
+    """Write the CSV report onto out, one `csv.writer` row per family, a
+    block at a time; the other arguments are those of `_families_json`."""
     writer = csv.writer(out)
     writer.writerow(CSV_COLUMNS)
-    for ids, selected, *columns in _report_blocks(ids, names, decisions, rejected, ";"):
-        table = np.full((len(ids), 6), "", dtype=object)
-        table[:, 0], table[:, 1], table[:, 4] = ids, 0, 0
-        table[selected, 1] = 1
-        table[selected, 2:] = np.array(columns, dtype=object).T
-        writer.writerows(table.tolist())
+    for ids, records in _report_blocks(ids, decisions, rejected):
+        rows = [[i, "0", "", "", "0", ""] for i in ids]  # "0": no int to convert
+        for at, count, level, r, codes in records:
+            rows[at][1:] = "1", count, level, r, ";".join(map(names.__getitem__, codes))
+        writer.writerows(rows)
+        del rows  # before the next block's rows are built
 
 
 def _emit_json(report: dict, output, families: tuple | None = None):

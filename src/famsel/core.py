@@ -35,7 +35,7 @@ class ErrorMetric:
             raise ValueError("gamma must lie in (0, 1)")
         if (self.k is not None) != (self.kind in ("kfwer", "kfdr")):
             raise ValueError("k must be given exactly when kind is 'kfwer' or 'kfdr'")
-        if self.k is not None and self.k < 1:
+        if self.k is not None and not _positive_int(self.k):
             raise ValueError("k must be a positive integer")
 
     def describe(self) -> str:
@@ -44,6 +44,11 @@ class ErrorMetric:
         if self.kind in ("kfwer", "kfdr"):
             return f"{self.kind}:{self.k}"
         return self.kind
+
+
+def _positive_int(k) -> bool:
+    """Whether k is an integer, Python's or NumPy's, of at least 1."""
+    return isinstance(k, (int, np.integer)) and k >= 1
 
 
 def _number_text(x: float) -> str:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _last_axis_first
+from .core import _last_axis_first, _positive_int
 
 
 def _one_row(counts, pvalues, critical_values) -> np.ndarray:
@@ -154,7 +154,7 @@ class Procedure:
                 raise ValueError("critical values must be nondecreasing")
         if (self.k is not None) != (self.kind == "lr_kfwer"):
             raise ValueError("k must be given exactly for lr_kfwer")
-        if self.k is not None and self.k < 1:
+        if self.k is not None and not _positive_int(self.k):
             raise ValueError("k must be a positive integer")
 
     @property
@@ -163,10 +163,12 @@ class Procedure:
         return _KINDS[self.kind][0]
 
     def apply(self, pvalues, level: float | None = None) -> np.ndarray:
-        """Rejected index set when run at the given level."""
+        """Rejected index set when run at the given level, in [0, 1]."""
         p = np.asarray(pvalues, dtype=np.float64).ravel()
         if p.size == 0:
             raise ValueError("cannot test an empty family")
+        if level is not None and not 0.0 <= level <= 1.0:
+            raise ValueError("level must lie in [0, 1]")
         levels = None if level is None else np.array([level], dtype=np.float64)
         return np.flatnonzero(rejected_entries(self, p[None, :], levels)[0])
 

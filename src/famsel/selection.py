@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PValueEnsemble, SelectionOutcome, _last_axis_first, _number_text
-from .core import in_family_order
+from .core import _positive_int, in_family_order
 from .procedures import Procedure, _cutoffs, _stage_two_cutoffs, rejected_entries
 
 COMBINERS = ("bonferroni_min", "simes", "fisher", "stouffer")
@@ -181,7 +181,7 @@ class TopKMinP(_MinPSelection):
     is_simple = True
 
     def __post_init__(self):
-        if self.k < 1:
+        if not _positive_int(self.k):
             raise ValueError("k must be a positive integer")
 
     def select_block(self, summaries: np.ndarray) -> np.ndarray:
@@ -418,6 +418,8 @@ def _trial_blocks(rng, trials: int, width: int, m: int):
     """(first trial, (B, width) words) per block of B trials, trial t reading
     words [t*width, (t+1)*width) of rng's stream. Blocks start at
     _FIRST_TRIAL_BLOCK trials and double up to _SCAN_BLOCK_CELLS cells."""
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     cap = max(1, _SCAN_BLOCK_CELLS // max(width, m))
     first, step = 0, min(_FIRST_TRIAL_BLOCK, cap)
     while first < trials:

@@ -48,6 +48,7 @@ pool are imported where first used, so importing famsel loads none of them.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass, replace
 
@@ -161,6 +162,9 @@ def generate(
     replicate's offset, word replicate_index * W of the seed's stream; it is
     left at the next replicate's offset.
     """
+    replicate_index = operator.index(replicate_index)
+    if replicate_index < 0:
+        raise ValueError("replicate_index must be non-negative")
     layout = _Layout(config)
     if rng is None:
         rng = _stream(config, layout, replicate_index)
@@ -214,12 +218,9 @@ class _Layout:
         uniform = null & (factor == 0)
         self.uniforms = int(uniform.sum())
         self.scores = self.uniforms + factor
-        # uniform p-values first, then the scores, each in family order; the
-        # order is family order when the p-values are all of one kind
-        position = np.arange(factor, cells + factor)
-        if 0 < self.uniforms < cells:
-            position[np.argsort(~uniform, kind="stable")] = np.arange(cells)
-            position[~uniform] += factor
+        # uniform p-values first, then the scores, each in family order
+        scored = self.scores + np.cumsum(~uniform)
+        position = np.where(uniform, np.cumsum(uniform), scored) - 1
         shifted = ~null[~uniform]
         self.offset = np.where(shifted, -config.mu, -0.0)
         self.words = self.scores + shifted.size

@@ -76,6 +76,14 @@ class TestErrorMetricValidation:
         with pytest.raises(ValueError):
             ErrorMetric("kfdr", k=0)
 
+    def test_k_is_an_integer(self):
+        for kind in ("kfwer", "kfdr"):
+            with pytest.raises(ValueError, match="k must be a positive integer"):
+                ErrorMetric(kind, k=1.5)
+            with pytest.raises(ValueError, match="k must be a positive integer"):
+                ErrorMetric(kind, k=np.float64(2.0))
+            assert ErrorMetric(kind, k=np.int64(2)).describe() == f"{kind}:2"
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             ErrorMetric("pfdr")

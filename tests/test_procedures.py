@@ -351,6 +351,29 @@ class TestProcedureType:
         with pytest.raises(ValueError, match="level"):
             Procedure("bh").apply([0.01])
 
+    @pytest.mark.parametrize("level", [-1.0, -1e-300, 1.0 + 1e-15, 2.0, np.inf, np.nan])
+    def test_level_outside_unit_interval_is_refused(self, level):
+        for kind in PROCEDURE_KINDS:
+            if kind in ("step_up", "step_down"):
+                continue
+            proc = Procedure(kind, k=1 if kind == "lr_kfwer" else None)
+            with pytest.raises(ValueError, match=r"level must lie in \[0, 1\]"):
+                proc.apply([0.01, 0.5], level)
+        for public in (bonferroni, holm, hochberg, bh, two_stage_adaptive):
+            with pytest.raises(ValueError, match=r"level must lie in \[0, 1\]"):
+                public([0.01, 0.5], level)
+        # the ends of [0, 1] stay valid
+        assert rejected(bh([0.01, 0.5], 1.0)) == {0, 1}
+        assert rejected(two_stage_adaptive([0.01, 0.5], 0.0)) == set()
+
+    def test_lr_kfwer_k_is_an_integer(self):
+        for k in (1.5, np.float64(2.0)):
+            with pytest.raises(ValueError, match="k must be a positive integer"):
+                Procedure("lr_kfwer", k=k)
+        proc = Procedure("lr_kfwer", k=np.int64(2))
+        assert proc.describe() == "lr_kfwer:2"
+        assert rejected(proc.apply([0.01, 0.02, 0.5], 0.05)) == {0, 1}
+
     def test_validation(self):
         with pytest.raises(ValueError):
             Procedure("unknown")

@@ -240,6 +240,13 @@ class TestSelect:
         generic = Procedure("step_up", critical_values=(0.01, 0.05))
         assert GlobalNullTest("simes", generic).level is None
 
+    def test_top_k_takes_an_integer_k(self):
+        for k in (2.5, np.float64(2.0), "2"):
+            with pytest.raises(ValueError, match="k must be a positive integer"):
+                TopKMinP(k)
+        ens = PValueEnsemble([[0.3], [0.01], [0.02]])
+        assert select(TopKMinP(np.int64(2)), ens).selected == {1, 2}
+
     @given(st.data())
     def test_decreasing_own_pvalue_keeps_family_selected(self, data):
         rng = np.random.default_rng(data.draw(st.integers(0, 10**6)))
@@ -1102,6 +1109,13 @@ class TestCheckSimple:
         ens = singleton_ensemble([0.001, 0.9])
         with pytest.raises(ValueError, match="not selected"):
             check_simple(MinPThreshold(0.05), ens, 1, 10)
+
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_trials_below_one_refused(self, trials):
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            check_simple(TWO_STAGE_RULE, TWO_STAGE_ENSEMBLE, 1, trials)
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            check_concordant(TWO_STAGE_RULE, TWO_STAGE_ENSEMBLE, trials)
 
 
 class TestCheckSimpleBlocks:

@@ -211,6 +211,16 @@ class TestGenerate:
         for i in range(4):
             assert ens.truth_family(i).tolist() == expected
 
+    def test_replicate_index_is_a_nonnegative_integer(self):
+        cfg = example1_config(5, 3, reps=1, seed=4)
+        want = generate(cfg, 3).rect
+        np.testing.assert_array_equal(generate(cfg, np.int64(3)).rect, want)
+        np.testing.assert_array_equal(generate(cfg, np.uint8(3)).rect, want)
+        with pytest.raises(ValueError, match="replicate_index must be non-negative"):
+            generate(cfg, -1)
+        with pytest.raises(TypeError):
+            generate(cfg, 2.5)
+
     def test_signal_power(self):
         # P(p <= 0.05) for a one-sided shift of 3 equals Phi(3 - z_0.95)
         cfg = ScenarioConfig(
@@ -1351,3 +1361,19 @@ class TestPrdsControlCheck:
         )
         with pytest.raises(ValueError, match="concordance"):
             prds_control_check(cfg, concordance_trials=500)
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_concordance_trials_below_one_refused(self, trials):
+        cfg = ScenarioConfig(
+            m=4,
+            n=2,
+            q=0.05,
+            rule=MinPThreshold(0.05),
+            procedure=Procedure("bonferroni"),
+            metric=ErrorMetric("pfer"),
+            replicates=10,
+            dependence="equicorrelated",
+            rho=0.5,
+        )
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            prds_control_check(cfg, concordance_trials=trials)
