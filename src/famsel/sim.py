@@ -29,10 +29,13 @@ the test of the selected rows reads them from that sort. Its selected
 families get their levels and are tested by the steps the public analyses
 in `adjust` run (`_levels`, `_test_rows`), so an analysis is the
 one-replicate case of a block. Under a min-p rule (`MinPThreshold`,
-`TopKMinP`) a selected family is tested only if its summary, its smallest
-p-value, meets the procedure's entry cutoff at its level
-(`procedures._entry_cutoffs`); any other family rejects nothing, so its
-error is 0.0 under every metric. Each family puts its non-null hypotheses
+`TopKMinP`) a selected family's count is its replicate's R, so before any
+cell is gathered a block reads each replicate's entry cutoffs
+(`procedures._entry_cutoffs`) at the level of its R, and tests a selected
+family only if its summary, its smallest p-value, meets its size's
+cutoff; any other family rejects nothing, so its error is 0.0 under every
+metric. Under "rmin" a rule that is not simple is not filtered, as its
+R_min can lie below R. Each family puts its non-null hypotheses
 first, so a block's truth is each size's count of leading non-nulls: a
 family's false rejections are all its rejections where that count is 0, as
 in every all-null scenario, and its rejections from that column on
@@ -69,7 +72,8 @@ STREAM_LAYOUT = 3
 class ScenarioConfig:
     """One simulation scenario.
 
-    m families of size n (an int, or one size per family). A fraction pi1 of
+    m families of size n (an int, or one size per family); m, n's sizes,
+    replicates and seed are Python or NumPy integers. A fraction pi1 of
     each family's hypotheses is non-null with one-sided normal shift mu;
     pi1 = 0 is the all-null case. Under the equicorrelated model every test
     statistic shares a latent factor with weight sqrt(rho), which keeps the
@@ -92,6 +96,14 @@ class ScenarioConfig:
     adjustment: str = "simple"
 
     def __post_init__(self):
+        for name in ("m", "replicates", "seed"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer")
+        uniform = isinstance(self.n, (int, np.integer))
+        if not uniform and not (
+            np.iterable(self.n) and all(isinstance(s, (int, np.integer)) for s in self.n)
+        ):
+            raise ValueError("n must be an integer or one integer per family")
         if not 1 <= self.m < 2**63:
             raise ValueError("m must lie in [1, 2**63)")
         if not 0.0 < self.q < 1.0:
@@ -117,7 +129,6 @@ class ScenarioConfig:
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
         # an int n is checked as it is, before sizes() lists m copies of it
-        uniform = isinstance(self.n, (int, np.integer))
         sizes = [int(self.n)] if uniform else self.sizes()
         if len(sizes) != (1 if uniform else self.m) or any(s < 1 for s in sizes):
             raise ValueError("need one positive family size per family")
@@ -300,11 +311,13 @@ def _entry_table(config: ScenarioConfig, layout: _Layout):
     """Each size group's entry cutoffs (`_entry_cutoffs`) at the level of
     each count 0..m, a (groups, m + 1) array computed at most _BLOCK_CELLS
     critical values at a time, under a rule whose summaries are the shipped
-    min-p ones; None under any other. A group the procedure cannot test at
-    a level gets +inf, so that its rows reach `_test_rows` and raise there
-    as an analysis does."""
+    min-p ones; None under any other, and under "rmin" for a rule that is
+    not simple, whose R_min can lie below R. A group the procedure cannot
+    test at a level gets +inf, so that its rows reach `_test_rows` and
+    raise there as an analysis does."""
     min_p = _MinPSelection.block_summaries
-    if getattr(type(config.rule), "block_summaries", None) is not min_p:
+    simple = config.adjustment != "rmin" or getattr(config.rule, "is_simple", False)
+    if getattr(type(config.rule), "block_summaries", None) is not min_p or not simple:
         return None
     m, procedure = config.m, config.procedure
     levels = _level_of(config.adjustment, config.q, np.arange(m + 1), m)
@@ -331,9 +344,11 @@ def _score(config: ScenarioConfig, layout: _Layout, blocks, matrices, cells, ent
     non-nulls for a truth, and each replicate's metric values are summed
     from its tested cells in family order, as `average_over_selected` sums
     them, bit for bit. entry is the span's `_entry_table`: where it is not
-    None, a selected family whose summary, its smallest p-value, lies above
-    its entry cutoff is not tested. It would reject nothing, so its value
-    is 0.0 under every metric and leaves its replicate's sum as it is.
+    None, each replicate's cutoffs are read at its count R before any cell
+    is gathered, and a selected family whose summary, its smallest p-value,
+    lies above its size's cutoff is not tested. It would reject nothing, so
+    its value is 0.0 under every metric and leaves its replicate's sum as
+    it is.
     """
     rule, q, m = config.rule, config.q, config.m
     sort = getattr(rule, "ranks_rows", False)
@@ -341,15 +356,13 @@ def _score(config: ScenarioConfig, layout: _Layout, blocks, matrices, cells, ent
     summaries = _summarize(rule, layout.groups, blocks, ranked)
     picked = rule.select_block(summaries)
     counts = np.add.reduce(_last_axis_first(picked), axis=0)
+    if entry is not None:
+        cut = entry.take(counts, axis=1).T  # (B, groups)
+        cut = cut if cut.shape[1] == 1 else cut.take(layout.slots[0], axis=1)
+        picked = picked & (summaries <= cut)
     tested = picked.ravel().nonzero()[0]
     rows = cells.take(tested, axis=1)  # replicate, family, group, row
-    family_counts, levels = _levels(
-        rule, config.adjustment, q, summaries, rows[1], rows[0], counts
-    )
-    if entry is not None:
-        cutoffs = entry[rows[2], family_counts]
-        kept = np.flatnonzero(summaries.take(tested) <= cutoffs)
-        rows, levels = rows.take(kept, axis=1), levels.take(kept)
+    _, levels = _levels(rule, config.adjustment, q, summaries, rows[1], rows[0], counts)
     reps, _, group_of, at = rows
     if not reps.size:
         return np.zeros(counts.size), counts / m
@@ -393,7 +406,7 @@ def estimate(config: ScenarioConfig, workers: int = 1) -> SimEstimate:
     protocol raises UnsupportedRuleError.
     """
     _check_rule(config.rule)
-    reps = config.replicates
+    reps = int(config.replicates)
     workers = min(workers or 1, reps, os.cpu_count() or 1)
     if workers < 2:
         cs, frac = _replicate_values(config, 0, reps)

@@ -157,6 +157,26 @@ def recorded_test_rows(patch):
     return tested
 
 
+def entering_families(config, start, stop):
+    """The number of families that replicates [start, stop) select under a
+    min-p rule, and the number a block tests: those whose smallest p-value
+    meets the procedure's entry cutoff at the level of their replicate's R,
+    or every selected one under "rmin" when the rule is not simple."""
+    rmin = config.adjustment == "rmin" and not config.rule.is_simple
+    selected = entering = 0
+    for idx in range(start, stop):
+        ensemble = generate(config, idx)
+        mins = np.array([family.min() for family in ensemble.families])
+        picked = np.flatnonzero(config.rule.select_block(mins[None])[0])
+        r = picked.size
+        level = config.q if config.adjustment == "none" else r * config.q / config.m
+        for i in picked:
+            cut = _entry_cutoffs(config.procedure, ensemble.size(i), np.array([level]))
+            entering += rmin or mins[i] <= cut[0]
+        selected += r
+    return selected, entering
+
+
 class TestClosedForm:
     # (m, n) -> (E(C_S), E(|S|/m)) for the min-p / Bonferroni benchmark
     CASES = {
@@ -596,6 +616,26 @@ class TestGenerate:
                 replicates=0,
             )
 
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("m", 2.5, "m must be an integer"),
+            ("replicates", 20.5, "replicates must be an integer"),
+            ("seed", 1.5, "seed must be an integer"),
+            ("n", 2.5, "n must be an integer or one integer per family"),
+            ("n", [2, 2.5, 3], "n must be an integer or one integer per family"),
+            ("replicates", np.int64(20), None),
+        ],
+    )
+    def test_sizes_are_integers(self, field, value, match):
+        base = example1_config(3, 2, reps=20)
+        if match is None:
+            got = estimate(replace(base, **{field: value}))
+            assert type(got.replicates) is int and got == estimate(base)
+        else:
+            with pytest.raises(ValueError, match=match):
+                replace(base, **{field: value})
+
 
 class TestEstimate:
     def test_matches_closed_form_within_three_se(self):
@@ -757,10 +797,8 @@ class TestEstimate:
         assert outcomes["ok"] >= 90 and outcomes["error"] >= 20
         # all null under the min-p rules, whose selected families mostly miss
         # their entry cutoffs and are not tested
-        dropped = 0
-        for case in range(32):
-            monkeypatch.setattr(sim, "_BLOCK_CELLS", (100, 7)[case % 2])
-            cfg = ScenarioConfig(
+        cases = [
+            ScenarioConfig(
                 m=6,
                 n=5 if case < 16 else ragged_sizes[case % 2],
                 q=0.2,
@@ -771,6 +809,18 @@ class TestEstimate:
                 seed=int(rng.integers(10**6)),
                 adjustment=("simple", "rmin", "none")[case % 3],
             )
+            for case in range(32)
+        ]
+        # a rule that is not simple: its R_min may lie below R, so no cutoff
+        # at R's level applies and every selected family is tested
+        cases.append(replace(cases[1], rule=ScannedMinPThreshold(0.3)))
+        # two sizes: Bonferroni's cutoff at a count R is R q / (m n)
+        cases.append(replace(cases[0], n=[2, 6, 2, 6, 2, 6], rule=MinPThreshold(0.5)))
+        # no selected family meets its cutoff, so no block tests a family
+        cases.append(replace(cases[0], q=1e-4, rule=MinPThreshold(0.5)))
+        dropped = 0
+        for case, cfg in enumerate(cases):
+            monkeypatch.setattr(sim, "_BLOCK_CELLS", (100, 7)[case % 2])
             with monkeypatch.context() as patch:
                 tested = recorded_test_rows(patch)
                 fast = values_or_error(_replicate_values, cfg, 3, 25)
@@ -780,8 +830,18 @@ class TestEstimate:
             assert fast == slow, case
             if fast[0] == "ok":
                 selected = np.rint(np.frombuffer(fast[2]) * 6).sum()
+                want = entering_families(cfg, 3, 25)
+                assert (selected, sum(tested)) == want, case
                 dropped += sum(tested) < selected
         assert dropped >= 20
+        scanned, ragged, missing = cases[32:]
+        assert sim._entry_table(scanned, sim._Layout(scanned)) is None
+        simple = replace(scanned, rule=MinPThreshold(0.3))
+        assert entering_families(simple, 3, 25)[1] < entering_families(scanned, 3, 25)[1]
+        entry = sim._entry_table(ragged, sim._Layout(ragged))
+        assert (entry[0, 1:] > entry[1, 1:]).all()
+        # the last case's blocks select families and test none of them
+        assert sum(tested) == 0 and entering_families(missing, 3, 25)[0] > 0
         cfg = ScenarioConfig(
             m=3,
             n=4,
@@ -1091,6 +1151,13 @@ class MaxPThreshold(MinPThreshold):
 
     def block_summaries(self, p):
         return np.maximum.reduce(np.moveaxis(p, -1, 0), axis=0)
+
+
+class ScannedMinPThreshold(MinPThreshold):
+    """A MinPThreshold that does not declare itself simple, so that an
+    `rmin` adjustment scans for R_min rather than taking R."""
+
+    is_simple = False
 
 
 class TestEntryCutoffs:
