@@ -72,7 +72,9 @@ class DecisionColumns(Sequence):
         )
 
     def __eq__(self, other):
-        return list(self) == other if isinstance(other, list) else NotImplemented
+        if not isinstance(other, (DecisionColumns, list)):
+            return NotImplemented
+        return list(self) == list(other)
 
     def __repr__(self) -> str:
         shown = [f"{k}={getattr(self, k)!r}" for k in ("families", "counts", "levels")]

@@ -3,7 +3,9 @@
 Subcommands: analyze a CSV of family-grouped p-values, reproduce the
 selection-bias benchmark table, run Monte Carlo scenarios, and run
 property-check suites. Exit codes: 0 success, 1 property violation,
-2 input error, 3 configuration error.
+2 input error, 3 configuration error. A `ValueError` from the library (a
+rule, procedure or scenario that the data cannot run) is a configuration
+error; `main` maps it, in one place.
 """
 
 import argparse
@@ -510,13 +512,10 @@ def cmd_analyze(args) -> int:
     groups = size_groups(sizes)  # the reader has range-checked the rows
     values = _by_size(pvalues, sizes, groups)
     ensemble = PValueEnsemble._from_groups(sizes, groups, values, family_ids=ids)
-    try:
-        if args.adjust == "simple":
-            analysis = simple_selection_adjusted(ensemble, rule, procedure, args.q)
-        else:
-            analysis = selection_adjusted(ensemble, rule, procedure, args.q)
-    except ValueError as err:
-        raise CliError(EXIT_CONFIG, str(err))
+    if args.adjust == "simple":
+        analysis = simple_selection_adjusted(ensemble, rule, procedure, args.q)
+    else:
+        analysis = selection_adjusted(ensemble, rule, procedure, args.q)
 
     families = (ids, names, analysis.decisions, codes[analysis.decisions.cells])
     if args.format == "csv":
@@ -542,16 +541,15 @@ def cmd_analyze(args) -> int:
 
 
 def _estimate(workers: int, **scenario):
-    """`estimate` of the `ScenarioConfig` the keywords give; a scenario that
-    is invalid or too large to run exits with EXIT_CONFIG."""
+    """`estimate` of the `ScenarioConfig` the keywords give. A scenario too
+    large to allocate exits with EXIT_CONFIG, its message prefixed with m, n
+    and replicates; an invalid one raises ValueError, which `main` maps."""
     try:
         return estimate(ScenarioConfig(**scenario), workers=workers)
-    except (ValueError, MemoryError) as err:
+    except MemoryError as err:
+        sizes = (f"{key}={scenario[key]}" for key in ("m", "n", "replicates"))
         text = str(err) or "scenario too large to allocate"
-        if isinstance(err, MemoryError):
-            sizes = (f"{key}={scenario[key]}" for key in ("m", "n", "replicates"))
-            text = f"{', '.join(sizes)}: {text}"
-        raise CliError(EXIT_CONFIG, text)
+        raise CliError(EXIT_CONFIG, f"{', '.join(sizes)}: {text}")
 
 
 def cmd_table1(args) -> int:
@@ -671,11 +669,7 @@ def cmd_check(args) -> int:
     rule = parse_rule(args.rule, args.q)
     if args.suite == "simple":
         for ens in _probe_ensembles(args.q):
-            try:
-                outcome = select(rule, ens)
-            except ValueError as err:
-                raise CliError(EXIT_CONFIG, str(err))
-            for i in sorted(outcome.selected):
+            for i in sorted(select(rule, ens).selected):
                 report = check_simple(rule, ens, i, args.trials, seed=args.seed)
                 if report.witness_found:
                     return _print_check(
@@ -690,10 +684,7 @@ def cmd_check(args) -> int:
         return _print_check(args, rule, False, trials=args.trials)
     if args.suite == "concordant":
         for ens in _probe_ensembles(args.q):
-            try:
-                report = check_concordant(rule, ens, args.trials, seed=args.seed)
-            except ValueError as err:
-                raise CliError(EXIT_CONFIG, str(err))
+            report = check_concordant(rule, ens, args.trials, seed=args.seed)
             if report.witness_found:
                 return _print_check(
                     args,
@@ -827,9 +818,9 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return cmd_simulate(args)
         return cmd_check(args)
-    except CliError as err:
+    except (CliError, ValueError) as err:
         print(f"famsel: {err}", file=sys.stderr)
-        return err.code
+        return err.code if isinstance(err, CliError) else EXIT_CONFIG
 
 
 def run():

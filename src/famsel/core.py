@@ -62,8 +62,8 @@ def metric_value(metric: ErrorMetric, v: int, r: int) -> float:
     The false discovery proportion with r = 0 is defined as 0, so every
     metric evaluates to 0 for an untested or rejection-free family.
     """
-    if v < 0 or r < 0 or v > r:
-        raise ValueError(f"invalid counts: v={v}, r={r} (need 0 <= v <= r)")
+    if not (float(v).is_integer() and float(r).is_integer() and 0 <= v <= r):
+        raise ValueError(f"invalid counts: v={v}, r={r} (need integers 0 <= v <= r)")
     return float(_metric_values(metric, np.array([v]), np.array([r]))[0])
 
 
@@ -294,6 +294,14 @@ class FamilyDecision:
     v: int | None = None
     q_i: float | None = None
     realized_c: float | None = None
+
+    def __eq__(self, other):
+        # rejected compares by value; the other fields as the dataclass would
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        rest = ("family_id", "adjusted_level", "v", "q_i", "realized_c")
+        mine, theirs = ([getattr(d, k) for k in rest] for d in (self, other))
+        return mine == theirs and np.array_equal(self.rejected, other.rejected)
 
 
 def average_over_selected(decisions, r: int) -> float:

@@ -123,6 +123,12 @@ def _entry_cutoffs(procedure, n: int, levels) -> np.ndarray:
     return crit[:, 0]
 
 
+def _check_level(level):
+    """Refuse a level that is not None and is NaN or outside [0, 1]."""
+    if level is not None and not 0.0 <= level <= 1.0:
+        raise ValueError("level must lie in [0, 1]")
+
+
 @dataclass(frozen=True)
 class Procedure:
     """A named within-family testing procedure.
@@ -167,8 +173,7 @@ class Procedure:
         p = np.asarray(pvalues, dtype=np.float64).ravel()
         if p.size == 0:
             raise ValueError("cannot test an empty family")
-        if level is not None and not 0.0 <= level <= 1.0:
-            raise ValueError("level must lie in [0, 1]")
+        _check_level(level)
         levels = None if level is None else np.array([level], dtype=np.float64)
         return np.flatnonzero(rejected_entries(self, p[None, :], levels)[0])
 
@@ -177,8 +182,11 @@ class Procedure:
         the kind's cutoffs in `_KINDS`: with them a candidate scan of a global
         rule's R_min is exact. For two_stage these are its stage-one cutoffs
         and all n**2 stage-two ones (`_r_min_scan` reads none)."""
+        if n < 1:
+            raise ValueError("n must be at least 1")
         if level is None and self.critical_values is None:
             raise ValueError(f"a level is required for {self.kind}")
+        _check_level(level)
         crit = np.atleast_1d(_cutoffs(self, n, level))
         if self.stepwise != "adaptive":
             return crit

@@ -67,6 +67,12 @@ def _combine_rows(kind: str, rows: np.ndarray, floor: float, ranked=None) -> np.
     return np.clip(out, 0.0, 1.0)
 
 
+def _check_floor(floor):
+    """Refuse a combiner floor that is NaN or outside (0, 1)."""
+    if not 0.0 < floor < 1.0:
+        raise ValueError("floor must lie in (0, 1)")
+
+
 def combine(combiner: str, pvalues, floor: float = DEFAULT_P_FLOOR) -> float:
     """Single valid p-value for a family's intersection (global null) hypothesis.
 
@@ -74,11 +80,12 @@ def combine(combiner: str, pvalues, floor: float = DEFAULT_P_FLOOR) -> float:
     fisher: chi-square(2n) upper tail of -2 sum log p.  stouffer: standard
     normal upper tail of sum_j ppf(1 - p_j) / sqrt(n).
     """
-    p = np.asarray(pvalues, dtype=np.float64)
+    p = np.asarray(pvalues, dtype=np.float64).ravel()
     if p.size == 0:
         raise ValueError("cannot combine an empty p-value list")
     if not ((p >= 0.0) & (p <= 1.0)).all():
         raise ValueError("p-values must lie in [0, 1]")
+    _check_floor(floor)
     return float(_combine_rows(combiner, p[None, :], floor)[0])
 
 
@@ -86,6 +93,7 @@ def combined_pvalues(
     combiner: str, ensemble: PValueEnsemble, floor: float = DEFAULT_P_FLOOR
 ) -> np.ndarray:
     """Combined p-value of every family in the ensemble."""
+    _check_floor(floor)
     parts = [_combine_rows(combiner, rows, floor) for rows in ensemble.pvalues]
     return in_family_order(ensemble.groups, parts)
 
@@ -135,7 +143,7 @@ class _BlockSelection:
         return _picked(self, np.asarray(summaries))
 
     def summary_of(self, pvalues) -> float:
-        p = np.asarray(pvalues, dtype=np.float64)
+        p = np.asarray(pvalues, dtype=np.float64).ravel()
         return float(self.block_summaries(p[None, None, :])[0, 0])
 
 
@@ -220,6 +228,7 @@ class GlobalNullTest(_BlockSelection):
             raise ValueError("level must lie in (0, 1)")
         if self.level is None and self.procedure.critical_values is None:
             raise ValueError(f"a level is required for {self.procedure.kind}")
+        _check_floor(self.floor)
 
     @property
     def is_simple(self) -> bool:

@@ -331,6 +331,26 @@ class TestDecisionColumns:
         with pytest.raises(IndexError):
             decisions[0]
 
+    def test_analyses_compare_by_value(self):
+        # selected families with two or more rejections, whose rejected
+        # arrays a field-by-field dataclass comparison cannot compare
+        ensemble = PValueEnsemble(
+            [[0.001, 0.002, 0.5], [0.2, 0.9, 0.3], [0.01, 0.04, 0.02]]
+        )
+        args = (MinPThreshold(0.05), Procedure("bh"), 0.5)
+        a = simple_selection_adjusted(ensemble, *args)
+        b = simple_selection_adjusted(ensemble, *args)
+        assert [d.rejected.size for d in a.decisions] == [2, 3]
+        assert a.decisions == list(a.decisions) and list(a.decisions) == a.decisions
+        assert a.decisions == b.decisions and a == b
+        assert a.decisions != list(a.decisions)[:1]
+        moved = list(a.decisions)
+        moved[1] = FamilyDecision(2, moved[1].adjusted_level, np.array([0, 2]))
+        assert a.decisions != moved and moved != a.decisions
+        assert a.decisions != tuple(a.decisions) and a.decisions != "decisions"
+        other = simple_selection_adjusted(ensemble, MinPThreshold(0.005), *args[1:])
+        assert a.decisions != other.decisions and a != other
+
     def test_hand_built_analysis_takes_a_list(self):
         computed = self._analysis()
         decisions = [

@@ -619,6 +619,34 @@ class TestTable1Argv:
             assert_sizes_named(argv)
 
 
+def _boom(*args, **kwargs):
+    raise ValueError("boom")
+
+
+class TestLibraryValueError:
+    """A ValueError from any library call a command makes exits 3 with its
+    text as the one stderr line and nothing on stdout."""
+
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("simple_selection_adjusted", ["analyze", "CSV", "--adjust", "simple"]),
+            ("selection_adjusted", ["analyze", "CSV", "--adjust", "rmin"]),
+            ("estimate", ["simulate", "--m", "3", "--n", "2", "--reps", "10"]),
+            ("estimate", ["table1", "--reps", "10"]),
+            ("estimate", ["check", "--suite", "control", "--reps", "10"]),
+            ("select", ["check", "--suite", "simple", "--trials", "10"]),
+            ("check_simple", ["check", "--suite", "simple", "--trials", "10"]),
+            ("check_concordant", ["check", "--suite", "concordant", "--trials", "10"]),
+        ],
+        ids=lambda value: value if isinstance(value, str) else value[0],
+    )
+    def test_exits_config(self, name, argv, three_family_csv, monkeypatch, capsys):
+        monkeypatch.setattr(cli, name, _boom)
+        argv = [three_family_csv if a == "CSV" else a for a in argv]
+        assert run_cli(argv, capsys) == (3, "", "famsel: boom\n")
+
+
 class TestParser:
     def test_main_calls_share_no_state(
         self, three_family_csv, tmp_path, monkeypatch, capsys

@@ -53,6 +53,16 @@ class TestMetricValue:
         with pytest.raises(ValueError, match="invalid counts"):
             metric_value(ErrorMetric("fdr"), -1, 2)
 
+    @pytest.mark.parametrize(
+        "v, r", [(np.nan, 2), (1, np.nan), (0.5, 1), (1, 2.5), (np.inf, np.inf)]
+    )
+    def test_counts_are_integers(self, v, r):
+        # unchecked, (nan, 2) gives nan under fdr and (0.5, 1) 0.0 under fwer
+        for kind in ("fdr", "fwer"):
+            with pytest.raises(ValueError, match="invalid counts"):
+                metric_value(ErrorMetric(kind), v, r)
+        assert metric_value(ErrorMetric("fdr"), np.int64(1), 4.0) == 0.25
+
     @given(st.integers(0, 50), st.integers(0, 50))
     def test_fdp_never_exceeds_fwer_indicator(self, a, b):
         v, r = min(a, b), max(a, b)

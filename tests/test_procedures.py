@@ -366,6 +366,25 @@ class TestProcedureType:
         assert rejected(bh([0.01, 0.5], 1.0)) == {0, 1}
         assert rejected(two_stage_adaptive([0.01, 0.5], 0.0)) == set()
 
+    def test_thresholds_refuse_what_apply_refuses(self):
+        # unchecked, thresholds(0, 0.05) divides by zero and a level above 1
+        # gives cutoffs above 1
+        for kind in PROCEDURE_KINDS:
+            if kind in ("step_up", "step_down"):
+                continue
+            proc = Procedure(kind, k=1 if kind == "lr_kfwer" else None)
+            for n in (0, -2):
+                with pytest.raises(ValueError, match="n must be at least 1"):
+                    proc.thresholds(n, 0.05)
+            for level in (-1e-300, 1.5, np.inf, np.nan):
+                with pytest.raises(ValueError, match=r"level must lie in \[0, 1\]"):
+                    proc.thresholds(3, level)
+            # the ends of [0, 1] stay valid
+            assert np.isfinite(proc.thresholds(3, 1.0)).all()
+            assert not proc.thresholds(3, 0.0).any()
+        generic = Procedure("step_up", critical_values=(0.1,))
+        assert generic.thresholds(1).tolist() == [0.1]
+
     def test_lr_kfwer_k_is_an_integer(self):
         for k in (1.5, np.float64(2.0)):
             with pytest.raises(ValueError, match="k must be a positive integer"):

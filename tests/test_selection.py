@@ -84,6 +84,27 @@ class TestCombine:
         loose = combine("fisher", [1e-200, 0.5], floor=1e-300)
         assert loose < tight
 
+    @pytest.mark.parametrize("floor", [math.nan, 0.0, -1e-300, 1.0, 2.0])
+    def test_floor_outside_unit_interval_is_refused(self, floor):
+        # unchecked, a NaN floor makes every Fisher summary NaN, so that
+        # select returns nothing, and floor 1 makes every summary 1
+        ensemble = PValueEnsemble([[1e-6, 0.5], [0.3, 0.9]])
+        for kind in COMBINERS:
+            with pytest.raises(ValueError, match=r"floor must lie in \(0, 1\)"):
+                combine(kind, [0.1, 0.2], floor=floor)
+            with pytest.raises(ValueError, match=r"floor must lie in \(0, 1\)"):
+                combined_pvalues(kind, ensemble, floor=floor)
+            with pytest.raises(ValueError, match=r"floor must lie in \(0, 1\)"):
+                GlobalNullTest(kind, Procedure("bh"), 0.05, floor=floor)
+
+    def test_nested_pvalues_are_read_flat(self):
+        # as Procedure.apply reads them, so a (1, n) array is one family
+        rules = (MinPThreshold(0.05), GlobalNullTest("simes", Procedure("bh"), 0.05))
+        for kind in COMBINERS:
+            assert combine(kind, [[0.1, 0.2]]) == combine(kind, [0.1, 0.2])
+        for rule in rules:
+            assert rule.summary_of([[0.1, 0.2]]) == rule.summary_of([0.1, 0.2])
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             combine("simes", [])
