@@ -407,7 +407,8 @@ def _threads(args) -> int:
 @contextlib.contextmanager
 def _output(path):
     """The stream a command writes its result onto: the --output file, or
-    stdout, flushed at the end. A failed write exits with EXIT_CONFIG."""
+    stdout, flushed at the end. A failed write, or a text the stream
+    cannot encode, exits with EXIT_CONFIG."""
     try:
         if path:
             with open(path, "w", encoding="utf-8") as fh:
@@ -415,7 +416,7 @@ def _output(path):
         else:
             yield sys.stdout
             sys.stdout.flush()
-    except OSError as err:
+    except (OSError, UnicodeError) as err:
         target = "--output" if path else "stdout"
         raise CliError(EXIT_CONFIG, f"cannot write {target}: {err}")
 
@@ -474,9 +475,33 @@ def _families_json(ids, names, decisions, rejected):
     yield "]"
 
 
+def _check_encodable(out, kind, texts):
+    """Raise UnicodeError, naming the first of texts that out's encoding
+    cannot write as a kind ("family id", "hypothesis"), before a report
+    writes its first byte: one encode of the joined texts, with out's error
+    handler. A stream with no encoding takes any text."""
+    encoding = getattr(out, "encoding", None)
+    if encoding is None:
+        return
+    try:
+        "".join(texts).encode(encoding, getattr(out, "errors", None) or "strict")
+    except UnicodeEncodeError as err:
+        ends = np.cumsum([len(text) for text in texts])
+        bad = texts[int(np.searchsorted(ends, err.start, side="right"))]
+        message = f"{kind} {bad!r} does not encode in {encoding!r}"
+        raise UnicodeError(message) from None
+
+
 def _families_csv(out, ids, names, decisions, rejected):
     """Write the CSV report onto out, one `csv.writer` row per family, a
-    block at a time; the other arguments are those of `_families_json`."""
+    block at a time; the other arguments are those of `_families_json`.
+    Nothing is written unless every id and every rejected hypothesis's name
+    encodes in out's encoding (`_check_encodable`)."""
+    _check_encodable(out, "family id", ids)
+    written = np.zeros(len(names), bool)
+    written[rejected] = True
+    codes = np.flatnonzero(written).tolist()
+    _check_encodable(out, "hypothesis", list(map(names.__getitem__, codes)))
     writer = csv.writer(out)
     writer.writerow(CSV_COLUMNS)
     for ids, records in _report_blocks(ids, decisions, rejected):

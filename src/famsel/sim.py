@@ -20,7 +20,11 @@ for, so that every score is finite. Both `generate` and the Monte Carlo
 blocks draw in this layout (`_draw`), so every estimate's bits follow from
 it.
 
-Replicates run in blocks of at most _BLOCK_CELLS p-values, drawn (`_draw`)
+Replicates run in blocks (`_block_step`) of _BLOCK_CELLS p-values, or of
+_BLOCK_REPLICATES replicates where those fit in 4 * _BLOCK_CELLS p-values,
+so that wide replicates do not pay a block's fixed cost a few at a time; a
+block holds at most 4 * _BLOCK_CELLS p-values (512 KB of float64) or one
+replicate, and never more replicates than its span. A block is drawn (`_draw`)
 into one (B, count, n) array per family size, laid out as `PValueEnsemble`
 stores an ensemble and allocated once per span, and then scored (`_score`):
 summarized and selected in a few batched calls per size. A rule whose
@@ -292,8 +296,20 @@ def _draw(config: ScenarioConfig, layout: _Layout, rng, blocks):
             np.take(stream, source, axis=1, out=block.reshape(b, -1), mode="clip")
 
 
-# p-values drawn per block of replicates (at least one replicate per block).
+# p-values drawn per block of replicates, and the replicates a block holds
+# at least if they fit in 4 * _BLOCK_CELLS p-values (`_block_step`).
 _BLOCK_CELLS = 1 << 14
+_BLOCK_REPLICATES = 32
+
+
+def _block_step(cells: int, span: int) -> int:
+    """The replicates a block holds, for replicates of cells p-values each
+    and a span of span replicates: _BLOCK_CELLS p-values' worth, or
+    _BLOCK_REPLICATES if they fit in 4 * _BLOCK_CELLS p-values, whichever is
+    more; at least one, and at most the span, so that a short span builds no
+    full-size block."""
+    floor = min(_BLOCK_REPLICATES, 4 * _BLOCK_CELLS // cells)
+    return max(1, min(span, max(_BLOCK_CELLS // cells, floor)))
 
 
 def _block_cells(layout: _Layout, step: int):
@@ -384,7 +400,7 @@ def _replicate_values(config: ScenarioConfig, start: int, stop: int):
     frac = np.empty(stop - start)
     layout = _Layout(config)
     rng = _stream(config, layout, start)
-    step = max(1, _BLOCK_CELLS // int(layout.sizes.sum()))
+    step = _block_step(int(layout.sizes.sum()), stop - start)
     full, cells = layout.blocks(step), _block_cells(layout, step)
     matrices = [block.reshape(-1, block.shape[2]) for block in full]
     entry = _entry_table(config, layout)

@@ -281,6 +281,89 @@ class TestAnalyze:
                 "famsel: cannot write stdout: [Errno 28] No space left on device\n"
             )
 
+    @pytest.mark.parametrize(
+        "row, refused",
+        [
+            ("fé,x,0.001\n", "family id 'fé'"),
+            ("f,hé,0.001\n", "hypothesis 'hé'"),
+            # a name that is never rejected is never written
+            ("a,hé,0.9\n", None),
+        ],
+    )
+    def test_csv_report_on_an_ascii_stdout_is_all_or_nothing(
+        self, tmp_path, monkeypatch, capsys, row, refused
+    ):
+        # stdout as PYTHONIOENCODING=ascii leaves it: a CSV report with a
+        # text that the encoding cannot hold writes no byte and exits 3;
+        # the JSON report escapes every non-ASCII character
+        path = tmp_path / "ids.csv"
+        path.write_text(f"family,hypothesis,p_value\na,x,0.001\n{row}", "utf-8")
+        for fmt in ("csv", "json"):
+            raw = io.BytesIO()
+            stdout = io.TextIOWrapper(raw, encoding="ascii", errors="strict")
+            with monkeypatch.context() as patch:
+                patch.setattr(sys, "stdout", stdout)
+                code = main(["analyze", str(path), "--format", fmt])
+            stdout.flush()
+            out, err = capsys.readouterr()
+            assert out == ""
+            if fmt == "csv" and refused:
+                assert (code, raw.getvalue()) == (3, b"")
+                assert err == (
+                    f"famsel: cannot write stdout: {refused} does not encode in "
+                    "'ascii'\n"
+                )
+            else:
+                assert (code, err) == (0, "")
+                want = run_cli(["analyze", str(path), "--format", fmt], capsys)
+                assert raw.getvalue().decode("ascii") == want[1]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_output_cut_off_by_a_full_disk_is_left_as_written(
+        self, three_family_csv, tmp_path, monkeypatch, capsys, fmt
+    ):
+        # a disk that fills after 100 characters: exit 3 with the --output
+        # context, and the part written stays in the file the user named
+        class FullDisk:
+            """The named file, which takes 100 characters and then fails as
+            a full disk does."""
+
+            def __init__(self, path, mode, **kwargs):
+                self.fh, self.room = open(path, mode, **kwargs), 100
+
+            def write(self, text):
+                self.fh.write(text[: self.room])
+                if len(text) > self.room:
+                    self.room = 0
+                    raise OSError(28, "No space left on device")
+                self.room -= len(text)
+                return len(text)
+
+            def writelines(self, texts):
+                for text in texts:
+                    self.write(text)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        def opening(path, mode="r", **kwargs):
+            return (FullDisk if "w" in mode else open)(path, mode, **kwargs)
+
+        args = ["analyze", three_family_csv, "--format", fmt, "--output"]
+        whole, cut = tmp_path / "whole", tmp_path / "cut"
+        assert run_cli(args + [str(whole)], capsys) == (0, "", "")
+        monkeypatch.setattr(cli, "open", opening, raising=False)
+        code, out, err = run_cli(args + [str(cut)], capsys)
+        assert (code, out) == (3, "")
+        assert err == (
+            "famsel: cannot write --output: [Errno 28] No space left on device\n"
+        )
+        assert len(whole.read_bytes()) > 100
+        assert cut.read_bytes() == whole.read_bytes()[:100]
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("text", [THREE_FAMILY_CSV, IDS_CSV])
     def test_leading_byte_order_mark_is_skipped(self, tmp_path, capsys, text, fmt):

@@ -157,6 +157,20 @@ def recorded_test_rows(patch):
     return tested
 
 
+def recorded_blocks(patch):
+    """The number of replicates of each block that `sim._draw` fills,
+    recorded into the returned list while patch holds the wrapper."""
+    drawn = []
+    draw = sim._draw
+
+    def recording(config, layout, rng, blocks):
+        drawn.append(blocks[0].shape[0])
+        return draw(config, layout, rng, blocks)
+
+    patch.setattr(sim, "_draw", recording)
+    return drawn
+
+
 def entering_families(config, start, stop):
     """The number of families that replicates [start, stop) select under a
     min-p rule, and the number a block tests: those whose smallest p-value
@@ -315,6 +329,7 @@ class TestGenerate:
         # direct and gathered layouts and for spans that start inside a block
         draw = sim._draw
         monkeypatch.setattr(sim, "_BLOCK_CELLS", 40)
+        monkeypatch.setattr(sim, "_BLOCK_REPLICATES", 1)
         for n in (1, 5, [2, 5, 1, 3], [1, 1, 2, 1]):
             for pi1 in (0.0, 1.0 / 3.0, 1.0):
                 for rho in (0.0, 0.6):
@@ -376,6 +391,7 @@ class TestGenerate:
 
         stream = sim._stream
         monkeypatch.setattr(sim, "_BLOCK_CELLS", 60)
+        monkeypatch.setattr(sim, "_BLOCK_REPLICATES", 1)
         for n in (5, [2, 5, 1, 3], [4, 6, 8, 10]):
             for pi1 in (0.0, 1.0 / 3.0, 1.0):
                 for rho in (0.0, 0.6):
@@ -422,6 +438,7 @@ class TestGenerate:
             return sort(a, *args, **kwargs)
 
         monkeypatch.setattr(sim, "_BLOCK_CELLS", 60)
+        monkeypatch.setattr(sim, "_BLOCK_REPLICATES", 1)
         monkeypatch.setattr(np, "sort", counting)
         simes = GlobalNullTest("simes", Procedure("bh"), 0.2)
         for rule, procedure, sorts in (
@@ -708,6 +725,7 @@ class TestEstimate:
         # each replicate reads its words at a fixed offset, so any worker
         # split gives the one-span bits, whatever the block size
         monkeypatch.setattr(sim, "_BLOCK_CELLS", block_cells)
+        monkeypatch.setattr(sim, "_BLOCK_REPLICATES", 1)
         for n, rho in ((3, 0.0), ([2, 5, 1, 3], 0.0), ([2, 5, 1, 3], 0.5)):
             cfg = ScenarioConfig(
                 m=4,
@@ -914,12 +932,12 @@ class TestEstimate:
             rho=rho,
             adjustment=adjustment,
         )
-        old_cells = sim._BLOCK_CELLS
-        sim._BLOCK_CELLS = block_cells
+        old = sim._BLOCK_CELLS, sim._BLOCK_REPLICATES
+        sim._BLOCK_CELLS, sim._BLOCK_REPLICATES = block_cells, 1
         try:
             fast = values_or_error(_replicate_values, cfg, 3, 12)
         finally:
-            sim._BLOCK_CELLS = old_cells
+            sim._BLOCK_CELLS, sim._BLOCK_REPLICATES = old
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(adjust, "_decide", textbook.looped_decide)
             slow = values_or_error(object_values, cfg, 3, 12)
@@ -982,6 +1000,7 @@ class TestEstimate:
             mu=1.5,
         )
         monkeypatch.setattr(sim, "_BLOCK_CELLS", block_cells)
+        monkeypatch.setattr(sim, "_BLOCK_REPLICATES", 1)
         fast = _replicate_values(cfg, 0, 40)
         monkeypatch.setattr(adjust, "_decide", textbook.looped_decide)
         slow = object_values(cfg, 0, 40)
@@ -1045,6 +1064,7 @@ class TestEstimate:
         monkeypatch.setattr(np, "zeros", recording_zeros)
         monkeypatch.setattr(np, "bincount", recording_bincount)
         monkeypatch.setattr(sim, "_BLOCK_CELLS", 200)
+        monkeypatch.setattr(sim, "_BLOCK_REPLICATES", 1)
         est = estimate(cfg)
         monkeypatch.undo()
         assert est.e_cs_hat == float(cs.mean()) and est.e_cs_hat > 0.0
@@ -1143,6 +1163,122 @@ class TestEstimate:
     def test_single_replicate_has_zero_se(self):
         cfg = example1_config(5, 2, reps=1)
         assert estimate(cfg).se == 0.0
+
+
+class TestBlockSize:
+    """A block holds _BLOCK_CELLS p-values, or _BLOCK_REPLICATES replicates
+    where those fit in 4 * _BLOCK_CELLS; no block size changes a bit."""
+
+    def test_replicate_floor_binds_on_wide_replicates(self, monkeypatch):
+        # 2000 p-values per replicate: 8 replicates fill 2**14 cells, and
+        # the floor makes blocks of 32 at the shipped constants
+        cfg = example1_config(20, 100, reps=70, seed=21, adjustment="simple")
+        assert (sim._BLOCK_CELLS, sim._BLOCK_REPLICATES) == (1 << 14, 32)
+        with monkeypatch.context() as patch:
+            drawn = recorded_blocks(patch)
+            floored = _replicate_values(cfg, 0, 70)
+        assert drawn == [32, 32, 6]
+        with monkeypatch.context() as patch:
+            patch.setattr(sim, "_BLOCK_REPLICATES", 1)
+            drawn = recorded_blocks(patch)
+            cells_only = _replicate_values(cfg, 0, 70)
+        assert drawn == [8] * 8 + [6]
+        with monkeypatch.context() as patch:
+            patch.setattr(adjust, "_decide", textbook.looped_decide)
+            slow = object_values(cfg, 0, 70)
+        assert floored[0].max() > 0.0
+        for got, once, want in zip(floored, cells_only, slow):
+            assert got.tobytes() == once.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            # ragged sizes under a min-p rule with BH inside
+            ScenarioConfig(
+                m=6,
+                n=[5, 2, 7, 5, 3, 4],
+                q=0.2,
+                rule=MinPThreshold(0.2),
+                procedure=Procedure("bh"),
+                metric=ErrorMetric("fdr"),
+                replicates=70,
+                seed=31,
+                pi1=0.4,
+                mu=2.0,
+            ),
+            # equicorrelated Simes/BH, 800 p-values per replicate: 20
+            # replicates fill 2**14 cells, and the floor makes 32
+            ScenarioConfig(
+                m=20,
+                n=40,
+                q=0.2,
+                rule=GlobalNullTest("simes", Procedure("bh"), 0.3),
+                procedure=Procedure("bh"),
+                metric=ErrorMetric("fdr"),
+                replicates=70,
+                seed=2**64 - 7,
+                pi1=0.2,
+                mu=2.0,
+                dependence="equicorrelated",
+                rho=0.5,
+                adjustment="simple",
+            ),
+            # a two-stage global rule under "rmin", on ragged sizes
+            ScenarioConfig(
+                m=9,
+                n=[1, 3, 5, 2, 4, 1, 6, 2, 3],
+                q=0.2,
+                rule=GlobalNullTest("simes", Procedure("two_stage"), 0.5),
+                procedure=Procedure("two_stage"),
+                metric=ErrorMetric("pfer"),
+                replicates=70,
+                seed=13,
+                pi1=0.3,
+                mu=1.5,
+                adjustment="rmin",
+            ),
+        ],
+        ids=["ragged", "equicorrelated-simes", "two-stage-rmin"],
+    )
+    def test_block_size_does_not_change_bits(self, cfg, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(adjust, "_decide", textbook.looped_decide)
+            want = values_or_error(object_values, cfg, 3, 70)
+        assert want[0] == "ok" and np.frombuffer(want[1]).max() > 0.0
+        steps = set()
+        for floor in (1, 32):
+            for block_cells in (37, 1 << 14):
+                with monkeypatch.context() as patch:
+                    patch.setattr(sim, "_BLOCK_CELLS", block_cells)
+                    patch.setattr(sim, "_BLOCK_REPLICATES", floor)
+                    drawn = recorded_blocks(patch)
+                    got = values_or_error(_replicate_values, cfg, 3, 70)
+                assert got == want, (floor, block_cells)
+                steps.add(drawn[0])
+        assert len(steps) >= 3, steps
+
+    def test_blocks_stay_within_four_times_block_cells(self, monkeypatch):
+        # 70,000 p-values per replicate: one replicate per block
+        wide = example1_config(700, 100, reps=3, seed=5)
+        with monkeypatch.context() as patch:
+            drawn = recorded_blocks(patch)
+            estimate(wide)
+        assert drawn == [1, 1, 1]
+        # 2000 p-values per replicate: no block passes 2**16 of them
+        cfg = example1_config(20, 100, reps=200, seed=5)
+        with monkeypatch.context() as patch:
+            drawn = recorded_blocks(patch)
+            estimate(cfg)
+        assert sum(drawn) == 200 and max(drawn) * 2000 <= 1 << 16
+        # and over every width up to past 4 * _BLOCK_CELLS, for long spans
+        # and for spans shorter than a block
+        bound = 4 * sim._BLOCK_CELLS
+        for w in range(1, bound + 100):
+            step = sim._block_step(w, 10**6)
+            assert step * w <= max(bound, w), w
+            assert step >= max(1, min(32, bound // w), sim._BLOCK_CELLS // w), w
+            assert sim._block_step(w, 5) == min(step, 5), w
+        assert sim._block_step(10, 0) == 1
 
 
 class MaxPThreshold(MinPThreshold):
