@@ -20,12 +20,13 @@ from .core import (
     FamilyDecision,
     PValueEnsemble,
     SelectionOutcome,
+    _column_counts,
     _last_axis_first,
     _metric_values,
     average_over_selected,
     size_groups,
 )
-from .procedures import Procedure, rejected_entries
+from .procedures import Procedure, rejected_entries, rejection_counts
 from .selection import GlobalNullTest, _counts, _picked, _summaries
 
 
@@ -128,9 +129,13 @@ def _test_rows(
     There is one matrix per family size and one truth per matrix: a matrix
     with its rows, or the count k1 of leading non-null columns that every
     row shares, so that v counts the rejections from column k1 on and is r
-    where k1 is 0. ranked, if given, holds each matrix with its rows sorted.
-    Each size is one `rejected_entries` call, sizes in order of their first
-    row, so an error is the one the first failing row raises.
+    where k1 is 0. ranked, if given, holds each matrix with its rows sorted
+    as a view of `_last_axis_first`'s memory, and the truths are counts k1:
+    the tested columns are gathered from that layout and counted there, v
+    compares only the null columns with each row's largest rejected value,
+    and no mask is built, so the masks are empty. Each size is one
+    `rejection_counts` call, sizes in order of their first row, so an error
+    is the one the first failing row raises.
     """
     r = np.empty(rows.size, dtype=np.intp)
     v = None if truths is None else np.empty(rows.size, dtype=np.intp)
@@ -140,21 +145,38 @@ def _test_rows(
     for g, ks in groups:
         at = rows[ks]
         tested_at = None if levels is None else levels[ks]
-        ps = None if ranked is None else ranked[g].take(at, axis=0)
-        mask, r[ks] = rejected_entries(
-            procedure, matrices[g].take(at, axis=0), tested_at, ps
-        )
         truth = None if v is None else truths[g]
+        if ranked is not None:
+            ps = _last_axis_first(ranked[g]).take(at, axis=1)
+            r[ks] = rejection_counts(procedure, ps.T, tested_at)
+            if truth is not None:
+                v[ks] = _null_rejections(matrices[g], at, truth, ps, r[ks])
+            continue
+        mask, r[ks] = rejected_entries(
+            procedure, matrices[g].take(at, axis=0), tested_at
+        )
         if isinstance(truth, np.ndarray):
-            false = mask & truth.take(at, axis=0)
-            v[ks] = np.add.reduce(_last_axis_first(false), axis=0)
+            v[ks] = _column_counts(_last_axis_first(mask & truth.take(at, axis=0)))
         elif truth == 0:
             v[ks] = r[ks]
         elif truth is not None:
             # the mask's layout makes its columns from k1 on a view
-            v[ks] = np.add.reduce(_last_axis_first(mask[:, truth:]), axis=0)
+            v[ks] = _column_counts(_last_axis_first(mask[:, truth:]))
         masks.append((ks, mask))
     return r, v, masks
+
+
+def _null_rejections(matrix, at, k1, ps, r):
+    """The rejections among the null columns, k1 on, of rows at of matrix,
+    whose sorted values are the columns of ps with r rejections each: the
+    null values at or below the r-th smallest, or none where r is 0."""
+    if k1 == 0:
+        return r
+    s = at.size
+    # flat index of ps[r - 1, k], wrapped to a value where r is 0
+    kth = np.where(r > 0, ps.take((r - 1) * s + np.arange(s)), -np.inf)
+    nulls = _last_axis_first(matrix.take(at, axis=0)[:, k1:])
+    return _column_counts(nulls <= kth)
 
 
 def _decide(ensemble, families, counts, levels, procedure, metric):

@@ -94,6 +94,14 @@ def _last_axis_first(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(moved) if a.shape[-1] < 32 else moved
 
 
+def _column_counts(hits: np.ndarray) -> np.ndarray:
+    """The number of True entries down each column of a 2-d bool array, as
+    intp: summed on the smallest type that holds the row count, as a sum on
+    int64 casts every entry first and takes twice as long."""
+    n = hits.shape[0]
+    return np.add.reduce(hits, axis=0, dtype=np.min_scalar_type(n)).astype(np.intp)
+
+
 def size_groups(sizes) -> list:
     """(n, families) for each distinct size n in sizes, sizes in order of
     first appearance, families the ascending indices of size n.

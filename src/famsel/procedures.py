@@ -7,18 +7,20 @@ indices as a sorted integer array. Comparisons against critical values use
 One batched test, `rejected_entries`, runs a `Procedure` on many families
 of one size at once, each at its own level; `Procedure.apply` and the named
 procedures are its one-row case. It sorts the rows unless the caller has,
-and forms step-up counts and the mask on `core._last_axis_first`'s layout.
+and forms the counts and the mask on `core._last_axis_first`'s layout, one
+(n, s) column per family: `rejection_counts` copies nothing for sorted rows
+that are a view of that layout's memory, as a Monte Carlo block's are.
 One table, `_KINDS`, gives each kind its stepwise label and its critical
-values, and the counts and `Procedure.thresholds` both read it. `step_up`
-and `step_down` are the one-row case of the step counts on the stable
-sort, so a decreasing critical value can split a tie there.
+values on either layout, and the counts and `Procedure.thresholds` both
+read it. `step_up` and `step_down` are the one-row case of the step counts
+on the stable sort, so a decreasing critical value can split a tie there.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _last_axis_first, _positive_int
+from .core import _column_counts, _last_axis_first, _positive_int
 
 
 def _one_row(counts, pvalues, critical_values) -> np.ndarray:
@@ -29,7 +31,7 @@ def _one_row(counts, pvalues, critical_values) -> np.ndarray:
     if crit.shape != p.shape:
         raise ValueError("need exactly one critical value per p-value")
     order = np.argsort(p, kind="stable")
-    rejected = order[: counts(p[order][None, :], crit)[0]]
+    rejected = order[: counts((p[order] <= crit)[:, None])[0]]
     rejected.sort()
     return rejected
 
@@ -44,17 +46,43 @@ def step_down(pvalues, critical_values) -> np.ndarray:
     return _one_row(_step_down_counts, pvalues, critical_values)
 
 
+def _ranks(n: int) -> np.ndarray:
+    """The ranks 1..n as floats, which the critical values are built from:
+    an int rank converts to the same float, so the values keep their bits."""
+    return np.arange(1.0, n + 1.0)
+
+
+# Critical values at a level for ranks i, an (n,) row of 1..n with a scalar
+# level or an (s, 1) column of row levels, or an (n, 1) column of 1..n with
+# an (s,) row of levels for `_last_axis_first`'s layout.
+def _bh(i, level):
+    return i * (level / i.size)
+
+
+def _holm(i, level):
+    return level / (i.size + 1.0 - i)
+
+
+def _lr_kfwer(i, level, k):
+    n = i.size
+    return np.where(i <= k, k * level / n, k * level / (n + k - i))
+
+
+def _fixed(procedure, i):
+    """A generic procedure's own critical values, laid out as the ranks i."""
+    return np.reshape(procedure.critical_values, (-1,) + i.shape[1:])
+
+
 def bh_critical_values(n: int, level: float) -> np.ndarray:
-    return np.arange(1, n + 1) * (level / n)
+    return _bh(_ranks(n), level)
 
 
 def holm_critical_values(n: int, level: float) -> np.ndarray:
-    return level / np.arange(n, 0, -1)
+    return _holm(_ranks(n), level)
 
 
 def lr_kfwer_critical_values(n: int, level: float, k: int) -> np.ndarray:
-    i = np.arange(1, n + 1)
-    return np.where(i <= k, k * level / n, k * level / (n + k - i))
+    return _lr_kfwer(_ranks(n), level, k)
 
 
 def stage_one_level(level):
@@ -67,40 +95,36 @@ def stage_two_level(q1, n, m0_hat):
     return q1 * n / m0_hat
 
 
-def _stage_two_cutoffs(n: int, level, m0_hat) -> np.ndarray:
-    """The two-stage procedure's stage-two critical values for n p-values at
-    a level, one row for each null-count estimate in the column m0_hat."""
-    return bh_critical_values(n, stage_two_level(stage_one_level(level), n, m0_hat))
+def _stage_two_cutoffs(i, level, m0_hat) -> np.ndarray:
+    """The two-stage procedure's stage-two critical values for ranks i at a
+    level (`_bh`), one row for each null-count estimate in the column
+    m0_hat, or one column for each in the row m0_hat."""
+    return _bh(i, stage_two_level(stage_one_level(level), i.size, m0_hat))
 
 
-# Each kind's stepwise label and its critical values for n p-values at a
-# level, a scalar or an (s, 1) column of row levels: every cutoff that
-# `rejection_counts` compares a p-value against, save two_stage's second
-# stage (`_stage_two_cutoffs`); two_stage's are its first stage's, and the
-# single step's is one value per level.
+# Each kind's stepwise label and its critical values for ranks i at a level,
+# on either layout (see `_bh`): every cutoff that `rejection_counts`
+# compares a p-value against, save two_stage's second stage
+# (`_stage_two_cutoffs`); two_stage's are its first stage's, and the single
+# step's is one value per level.
 _KINDS = {
-    "bonferroni": ("single-step", lambda proc, n, level: level / n),
-    "holm": ("step-down", lambda proc, n, level: holm_critical_values(n, level)),
-    "hochberg": ("step-up", lambda proc, n, level: holm_critical_values(n, level)),
-    "bh": ("step-up", lambda proc, n, level: bh_critical_values(n, level)),
-    "two_stage": (
-        "adaptive",
-        lambda proc, n, level: bh_critical_values(n, stage_one_level(level)),
-    ),
-    "lr_kfwer": (
-        "step-down",
-        lambda proc, n, level: lr_kfwer_critical_values(n, level, proc.k),
-    ),
-    "step_up": ("step-up", lambda proc, n, level: np.asarray(proc.critical_values)),
-    "step_down": ("step-down", lambda proc, n, level: np.asarray(proc.critical_values)),
+    "bonferroni": ("single-step", lambda proc, i, level: level / i.size),
+    "holm": ("step-down", lambda proc, i, level: _holm(i, level)),
+    "hochberg": ("step-up", lambda proc, i, level: _holm(i, level)),
+    "bh": ("step-up", lambda proc, i, level: _bh(i, level)),
+    "two_stage": ("adaptive", lambda proc, i, level: _bh(i, stage_one_level(level))),
+    "lr_kfwer": ("step-down", lambda proc, i, level: _lr_kfwer(i, level, proc.k)),
+    "step_up": ("step-up", lambda proc, i, level: _fixed(proc, i)),
+    "step_down": ("step-down", lambda proc, i, level: _fixed(proc, i)),
 }
 
 PROCEDURE_KINDS = tuple(_KINDS)
 
 
 def _cutoffs(procedure, n: int, level) -> np.ndarray:
-    """The procedure's critical values in `_KINDS` for n p-values at level."""
-    return _KINDS[procedure.kind][1](procedure, n, level)
+    """The procedure's critical values in `_KINDS` for n p-values at level,
+    a scalar or an (s, 1) column."""
+    return _KINDS[procedure.kind][1](procedure, _ranks(n), level)
 
 
 def _entry_cutoffs(procedure, n: int, levels) -> np.ndarray:
@@ -119,7 +143,7 @@ def _entry_cutoffs(procedure, n: int, levels) -> np.ndarray:
     if procedure.stepwise == "step-up":
         return crit[:, -1]
     if procedure.stepwise == "adaptive":
-        return np.maximum(crit[:, -1], _stage_two_cutoffs(n, column, n)[:, -1])
+        return np.maximum(crit[:, -1], _stage_two_cutoffs(_ranks(n), column, n)[:, -1])
     return crit[:, 0]
 
 
@@ -190,7 +214,7 @@ class Procedure:
         crit = np.atleast_1d(_cutoffs(self, n, level))
         if self.stepwise != "adaptive":
             return crit
-        stage_two = _stage_two_cutoffs(n, level, np.arange(1, n + 1)[:, None])
+        stage_two = _stage_two_cutoffs(_ranks(n), level, np.arange(1, n + 1)[:, None])
         return np.unique(np.concatenate([crit, stage_two.ravel()]))
 
     def describe(self) -> str:
@@ -201,18 +225,22 @@ class Procedure:
         return self.kind
 
 
-def _step_up_counts(ps: np.ndarray, crit: np.ndarray) -> np.ndarray:
-    # A row's count is the rank of its last hit, the largest rank times hit,
-    # taken over the first axis of `_last_axis_first`'s layout.
-    ranks = np.arange(1, ps.shape[1] + 1)[:, None]
-    return np.maximum.reduce(_last_axis_first(ps <= crit) * ranks, axis=0, initial=0)
+def _step_up_counts(hits: np.ndarray) -> np.ndarray:
+    """The step-up count of each column of (n, s) hits, the p-values of each
+    family in ascending order down its column against its critical values:
+    the rank of its last hit. Ranks sized to n keep the product off int64."""
+    n = hits.shape[0]
+    ranks = np.arange(1, n + 1, dtype=np.min_scalar_type(n))[:, None]
+    return np.maximum.reduce(hits * ranks, axis=0, initial=0).astype(np.intp)
 
 
-def _step_down_counts(ps: np.ndarray, crit: np.ndarray) -> np.ndarray:
-    # A row's count is the rank before its first miss; an appended miss
-    # stops a row that passes throughout.
-    ok = np.concatenate([ps <= crit, np.zeros((len(ps), 1), dtype=bool)], axis=1)
-    return np.argmin(ok, axis=1)
+def _step_down_counts(hits: np.ndarray) -> np.ndarray:
+    """The step-down count of each column of (n, s) hits: the rank before
+    its first miss, the least of n at a hit and rank - 1 at a miss."""
+    n = hits.shape[0]
+    before = np.arange(n, dtype=np.min_scalar_type(n))[:, None]
+    keys = hits * (n - before) + before
+    return np.minimum.reduce(keys, axis=0, initial=n).astype(np.intp)
 
 
 def _check_testable(procedure: Procedure, n: int, levels):
@@ -241,25 +269,28 @@ def rejection_counts(procedure: Procedure, ps: np.ndarray, levels=None) -> np.nd
     level, counted as the kind's stepwise label says, so each count equals
     the one `step_up` or `step_down` gives over them. Critical values never
     decrease, so a count never splits tied p-values: the rejected set of a
-    row is exactly its first r entries.
+    row is exactly its first r entries. The rows are compared on
+    `_last_axis_first`'s layout, with the critical values built on it.
     """
     n = ps.shape[1]
     _check_testable(procedure, n, levels)
     if levels is not None:
-        levels = np.asarray(levels, dtype=np.float64)[:, None]
+        levels = np.asarray(levels, dtype=np.float64)
+    ps = _last_axis_first(ps)
+    i = _ranks(n)[:, None]
     stepwise, cutoffs = _KINDS[procedure.kind]
-    crit = cutoffs(procedure, n, levels)
+    hits = ps <= cutoffs(procedure, i, levels)
     if stepwise == "single-step":
-        return np.add.reduce(_last_axis_first(ps <= crit), axis=0)
+        return _column_counts(hits)
     if stepwise == "step-down":
-        return _step_down_counts(ps, crit)
-    r = _step_up_counts(ps, crit)
+        return _step_down_counts(hits)
+    r = _step_up_counts(hits)
     if stepwise == "step-up":
         return r
     # adaptive: stage one's count gives the null-count estimate m0_hat
     m0 = n - r
-    r2 = _step_up_counts(ps, _stage_two_cutoffs(n, levels, np.maximum(m0, 1)[:, None]))
-    return np.where(m0 == 0, n, r2)
+    cuts = _stage_two_cutoffs(i, levels, np.maximum(m0, 1))
+    return np.where(m0 == 0, n, _step_up_counts(ps <= cuts))
 
 
 def rejected_by_counts(ps: np.ndarray, r: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -276,22 +307,21 @@ def rejected_by_counts(ps: np.ndarray, r: np.ndarray, values: np.ndarray) -> np.
     return (_last_axis_first(values) <= kth).T
 
 
-def rejected_entries(procedure: Procedure, rows: np.ndarray, levels=None, ps=None):
+def rejected_entries(procedure: Procedure, rows: np.ndarray, levels=None):
     """Which entries of each family the procedure rejects, and how many.
 
     rows is an (s, n) matrix of families of one size and levels holds one
-    level per row, or is None for step_up and step_down; ps, if the caller
-    has them, holds the rows sorted. Returns the (s, n) rejected-entry mask
-    and the (s,) rejection counts. Families of mixed sizes are tested one
-    `core.size_groups` group at a time.
+    level per row, or is None for step_up and step_down. Returns the (s, n)
+    rejected-entry mask and the (s,) rejection counts. Families of mixed
+    sizes are tested one `core.size_groups` group at a time.
     """
     if levels is not None and procedure.stepwise == "single-step":
         # no sort: a single step has one cutoff per row, and levels as they
         # come give them as a row that meets `_last_axis_first`'s columns
         levels = np.asarray(levels, dtype=np.float64)
         hit = _last_axis_first(rows) <= _cutoffs(procedure, rows.shape[1], levels)
-        return hit.T, np.add.reduce(hit, axis=0)
-    ps = np.sort(rows, axis=1) if ps is None else ps
+        return hit.T, _column_counts(hit)
+    ps = np.sort(rows, axis=1)
     r = rejection_counts(procedure, ps, levels)
     return rejected_by_counts(ps, r, rows), r
 

@@ -13,8 +13,10 @@ could group its terms differently. Where R_min is scanned the rule also
 names its summary_thresholds; is_simple (default False) and describe are
 optional, and so is ranks_rows (default False): such a rule's summaries
 read sorted rows, and block_summaries(p, ranked) takes p's rows sorted from
-a caller that sorts them once for its tests too. Only the Fisher and
-Stouffer combiners import SciPy.
+a caller that sorts them once for its tests too. ranked is a row-sorted
+(B * m, n) array that may be a view of first-axis memory, the transpose of
+a C-contiguous (n, B * m) array, as a Monte Carlo block passes it. Only the
+Fisher and Stouffer combiners import SciPy.
 """
 
 from dataclasses import dataclass
@@ -23,7 +25,8 @@ import numpy as np
 
 from .core import PValueEnsemble, SelectionOutcome, _last_axis_first, _number_text
 from .core import _positive_int, in_family_order
-from .procedures import Procedure, _cutoffs, _stage_two_cutoffs, rejected_entries
+from .procedures import Procedure, _cutoffs, _ranks, _stage_two_cutoffs
+from .procedures import rejected_entries
 
 COMBINERS = ("bonferroni_min", "simes", "fisher", "stouffer")
 
@@ -330,7 +333,7 @@ def _two_stage_r_min(rule, table: np.ndarray, rows, fams: np.ndarray) -> np.ndar
         for first in range(0, names2.size, step):
             sel = np.flatnonzero((profile >= first) & (profile < first + step))
             row2, null = np.divmod(names2[first : first + step], m + 1)
-            cuts = _stage_two_cutoffs(m, rule.level, null[:, None])
+            cuts = _stage_two_cutoffs(_ranks(m), rule.level, null[:, None])
             p = profile[sel] - first
             r2[sel] = _moved_counts(ps[row2], cuts, p, j[sel])[0]
             edge[sel] = cuts[p, r2[sel] - 1]

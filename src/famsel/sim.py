@@ -28,8 +28,11 @@ replicate, and never more replicates than its span. A block is drawn (`_draw`)
 into one (B, count, n) array per family size, laid out as `PValueEnsemble`
 stores an ensemble and allocated once per span, and then scored (`_score`):
 summarized and selected in a few batched calls per size. A rule whose
-summaries read sorted rows (Simes) has each size's rows sorted once, and
-the test of the selected rows reads them from that sort. Its selected
+summaries read sorted rows (Simes) has each size's rows sorted once into
+`_last_axis_first`'s layout (`_sorted_columns`, by a compare-exchange
+network for small sizes), and reads them as a row-sorted view of that
+memory; the test of the selected rows gathers their columns from it, so
+no copy of the block is made. Its selected
 families get their levels and are tested by the steps the public analyses
 in `adjust` run (`_levels`, `_test_rows`), so an analysis is the
 one-replicate case of a block. Under a min-p rule (`MinPThreshold`,
@@ -72,6 +75,12 @@ DEPENDENCE_MODELS = ("independent", "equicorrelated")
 STREAM_LAYOUT = 3
 
 
+def _check_integer(name: str, value):
+    """Refuse a value that is not a Python or NumPy integer, naming it."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One simulation scenario.
@@ -101,8 +110,7 @@ class ScenarioConfig:
 
     def __post_init__(self):
         for name in ("m", "replicates", "seed"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise ValueError(f"{name} must be an integer")
+            _check_integer(name, getattr(self, name))
         uniform = isinstance(self.n, (int, np.integer))
         if not uniform and not (
             np.iterable(self.n) and all(isinstance(s, (int, np.integer)) for s in self.n)
@@ -349,6 +357,82 @@ def _entry_table(config: ScenarioConfig, layout: _Layout):
     return table
 
 
+# A block's rows of a family size up to _NETWORK_SIZES are sorted by a
+# compare-exchange network (`_sorted_columns`) rather than by np.sort when
+# there are _NETWORK_ROWS rows or more per comparator, as each comparator
+# has a fixed cost; _NETWORKS holds each size's network once built.
+_NETWORK_SIZES = 10
+_NETWORK_ROWS = 64
+_NETWORKS = {}
+
+
+def _merge_exchange(n: int) -> list:
+    """The comparators (i, j), i < j, of Batcher's merge exchange for n
+    values (Knuth, TAOCP 3, 5.2.2, Algorithm M), in an order that sorts."""
+    pairs, t = [], (n - 1).bit_length()
+    p = 1 << t >> 1
+    while p:
+        q, r, d = 1 << t >> 1, 0, p
+        while True:
+            pairs += [(i, i + d) for i in range(n - d) if i & p == r]
+            if q == p:
+                break
+            d, q, r = q - p, q >> 1, p
+        p >>= 1
+    return pairs
+
+
+def _network(n: int) -> tuple:
+    """The merge exchange for n values as (steps, copies) over slots: slot
+    k < n is row k of an (n, N) output, slot n a spare row and slot n + 1 + c
+    column c of the (N, n) input. A step (a, b, lo, hi) writes the minimum
+    of slots a and b to row lo, which holds no live value, and then their
+    maximum to row hi, b's own row, so no step overwrites a value still to
+    be read. The rows are planned from the last step back, so that the
+    sorted values end in the output's rows in order; a value's first step
+    reads it from its input column, and a copy (slot, row) places a value
+    no step reads (n = 1)."""
+    if n not in _NETWORKS:
+        pairs = _merge_exchange(n)
+        where, spare, steps = list(range(n)), n, []
+        for i, j in reversed(pairs):
+            lo, hi = where[i], where[j]
+            steps.append([spare, hi, lo, hi])
+            where[i], spare = spare, lo
+        steps.reverse()
+        first = {}
+        for k, (i, j) in enumerate(pairs):
+            first.setdefault(i, (k, 0))
+            first.setdefault(j, (k, 1))
+        for c, (k, side) in first.items():
+            steps[k][side] = n + 1 + c
+        copies = [(n + 1 + c, where[c]) for c in range(n) if c not in first]
+        _NETWORKS[n] = ([tuple(step) for step in steps], copies)
+    return _NETWORKS[n]
+
+
+def _sorted_columns(rows: np.ndarray) -> np.ndarray:
+    """rows, an (N, n) matrix, with each row sorted, as the (n, N) array of
+    `_last_axis_first`'s layout: row k holds every row's (k+1)-th smallest
+    value. A compare-exchange network (`_network`) sorts the columns with
+    np.minimum and np.maximum where it pays (up to _NETWORK_SIZES columns,
+    and _NETWORK_ROWS rows per comparator), and its values are np.sort's
+    bit for bit on p-values, which hold no NaN and no -0.0; otherwise
+    np.sort's rows are copied to that layout."""
+    count, n = rows.shape
+    steps, copies = _network(n) if n <= _NETWORK_SIZES else (None, None)
+    if steps is None or count < _NETWORK_ROWS * len(steps):
+        return np.ascontiguousarray(np.sort(rows, axis=1).T)
+    out = np.empty((n, count))
+    slots = [*out, np.empty(count), *rows.T]
+    for a, b, lo, hi in steps:
+        np.minimum(slots[a], slots[b], out=slots[lo])
+        np.maximum(slots[a], slots[b], out=slots[hi])
+    for source, row in copies:
+        out[row] = slots[source]
+    return out
+
+
 def _score(config: ScenarioConfig, layout: _Layout, blocks, matrices, cells, entry):
     """(C_S, |S|/m) of the B replicates drawn into blocks.
 
@@ -367,8 +451,9 @@ def _score(config: ScenarioConfig, layout: _Layout, blocks, matrices, cells, ent
     it is.
     """
     rule, q, m = config.rule, config.q, config.m
-    sort = getattr(rule, "ranks_rows", False)
-    ranked = [np.sort(p.reshape(-1, p.shape[2]), 1) for p in blocks] if sort else None
+    ranked = None
+    if getattr(rule, "ranks_rows", False):
+        ranked = [_sorted_columns(p.reshape(-1, p.shape[2])).T for p in blocks]
     summaries = _summarize(rule, layout.groups, blocks, ranked)
     picked = rule.select_block(summaries)
     counts = np.add.reduce(_last_axis_first(picked), axis=0)
@@ -449,7 +534,11 @@ def closed_form_example1(q: float, m: int, n: int):
     indicator. Then E(|S|/m) = 1 - (1-q)^n and
 
         E(C_S) = (1 - (1 - q/n)^n) * (1 - (1-q)^(n*m)) / (1 - (1-q)^n).
+
+    m and n are Python or NumPy integers, as in `ScenarioConfig`.
     """
+    _check_integer("m", m)
+    _check_integer("n", n)
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
     if m < 1 or n < 1:

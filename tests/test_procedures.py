@@ -478,11 +478,12 @@ class TestRejectionCounts:
                 assert rejection_counts(proc, ps, lv).tolist() == counts
                 applied = [proc.apply(*args).size for args in zip(rows, row_levels)]
                 assert applied == counts
-                # the caller's sorted rows give what sorting here gives
-                for given in (None, ps):
-                    mask, r = rejected_entries(proc, rows, lv, given)
-                    assert np.array_equal(mask, expected), (n, proc)
-                    assert r.tolist() == counts
+                mask, r = rejected_entries(proc, rows, lv)
+                assert np.array_equal(mask, expected), (n, proc)
+                assert r.tolist() == counts
+                # the sorted rows as a view of first-axis memory
+                columns = np.ascontiguousarray(ps.T)
+                assert rejection_counts(proc, columns.T, lv).tolist() == counts
 
     def test_level_and_shape_errors(self):
         ps = np.array([[0.01, 0.2, 0.5]])

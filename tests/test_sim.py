@@ -1,5 +1,6 @@
 import argparse
 import concurrent.futures
+import itertools
 import tracemalloc
 from dataclasses import replace
 
@@ -217,6 +218,21 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             closed_form_example1(0.05, 0, 10)
 
+    @pytest.mark.parametrize(
+        "m, n, name", [(2.5, 2, "m"), (3, 2.5, "n"), (3.0, 2, "m"), ("3", 2, "m")]
+    )
+    def test_non_integer_sizes_are_refused(self, m, n, name):
+        # 2.5 families of 2 once gave (0.1146, 0.0975)
+        with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+            closed_form_example1(0.05, m, n)
+        # as a scenario refuses them
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            example1_config(m, n, reps=1)
+
+    def test_numpy_integer_sizes_are_taken(self):
+        want = closed_form_example1(0.05, 100, 10)
+        assert closed_form_example1(0.05, np.int64(100), np.int32(10)) == want
+
 
 class TestGenerate:
     def test_all_null_uniform(self):
@@ -427,46 +443,56 @@ class TestGenerate:
 
     def test_one_sort_of_family_rows_per_block(self, monkeypatch):
         # Simes selection and the within-family test share one sort of each
-        # size group's rows; min-p selection with Bonferroni inside sorts
-        # nothing. The (B, m) summaries have m = 4 columns, which no family
-        # size here has.
-        sorted_widths = []
-        sort = np.sort
+        # size group's rows, by a network or by np.sort; min-p selection
+        # with Bonferroni inside sorts nothing. The (B, m) summaries have
+        # m = 4 columns, which no family size here has.
+        sorted_widths, np_sorted = [], []
+        sort, sorted_columns = np.sort, sim._sorted_columns
 
         def counting(a, *args, **kwargs):
-            sorted_widths.append(np.shape(a)[-1])
+            np_sorted.append(np.shape(a)[-1])
             return sort(a, *args, **kwargs)
+
+        def counting_columns(rows):
+            sorted_widths.append(rows.shape[1])
+            return sorted_columns(rows)
 
         monkeypatch.setattr(sim, "_BLOCK_CELLS", 60)
         monkeypatch.setattr(sim, "_BLOCK_REPLICATES", 1)
+        monkeypatch.setattr(sim, "_NETWORK_ROWS", 0)
+        monkeypatch.setattr(sim, "_sorted_columns", counting_columns)
         monkeypatch.setattr(np, "sort", counting)
         simes = GlobalNullTest("simes", Procedure("bh"), 0.2)
-        for rule, procedure, sorts in (
-            (simes, "bh", 1),
-            (simes, "holm", 1),
-            (MinPThreshold(0.3), "bonferroni", 0),
+        for network_sizes, (rule, procedure, sorts), n in itertools.product(
+            (sim._NETWORK_SIZES, 0),
+            [(simes, "bh", 1), (simes, "holm", 1), (MinPThreshold(0.3), "bonferroni", 0)],
+            (5, [2, 5, 1, 3]),
         ):
-            for n in (5, [2, 5, 1, 3]):
-                cfg = ScenarioConfig(
-                    m=4,
-                    n=n,
-                    q=0.2,
-                    rule=rule,
-                    procedure=Procedure(procedure),
-                    metric=ErrorMetric("fdr"),
-                    replicates=1,
-                    seed=3,
-                    pi1=0.5,
-                    mu=2.0,
-                )
-                sorted_widths.clear()
-                _replicate_values(cfg, 3, 20)
-                step = max(1, 60 // sum(cfg.sizes()))
-                blocks = len(range(3, 20, step))
-                rows = [w for w in sorted_widths if w != cfg.m]
-                assert sorted(rows) == sorted(list(set(cfg.sizes())) * blocks * sorts)
-                if not sorts:
-                    assert sorted_widths == [], (rule, n)
+            monkeypatch.setattr(sim, "_NETWORK_SIZES", network_sizes)
+            cfg = ScenarioConfig(
+                m=4,
+                n=n,
+                q=0.2,
+                rule=rule,
+                procedure=Procedure(procedure),
+                metric=ErrorMetric("fdr"),
+                replicates=1,
+                seed=3,
+                pi1=0.5,
+                mu=2.0,
+            )
+            sorted_widths.clear()
+            np_sorted.clear()
+            _replicate_values(cfg, 3, 20)
+            step = max(1, 60 // sum(cfg.sizes()))
+            blocks = len(range(3, 20, step))
+            want = sorted(list(set(cfg.sizes())) * blocks * sorts)
+            assert sorted(sorted_widths) == want
+            # np.sort sorts the rows the network does not, and nothing else
+            rows = [w for w in np_sorted if w != cfg.m]
+            assert rows == [w for w in sorted_widths if w > network_sizes]
+            if not sorts:
+                assert np_sorted == [], (rule, n)
 
     @pytest.mark.parametrize("pi1", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize(
@@ -1223,6 +1249,22 @@ class TestBlockSize:
                 rho=0.5,
                 adjustment="simple",
             ),
+            # Simes/BH selection with Holm inside, 72 p-values per
+            # replicate: a block of 67 sorts its 804 rows of 6 with a
+            # network, and blocks of 1 and 2 with np.sort
+            ScenarioConfig(
+                m=12,
+                n=6,
+                q=0.05,
+                rule=GlobalNullTest("simes", Procedure("bh"), 0.05),
+                procedure=Procedure("holm"),
+                metric=ErrorMetric("fwer"),
+                replicates=70,
+                seed=17,
+                pi1=1 / 3,
+                mu=2.5,
+                adjustment="simple",
+            ),
             # a two-stage global rule under "rmin", on ragged sizes
             ScenarioConfig(
                 m=9,
@@ -1238,7 +1280,7 @@ class TestBlockSize:
                 adjustment="rmin",
             ),
         ],
-        ids=["ragged", "equicorrelated-simes", "two-stage-rmin"],
+        ids=["ragged", "equicorrelated-simes", "simes-network", "two-stage-rmin"],
     )
     def test_block_size_does_not_change_bits(self, cfg, monkeypatch):
         with monkeypatch.context() as patch:
@@ -1256,6 +1298,9 @@ class TestBlockSize:
                 assert got == want, (floor, block_cells)
                 steps.add(drawn[0])
         assert len(steps) >= 3, steps
+        if cfg.n == 6:
+            comparators = len(sim._network(6)[0])
+            assert max(steps) * cfg.m >= sim._NETWORK_ROWS * comparators
 
     def test_blocks_stay_within_four_times_block_cells(self, monkeypatch):
         # 70,000 p-values per replicate: one replicate per block
@@ -1279,6 +1324,92 @@ class TestBlockSize:
             assert step >= max(1, min(32, bound // w), sim._BLOCK_CELLS // w), w
             assert sim._block_step(w, 5) == min(step, 5), w
         assert sim._block_step(10, 0) == 1
+
+
+def tie_grids(rng, rows, n):
+    """rows x n values on a grid {0, 1/G, ..., 1} of G + 1 values each, G
+    from 1 to 4 by row, so that most rows hold ties."""
+    grid = rng.integers(1, 5, size=(rows, 1))
+    return rng.integers(0, grid + 1, size=(rows, n)) / grid
+
+
+class TestFirstAxisKernels:
+    """A Simes block sorts its rows into `_last_axis_first`'s layout and
+    tests the selected rows there, with no copy of the block."""
+
+    @pytest.mark.parametrize("network", [True, False])
+    def test_sorted_columns_are_np_sort_byte_for_byte(self, network, monkeypatch):
+        monkeypatch.setattr(sim, "_NETWORK_SIZES", 12 if network else 0)
+        monkeypatch.setattr(sim, "_NETWORK_ROWS", 0)
+        rng = np.random.default_rng(41)
+        for n in range(1, 13):
+            for rows in (rng.uniform(size=(300, n)), tie_grids(rng, 300, n)):
+                got = sim._sorted_columns(rows)
+                assert got.shape == (n, 300) and got.flags.c_contiguous
+                want = np.sort(rows, axis=1)
+                assert np.ascontiguousarray(got.T).tobytes() == want.tobytes(), n
+
+    def test_networks_are_merge_exchange(self):
+        # Batcher's merge exchange has the fewest comparators known up to 8
+        sizes = [len(sim._network(n)[0]) for n in range(1, 11)]
+        assert sizes == [0, 1, 3, 5, 9, 12, 16, 19, 26, 31]
+        # every comparator's two outputs land in rows, one of them the spare
+        for n in range(1, 11):
+            steps, copies = sim._network(n)
+            assert all(lo <= n and hi <= n and lo != hi for _, _, lo, hi in steps)
+            assert len(copies) == (n == 1)
+
+    def test_few_rows_sort_with_np_sort(self, monkeypatch):
+        sorts = []
+        sort = np.sort
+
+        def counting(a, *args, **kwargs):
+            sorts.append(a.shape)
+            return sort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "sort", counting)
+        few = sim._NETWORK_ROWS * len(sim._network(6)[0])
+        for rows in (few - 1, few):
+            sim._sorted_columns(np.random.default_rng(rows).uniform(size=(rows, 6)))
+        assert sorts == [(few - 1, 6)]
+        sim._sorted_columns(np.zeros((10**4, sim._NETWORK_SIZES + 1)))
+        assert sorts[1:] == [(10**4, sim._NETWORK_SIZES + 1)]
+
+    @pytest.mark.parametrize("kind", PROCEDURE_KINDS)
+    def test_ranked_rows_test_as_the_rows_do(self, kind, monkeypatch):
+        # r and v from the sorted columns, with no mask, against the mask
+        # the unsorted rows give, for every count k1 of leading non-nulls
+        monkeypatch.setattr(sim, "_NETWORK_SIZES", 12)
+        monkeypatch.setattr(sim, "_NETWORK_ROWS", 0)
+        rng = np.random.default_rng(PROCEDURE_KINDS.index(kind))
+        for n in range(1, 13):
+            matrix = np.where(
+                rng.uniform(size=(200, 1)) < 0.5,
+                tie_grids(rng, 200, n) * 0.1,
+                rng.uniform(size=(200, n)) ** 3,
+            )
+            ranked = [sim._sorted_columns(matrix).T]
+            at = np.sort(rng.choice(200, size=150, replace=False))
+            levels = rng.uniform(0.01, 0.9, size=at.size)
+            if kind in ("step_up", "step_down"):
+                crit = tuple(np.sort(rng.uniform(size=n)))
+                proc, levels = Procedure(kind, critical_values=crit), None
+            else:
+                k = min(2, n) if kind == "lr_kfwer" else None
+                proc = Procedure(kind, k=k)
+            group_of = np.zeros(at.size, dtype=np.intp)
+            for k1 in range(n + 1):
+                truth = [k1]
+                want_r, want_v, masks = adjust._test_rows(
+                    proc, [matrix], truth, group_of, at, levels
+                )
+                r, v, none = adjust._test_rows(
+                    proc, [matrix], truth, group_of, at, levels, ranked
+                )
+                assert r.tolist() == want_r.tolist() and v.tolist() == want_v.tolist()
+                assert none == [] and r.dtype == v.dtype == np.intp
+                assert want_v.sum() == masks[0][1][:, k1:].sum()
+            assert want_r.sum() > 0, (kind, n)
 
 
 class MaxPThreshold(MinPThreshold):
