@@ -94,12 +94,19 @@ def _last_axis_first(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(moved) if a.shape[-1] < 32 else moved
 
 
+def _count_type(n: int):
+    """The integer type for counts and ranks up to n: uint8 where it holds
+    them, as a sum or product of bools on int64 casts every entry first and
+    takes about twice as long, and intp otherwise. A comparison, unlike
+    np.min_scalar_type, adds no measurable cost to a call on a few rows."""
+    return np.uint8 if n < 256 else np.intp
+
+
 def _column_counts(hits: np.ndarray) -> np.ndarray:
     """The number of True entries down each column of a 2-d bool array, as
-    intp: summed on the smallest type that holds the row count, as a sum on
-    int64 casts every entry first and takes twice as long."""
+    intp, summed on `_count_type`."""
     n = hits.shape[0]
-    return np.add.reduce(hits, axis=0, dtype=np.min_scalar_type(n)).astype(np.intp)
+    return np.add.reduce(hits, axis=0, dtype=_count_type(n)).astype(np.intp)
 
 
 def size_groups(sizes) -> list:

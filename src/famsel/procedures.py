@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _column_counts, _last_axis_first, _positive_int
+from .core import _column_counts, _count_type, _last_axis_first, _positive_int
 
 
 def _one_row(counts, pvalues, critical_values) -> np.ndarray:
@@ -230,7 +230,7 @@ def _step_up_counts(hits: np.ndarray) -> np.ndarray:
     family in ascending order down its column against its critical values:
     the rank of its last hit. Ranks sized to n keep the product off int64."""
     n = hits.shape[0]
-    ranks = np.arange(1, n + 1, dtype=np.min_scalar_type(n))[:, None]
+    ranks = np.arange(1, n + 1, dtype=_count_type(n))[:, None]
     return np.maximum.reduce(hits * ranks, axis=0, initial=0).astype(np.intp)
 
 
@@ -238,7 +238,7 @@ def _step_down_counts(hits: np.ndarray) -> np.ndarray:
     """The step-down count of each column of (n, s) hits: the rank before
     its first miss, the least of n at a hit and rank - 1 at a miss."""
     n = hits.shape[0]
-    before = np.arange(n, dtype=np.min_scalar_type(n))[:, None]
+    before = np.arange(n, dtype=_count_type(n))[:, None]
     keys = hits * (n - before) + before
     return np.minimum.reduce(keys, axis=0, initial=n).astype(np.intp)
 

@@ -357,12 +357,13 @@ def _entry_table(config: ScenarioConfig, layout: _Layout):
     return table
 
 
-# A block's rows of a family size up to _NETWORK_SIZES are sorted by a
-# compare-exchange network (`_sorted_columns`) rather than by np.sort when
-# there are _NETWORK_ROWS rows or more per comparator, as each comparator
-# has a fixed cost; _NETWORKS holds each size's network once built.
+# A block's rows of a family size from 2 to _NETWORK_SIZES are sorted by a
+# compare-exchange network (`_sorted_columns`) rather than by np.sort, as
+# measured on Simes/BH estimates like mc-signal-simes's (m = 20, 1,000
+# replicates, 2-vCPU host): the network took 0.74-0.99 of np.sort's time
+# at n = 2..10, 0.99-1.04 at n = 11 and 12, and 1.05-1.15 at n = 13, 14
+# and 16. _NETWORKS holds each size's network once built.
 _NETWORK_SIZES = 10
-_NETWORK_ROWS = 64
 _NETWORKS = {}
 
 
@@ -382,16 +383,16 @@ def _merge_exchange(n: int) -> list:
     return pairs
 
 
-def _network(n: int) -> tuple:
-    """The merge exchange for n values as (steps, copies) over slots: slot
-    k < n is row k of an (n, N) output, slot n a spare row and slot n + 1 + c
+def _network(n: int) -> list:
+    """The merge exchange for n > 1 values as steps over slots: slot k < n
+    is row k of an (n, N) output, slot n a spare row and slot n + 1 + c
     column c of the (N, n) input. A step (a, b, lo, hi) writes the minimum
     of slots a and b to row lo, which holds no live value, and then their
     maximum to row hi, b's own row, so no step overwrites a value still to
     be read. The rows are planned from the last step back, so that the
     sorted values end in the output's rows in order; a value's first step
-    reads it from its input column, and a copy (slot, row) places a value
-    no step reads (n = 1)."""
+    reads it from its input column, and every value has one, as a sorting
+    network compares each of its n > 1 values."""
     if n not in _NETWORKS:
         pairs = _merge_exchange(n)
         where, spare, steps = list(range(n)), n, []
@@ -406,30 +407,25 @@ def _network(n: int) -> tuple:
             first.setdefault(j, (k, 1))
         for c, (k, side) in first.items():
             steps[k][side] = n + 1 + c
-        copies = [(n + 1 + c, where[c]) for c in range(n) if c not in first]
-        _NETWORKS[n] = ([tuple(step) for step in steps], copies)
+        _NETWORKS[n] = [tuple(step) for step in steps]
     return _NETWORKS[n]
 
 
 def _sorted_columns(rows: np.ndarray) -> np.ndarray:
     """rows, an (N, n) matrix, with each row sorted, as the (n, N) array of
     `_last_axis_first`'s layout: row k holds every row's (k+1)-th smallest
-    value. A compare-exchange network (`_network`) sorts the columns with
-    np.minimum and np.maximum where it pays (up to _NETWORK_SIZES columns,
-    and _NETWORK_ROWS rows per comparator), and its values are np.sort's
-    bit for bit on p-values, which hold no NaN and no -0.0; otherwise
-    np.sort's rows are copied to that layout."""
+    value. For n from 2 to _NETWORK_SIZES a compare-exchange network
+    (`_network`) sorts the columns with np.minimum and np.maximum, and its
+    values are np.sort's bit for bit on p-values, which hold no NaN and no
+    -0.0; otherwise np.sort's rows are copied to that layout."""
     count, n = rows.shape
-    steps, copies = _network(n) if n <= _NETWORK_SIZES else (None, None)
-    if steps is None or count < _NETWORK_ROWS * len(steps):
+    if not 1 < n <= _NETWORK_SIZES:
         return np.ascontiguousarray(np.sort(rows, axis=1).T)
     out = np.empty((n, count))
     slots = [*out, np.empty(count), *rows.T]
-    for a, b, lo, hi in steps:
+    for a, b, lo, hi in _network(n):
         np.minimum(slots[a], slots[b], out=slots[lo])
         np.maximum(slots[a], slots[b], out=slots[hi])
-    for source, row in copies:
-        out[row] = slots[source]
     return out
 
 

@@ -4,8 +4,9 @@ A traced benchmark run (`bench/run.py --trace 1`) reports a per-layer
 metric only if every hook it reads found its target in famsel; a renamed
 or deleted target drops the metric and the run still exits 0. This test
 installs the tracer on the famsel modules, as the benchmark worker does,
-checks that every per-layer metric `BENCHMARK.json` declares is reported,
-and that uninstalling puts every hooked attribute back.
+checks that every per-layer metric `BENCHMARK.json` declares is reported
+and that no hook target is missing beyond the one already gone, and that
+uninstalling puts every hooked attribute back.
 """
 
 import importlib.util
@@ -59,6 +60,9 @@ def test_tracer_reports_every_per_layer_metric_and_uninstalls():
     traced.install()
     try:
         assert sorted(set(names) - set(traced.snapshot())) == []
+        # a span counts as installed when any one of its hooks resolves, so
+        # each target is checked too; this one left famsel before the test
+        assert traced.missing == ["famsel.sim._batch_test_counts"]
         # the hooks are in place: famsel functions and methods were replaced
         assert changed(before, famsel_bindings(tracer))
     finally:

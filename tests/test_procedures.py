@@ -450,13 +450,15 @@ class TestRejectionCounts:
 
     def test_matches_scalar_procedures(self):
         # sizes on both sides of the 32 columns at which `_last_axis_first`
-        # turns from a copy into a view
+        # turns from a copy into a view, and of the 255 up to which counts
+        # run on uint8, with a row that every procedure rejects in full
         rng = np.random.default_rng(12)
-        for n in (1, 2, 5, 13, 31, 32, 40):
+        for n in (1, 2, 5, 13, 31, 32, 40, 255, 256):
             rows = rng.uniform(size=(80, n)) ** 3
             rows[rng.uniform(size=rows.shape) < 0.1] = 0.0
             rows[rng.uniform(size=rows.shape) < 0.1] = 1.0
             rows[::3, -1] = rows[::3, 0]
+            rows[1] = 0.0
             ps = np.sort(rows, axis=1)
             levels = rng.uniform(0.01, 0.9, size=rows.shape[0])
             procedures = [

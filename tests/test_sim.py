@@ -459,7 +459,6 @@ class TestGenerate:
 
         monkeypatch.setattr(sim, "_BLOCK_CELLS", 60)
         monkeypatch.setattr(sim, "_BLOCK_REPLICATES", 1)
-        monkeypatch.setattr(sim, "_NETWORK_ROWS", 0)
         monkeypatch.setattr(sim, "_sorted_columns", counting_columns)
         monkeypatch.setattr(np, "sort", counting)
         simes = GlobalNullTest("simes", Procedure("bh"), 0.2)
@@ -490,7 +489,8 @@ class TestGenerate:
             assert sorted(sorted_widths) == want
             # np.sort sorts the rows the network does not, and nothing else
             rows = [w for w in np_sorted if w != cfg.m]
-            assert rows == [w for w in sorted_widths if w > network_sizes]
+            networked = range(2, network_sizes + 1)
+            assert rows == [w for w in sorted_widths if w not in networked]
             if not sorts:
                 assert np_sorted == [], (rule, n)
 
@@ -1299,8 +1299,7 @@ class TestBlockSize:
                 steps.add(drawn[0])
         assert len(steps) >= 3, steps
         if cfg.n == 6:
-            comparators = len(sim._network(6)[0])
-            assert max(steps) * cfg.m >= sim._NETWORK_ROWS * comparators
+            assert cfg.n <= sim._NETWORK_SIZES
 
     def test_blocks_stay_within_four_times_block_cells(self, monkeypatch):
         # 70,000 p-values per replicate: one replicate per block
@@ -1340,7 +1339,6 @@ class TestFirstAxisKernels:
     @pytest.mark.parametrize("network", [True, False])
     def test_sorted_columns_are_np_sort_byte_for_byte(self, network, monkeypatch):
         monkeypatch.setattr(sim, "_NETWORK_SIZES", 12 if network else 0)
-        monkeypatch.setattr(sim, "_NETWORK_ROWS", 0)
         rng = np.random.default_rng(41)
         for n in range(1, 13):
             for rows in (rng.uniform(size=(300, n)), tie_grids(rng, 300, n)):
@@ -1351,15 +1349,17 @@ class TestFirstAxisKernels:
 
     def test_networks_are_merge_exchange(self):
         # Batcher's merge exchange has the fewest comparators known up to 8
-        sizes = [len(sim._network(n)[0]) for n in range(1, 11)]
-        assert sizes == [0, 1, 3, 5, 9, 12, 16, 19, 26, 31]
-        # every comparator's two outputs land in rows, one of them the spare
-        for n in range(1, 11):
-            steps, copies = sim._network(n)
+        sizes = [len(sim._network(n)) for n in range(2, 11)]
+        assert sizes == [1, 3, 5, 9, 12, 16, 19, 26, 31]
+        # every comparator's two outputs land in rows, one of them the spare,
+        # and every input column is read
+        for n in range(2, 11):
+            steps = sim._network(n)
             assert all(lo <= n and hi <= n and lo != hi for _, _, lo, hi in steps)
-            assert len(copies) == (n == 1)
+            read = {a for a, b, _, _ in steps} | {b for a, b, _, _ in steps}
+            assert set(range(n + 1, 2 * n + 1)) <= read
 
-    def test_few_rows_sort_with_np_sort(self, monkeypatch):
+    def test_np_sort_outside_network_sizes(self, monkeypatch):
         sorts = []
         sort = np.sort
 
@@ -1368,19 +1368,15 @@ class TestFirstAxisKernels:
             return sort(a, *args, **kwargs)
 
         monkeypatch.setattr(np, "sort", counting)
-        few = sim._NETWORK_ROWS * len(sim._network(6)[0])
-        for rows in (few - 1, few):
-            sim._sorted_columns(np.random.default_rng(rows).uniform(size=(rows, 6)))
-        assert sorts == [(few - 1, 6)]
-        sim._sorted_columns(np.zeros((10**4, sim._NETWORK_SIZES + 1)))
-        assert sorts[1:] == [(10**4, sim._NETWORK_SIZES + 1)]
+        for n in (1, 2, sim._NETWORK_SIZES, sim._NETWORK_SIZES + 1):
+            sim._sorted_columns(np.random.default_rng(n).uniform(size=(5, n)))
+        assert sorts == [(5, 1), (5, sim._NETWORK_SIZES + 1)]
 
     @pytest.mark.parametrize("kind", PROCEDURE_KINDS)
     def test_ranked_rows_test_as_the_rows_do(self, kind, monkeypatch):
         # r and v from the sorted columns, with no mask, against the mask
         # the unsorted rows give, for every count k1 of leading non-nulls
         monkeypatch.setattr(sim, "_NETWORK_SIZES", 12)
-        monkeypatch.setattr(sim, "_NETWORK_ROWS", 0)
         rng = np.random.default_rng(PROCEDURE_KINDS.index(kind))
         for n in range(1, 13):
             matrix = np.where(
