@@ -120,7 +120,14 @@ def _levels(rule, adjustment: str, q, summaries, fams, rows, r):
 
 
 def _test_rows(
-    procedure: Procedure, matrices, truths, group_of, rows, levels, ranked=None
+    procedure: Procedure,
+    matrices,
+    truths,
+    group_of,
+    rows,
+    levels,
+    ranked=None,
+    empty=np.empty,
 ):
     """Rejections r, false rejections v (None when truths is None) and the
     (ks, rejected-entry mask) of each size group, testing rows[k] of
@@ -131,11 +138,12 @@ def _test_rows(
     row shares, so that v counts the rejections from column k1 on and is r
     where k1 is 0. ranked, if given, holds each matrix with its rows sorted
     as a view of `_last_axis_first`'s memory, and the truths are counts k1:
-    the tested columns are gathered from that layout and counted there, v
-    compares only the null columns with each row's largest rejected value,
-    and no mask is built, so the masks are empty. Each size is one
-    `rejection_counts` call, sizes in order of their first row, so an error
-    is the one the first failing row raises.
+    the tested columns are gathered from that layout, into memory from empty
+    (np.empty's signature), and counted there, v compares the columns on
+    one side of k1 with each row's largest rejected value
+    (`_null_rejections`), and no mask is built, so the masks are empty. Each
+    size is one `rejection_counts` call, sizes in order of their first row,
+    so an error is the one the first failing row raises.
     """
     r = np.empty(rows.size, dtype=np.intp)
     v = None if truths is None else np.empty(rows.size, dtype=np.intp)
@@ -147,8 +155,11 @@ def _test_rows(
         tested_at = None if levels is None else levels[ks]
         truth = None if v is None else truths[g]
         if ranked is not None:
-            ps = _last_axis_first(ranked[g]).take(at, axis=1)
-            r[ks] = rejection_counts(procedure, ps.T, tested_at)
+            sorted_rows = _last_axis_first(ranked[g])
+            ps = empty((sorted_rows.shape[0], at.size))
+            # mode "clip" writes into out directly; the rows are in range
+            np.take(sorted_rows, at, axis=1, out=ps, mode="clip")
+            r[ks] = rejection_counts(procedure, ps.T, tested_at, empty)
             if truth is not None:
                 v[ks] = _null_rejections(matrices[g], at, truth, ps, r[ks])
             continue
@@ -169,14 +180,22 @@ def _test_rows(
 def _null_rejections(matrix, at, k1, ps, r):
     """The rejections among the null columns, k1 on, of rows at of matrix,
     whose sorted values are the columns of ps with r rejections each: the
-    null values at or below the r-th smallest, or none where r is 0."""
+    null values at or below the r-th smallest, or none where r is 0.
+
+    A count never splits a tie, so a row's r rejections are exactly its
+    values at or below the r-th smallest: v is counted on the null columns,
+    or is r less the count on the non-null ones, whichever are fewer, one
+    column gathered at a time."""
     if k1 == 0:
         return r
-    s = at.size
+    n, s = matrix.shape[1], at.size
     # flat index of ps[r - 1, k], wrapped to a value where r is 0
     kth = np.where(r > 0, ps.take((r - 1) * s + np.arange(s)), -np.inf)
-    nulls = _last_axis_first(matrix.take(at, axis=0)[:, k1:])
-    return _column_counts(nulls <= kth)
+    nulls = n - k1 <= k1
+    hits = np.zeros(s, dtype=np.intp)
+    for j in range(k1, n) if nulls else range(k1):
+        hits += matrix[:, j].take(at) <= kth
+    return hits if nulls else r - hits
 
 
 def _decide(ensemble, families, counts, levels, procedure, metric):

@@ -84,14 +84,55 @@ def _metric_values(metric: ErrorMetric, v: np.ndarray, r: np.ndarray) -> np.ndar
     return np.where(v >= metric.k, fdp, 0.0)  # kfdr
 
 
+# float64 values in a temporary that a large input builds in row chunks, so
+# that it stays below glibc's 128 KiB mmap threshold: an allocation past it
+# is mapped afresh, and each of its pages faults, on every call.
+_CHUNK_CELLS = 1 << 13
+
+
+def _row_chunks(rows: int, n: int):
+    """Slices of at most _CHUNK_CELLS values' worth of rows of n values each,
+    covering rows rows in order."""
+    step = max(1, _CHUNK_CELLS // max(n, 1))
+    return [slice(a, a + step) for a in range(0, rows, step)]
+
+
+# NumPy reduces a last axis shorter than this one row at a time, at about
+# 50 ns a row, so a reduction over it goes over the first axis instead.
+_SHORT_AXIS = 32
+
+
 def _last_axis_first(a: np.ndarray) -> np.ndarray:
     """a with its last axis moved first, to be reduced over axis 0 in place of
-    the last, for a reduction exact in any order (a minimum, a count). NumPy
-    reduces a short last axis one row at a time, at about 50 ns a row, so
-    below 32 columns this is a contiguous copy, several times cheaper to
+    the last, for a reduction exact in any order (a minimum, a count). Below
+    _SHORT_AXIS columns this is a contiguous copy, several times cheaper to
     reduce; else it is a view."""
     moved = a.transpose(-1, *range(a.ndim - 1))
-    return np.ascontiguousarray(moved) if a.shape[-1] < 32 else moved
+    return np.ascontiguousarray(moved) if a.shape[-1] < _SHORT_AXIS else moved
+
+
+def _last_axis_min(a: np.ndarray, scale=None) -> np.ndarray:
+    """The minimum over a's last axis of a, or of a * scale for scale one
+    value per column, bit for bit the reduction of `_last_axis_first`'s
+    layout, as a minimum is exact in any order. Where that layout is a
+    copy of _CHUNK_CELLS values or more, it is instead a running np.minimum
+    over a's columns, each scaled into one spare array: it builds nothing
+    of a's size, and the columns are contiguous where a is a transposed
+    view of that layout. A smaller copy costs less than the running
+    minimum's two calls per column."""
+    if a.shape[-1] >= _SHORT_AXIS or a.size < _CHUNK_CELLS:
+        scaled = a if scale is None else a * scale
+        return np.minimum.reduce(_last_axis_first(scaled), axis=0)
+    if scale is None:
+        out = a[..., 0].copy()
+        for j in range(1, a.shape[-1]):
+            np.minimum(out, a[..., j], out=out)
+        return out
+    out = a[..., 0] * scale[0]
+    spare = np.empty_like(out)
+    for j in range(1, a.shape[-1]):
+        np.minimum(out, np.multiply(a[..., j], scale[j], out=spare), out=out)
+    return out
 
 
 def _count_type(n: int):

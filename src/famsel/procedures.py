@@ -17,6 +17,7 @@ on the stable sort, so a decreasing critical value can split a tie there.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,26 +47,32 @@ def step_down(pvalues, critical_values) -> np.ndarray:
     return _one_row(_step_down_counts, pvalues, critical_values)
 
 
+@lru_cache(maxsize=32)
 def _ranks(n: int) -> np.ndarray:
     """The ranks 1..n as floats, which the critical values are built from:
-    an int rank converts to the same float, so the values keep their bits."""
-    return np.arange(1.0, n + 1.0)
+    an int rank converts to the same float, so the values keep their bits.
+    Each n's array is built once and is read-only."""
+    ranks = np.arange(1.0, n + 1.0)
+    ranks.flags.writeable = False
+    return ranks
 
 
 # Critical values at a level for ranks i, an (n,) row of 1..n with a scalar
 # level or an (s, 1) column of row levels, or an (n, 1) column of 1..n with
-# an (s,) row of levels for `_last_axis_first`'s layout.
-def _bh(i, level):
-    return i * (level / i.size)
+# an (s,) row of levels for `_last_axis_first`'s layout; out, if given, is
+# the memory of the (n, s) values of the last layout.
+def _bh(i, level, out=None):
+    return np.multiply(i, level / i.size, out=out)
 
 
-def _holm(i, level):
-    return level / (i.size + 1.0 - i)
+def _holm(i, level, out=None):
+    return np.divide(level, i.size + 1.0 - i, out=out)
 
 
-def _lr_kfwer(i, level, k):
+def _lr_kfwer(i, level, k, out=None):
+    # k * level / n up to rank k, k * level / (n + k - i) after it
     n = i.size
-    return np.where(i <= k, k * level / n, k * level / (n + k - i))
+    return np.divide(k * level, np.where(i <= k, n, n + k - i), out=out)
 
 
 def _fixed(procedure, i):
@@ -95,27 +102,34 @@ def stage_two_level(q1, n, m0_hat):
     return q1 * n / m0_hat
 
 
-def _stage_two_cutoffs(i, level, m0_hat) -> np.ndarray:
+def _stage_two_cutoffs(i, level, m0_hat, out=None) -> np.ndarray:
     """The two-stage procedure's stage-two critical values for ranks i at a
     level (`_bh`), one row for each null-count estimate in the column
     m0_hat, or one column for each in the row m0_hat."""
-    return _bh(i, stage_two_level(stage_one_level(level), i.size, m0_hat))
+    return _bh(i, stage_two_level(stage_one_level(level), i.size, m0_hat), out)
 
 
 # Each kind's stepwise label and its critical values for ranks i at a level,
 # on either layout (see `_bh`): every cutoff that `rejection_counts`
 # compares a p-value against, save two_stage's second stage
 # (`_stage_two_cutoffs`); two_stage's are its first stage's, and the single
-# step's is one value per level.
+# step's is one value per level. A kind run at a level writes its (n, s)
+# values into out when given, save the single step, whose values are (s,).
 _KINDS = {
-    "bonferroni": ("single-step", lambda proc, i, level: level / i.size),
-    "holm": ("step-down", lambda proc, i, level: _holm(i, level)),
-    "hochberg": ("step-up", lambda proc, i, level: _holm(i, level)),
-    "bh": ("step-up", lambda proc, i, level: _bh(i, level)),
-    "two_stage": ("adaptive", lambda proc, i, level: _bh(i, stage_one_level(level))),
-    "lr_kfwer": ("step-down", lambda proc, i, level: _lr_kfwer(i, level, proc.k)),
-    "step_up": ("step-up", lambda proc, i, level: _fixed(proc, i)),
-    "step_down": ("step-down", lambda proc, i, level: _fixed(proc, i)),
+    "bonferroni": ("single-step", lambda proc, i, level, out=None: level / i.size),
+    "holm": ("step-down", lambda proc, i, level, out=None: _holm(i, level, out)),
+    "hochberg": ("step-up", lambda proc, i, level, out=None: _holm(i, level, out)),
+    "bh": ("step-up", lambda proc, i, level, out=None: _bh(i, level, out)),
+    "two_stage": (
+        "adaptive",
+        lambda proc, i, level, out=None: _bh(i, stage_one_level(level), out),
+    ),
+    "lr_kfwer": (
+        "step-down",
+        lambda proc, i, level, out=None: _lr_kfwer(i, level, proc.k, out),
+    ),
+    "step_up": ("step-up", lambda proc, i, level, out=None: _fixed(proc, i)),
+    "step_down": ("step-down", lambda proc, i, level, out=None: _fixed(proc, i)),
 }
 
 PROCEDURE_KINDS = tuple(_KINDS)
@@ -261,7 +275,9 @@ def _check_testable(procedure: Procedure, n: int, levels):
         raise ValueError(f"k={k} out of range for {n} hypotheses")
 
 
-def rejection_counts(procedure: Procedure, ps: np.ndarray, levels=None) -> np.ndarray:
+def rejection_counts(
+    procedure: Procedure, ps: np.ndarray, levels=None, empty=np.empty
+) -> np.ndarray:
     """Number of rejections in each row of a row-sorted (s, n) p-value matrix.
 
     levels holds one testing level per row, or is None for step_up and
@@ -270,7 +286,8 @@ def rejection_counts(procedure: Procedure, ps: np.ndarray, levels=None) -> np.nd
     the one `step_up` or `step_down` gives over them. Critical values never
     decrease, so a count never splits tied p-values: the rejected set of a
     row is exactly its first r entries. The rows are compared on
-    `_last_axis_first`'s layout, with the critical values built on it.
+    `_last_axis_first`'s layout, with the critical values built on it, in
+    memory from empty (np.empty's signature), as are the hits.
     """
     n = ps.shape[1]
     _check_testable(procedure, n, levels)
@@ -279,7 +296,9 @@ def rejection_counts(procedure: Procedure, ps: np.ndarray, levels=None) -> np.nd
     ps = _last_axis_first(ps)
     i = _ranks(n)[:, None]
     stepwise, cutoffs = _KINDS[procedure.kind]
-    hits = ps <= cutoffs(procedure, i, levels)
+    out = None if levels is None or stepwise == "single-step" else empty(ps.shape)
+    cut = cutoffs(procedure, i, levels, out)
+    hits = np.less_equal(ps, cut, out=empty(ps.shape, bool))
     if stepwise == "single-step":
         return _column_counts(hits)
     if stepwise == "step-down":
@@ -289,8 +308,8 @@ def rejection_counts(procedure: Procedure, ps: np.ndarray, levels=None) -> np.nd
         return r
     # adaptive: stage one's count gives the null-count estimate m0_hat
     m0 = n - r
-    cuts = _stage_two_cutoffs(i, levels, np.maximum(m0, 1))
-    return np.where(m0 == 0, n, _step_up_counts(ps <= cuts))
+    cuts = _stage_two_cutoffs(i, levels, np.maximum(m0, 1), out)
+    return np.where(m0 == 0, n, _step_up_counts(np.less_equal(ps, cuts, out=hits)))
 
 
 def rejected_by_counts(ps: np.ndarray, r: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PValueEnsemble, SelectionOutcome, _last_axis_first, _number_text
-from .core import _positive_int, in_family_order
+from .core import PValueEnsemble, SelectionOutcome, _last_axis_min, _number_text
+from .core import _positive_int, _row_chunks, in_family_order
 from .procedures import Procedure, _cutoffs, _ranks, _stage_two_cutoffs
 from .procedures import rejected_entries
 
@@ -55,19 +55,27 @@ def _combine_rows(kind: str, rows: np.ndarray, floor: float, ranked=None) -> np.
         out = n * rows.min(axis=1)
     elif kind == "simes":
         ranked = np.sort(rows, axis=1) if ranked is None else ranked
-        scaled = ranked * (n / np.arange(1.0, n + 1.0))
-        out = np.minimum.reduce(_last_axis_first(scaled), axis=0)
-    elif kind == "fisher":
-        from scipy import special
-        stat = -2.0 * np.log(np.clip(rows, floor, 1.0)).sum(axis=1)
-        out = special.chdtrc(2 * n, stat)
-    elif kind == "stouffer":
-        from scipy import special
-        z = -special.ndtri(np.clip(rows, floor, _P_CEIL))
-        out = special.ndtr(-z.sum(axis=1) / np.sqrt(n))
+        out = _last_axis_min(ranked, n / _ranks(n))
+    elif kind in ("fisher", "stouffer"):
+        # each row is transformed and summed on its own, so row chunks
+        # change no bit
+        out = np.empty(len(rows))
+        for rows_at in _row_chunks(len(rows), n):
+            out[rows_at] = _transform_combined(kind, rows[rows_at], floor)
     else:
         raise ValueError(f"unknown combiner {kind!r}")
-    return np.clip(out, 0.0, 1.0)
+    return np.clip(out, 0.0, 1.0, out=out)
+
+
+def _transform_combined(kind: str, rows: np.ndarray, floor: float) -> np.ndarray:
+    """The Fisher or Stouffer combined p-value of each row of a (k, n) matrix."""
+    from scipy import special
+    n = rows.shape[1]
+    if kind == "fisher":
+        stat = -2.0 * np.log(np.clip(rows, floor, 1.0)).sum(axis=1)
+        return special.chdtrc(2 * n, stat)
+    z = -special.ndtri(np.clip(rows, floor, _P_CEIL))
+    return special.ndtr(-z.sum(axis=1) / np.sqrt(n))
 
 
 def _check_floor(floor):
@@ -154,7 +162,7 @@ class _MinPSelection(_BlockSelection):
     """A shipped rule whose summary of a family is its smallest p-value."""
 
     def block_summaries(self, p: np.ndarray) -> np.ndarray:
-        return np.minimum.reduce(_last_axis_first(p), axis=0)
+        return _last_axis_min(p)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ it.
 Replicates run in blocks (`_block_step`) of _BLOCK_CELLS p-values, or of
 _BLOCK_REPLICATES replicates where those fit in 4 * _BLOCK_CELLS p-values,
 so that wide replicates do not pay a block's fixed cost a few at a time; a
-block holds at most 4 * _BLOCK_CELLS p-values (512 KB of float64) or one
+block holds at most 4 * _BLOCK_CELLS p-values (2 MB of float64) or one
 replicate, and never more replicates than its span. A block is drawn (`_draw`)
 into one (B, count, n) array per family size, laid out as `PValueEnsemble`
 stores an ensemble and allocated once per span, and then scored (`_score`):
@@ -32,7 +32,14 @@ summaries read sorted rows (Simes) has each size's rows sorted once into
 `_last_axis_first`'s layout (`_sorted_columns`, by a compare-exchange
 network for small sizes), and reads them as a row-sorted view of that
 memory; the test of the selected rows gathers their columns from it, so
-no copy of the block is made. Its selected
+no copy of the block is made; under another rule a procedure that reads
+sorted rows sorts the tested rows alone. A span also keeps one workspace
+(`_Workspace`), sized by its first block: each block reads its stream
+words, sorts its rows, and gathers its tested columns and builds their
+critical values and hits in it, and the Fisher and Stouffer combiners
+and rows past the network's sizes run in row chunks (`core._row_chunks`),
+so that a block builds no other array as large as its p-values, only
+arrays of one value per (replicate, family) pair. Its selected
 families get their levels and are tested by the steps the public analyses
 in `adjust` run (`_levels`, `_test_rows`), so an analysis is the
 one-replicate case of a block. Under a min-p rule (`MinPThreshold`,
@@ -66,7 +73,7 @@ import numpy as np
 
 from .adjust import _level_of, _levels, _test_rows
 from .core import ErrorMetric, PValueEnsemble, _last_axis_first, _metric_values
-from .core import group_slots, size_groups
+from .core import _row_chunks, group_slots, size_groups
 from .procedures import Procedure, _check_testable, _entry_cutoffs
 from .selection import _MinPSelection, _check_rule, _summarize, check_concordant
 
@@ -268,7 +275,7 @@ def _stream(config: ScenarioConfig, layout: _Layout, replicate_index: int):
     return np.random.Generator(bitgen)
 
 
-def _draw(config: ScenarioConfig, layout: _Layout, rng, blocks):
+def _draw(config: ScenarioConfig, layout: _Layout, rng, blocks, empty=np.empty):
     """Fill blocks, `layout.blocks(B)`, with the next B replicates' p-values.
 
     rng sits at the first replicate's offset. One `random` fill reads the
@@ -276,13 +283,15 @@ def _draw(config: ScenarioConfig, layout: _Layout, rng, blocks):
     after the block, so the draws are the same for `generate` (B = 1) and
     the Monte Carlo blocks. The normal scores, the equicorrelated mixing,
     the shift and `ndtr` then run once over the block's scores, if any, and
-    one gather per size group copies each cell from its word.
+    one gather per size group copies each cell from its word. The words are
+    read into the blocks where the layout is direct, and else into memory
+    from empty (np.empty's signature).
     """
     b = blocks[0].shape[0]
     if layout.direct:
         stream = blocks[0].reshape(b, -1)
     else:
-        stream = np.empty((b, layout.words))
+        stream = empty((b, layout.words))
     rng.random(out=stream)
     k, s, w = layout.uniforms, layout.scores, layout.words
     if k < w:
@@ -305,8 +314,17 @@ def _draw(config: ScenarioConfig, layout: _Layout, rng, blocks):
 
 
 # p-values drawn per block of replicates, and the replicates a block holds
-# at least if they fit in 4 * _BLOCK_CELLS p-values (`_block_step`).
-_BLOCK_CELLS = 1 << 14
+# at least if they fit in 4 * _BLOCK_CELLS p-values (`_block_step`). With
+# every block-sized array in the span's workspace, a larger block pays its
+# fixed cost less often and makes no page fault: on Simes/BH estimates like
+# mc-signal-simes's (m = 20, n = 6, 2-vCPU host) a round cost 0.30 of the
+# benchmark's yardstick at 2**14, 0.26 at 2**15 and 0.25-0.26 at 2**16 and
+# at 2**17, where the workspace and blocks took 2.4 MB more peak memory than
+# at 2**16; the table-1 min-p estimates cost 0.41 at 2**14 and 0.40 at 2**16,
+# and Fisher, Stouffer and n = 12-20 Simes estimates (m = 20, 1,000
+# replicates, in process) took 0.85-0.98 of their time at 2**14 in the code
+# before the workspace.
+_BLOCK_CELLS = 1 << 16
 _BLOCK_REPLICATES = 32
 
 
@@ -320,15 +338,45 @@ def _block_step(cells: int, span: int) -> int:
     return max(1, min(span, max(_BLOCK_CELLS // cells, floor)))
 
 
-def _block_cells(layout: _Layout, step: int):
-    """Each (replicate, family) cell of a block of step replicates, in
-    row-major order: its replicate, family, group and row in the group's
-    (step * count, n) matrix. A shorter block's cells are a prefix."""
+def _cells_of(layout: _Layout, tested: np.ndarray):
+    """The replicate, family, group and row in the group's (B * count, n)
+    matrix of each (replicate, family) cell of a block at the flat indices
+    tested, cells being in row-major order: a divmod by m, then the
+    family's slot (`layout.slots`) offset by the replicate's rows."""
     m = layout.sizes.size
-    reps, fams = np.divmod(np.arange(step * m), m)
-    group, at = layout.slots[:, fams]
-    at += reps * layout.counts[group]
-    return np.array([reps, fams, group, at])
+    reps = tested // m
+    fams = tested - reps * m
+    group, row = layout.slots[0].take(fams), layout.slots[1].take(fams)
+    return reps, fams, group, row + reps * layout.counts.take(group)
+
+
+class _Workspace:
+    """A span's scratch memory: `empty`, with np.empty's signature, hands out
+    the next free region of it, at a multiple of 64 bytes, and `rewind` frees
+    all of it for the next step. A request past its end is allocated by
+    np.empty and still counted, and the next `rewind` grows the memory to
+    twice the most that was asked for at once: a span's first block sizes
+    it, and a later block that tests more rows than the first still fits,
+    while the pages it never touches cost no memory. A short workspace costs
+    time, never a bit."""
+
+    def __init__(self):
+        self.memory = np.empty(0, dtype=np.uint8)
+        self.used = self.peak = 0
+
+    def empty(self, shape, dtype=np.float64):
+        try:
+            out = np.ndarray(shape, dtype, self.memory, self.used)
+        except TypeError:  # past the end of the memory
+            out = np.empty(shape, dtype)
+        self.used += -(-out.nbytes // 64) * 64
+        self.peak = max(self.peak, self.used)
+        return out
+
+    def rewind(self):
+        if self.peak > self.memory.size:
+            self.memory = np.empty(2 * self.peak, dtype=np.uint8)
+        self.used = 0
 
 
 def _entry_table(config: ScenarioConfig, layout: _Layout):
@@ -411,45 +459,71 @@ def _network(n: int) -> list:
     return _NETWORKS[n]
 
 
-def _sorted_columns(rows: np.ndarray) -> np.ndarray:
+def _sorted_columns(rows: np.ndarray, empty=np.empty) -> np.ndarray:
     """rows, an (N, n) matrix, with each row sorted, as the (n, N) array of
     `_last_axis_first`'s layout: row k holds every row's (k+1)-th smallest
     value. For n from 2 to _NETWORK_SIZES a compare-exchange network
     (`_network`) sorts the columns with np.minimum and np.maximum, and its
     values are np.sort's bit for bit on p-values, which hold no NaN and no
-    -0.0; otherwise np.sort's rows are copied to that layout."""
+    -0.0; otherwise np.sort's rows are copied to that layout. The output and
+    the network's spare row are from empty (np.empty's signature)."""
     count, n = rows.shape
+    out = empty((n, count))
     if not 1 < n <= _NETWORK_SIZES:
-        return np.ascontiguousarray(np.sort(rows, axis=1).T)
-    out = np.empty((n, count))
-    slots = [*out, np.empty(count), *rows.T]
+        for rows_at in _row_chunks(count, n):
+            np.copyto(out[:, rows_at], np.sort(rows[rows_at], axis=1).T)
+        return out
+    slots = [*out, empty(count), *rows.T]
     for a, b, lo, hi in _network(n):
         np.minimum(slots[a], slots[b], out=slots[lo])
         np.maximum(slots[a], slots[b], out=slots[hi])
     return out
 
 
-def _score(config: ScenarioConfig, layout: _Layout, blocks, matrices, cells, entry):
+def _sorted_tested_rows(matrices, group_of, at, empty):
+    """The rows at of matrices[group_of], gathered one matrix per group and
+    sorted as `_sorted_columns` sorts a block, in memory from empty, and
+    each row's place among its group's gathered rows: what `_test_rows`
+    reads for a rule that does not rank rows, so that its test sorts the
+    tested rows alone and builds nothing of their size outside empty."""
+    gathered, ranked = [], []
+    places = np.empty_like(at)
+    for g, matrix in enumerate(matrices):
+        ks = np.flatnonzero(group_of == g)
+        rows = empty((ks.size, matrix.shape[1]))
+        # mode "clip" writes into out directly; the rows are in range
+        np.take(matrix, at.take(ks), axis=0, out=rows, mode="clip")
+        gathered.append(rows)
+        ranked.append(_sorted_columns(rows, empty).T)
+        places[ks] = np.arange(ks.size)
+    return gathered, ranked, places
+
+
+def _score(
+    config: ScenarioConfig, layout: _Layout, blocks, matrices, entry, empty=np.empty
+):
     """(C_S, |S|/m) of the B replicates drawn into blocks.
 
     blocks are prefixes of a full block's (step, count, n) arrays whose
-    (step * count, n) views are matrices and whose cells are
-    `_block_cells`; they are summarized and selected as (B, m) arrays. The
-    selected (replicate, family) pairs are leveled and tested as the
-    analyses do (`_levels`, `_test_rows`), with each size's count of leading
-    non-nulls for a truth, and each replicate's metric values are summed
-    from its tested cells in family order, as `average_over_selected` sums
-    them, bit for bit. entry is the span's `_entry_table`: where it is not
-    None, each replicate's cutoffs are read at its count R before any cell
-    is gathered, and a selected family whose summary, its smallest p-value,
-    lies above its size's cutoff is not tested. It would reject nothing, so
-    its value is 0.0 under every metric and leaves its replicate's sum as
-    it is.
+    (step * count, n) views are matrices; they are summarized and selected
+    as (B, m) arrays. The selected (replicate, family) pairs are leveled and
+    tested as the analyses do (`_levels`, `_test_rows`), with each size's
+    count of leading non-nulls for a truth, and each replicate's metric
+    values are summed from its tested cells in family order, as
+    `average_over_selected` sums them, bit for bit. entry is the span's
+    `_entry_table`: where it is not None, each replicate's cutoffs are read
+    at its count R before any cell is gathered, and a selected family whose
+    summary, its smallest p-value, lies above its size's cutoff is not
+    tested. It would reject nothing, so its value is 0.0 under every metric
+    and leaves its replicate's sum as it is. Sorted rows and the tests'
+    arrays take their memory from empty (np.empty's signature): under a rule
+    that ranks rows the block's rows are sorted, and else, for a procedure
+    that reads sorted rows, only the tested ones (`_sorted_tested_rows`).
     """
     rule, q, m = config.rule, config.q, config.m
     ranked = None
     if getattr(rule, "ranks_rows", False):
-        ranked = [_sorted_columns(p.reshape(-1, p.shape[2])).T for p in blocks]
+        ranked = [_sorted_columns(p.reshape(-1, p.shape[2]), empty).T for p in blocks]
     summaries = _summarize(rule, layout.groups, blocks, ranked)
     picked = rule.select_block(summaries)
     counts = np.add.reduce(_last_axis_first(picked), axis=0)
@@ -457,14 +531,15 @@ def _score(config: ScenarioConfig, layout: _Layout, blocks, matrices, cells, ent
         cut = entry.take(counts, axis=1).T  # (B, groups)
         cut = cut if cut.shape[1] == 1 else cut.take(layout.slots[0], axis=1)
         picked = picked & (summaries <= cut)
-    tested = picked.ravel().nonzero()[0]
-    rows = cells.take(tested, axis=1)  # replicate, family, group, row
-    _, levels = _levels(rule, config.adjustment, q, summaries, rows[1], rows[0], counts)
-    reps, _, group_of, at = rows
+    reps, fams, group_of, at = _cells_of(layout, picked.ravel().nonzero()[0])
+    _, levels = _levels(rule, config.adjustment, q, summaries, fams, reps, counts)
     if not reps.size:
         return np.zeros(counts.size), counts / m
+    if ranked is None and config.procedure.stepwise != "single-step":
+        matrices, ranked, at = _sorted_tested_rows(matrices, group_of, at, empty)
+    truths = layout.non_nulls
     r, v, _ = _test_rows(
-        config.procedure, matrices, layout.non_nulls, group_of, at, levels, ranked
+        config.procedure, matrices, truths, group_of, at, levels, ranked, empty
     )
     # bincount adds each weight to its bin in input order, and the tested
     # cells ascend, so each replicate's values are summed left to right in
@@ -482,14 +557,18 @@ def _replicate_values(config: ScenarioConfig, start: int, stop: int):
     layout = _Layout(config)
     rng = _stream(config, layout, start)
     step = _block_step(int(layout.sizes.sum()), stop - start)
-    full, cells = layout.blocks(step), _block_cells(layout, step)
+    full = layout.blocks(step)
     matrices = [block.reshape(-1, block.shape[2]) for block in full]
     entry = _entry_table(config, layout)
+    work = _Workspace()
     for a in range(start, stop, step):
         b = min(a + step, stop)
         blocks = full if b - a == step else [block[: b - a] for block in full]
-        _draw(config, layout, rng, blocks)
-        block = _score(config, layout, blocks, matrices, cells, entry)
+        work.rewind()
+        _draw(config, layout, rng, blocks, work.empty)
+        # the stream is spent once the blocks are drawn
+        work.rewind()
+        block = _score(config, layout, blocks, matrices, entry, work.empty)
         cs[a - start : b - start], frac[a - start : b - start] = block
     return cs, frac
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from famsel import procedures, selection
+from famsel import core, procedures, selection
 from famsel.adjust import (
     iterative_simple_adjusted,
     selection_adjusted,
@@ -167,6 +167,29 @@ class TestCombine:
             assert rule.ranks_rows
             from_ranked = rule.block_summaries(block, ranked)
             assert from_ranked.tobytes() == want.reshape(3, 100).tobytes()
+
+    def test_row_chunks_and_running_minima_change_no_bit(self, monkeypatch):
+        # with _CHUNK_CELLS at 64 every combiner below runs in chunks of a
+        # few rows, and every minimum over fewer than 32 columns as a
+        # running np.minimum, which the default runs on a copy in one piece
+        rng = np.random.default_rng(37)
+        simes = GlobalNullTest("simes", Procedure("bh"), 0.1)
+        for n in (1, 2, 5, 6, 12, 31, 32, 40):
+            rows = rng.uniform(size=(300, n)) ** 4
+            rows[rng.uniform(size=rows.shape) < 0.2] = 0.0
+            block = rows.reshape(3, 100, n)
+            # first-axis memory, as a Monte Carlo block passes sorted rows
+            ranked = np.ascontiguousarray(np.sort(rows, axis=1).T).T
+            got = []
+            for cells in (1 << 30, 64):
+                monkeypatch.setattr(core, "_CHUNK_CELLS", cells)
+                floor = selection.DEFAULT_P_FLOOR
+                got.append(
+                    [selection._combine_rows(k, rows, floor) for k in COMBINERS]
+                    + [simes.block_summaries(block, ranked)]
+                    + [MinPThreshold(0.1).block_summaries(block)]
+                )
+            assert [a.tobytes() for a in got[0]] == [a.tobytes() for a in got[1]], n
 
     @pytest.mark.parametrize(
         "kind, row",

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from rmin_oracle import oracle_r_min_scan
 from scipy import special, stats
 
-from famsel import adjust, cli, selection, sim
+from famsel import adjust, cli, core, selection, sim
 from famsel.adjust import (
     selection_adjusted,
     simple_selection_adjusted,
@@ -164,12 +164,42 @@ def recorded_blocks(patch):
     drawn = []
     draw = sim._draw
 
-    def recording(config, layout, rng, blocks):
+    def recording(config, layout, rng, blocks, *args):
         drawn.append(blocks[0].shape[0])
-        return draw(config, layout, rng, blocks)
+        return draw(config, layout, rng, blocks, *args)
 
     patch.setattr(sim, "_draw", recording)
     return drawn
+
+
+def recorded_workspaces(patch):
+    """The `sim._Workspace`s made while patch holds the wrapper, each with
+    its number of rewinds so far at each request that did not fit in its
+    memory (spills) and at each rewind that grew its memory (grown). A span
+    rewinds twice per block, so block k's requests come at 2k - 1 and 2k."""
+    made = []
+
+    class Recording(sim._Workspace):
+        def __init__(self):
+            super().__init__()
+            self.rewinds, self.spills, self.grown = 0, [], []
+            made.append(self)
+
+        def empty(self, shape, dtype=np.float64):
+            out = super().empty(shape, dtype)
+            if out.base is not self.memory:
+                self.spills.append(self.rewinds)
+            return out
+
+        def rewind(self):
+            memory = self.memory
+            super().rewind()
+            self.rewinds += 1
+            if self.memory is not memory:
+                self.grown.append(self.rewinds)
+
+    patch.setattr(sim, "_Workspace", Recording)
+    return made
 
 
 def entering_families(config, start, stop):
@@ -381,8 +411,8 @@ class TestGenerate:
                     for start, stop in ((0, 19), (5, 19), (7, 12)):
                         drawn = []
 
-                        def recording(config, layout, rng, blocks):
-                            draw(config, layout, rng, blocks)
+                        def recording(config, layout, rng, blocks, *args):
+                            draw(config, layout, rng, blocks, *args)
                             drawn.append(padded_blocks(layout, blocks))
 
                         monkeypatch.setattr(sim, "_draw", recording)
@@ -453,9 +483,9 @@ class TestGenerate:
             np_sorted.append(np.shape(a)[-1])
             return sort(a, *args, **kwargs)
 
-        def counting_columns(rows):
+        def counting_columns(rows, *args):
             sorted_widths.append(rows.shape[1])
-            return sorted_columns(rows)
+            return sorted_columns(rows, *args)
 
         monkeypatch.setattr(sim, "_BLOCK_CELLS", 60)
         monkeypatch.setattr(sim, "_BLOCK_REPLICATES", 1)
@@ -588,7 +618,6 @@ class TestGenerate:
         cfg = replace(example1_config(4, n, reps=1, seed=3), pi1=0.5, mu=1.0)
         layout = sim._Layout(cfg)
         step = max(1, 40 // int(layout.sizes.sum()))
-        table = sim._block_cells(layout, step)
         full = layout.blocks(step)
         sim._draw(cfg, layout, sim._stream(cfg, layout, 0), full)
         matrices = [block.reshape(-1, block.shape[2]) for block in full]
@@ -596,7 +625,7 @@ class TestGenerate:
         sizes = layout.sizes
         for b in range(1, step + 1):
             cells = np.arange(b * sizes.size)
-            reps, fams, group_of, at = table.take(cells, axis=1)
+            reps, fams, group_of, at = sim._cells_of(layout, cells)
             assert reps.tolist() == (cells // sizes.size).tolist()
             assert fams.tolist() == (cells % sizes.size).tolist()
             group, row = layout.slots[:, fams]
@@ -1100,10 +1129,21 @@ class TestEstimate:
         step = max(1, 200 // sum(cfg.sizes()))
         assert weighted and set(weighted) <= {step, cfg.replicates % step}
         assert len(weighted) <= -(-cfg.replicates // step)
-        # the same wrapped mask is read once a family has a non-null
-        monkeypatch.setattr(adjust, "rejected_entries", unread)
-        with pytest.raises(AssertionError, match="read the rejected-entry mask"):
-            estimate(replace(cfg, pi1=0.5, mu=1.0))
+        # once a family has a non-null, a single step reads the same wrapped
+        # mask; a procedure that reads sorted rows sorts the tested rows and
+        # builds no mask at all
+        signal = replace(cfg, pi1=0.5, mu=1.0)
+        if Procedure(procedure).stepwise == "single-step":
+            monkeypatch.setattr(adjust, "rejected_entries", unread)
+            with pytest.raises(AssertionError, match="read the rejected-entry mask"):
+                estimate(signal)
+        else:
+
+            def uncalled(*args):
+                raise AssertionError("a block tested rows by rejected_entries")
+
+            monkeypatch.setattr(adjust, "rejected_entries", uncalled)
+            estimate(signal)
 
     def test_ragged_config_uses_object_path(self):
         cfg = ScenarioConfig(
@@ -1196,10 +1236,10 @@ class TestBlockSize:
     where those fit in 4 * _BLOCK_CELLS; no block size changes a bit."""
 
     def test_replicate_floor_binds_on_wide_replicates(self, monkeypatch):
-        # 2000 p-values per replicate: 8 replicates fill 2**14 cells, and
+        # 8000 p-values per replicate: 8 replicates fill 2**16 cells, and
         # the floor makes blocks of 32 at the shipped constants
-        cfg = example1_config(20, 100, reps=70, seed=21, adjustment="simple")
-        assert (sim._BLOCK_CELLS, sim._BLOCK_REPLICATES) == (1 << 14, 32)
+        cfg = example1_config(20, 400, reps=70, seed=21, adjustment="simple")
+        assert (sim._BLOCK_CELLS, sim._BLOCK_REPLICATES) == (1 << 16, 32)
         with monkeypatch.context() as patch:
             drawn = recorded_blocks(patch)
             floored = _replicate_values(cfg, 0, 70)
@@ -1289,7 +1329,7 @@ class TestBlockSize:
         assert want[0] == "ok" and np.frombuffer(want[1]).max() > 0.0
         steps = set()
         for floor in (1, 32):
-            for block_cells in (37, 1 << 14):
+            for block_cells in (37, 1 << 14, 1 << 16):
                 with monkeypatch.context() as patch:
                     patch.setattr(sim, "_BLOCK_CELLS", block_cells)
                     patch.setattr(sim, "_BLOCK_REPLICATES", floor)
@@ -1301,19 +1341,118 @@ class TestBlockSize:
         if cfg.n == 6:
             assert cfg.n <= sim._NETWORK_SIZES
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            # Simes/BH selection with Holm inside on ragged sizes, two of
+            # them past the network's, and a non-direct stream
+            ScenarioConfig(
+                m=7,
+                n=[6, 2, 12, 6, 3, 1, 6],
+                q=0.1,
+                rule=GlobalNullTest("simes", Procedure("bh"), 0.3),
+                procedure=Procedure("holm"),
+                metric=ErrorMetric("fwer"),
+                replicates=70,
+                seed=41,
+                pi1=1 / 3,
+                mu=2.5,
+                adjustment="simple",
+            ),
+            # equicorrelated two-stage selection and testing under "rmin"
+            ScenarioConfig(
+                m=10,
+                n=5,
+                q=0.2,
+                rule=GlobalNullTest("simes", Procedure("two_stage"), 0.4),
+                procedure=Procedure("two_stage"),
+                metric=ErrorMetric("fdr"),
+                replicates=70,
+                seed=43,
+                pi1=0.4,
+                mu=2.0,
+                dependence="equicorrelated",
+                rho=0.3,
+                adjustment="rmin",
+            ),
+            # Fisher two-stage selection, which ranks no rows, with
+            # Hochberg inside: only the tested rows are sorted
+            ScenarioConfig(
+                m=7,
+                n=[6, 2, 12, 6, 3, 1, 6],
+                q=0.2,
+                rule=GlobalNullTest("fisher", Procedure("two_stage"), 0.3),
+                procedure=Procedure("hochberg"),
+                metric=ErrorMetric("fdr"),
+                replicates=70,
+                seed=47,
+                pi1=1 / 3,
+                mu=2.0,
+                adjustment="simple",
+            ),
+        ],
+        ids=["ragged-simes-holm", "equicorrelated-two-stage", "ragged-fisher-hochberg"],
+    )
+    def test_short_last_block_reuses_the_workspace(self, cfg, monkeypatch):
+        # full blocks and then a short last one draw, sort and test in the
+        # one workspace of their span, and match the per-replicate analyses
+        with monkeypatch.context() as patch:
+            patch.setattr(adjust, "_decide", textbook.looped_decide)
+            want = values_or_error(object_values, cfg, 3, 70)
+        assert want[0] == "ok" and np.frombuffer(want[1]).max() > 0.0
+        with monkeypatch.context() as patch:
+            patch.setattr(sim, "_BLOCK_CELLS", 500)
+            made = recorded_workspaces(patch)
+            drawn = recorded_blocks(patch)
+            got = values_or_error(_replicate_values, cfg, 3, 70)
+        assert got == want
+        assert len(drawn) >= 3 and 0 < drawn[-1] < drawn[0] == drawn[-2]
+        # the first block sized the workspace, a later one grew it only
+        # after asking for more, and the short last one fits in it
+        [work] = made
+        assert work.rewinds == 2 * len(drawn)
+        assert 1 in work.spills and work.grown[0] == 2
+        assert all(k - 1 in work.spills for k in work.grown)
+        assert max(work.spills) < work.rewinds - 1
+
+    def test_a_span_allocates_its_workspace_in_its_first_block(self, monkeypatch):
+        # mc-signal-simes's scenario at the shipped block size: two blocks,
+        # the second one short. The first block's draw and score size one
+        # workspace, and the second block draws, sorts and tests in it
+        cfg = ScenarioConfig(
+            m=20,
+            n=6,
+            q=0.05,
+            rule=GlobalNullTest("simes", Procedure("bh"), 0.05),
+            procedure=Procedure("bh"),
+            metric=ErrorMetric("fdr"),
+            replicates=1001,
+            seed=5,
+            pi1=1 / 3,
+            mu=2.5,
+        )
+        with monkeypatch.context() as patch:
+            made = recorded_workspaces(patch)
+            drawn = recorded_blocks(patch)
+            estimate(cfg)
+        assert drawn == [546, 455]
+        [work] = made
+        assert work.rewinds == 4 and set(work.spills) == {1, 2}
+        assert work.grown == [2, 3] and work.memory.size == 2 * work.peak
+
     def test_blocks_stay_within_four_times_block_cells(self, monkeypatch):
-        # 70,000 p-values per replicate: one replicate per block
-        wide = example1_config(700, 100, reps=3, seed=5)
+        # 280,000 p-values per replicate: one replicate per block
+        wide = example1_config(700, 400, reps=3, seed=5)
         with monkeypatch.context() as patch:
             drawn = recorded_blocks(patch)
             estimate(wide)
         assert drawn == [1, 1, 1]
-        # 2000 p-values per replicate: no block passes 2**16 of them
-        cfg = example1_config(20, 100, reps=200, seed=5)
+        # 8000 p-values per replicate: no block passes 2**18 of them
+        cfg = example1_config(20, 400, reps=200, seed=5)
         with monkeypatch.context() as patch:
             drawn = recorded_blocks(patch)
             estimate(cfg)
-        assert sum(drawn) == 200 and max(drawn) * 2000 <= 1 << 16
+        assert sum(drawn) == 200 and max(drawn) * 8000 <= 1 << 18
         # and over every width up to past 4 * _BLOCK_CELLS, for long spans
         # and for spans shorter than a block
         bound = 4 * sim._BLOCK_CELLS
@@ -1346,6 +1485,16 @@ class TestFirstAxisKernels:
                 assert got.shape == (n, 300) and got.flags.c_contiguous
                 want = np.sort(rows, axis=1)
                 assert np.ascontiguousarray(got.T).tobytes() == want.tobytes(), n
+
+    def test_np_sort_in_row_chunks_is_np_sort_byte_for_byte(self, monkeypatch):
+        # at 25 cells np.sort sorts rows in chunks of a few rows each
+        monkeypatch.setattr(sim, "_NETWORK_SIZES", 0)
+        monkeypatch.setattr(core, "_CHUNK_CELLS", 25)
+        rng = np.random.default_rng(43)
+        for n in range(1, 13):
+            rows = tie_grids(rng, 300, n)
+            got = np.ascontiguousarray(sim._sorted_columns(rows).T)
+            assert got.tobytes() == np.sort(rows, axis=1).tobytes(), n
 
     def test_networks_are_merge_exchange(self):
         # Batcher's merge exchange has the fewest comparators known up to 8
@@ -1437,9 +1586,9 @@ class TestEntryCutoffs:
         blocks = layout.blocks(4)
         blocks[0][:] = 1.0
         blocks[0][:, 1] = 0.0
-        matrices, cells = [blocks[0].reshape(-1, 2)], sim._block_cells(layout, 4)
+        matrices = [blocks[0].reshape(-1, 2)]
         for entry in (sim._entry_table(cfg, layout), None):
-            cs, got = sim._score(cfg, layout, blocks, matrices, cells, entry)
+            cs, got = sim._score(cfg, layout, blocks, matrices, entry)
             assert cs.tolist() == [c_s] * 4 and got.tolist() == [frac] * 4
 
     @pytest.mark.parametrize(
