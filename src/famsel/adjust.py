@@ -8,6 +8,8 @@ never tested, so they contribute 0 to the average.
 
 An analysis keeps its decisions in columns (`DecisionColumns`), a read-only
 sequence that builds a family's `FamilyDecision` only when it is indexed.
+A Monte Carlo block tests its rows with `_test_rows`, which shares the
+sort, count and bound of `rejected_entries` but builds no mask.
 """
 
 from collections.abc import Sequence
@@ -23,10 +25,12 @@ from .core import (
     _column_counts,
     _last_axis_first,
     _metric_values,
+    _sorted_columns,
     average_over_selected,
     size_groups,
 )
-from .procedures import Procedure, rejected_entries, rejection_counts
+from .procedures import Procedure, _cutoffs, _rejection_bounds
+from .procedures import rejected_entries, rejection_counts
 from .selection import GlobalNullTest, _counts, _picked, _summaries
 
 
@@ -129,72 +133,57 @@ def _test_rows(
     ranked=None,
     empty=np.empty,
 ):
-    """Rejections r, false rejections v (None when truths is None) and the
-    (ks, rejected-entry mask) of each size group, testing rows[k] of
-    matrices[group_of[k]] at levels[k], or at no level when levels is None.
-
-    There is one matrix per family size and one truth per matrix: a matrix
-    with its rows, or the count k1 of leading non-null columns that every
-    row shares, so that v counts the rejections from column k1 on and is r
-    where k1 is 0. ranked, if given, holds each matrix with its rows sorted
-    as a view of `_last_axis_first`'s memory, and the truths are counts k1:
-    the tested columns are gathered from that layout, into memory from empty
-    (np.empty's signature), and counted there, v compares the columns on
-    one side of k1 with each row's largest rejected value
-    (`_null_rejections`), and no mask is built, so the masks are empty. Each
-    size is one `rejection_counts` call, sizes in order of their first row,
-    so an error is the one the first failing row raises.
+    """Rejections r and false rejections v of a Monte Carlo block's tested
+    rows: rows[k] of matrices[group_of[k]] tested at levels[k], or at no
+    level when levels is None. There is one matrix per family size, and
+    truths holds each one's count k1 of leading non-null columns: v counts
+    the rejections from column k1 on (`_null_rejections`), and is r where
+    k1 is 0. ranked, if given, holds each matrix's rows sorted, the
+    transpose of its `_sorted_columns`, and the tested columns are gathered
+    from it; else a single step at a level counts the tested rows' hits
+    unsorted, and any other procedure sorts them. Arrays of the rows' size
+    take their memory from empty (np.empty's signature). Each size is one
+    count, sizes in order of their first row, so an error is the one the
+    first failing row raises.
     """
     r = np.empty(rows.size, dtype=np.intp)
-    v = None if truths is None else np.empty(rows.size, dtype=np.intp)
-    masks = []
+    v = np.empty(rows.size, dtype=np.intp)
     # group ids stand in for sizes, one to one
     groups = [(0, slice(None))] if len(matrices) == 1 else size_groups(group_of)
     for g, ks in groups:
-        at = rows[ks]
+        at, matrix, k1 = rows[ks], matrices[g], truths[g]
         tested_at = None if levels is None else levels[ks]
-        truth = None if v is None else truths[g]
+        n = matrix.shape[1]
         if ranked is not None:
-            sorted_rows = _last_axis_first(ranked[g])
-            ps = empty((sorted_rows.shape[0], at.size))
+            ps = empty((n, at.size))
             # mode "clip" writes into out directly; the rows are in range
-            np.take(sorted_rows, at, axis=1, out=ps, mode="clip")
-            r[ks] = rejection_counts(procedure, ps.T, tested_at, empty)
-            if truth is not None:
-                v[ks] = _null_rejections(matrices[g], at, truth, ps, r[ks])
+            np.take(_last_axis_first(ranked[g]), at, axis=1, out=ps, mode="clip")
+        elif tested_at is not None and procedure.stepwise == "single-step":
+            hits = _last_axis_first(matrix.take(at, axis=0))
+            hits = hits <= _cutoffs(procedure, n, tested_at)
+            r[ks] = _column_counts(hits)
+            # the columns from k1 on are a view of the hits' layout
+            v[ks] = _column_counts(hits[k1:]) if k1 else r[ks]
             continue
-        mask, r[ks] = rejected_entries(
-            procedure, matrices[g].take(at, axis=0), tested_at
-        )
-        if isinstance(truth, np.ndarray):
-            v[ks] = _column_counts(_last_axis_first(mask & truth.take(at, axis=0)))
-        elif truth == 0:
-            v[ks] = r[ks]
-        elif truth is not None:
-            # the mask's layout makes its columns from k1 on a view
-            v[ks] = _column_counts(_last_axis_first(mask[:, truth:]))
-        masks.append((ks, mask))
-    return r, v, masks
+        else:
+            tested = np.take(matrix, at, axis=0, out=empty((at.size, n)), mode="clip")
+            ps = _sorted_columns(tested, empty)
+        r[ks] = rejection_counts(procedure, ps.T, tested_at, empty)
+        v[ks] = _null_rejections(matrix, at, k1, ps, r[ks]) if k1 else r[ks]
+    return r, v
 
 
 def _null_rejections(matrix, at, k1, ps, r):
     """The rejections among the null columns, k1 on, of rows at of matrix,
-    whose sorted values are the columns of ps with r rejections each: the
-    null values at or below the r-th smallest, or none where r is 0.
-
-    A count never splits a tie, so a row's r rejections are exactly its
-    values at or below the r-th smallest: v is counted on the null columns,
-    or is r less the count on the non-null ones, whichever are fewer, one
-    column gathered at a time."""
-    if k1 == 0:
-        return r
-    n, s = matrix.shape[1], at.size
-    # flat index of ps[r - 1, k], wrapped to a value where r is 0
-    kth = np.where(r > 0, ps.take((r - 1) * s + np.arange(s)), -np.inf)
+    whose sorted columns ps reject r each: the null values at or below each
+    row's `_rejection_bounds` bound, counted on the null columns or as r
+    less the count on the others, whichever are fewer."""
+    n = matrix.shape[1]
+    bound = _rejection_bounds(ps, r)
     nulls = n - k1 <= k1
-    hits = np.zeros(s, dtype=np.intp)
+    hits = np.zeros(at.size, dtype=np.intp)
     for j in range(k1, n) if nulls else range(k1):
-        hits += matrix[:, j].take(at) <= kth
+        hits += matrix[:, j].take(at) <= bound
     return hits if nulls else r - hits
 
 
@@ -202,17 +191,27 @@ def _decide(ensemble, families, counts, levels, procedure, metric):
     """The decisions for the selected families, ascending, family
     families[k] (of count counts[k]) tested at levels[k], or at no level when
     levels is None: what ``procedure.apply(ensemble.family(i), level)``
-    rejects, or the error the first failing family raises there."""
+    rejects, or the error the first failing family raises there: one
+    `rejected_entries` call per size, sizes in order of their first family."""
     cells = np.zeros(0, dtype=np.intp)
     if not families.size:
         return DecisionColumns(ensemble, families, counts, levels, cells, cells)
     group_of, rows = ensemble.slots[:, families]
-    r, v, masks = _test_rows(
-        procedure, ensemble.pvalues, ensemble.truths, group_of, rows, levels
-    )
+    truths = ensemble.truths
+    r = np.empty(families.size, dtype=np.intp)
+    v = None if truths is None else np.empty(families.size, dtype=np.intp)
     offsets = (np.cumsum(ensemble.sizes) - ensemble.sizes)[families]
     parts = []
-    for ks, mask in masks:
+    # group ids stand in for sizes, one to one
+    groups = [(0, slice(None))] if len(ensemble.groups) == 1 else size_groups(group_of)
+    for g, ks in groups:
+        at = rows[ks]
+        tested_at = None if levels is None else levels[ks]
+        mask, r[ks] = rejected_entries(
+            procedure, ensemble.pvalues[g].take(at, axis=0), tested_at
+        )
+        if v is not None:
+            v[ks] = _column_counts(_last_axis_first(mask & truths[g].take(at, axis=0)))
         row_of, cols = np.nonzero(mask)
         parts.append(offsets[ks][row_of] + cols)
     # The families are ascending, so their cells are too: sorting the

@@ -4,16 +4,17 @@ All procedures take a 1d array-like of p-values and return the rejected
 indices as a sorted integer array. Comparisons against critical values use
 <=, so ties at a cutoff are always rejected together.
 
-One batched test, `rejected_entries`, runs a `Procedure` on many families
-of one size at once, each at its own level; `Procedure.apply` and the named
-procedures are its one-row case. It sorts the rows unless the caller has,
-and forms the counts and the mask on `core._last_axis_first`'s layout, one
-(n, s) column per family: `rejection_counts` copies nothing for sorted rows
-that are a view of that layout's memory, as a Monte Carlo block's are.
-One table, `_KINDS`, gives each kind its stepwise label and its critical
-values on either layout, and the counts and `Procedure.thresholds` both
-read it. `step_up` and `step_down` are the one-row case of the step counts
-on the stable sort, so a decreasing critical value can split a tie there.
+The within-family test is three kernels, which analyses and Monte Carlo
+blocks share: the row sort `core._sorted_columns`, the count
+`rejection_counts` and each row's bound `_rejection_bounds`. Analyses read
+a mask off the bounds (`rejected_entries`, whose one-row case are
+`Procedure.apply` and the named procedures) and a Monte Carlo block a
+false-rejection count (`adjust._test_rows`); a single step at a level
+counts its hits unsorted, as it reads no rank. One table, `_KINDS`, gives
+each kind its stepwise label and its critical values on either layout,
+and the counts and `Procedure.thresholds` both read it. `step_up` and
+`step_down` are the one-row case of the step counts on the stable sort, so
+a decreasing critical value can split a tie there.
 """
 
 from dataclasses import dataclass
@@ -22,6 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import _column_counts, _count_type, _last_axis_first, _positive_int
+from .core import _sorted_columns
 
 
 def _one_row(counts, pvalues, critical_values) -> np.ndarray:
@@ -239,12 +241,20 @@ class Procedure:
         return self.kind
 
 
+@lru_cache(maxsize=32)
+def _count_ranks(n: int) -> np.ndarray:
+    """The ranks 0..n as an (n + 1, 1) column on `_count_type(n)`, read-only
+    and built once per n, for the step counts on a few rows."""
+    ranks = np.arange(n + 1, dtype=_count_type(n))[:, None]
+    ranks.flags.writeable = False
+    return ranks
+
+
 def _step_up_counts(hits: np.ndarray) -> np.ndarray:
     """The step-up count of each column of (n, s) hits, the p-values of each
     family in ascending order down its column against its critical values:
-    the rank of its last hit. Ranks sized to n keep the product off int64."""
-    n = hits.shape[0]
-    ranks = np.arange(1, n + 1, dtype=_count_type(n))[:, None]
+    the rank of its last hit."""
+    ranks = _count_ranks(hits.shape[0])[1:]
     return np.maximum.reduce(hits * ranks, axis=0, initial=0).astype(np.intp)
 
 
@@ -252,8 +262,9 @@ def _step_down_counts(hits: np.ndarray) -> np.ndarray:
     """The step-down count of each column of (n, s) hits: the rank before
     its first miss, the least of n at a hit and rank - 1 at a miss."""
     n = hits.shape[0]
-    before = np.arange(n, dtype=_count_type(n))[:, None]
-    keys = hits * (n - before) + before
+    ranks = _count_ranks(n)
+    # n - k and k for each rank k from 0, as views
+    keys = hits * ranks[:0:-1] + ranks[:-1]
     return np.minimum.reduce(keys, axis=0, initial=n).astype(np.intp)
 
 
@@ -312,18 +323,14 @@ def rejection_counts(
     return np.where(m0 == 0, n, _step_up_counts(np.less_equal(ps, cuts, out=hits)))
 
 
-def rejected_by_counts(ps: np.ndarray, r: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Whether each value falls in its row's rejected set.
-
-    ps is a row-sorted (s, n) matrix, r its rejection counts and values an
-    (s,) or (s, k) array of values on the same scale. Counts never split a
-    tie, so row i rejects exactly the values <= ps[i, r[i]-1] when r[i] > 0,
-    and none (no value is <= -inf) when r[i] = 0. The mask is compared on
-    `_last_axis_first`'s layout, so a first-axis count of it copies nothing.
-    """
-    at = np.arange(-1, ps.size - 1, ps.shape[1]) + r  # flat index of ps[i, r[i]-1]
-    kth = np.where(r > 0, ps.take(at), -np.inf)
-    return (_last_axis_first(values) <= kth).T
+def _rejection_bounds(ranked: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Each family's bound: the r[k]-th smallest value of family k, row
+    r[k] - 1 of column k of its (n, s) sorted columns ranked, or -inf where
+    r[k] is 0. A count never splits a tie, so a family rejects exactly its
+    values at or below its bound."""
+    s = r.size
+    # flat indices; -s + k, where r is 0, wraps to a valid one
+    return np.where(r, ranked.take(r * s + np.arange(-s, 0)), -np.inf)
 
 
 def rejected_entries(procedure: Procedure, rows: np.ndarray, levels=None):
@@ -331,18 +338,20 @@ def rejected_entries(procedure: Procedure, rows: np.ndarray, levels=None):
 
     rows is an (s, n) matrix of families of one size and levels holds one
     level per row, or is None for step_up and step_down. Returns the (s, n)
-    rejected-entry mask and the (s,) rejection counts. Families of mixed
-    sizes are tested one `core.size_groups` group at a time.
+    rejected-entry mask and the (s,) rejection counts, the mask compared on
+    `_last_axis_first`'s layout: a single step's hits at a level, and else
+    each row's values at or below its bound. Families of mixed sizes are
+    tested one `core.size_groups` group at a time.
     """
     if levels is not None and procedure.stepwise == "single-step":
-        # no sort: a single step has one cutoff per row, and levels as they
-        # come give them as a row that meets `_last_axis_first`'s columns
+        # levels as they come give the cutoffs as a row that meets
+        # `_last_axis_first`'s columns
         levels = np.asarray(levels, dtype=np.float64)
         hit = _last_axis_first(rows) <= _cutoffs(procedure, rows.shape[1], levels)
         return hit.T, _column_counts(hit)
-    ps = np.sort(rows, axis=1)
-    r = rejection_counts(procedure, ps, levels)
-    return rejected_by_counts(ps, r, rows), r
+    ranked = _sorted_columns(rows)
+    r = rejection_counts(procedure, ranked.T, levels)
+    return (_last_axis_first(rows) <= _rejection_bounds(ranked, r)).T, r
 
 
 def bonferroni(pvalues, level: float) -> np.ndarray:

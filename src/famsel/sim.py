@@ -28,35 +28,36 @@ replicate, and never more replicates than its span. A block is drawn (`_draw`)
 into one (B, count, n) array per family size, laid out as `PValueEnsemble`
 stores an ensemble and allocated once per span, and then scored (`_score`):
 summarized and selected in a few batched calls per size. A rule whose
-summaries read sorted rows (Simes) has each size's rows sorted once into
-`_last_axis_first`'s layout (`_sorted_columns`, by a compare-exchange
-network for small sizes), and reads them as a row-sorted view of that
-memory; the test of the selected rows gathers their columns from it, so
-no copy of the block is made; under another rule a procedure that reads
-sorted rows sorts the tested rows alone. A span also keeps one workspace
+summaries read sorted rows (Simes) has each size's rows sorted once
+(`core._sorted_columns`, into `_last_axis_first`'s layout), and reads them
+as a row-sorted view of that memory; the test of the selected rows gathers
+their columns from it, so no copy of the block is made. Under another
+rule the test gathers the tested rows, and sorts them with the same
+kernel if the procedure reads ranks. A span also keeps one workspace
 (`_Workspace`), sized by its first block: each block reads its stream
 words, sorts its rows, and gathers its tested columns and builds their
 critical values and hits in it, and the Fisher and Stouffer combiners
 and rows past the network's sizes run in row chunks (`core._row_chunks`),
 so that a block builds no other array as large as its p-values, only
-arrays of one value per (replicate, family) pair. Its selected
-families get their levels and are tested by the steps the public analyses
-in `adjust` run (`_levels`, `_test_rows`), so an analysis is the
-one-replicate case of a block. Under a min-p rule (`MinPThreshold`,
-`TopKMinP`) a selected family's count is its replicate's R, so before any
-cell is gathered a block reads each replicate's entry cutoffs
-(`procedures._entry_cutoffs`) at the level of its R, and tests a selected
-family only if its summary, its smallest p-value, meets its size's
-cutoff; any other family rejects nothing, so its error is 0.0 under every
-metric. Under "rmin" a rule that is not simple is not filtered, as its
-R_min can lie below R. Each family puts its non-null hypotheses
-first, so a block's truth is each size's count of leading non-nulls: a
-family's false rejections are all its rejections where that count is 0, as
-in every all-null scenario, and its rejections from that column on
-otherwise. A replicate's total is summed from its tested cells alone. The
-tests compare each estimate with those analyses on every replicate's
-`generate` ensemble, with the within-family test swapped for one textbook
-call per family and, for R_min, with the candidate scan.
+arrays of one value per (replicate, family) pair. Its selected families
+get their levels as the public analyses in `adjust` do (`_levels`) and
+are tested with their sort, count and bound (`_test_rows`), so an
+analysis is the one-replicate case of a block. Under a min-p rule
+(`MinPThreshold`, `TopKMinP`) a selected family's count is its
+replicate's R, so before any cell is gathered a block reads each
+replicate's entry cutoffs (`procedures._entry_cutoffs`) at the level of
+its R, and tests a selected family only if its summary, its smallest
+p-value, meets its size's cutoff; any other family rejects nothing, so its
+error is 0.0 under every metric. Under "rmin" a rule that is not simple
+is not filtered, as its R_min can lie below R. Each family puts its
+non-null hypotheses first, so a block's truth is each size's count of
+leading non-nulls: a family's false rejections are all its rejections
+where that count is 0, as in every all-null scenario, and its rejections
+from that column on otherwise. A replicate's total is summed from its
+tested cells alone. The tests compare each estimate with those analyses
+on every replicate's `generate` ensemble, with the within-family test
+swapped for one textbook call per family and, for R_min, with the
+candidate scan.
 The rule must follow the rule protocol of `selection`, as every shipped
 rule does. SciPy (only for normal scores), numpy.random and the process
 pool are imported where first used, so importing famsel loads none of them.
@@ -73,7 +74,7 @@ import numpy as np
 
 from .adjust import _level_of, _levels, _test_rows
 from .core import ErrorMetric, PValueEnsemble, _last_axis_first, _metric_values
-from .core import _row_chunks, group_slots, size_groups
+from .core import _sorted_columns, group_slots, size_groups
 from .procedures import Procedure, _check_testable, _entry_cutoffs
 from .selection import _MinPSelection, _check_rule, _summarize, check_concordant
 
@@ -405,100 +406,6 @@ def _entry_table(config: ScenarioConfig, layout: _Layout):
     return table
 
 
-# A block's rows of a family size from 2 to _NETWORK_SIZES are sorted by a
-# compare-exchange network (`_sorted_columns`) rather than by np.sort, as
-# measured on Simes/BH estimates like mc-signal-simes's (m = 20, 1,000
-# replicates, 2-vCPU host): the network took 0.74-0.99 of np.sort's time
-# at n = 2..10, 0.99-1.04 at n = 11 and 12, and 1.05-1.15 at n = 13, 14
-# and 16. _NETWORKS holds each size's network once built.
-_NETWORK_SIZES = 10
-_NETWORKS = {}
-
-
-def _merge_exchange(n: int) -> list:
-    """The comparators (i, j), i < j, of Batcher's merge exchange for n
-    values (Knuth, TAOCP 3, 5.2.2, Algorithm M), in an order that sorts."""
-    pairs, t = [], (n - 1).bit_length()
-    p = 1 << t >> 1
-    while p:
-        q, r, d = 1 << t >> 1, 0, p
-        while True:
-            pairs += [(i, i + d) for i in range(n - d) if i & p == r]
-            if q == p:
-                break
-            d, q, r = q - p, q >> 1, p
-        p >>= 1
-    return pairs
-
-
-def _network(n: int) -> list:
-    """The merge exchange for n > 1 values as steps over slots: slot k < n
-    is row k of an (n, N) output, slot n a spare row and slot n + 1 + c
-    column c of the (N, n) input. A step (a, b, lo, hi) writes the minimum
-    of slots a and b to row lo, which holds no live value, and then their
-    maximum to row hi, b's own row, so no step overwrites a value still to
-    be read. The rows are planned from the last step back, so that the
-    sorted values end in the output's rows in order; a value's first step
-    reads it from its input column, and every value has one, as a sorting
-    network compares each of its n > 1 values."""
-    if n not in _NETWORKS:
-        pairs = _merge_exchange(n)
-        where, spare, steps = list(range(n)), n, []
-        for i, j in reversed(pairs):
-            lo, hi = where[i], where[j]
-            steps.append([spare, hi, lo, hi])
-            where[i], spare = spare, lo
-        steps.reverse()
-        first = {}
-        for k, (i, j) in enumerate(pairs):
-            first.setdefault(i, (k, 0))
-            first.setdefault(j, (k, 1))
-        for c, (k, side) in first.items():
-            steps[k][side] = n + 1 + c
-        _NETWORKS[n] = [tuple(step) for step in steps]
-    return _NETWORKS[n]
-
-
-def _sorted_columns(rows: np.ndarray, empty=np.empty) -> np.ndarray:
-    """rows, an (N, n) matrix, with each row sorted, as the (n, N) array of
-    `_last_axis_first`'s layout: row k holds every row's (k+1)-th smallest
-    value. For n from 2 to _NETWORK_SIZES a compare-exchange network
-    (`_network`) sorts the columns with np.minimum and np.maximum, and its
-    values are np.sort's bit for bit on p-values, which hold no NaN and no
-    -0.0; otherwise np.sort's rows are copied to that layout. The output and
-    the network's spare row are from empty (np.empty's signature)."""
-    count, n = rows.shape
-    out = empty((n, count))
-    if not 1 < n <= _NETWORK_SIZES:
-        for rows_at in _row_chunks(count, n):
-            np.copyto(out[:, rows_at], np.sort(rows[rows_at], axis=1).T)
-        return out
-    slots = [*out, empty(count), *rows.T]
-    for a, b, lo, hi in _network(n):
-        np.minimum(slots[a], slots[b], out=slots[lo])
-        np.maximum(slots[a], slots[b], out=slots[hi])
-    return out
-
-
-def _sorted_tested_rows(matrices, group_of, at, empty):
-    """The rows at of matrices[group_of], gathered one matrix per group and
-    sorted as `_sorted_columns` sorts a block, in memory from empty, and
-    each row's place among its group's gathered rows: what `_test_rows`
-    reads for a rule that does not rank rows, so that its test sorts the
-    tested rows alone and builds nothing of their size outside empty."""
-    gathered, ranked = [], []
-    places = np.empty_like(at)
-    for g, matrix in enumerate(matrices):
-        ks = np.flatnonzero(group_of == g)
-        rows = empty((ks.size, matrix.shape[1]))
-        # mode "clip" writes into out directly; the rows are in range
-        np.take(matrix, at.take(ks), axis=0, out=rows, mode="clip")
-        gathered.append(rows)
-        ranked.append(_sorted_columns(rows, empty).T)
-        places[ks] = np.arange(ks.size)
-    return gathered, ranked, places
-
-
 def _score(
     config: ScenarioConfig, layout: _Layout, blocks, matrices, entry, empty=np.empty
 ):
@@ -517,10 +424,10 @@ def _score(
     tested. It would reject nothing, so its value is 0.0 under every metric
     and leaves its replicate's sum as it is. Sorted rows and the tests'
     arrays take their memory from empty (np.empty's signature): under a rule
-    that ranks rows the block's rows are sorted, and else, for a procedure
-    that reads sorted rows, only the tested ones (`_sorted_tested_rows`).
+    that ranks rows the block's rows are sorted, and else `_test_rows`
+    sorts the tested ones, if its procedure reads ranks.
     """
-    rule, q, m = config.rule, config.q, config.m
+    rule, q, m, procedure = config.rule, config.q, config.m, config.procedure
     ranked = None
     if getattr(rule, "ranks_rows", False):
         ranked = [_sorted_columns(p.reshape(-1, p.shape[2]), empty).T for p in blocks]
@@ -535,11 +442,8 @@ def _score(
     _, levels = _levels(rule, config.adjustment, q, summaries, fams, reps, counts)
     if not reps.size:
         return np.zeros(counts.size), counts / m
-    if ranked is None and config.procedure.stepwise != "single-step":
-        matrices, ranked, at = _sorted_tested_rows(matrices, group_of, at, empty)
-    truths = layout.non_nulls
-    r, v, _ = _test_rows(
-        config.procedure, matrices, truths, group_of, at, levels, ranked, empty
+    r, v = _test_rows(
+        procedure, matrices, layout.non_nulls, group_of, at, levels, ranked, empty
     )
     # bincount adds each weight to its bin in input order, and the tested
     # cells ascend, so each replicate's values are summed left to right in

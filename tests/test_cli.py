@@ -16,7 +16,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from famsel import cli, sim
+import famsel
+from famsel import cli, core, sim
 from famsel.cli import CSV_COLUMNS, REPORT_SCHEMA, main
 from famsel.core import METRIC_KINDS, ErrorMetric
 from famsel.procedures import Procedure
@@ -85,6 +86,35 @@ class TestAnalyze:
         assert report["metadata"]["input_digest"].startswith("sha256:")
         # JSON round-trips losslessly
         assert json.loads(json.dumps(report)) == report
+
+    @pytest.mark.parametrize("procedure", ["holm", "bh"])
+    def test_signed_zeros_and_ties_test_as_one_call_per_family(
+        self, procedure, tmp_path, capsys
+    ):
+        # 300 families of 5 holding 0, -0.0 and ties, each selected and
+        # tested at q: enough rows for the network's side of the shared
+        # sort, which gives a row's zeros one sign, against one call of the
+        # named procedure on each row, the one-row np.sort side
+        rng = np.random.default_rng(53)
+        values = rng.choice(["0", "-0.0", "0.01", "0.01", "0.02", "0.5"], size=(300, 5))
+        rows = ["family,hypothesis,p_value"] + [
+            f"f{i},h{j},{v}" for i, row in enumerate(values) for j, v in enumerate(row)
+        ]
+        path = tmp_path / "zeros.csv"
+        path.write_text("\n".join(rows) + "\n")
+        args = ["analyze", str(path), "--rule", "minp:1", "--procedure", procedure]
+        code, out, _ = run_cli(args + ["--adjust", "simple"], capsys)
+        assert code == 0
+        families = json.loads(out)["selection"]["families"]
+        assert len(families) == len(values) >= core._NETWORK_ROWS
+        named = getattr(famsel, procedure)
+        rejections = 0
+        for rec, row in zip(families, values):
+            assert rec["selected"] and rec["adjusted_level"] == pytest.approx(0.05)
+            want = named(row.astype(float), rec["adjusted_level"])
+            assert rec["rejected"] == [f"h{j}" for j in want], rec["family_id"]
+            rejections += 0 < want.size < row.size
+        assert rejections > 50
 
     def test_guaranteed_rejection_combination(self, tmp_path, capsys):
         rows = ["family,hypothesis,p_value"]

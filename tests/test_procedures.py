@@ -7,6 +7,7 @@ import textbook
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from famsel.core import _NETWORK_ROWS
 from famsel.procedures import (
     PROCEDURE_KINDS,
     Procedure,
@@ -103,6 +104,39 @@ class TestGenericStepsMatchTextbook:
         for step in (step_up, step_down):
             got = step([], [])
             assert got.tolist() == [] and got.dtype == np.intp
+
+
+class TestNaN:
+    """Procedure.apply and the named procedures take NaN and never reject
+    it, as the textbook loops do."""
+
+    @pytest.mark.parametrize("kind", [k for k in PROCEDURE_KINDS if "step_" not in k])
+    def test_parametric_kinds_never_reject_nan(self, kind):
+        # on seeded rows of ties, zeros of both signs and NaN
+        named = {
+            "bonferroni": bonferroni,
+            "holm": holm,
+            "hochberg": hochberg,
+            "bh": bh,
+            "two_stage": two_stage_adaptive,
+            "lr_kfwer": lambda p, level: lehmann_romano_kfwer(p, level, 2),
+        }
+        rng = np.random.default_rng(PROCEDURE_KINDS.index(kind))
+        pool = np.array([0.0, -0.0, 0.001, 0.01, 0.04, np.nan])
+        proc = Procedure(kind, k=2 if kind == "lr_kfwer" else None)
+        nans = 0
+        for _ in range(3000):
+            n = int(rng.integers(2, 11))
+            row = np.where(
+                rng.uniform(size=n) < 0.6, rng.choice(pool, size=n), rng.uniform(size=n)
+            )
+            level = float(rng.choice([0.05, 0.3, 0.9]))
+            want = textbook.apply(proc, row, level).tolist()
+            assert proc.apply(row, level).tolist() == want, (kind, row, level)
+            assert named[kind](row, level).tolist() == want
+            assert not np.isnan(row[want]).any()
+            nans += np.isnan(row).any() and 0 < len(want) < n
+        assert nans > 100
 
 
 class TestStepDown:
@@ -582,6 +616,28 @@ class TestRejectedEntries:
                 mask, counts = rejected_entries(proc, rows, lv)
                 assert np.array_equal(mask, expected), (case, kind)
                 assert counts.tolist() == expected.sum(axis=1).tolist()
+
+    def test_rows_on_both_sides_of_the_network_cutoff(self):
+        # families of 2 to 10 sort by the network from _NETWORK_ROWS rows
+        # on and by np.sort below; with ties, zeros of both signs and NaN
+        # each mask and count is the textbook's, row by row
+        rng = np.random.default_rng(45)
+        pool = np.array([0.0, -0.0, 0.001, 0.01, 0.04, 0.2, np.nan])
+        sizes = (1, _NETWORK_ROWS - 1, _NETWORK_ROWS)
+        for n, s in itertools.product((2, 5, 10), sizes):
+            rows = rng.choice(pool, size=(s, n))
+            drawn = rng.uniform(size=(s, n))
+            rows = np.where(rng.uniform(size=(s, n)) < 0.3, drawn, rows)
+            levels = rng.choice([0.05, 0.3, 0.9], size=s)
+            for kind in PROCEDURE_KINDS:
+                proc = self._procedure(kind, n)
+                lv = None if proc.critical_values else levels
+                mask, counts = rejected_entries(proc, rows, lv)
+                for i, row in enumerate(rows):
+                    level = None if lv is None else lv[i]
+                    want = textbook.apply(proc, row, level).tolist()
+                    assert np.flatnonzero(mask[i]).tolist() == want, (n, s, kind)
+                assert counts.tolist() == mask.sum(axis=1).tolist()
 
     def test_lr_kfwer_needs_k_at_most_the_size(self):
         rows = np.full((3, 2), 0.01)

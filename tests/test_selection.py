@@ -168,6 +168,30 @@ class TestCombine:
             from_ranked = rule.block_summaries(block, ranked)
             assert from_ranked.tobytes() == want.reshape(3, 100).tobytes()
 
+    def test_signed_zeros_keep_np_sort_bits(self):
+        # 3,000 families of 5 holding 0.0, -0.0 and ties, enough rows for
+        # the network's side of `core._sorted_columns`, which would give a
+        # row's zeros one sign and flip some Simes values' signs: every
+        # combined p-value keeps the bits of the one np.sort's rows give
+        rng = np.random.default_rng(47)
+        pool = np.array([0.0, -0.0, 0.01, 0.01, 0.3])
+        shape = (3000, 5)
+        tied = rng.choice(pool, size=shape)
+        rows = np.where(rng.uniform(size=shape) < 0.7, tied, rng.uniform(size=shape))
+        assert len(rows) >= core._NETWORK_ROWS
+        ens = PValueEnsemble(rows)
+        ranked, floor = np.sort(rows, axis=1), selection.DEFAULT_P_FLOOR
+        for kind in COMBINERS:
+            want = selection._combine_rows(kind, rows, floor, ranked)
+            rule = GlobalNullTest(kind, Procedure("bh"), 0.1)
+            assert combined_pvalues(kind, ens).tobytes() == want.tobytes(), kind
+            each = np.array([combine(kind, row) for row in rows])
+            assert each.tobytes() == want.tobytes(), kind
+            summaries = np.array([summary_of(rule, row) for row in rows])
+            assert summaries.tobytes() == want.tobytes(), kind
+            signs = np.signbit(want[want == 0.0])
+            assert kind != "simes" or 0 < signs.sum() < signs.size
+
     def test_row_chunks_and_running_minima_change_no_bit(self, monkeypatch):
         # with _CHUNK_CELLS at 64 every combiner below runs in chunks of a
         # few rows, and every minimum over fewer than 32 columns as a

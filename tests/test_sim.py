@@ -475,29 +475,36 @@ class TestGenerate:
         # Simes selection and the within-family test share one sort of each
         # size group's rows, by a network or by np.sort; min-p selection
         # with Bonferroni inside sorts nothing. The (B, m) summaries have
-        # m = 4 columns, which no family size here has.
-        sorted_widths, np_sorted = [], []
-        sort, sorted_columns = np.sort, sim._sorted_columns
+        # m = 4 columns, which no family size here has. A full block holds
+        # 3 replicates and the last one 2, so a row cutoff of 10 puts full
+        # blocks of 5 on the network's side and every last block on
+        # np.sort's.
+        sorted_shapes, np_sorted = [], []
+        sort, sorted_columns = np.sort, core._sorted_columns
 
         def counting(a, *args, **kwargs):
             np_sorted.append(np.shape(a)[-1])
             return sort(a, *args, **kwargs)
 
         def counting_columns(rows, *args):
-            sorted_widths.append(rows.shape[1])
+            sorted_shapes.append(rows.shape)
             return sorted_columns(rows, *args)
 
         monkeypatch.setattr(sim, "_BLOCK_CELLS", 60)
         monkeypatch.setattr(sim, "_BLOCK_REPLICATES", 1)
         monkeypatch.setattr(sim, "_sorted_columns", counting_columns)
+        monkeypatch.setattr(adjust, "_sorted_columns", counting_columns)
         monkeypatch.setattr(np, "sort", counting)
         simes = GlobalNullTest("simes", Procedure("bh"), 0.2)
-        for network_sizes, (rule, procedure, sorts), n in itertools.product(
-            (sim._NETWORK_SIZES, 0),
+        sides = set()  # whether a sort at the cutoff of 10 ran the network
+        for network_sizes, network_rows, (rule, procedure, sorts), n in itertools.product(
+            (core._NETWORK_SIZES, 0),
+            (1, 10, core._NETWORK_ROWS),
             [(simes, "bh", 1), (simes, "holm", 1), (MinPThreshold(0.3), "bonferroni", 0)],
             (5, [2, 5, 1, 3]),
         ):
-            monkeypatch.setattr(sim, "_NETWORK_SIZES", network_sizes)
+            monkeypatch.setattr(core, "_NETWORK_SIZES", network_sizes)
+            monkeypatch.setattr(core, "_NETWORK_ROWS", network_rows)
             cfg = ScenarioConfig(
                 m=4,
                 n=n,
@@ -510,19 +517,26 @@ class TestGenerate:
                 pi1=0.5,
                 mu=2.0,
             )
-            sorted_widths.clear()
+            sorted_shapes.clear()
             np_sorted.clear()
             _replicate_values(cfg, 3, 20)
             step = max(1, 60 // sum(cfg.sizes()))
             blocks = len(range(3, 20, step))
             want = sorted(list(set(cfg.sizes())) * blocks * sorts)
-            assert sorted(sorted_widths) == want
+            assert sorted(w for _, w in sorted_shapes) == want
             # np.sort sorts the rows the network does not, and nothing else
             rows = [w for w in np_sorted if w != cfg.m]
-            networked = range(2, network_sizes + 1)
-            assert rows == [w for w in sorted_widths if w not in networked]
+            by_network = [
+                (count, w)
+                for count, w in sorted_shapes
+                if 1 < w <= network_sizes and count >= network_rows
+            ]
+            assert rows == [w for c, w in sorted_shapes if (c, w) not in by_network]
+            if network_rows == 10 and network_sizes:
+                sides.update((c, w) in by_network for c, w in sorted_shapes)
             if not sorts:
                 assert np_sorted == [], (rule, n)
+        assert sides == {False, True}
 
     @pytest.mark.parametrize("pi1", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize(
@@ -1076,9 +1090,10 @@ class TestEstimate:
     def test_all_null_blocks_read_no_mask_and_no_values_array(
         self, n, procedure, monkeypatch
     ):
-        # with no non-null hypothesis every rejection is false: v is r, so
-        # no block reads a rejected-entry mask, and each block sums its
-        # tested cells with one weighted bincount, building no (B, m) array
+        # with no non-null hypothesis every rejection is false: v is r, and
+        # each block sums its tested cells with one weighted bincount,
+        # building no (B, m) array. No block builds a rejected-entry mask:
+        # none calls rejected_entries, with or without non-nulls.
         cfg = replace(
             example1_config(5, n, reps=60, seed=9, adjustment="simple"),
             q=0.3,
@@ -1090,16 +1105,8 @@ class TestEstimate:
             patch.setattr(adjust, "_decide", textbook.looped_decide)
             cs, frac = object_values(cfg, 0, cfg.replicates)
 
-        class Unread(np.ndarray):
-            def __array_ufunc__(self, *args, **kwargs):
-                raise AssertionError("a block read the rejected-entry mask")
-
-            def __getitem__(self, key):
-                raise AssertionError("a block read the rejected-entry mask")
-
-        def unread(*args):
-            mask, r = rejected_entries(*args)
-            return mask.view(Unread), r
+        def uncalled(*args):
+            raise AssertionError("a block tested rows by rejected_entries")
 
         shapes, weighted = [], []  # of float zeros, of weighted bincounts
         zeros, bincount = np.zeros, np.bincount
@@ -1115,7 +1122,7 @@ class TestEstimate:
                 weighted.append(minlength)
             return bincount(x, weights, minlength)
 
-        monkeypatch.setattr(adjust, "rejected_entries", unread)
+        monkeypatch.setattr(adjust, "rejected_entries", uncalled)
         monkeypatch.setattr(np, "zeros", recording_zeros)
         monkeypatch.setattr(np, "bincount", recording_bincount)
         monkeypatch.setattr(sim, "_BLOCK_CELLS", 200)
@@ -1129,21 +1136,9 @@ class TestEstimate:
         step = max(1, 200 // sum(cfg.sizes()))
         assert weighted and set(weighted) <= {step, cfg.replicates % step}
         assert len(weighted) <= -(-cfg.replicates // step)
-        # once a family has a non-null, a single step reads the same wrapped
-        # mask; a procedure that reads sorted rows sorts the tested rows and
-        # builds no mask at all
-        signal = replace(cfg, pi1=0.5, mu=1.0)
-        if Procedure(procedure).stepwise == "single-step":
-            monkeypatch.setattr(adjust, "rejected_entries", unread)
-            with pytest.raises(AssertionError, match="read the rejected-entry mask"):
-                estimate(signal)
-        else:
-
-            def uncalled(*args):
-                raise AssertionError("a block tested rows by rejected_entries")
-
-            monkeypatch.setattr(adjust, "rejected_entries", uncalled)
-            estimate(signal)
+        monkeypatch.setattr(adjust, "rejected_entries", uncalled)
+        signal = estimate(replace(cfg, pi1=0.5, mu=1.0))
+        assert signal.e_cs_hat > 0.0
 
     def test_ragged_config_uses_object_path(self):
         cfg = ScenarioConfig(
@@ -1339,7 +1334,10 @@ class TestBlockSize:
                 steps.add(drawn[0])
         assert len(steps) >= 3, steps
         if cfg.n == 6:
-            assert cfg.n <= sim._NETWORK_SIZES
+            # blocks on both sides of the network's row cutoff
+            rows = [step * cfg.m for step in steps]
+            assert cfg.n <= core._NETWORK_SIZES
+            assert min(rows) < core._NETWORK_ROWS <= max(rows), rows
 
     @pytest.mark.parametrize(
         "cfg",
@@ -1477,38 +1475,46 @@ class TestFirstAxisKernels:
 
     @pytest.mark.parametrize("network", [True, False])
     def test_sorted_columns_are_np_sort_byte_for_byte(self, network, monkeypatch):
-        monkeypatch.setattr(sim, "_NETWORK_SIZES", 12 if network else 0)
+        # rows on both sides of the network's row cutoff: below it np.sort's
+        # rows come transposed, with no copy; NaN sorts last on both sides
+        monkeypatch.setattr(core, "_NETWORK_SIZES", 12 if network else 0)
         rng = np.random.default_rng(41)
-        for n in range(1, 13):
-            for rows in (rng.uniform(size=(300, n)), tie_grids(rng, 300, n)):
-                got = sim._sorted_columns(rows)
-                assert got.shape == (n, 300) and got.flags.c_contiguous
+        for n, count in itertools.product(range(1, 13), (20, 255, 256, 300)):
+            nans = tie_grids(rng, count, n)
+            nans[rng.uniform(size=nans.shape) < 0.2] = np.nan
+            for rows in (rng.uniform(size=(count, n)), tie_grids(rng, count, n), nans):
+                got = core._sorted_columns(rows)
+                assert got.shape == (n, count)
+                below = count < core._NETWORK_ROWS
+                assert (got.T if below else got).flags.c_contiguous
                 want = np.sort(rows, axis=1)
                 assert np.ascontiguousarray(got.T).tobytes() == want.tobytes(), n
 
     def test_np_sort_in_row_chunks_is_np_sort_byte_for_byte(self, monkeypatch):
         # at 25 cells np.sort sorts rows in chunks of a few rows each
-        monkeypatch.setattr(sim, "_NETWORK_SIZES", 0)
+        monkeypatch.setattr(core, "_NETWORK_SIZES", 0)
         monkeypatch.setattr(core, "_CHUNK_CELLS", 25)
         rng = np.random.default_rng(43)
         for n in range(1, 13):
             rows = tie_grids(rng, 300, n)
-            got = np.ascontiguousarray(sim._sorted_columns(rows).T)
+            got = np.ascontiguousarray(core._sorted_columns(rows).T)
             assert got.tobytes() == np.sort(rows, axis=1).tobytes(), n
 
     def test_networks_are_merge_exchange(self):
         # Batcher's merge exchange has the fewest comparators known up to 8
-        sizes = [len(sim._network(n)) for n in range(2, 11)]
+        sizes = [len(core._network(n)) for n in range(2, 11)]
         assert sizes == [1, 3, 5, 9, 12, 16, 19, 26, 31]
         # every comparator's two outputs land in rows, one of them the spare,
         # and every input column is read
         for n in range(2, 11):
-            steps = sim._network(n)
+            steps = core._network(n)
             assert all(lo <= n and hi <= n and lo != hi for _, _, lo, hi in steps)
             read = {a for a, b, _, _ in steps} | {b for a, b, _, _ in steps}
             assert set(range(n + 1, 2 * n + 1)) <= read
 
     def test_np_sort_outside_network_sizes(self, monkeypatch):
+        # from the row cutoff on, np.sort sorts only the sizes the network
+        # does not; below it, every size
         sorts = []
         sort = np.sort
 
@@ -1517,23 +1523,36 @@ class TestFirstAxisKernels:
             return sort(a, *args, **kwargs)
 
         monkeypatch.setattr(np, "sort", counting)
-        for n in (1, 2, sim._NETWORK_SIZES, sim._NETWORK_SIZES + 1):
-            sim._sorted_columns(np.random.default_rng(n).uniform(size=(5, n)))
-        assert sorts == [(5, 1), (5, sim._NETWORK_SIZES + 1)]
+        sizes = (1, 2, core._NETWORK_SIZES, core._NETWORK_SIZES + 1)
+        for count in (core._NETWORK_ROWS - 1, core._NETWORK_ROWS):
+            sorts.clear()
+            for n in sizes:
+                core._sorted_columns(np.random.default_rng(n).uniform(size=(count, n)))
+            if count < core._NETWORK_ROWS:
+                assert sorts == [(count, n) for n in sizes]
+            else:
+                assert sorts == [(count, 1), (count, core._NETWORK_SIZES + 1)]
 
     @pytest.mark.parametrize("kind", PROCEDURE_KINDS)
     def test_ranked_rows_test_as_the_rows_do(self, kind, monkeypatch):
-        # r and v from the sorted columns, with no mask, against the mask
-        # the unsorted rows give, for every count k1 of leading non-nulls
-        monkeypatch.setattr(sim, "_NETWORK_SIZES", 12)
+        # r and v from the sorted columns against the unsorted rows, which a
+        # single step counts where they lie and any other procedure sorts,
+        # for every count k1 of leading non-nulls, and against the mask
+        # rejected_entries gives; at a row cutoff of 1 every sort but n = 1
+        # runs the network, at 151 the ranked matrix's 200 rows do and the
+        # 150 tested rows do not
         rng = np.random.default_rng(PROCEDURE_KINDS.index(kind))
-        for n in range(1, 13):
+        monkeypatch.setattr(core, "_NETWORK_SIZES", 12)
+        for network_rows, n in itertools.product(
+            (1, 151, core._NETWORK_ROWS), range(1, 13)
+        ):
+            monkeypatch.setattr(core, "_NETWORK_ROWS", network_rows)
             matrix = np.where(
                 rng.uniform(size=(200, 1)) < 0.5,
                 tie_grids(rng, 200, n) * 0.1,
                 rng.uniform(size=(200, n)) ** 3,
             )
-            ranked = [sim._sorted_columns(matrix).T]
+            ranked = [core._sorted_columns(matrix).T]
             at = np.sort(rng.choice(200, size=150, replace=False))
             levels = rng.uniform(0.01, 0.9, size=at.size)
             if kind in ("step_up", "step_down"):
@@ -1543,17 +1562,19 @@ class TestFirstAxisKernels:
                 k = min(2, n) if kind == "lr_kfwer" else None
                 proc = Procedure(kind, k=k)
             group_of = np.zeros(at.size, dtype=np.intp)
+            mask, counts = rejected_entries(proc, matrix[at], levels)
             for k1 in range(n + 1):
                 truth = [k1]
-                want_r, want_v, masks = adjust._test_rows(
+                want_r, want_v = adjust._test_rows(
                     proc, [matrix], truth, group_of, at, levels
                 )
-                r, v, none = adjust._test_rows(
+                r, v = adjust._test_rows(
                     proc, [matrix], truth, group_of, at, levels, ranked
                 )
                 assert r.tolist() == want_r.tolist() and v.tolist() == want_v.tolist()
-                assert none == [] and r.dtype == v.dtype == np.intp
-                assert want_v.sum() == masks[0][1][:, k1:].sum()
+                assert r.dtype == v.dtype == np.intp
+                assert r.tolist() == counts.tolist()
+                assert v.tolist() == mask[:, k1:].sum(axis=1).tolist()
             assert want_r.sum() > 0, (kind, n)
 
 
