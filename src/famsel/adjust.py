@@ -27,9 +27,9 @@ from .core import (
     _metric_values,
     _sorted_columns,
     average_over_selected,
-    size_groups,
+    id_groups,
 )
-from .procedures import Procedure, _cutoffs, _rejection_bounds
+from .procedures import Procedure, _rejection_bounds, _single_step_hits
 from .procedures import rejected_entries, rejection_counts
 from .selection import GlobalNullTest, _counts, _picked, _summaries
 
@@ -137,20 +137,17 @@ def _test_rows(
     rows: rows[k] of matrices[group_of[k]] tested at levels[k], or at no
     level when levels is None. There is one matrix per family size, and
     truths holds each one's count k1 of leading non-null columns: v counts
-    the rejections from column k1 on (`_null_rejections`), and is r where
-    k1 is 0. ranked, if given, holds each matrix's rows sorted, the
-    transpose of its `_sorted_columns`, and the tested columns are gathered
-    from it; else a single step at a level counts the tested rows' hits
-    unsorted, and any other procedure sorts them. Arrays of the rows' size
-    take their memory from empty (np.empty's signature). Each size is one
-    count, sizes in order of their first row, so an error is the one the
-    first failing row raises.
+    the rejections from column k1 on (`_null_rejections`), r where k1 is
+    0. ranked, if given, holds each matrix's rows sorted (the transpose of
+    its `_sorted_columns`) to gather the tested columns from; else a single
+    step at a level counts the tested rows' hits unsorted, and any other
+    procedure sorts them. Arrays of the rows' size take their memory from
+    empty (np.empty's signature). Each size is one count, in order of its
+    first row (`id_groups`), so an error is the first failing row's.
     """
     r = np.empty(rows.size, dtype=np.intp)
     v = np.empty(rows.size, dtype=np.intp)
-    # group ids stand in for sizes, one to one
-    groups = [(0, slice(None))] if len(matrices) == 1 else size_groups(group_of)
-    for g, ks in groups:
+    for g, ks in id_groups(len(matrices), group_of):
         at, matrix, k1 = rows[ks], matrices[g], truths[g]
         tested_at = None if levels is None else levels[ks]
         n = matrix.shape[1]
@@ -159,8 +156,7 @@ def _test_rows(
             # mode "clip" writes into out directly; the rows are in range
             np.take(_last_axis_first(ranked[g]), at, axis=1, out=ps, mode="clip")
         elif tested_at is not None and procedure.stepwise == "single-step":
-            hits = _last_axis_first(matrix.take(at, axis=0))
-            hits = hits <= _cutoffs(procedure, n, tested_at)
+            hits = _single_step_hits(procedure, matrix.take(at, axis=0), tested_at)
             r[ks] = _column_counts(hits)
             # the columns from k1 on are a view of the hits' layout
             v[ks] = _column_counts(hits[k1:]) if k1 else r[ks]
@@ -202,11 +198,8 @@ def _decide(ensemble, families, counts, levels, procedure, metric):
     v = None if truths is None else np.empty(families.size, dtype=np.intp)
     offsets = (np.cumsum(ensemble.sizes) - ensemble.sizes)[families]
     parts = []
-    # group ids stand in for sizes, one to one
-    groups = [(0, slice(None))] if len(ensemble.groups) == 1 else size_groups(group_of)
-    for g, ks in groups:
-        at = rows[ks]
-        tested_at = None if levels is None else levels[ks]
+    for g, ks in id_groups(len(ensemble.groups), group_of):
+        at, tested_at = rows[ks], None if levels is None else levels[ks]
         mask, r[ks] = rejected_entries(
             procedure, ensemble.pvalues[g].take(at, axis=0), tested_at
         )

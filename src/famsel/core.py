@@ -150,15 +150,17 @@ def _column_counts(hits: np.ndarray) -> np.ndarray:
     return np.add.reduce(hits, axis=0, dtype=_count_type(n)).astype(np.intp)
 
 
-# Rows of a size from 2 to _NETWORK_SIZES are sorted by a compare-exchange
-# network (`_sorted_columns`) once there are _NETWORK_ROWS of them. Network
-# against np.sort and a transposed copy, in us (2-vCPU host, best of 9): n = 2,
-# 7.2 against 15.6 at 256 rows; n = 5, 12.6 against 12.2 at 256 and 27.7
-# against 90.1 at 2,048; n = 10, 37.0 against 17.3 and 88.1 against 128.8.
-# On whole Simes/BH estimates it took 0.74-0.99 of np.sort's time at n = 2..10
-# and 1.05-1.15 at n = 13-16. _NETWORKS holds each size's network once built.
+# Rows of a size n from 2 to _NETWORK_SIZES are sorted by a compare-exchange
+# network (`_sorted_columns`) from _NETWORK_ROWS[n] of them on: the least
+# count from which `rejected_entries` on BH ran faster so in each of four
+# processes, there and at every larger count up to 1,536 (2-vCPU host, best
+# of 15). Network against np.sort, in us: n = 2, 18.4 against 18.9 at 96
+# rows; n = 5, 26.5 against 22.3 at 128 and 29.1 against 29.4 at 256;
+# n = 10, 68.7 against 58.5 at 512 and 98.0 against 103.9 at 1,024. On whole
+# Simes/BH estimates it took 0.74-0.99 of np.sort's time at n = 2..10 and
+# 1.05-1.15 at n = 13-16. _NETWORKS holds each size's network once built.
 _NETWORK_SIZES = 10
-_NETWORK_ROWS = 256
+_NETWORK_ROWS = dict(enumerate((96, 128, 256, 256, 320, 512, 1024, 768, 1024), 2))
 _NETWORKS = {}
 
 
@@ -208,22 +210,21 @@ def _network(n: int) -> list:
 
 def _sorted_columns(rows: np.ndarray, empty=np.empty) -> np.ndarray:
     """rows, an (N, n) matrix, with each row sorted, as an (n, N) array:
-    row k holds every row's (k+1)-th smallest value. Fewer than
-    _NETWORK_ROWS rows holding fewer than _CHUNK_CELLS values are np.sort's
-    rows, transposed with no copy. More are sorted into `_last_axis_first`'s
-    layout in memory from empty (np.empty's signature): by the network
-    (`_network`) for n from 2 to _NETWORK_SIZES, else by np.sort in row
-    chunks (`_row_chunks`). Each comparator's np.fmin and np.maximum move a
-    NaN to its larger side, so NaN sorts last, and the network's values are
-    np.sort's bit for bit on rows free of -0.0; on a row holding 0.0 and
-    -0.0 both zeros may come out with one sign, which changes no <=."""
+    row k holds every row's (k+1)-th smallest value. From _NETWORK_ROWS[n]
+    rows of a size n from 2 to _NETWORK_SIZES on, the network (`_network`)
+    sorts them into `_last_axis_first`'s layout in memory from empty
+    (np.empty's signature). Else np.sort's rows come transposed with no
+    copy, or past _CHUNK_CELLS values sorted into that layout in row chunks
+    (`_row_chunks`). Each comparator's np.fmin and np.maximum move a NaN to
+    its larger side, so NaN sorts last, and its values are np.sort's bit for
+    bit on rows free of -0.0; it may give a row's 0.0 and -0.0 one sign,
+    which changes no <=."""
     count, n = rows.shape
-    # _NETWORK_ROWS rows of up to _NETWORK_SIZES values are fewer than
-    # _CHUNK_CELLS values
-    if count < _NETWORK_ROWS and count * n < _CHUNK_CELLS:
+    network = 1 < n <= _NETWORK_SIZES and count >= _NETWORK_ROWS[n]
+    if not network and count * n < _CHUNK_CELLS:
         return np.sort(rows, axis=1).T
     out = empty((n, count))
-    if not 1 < n <= _NETWORK_SIZES:
+    if not network:
         for rows_at in _row_chunks(count, n):
             np.copyto(out[:, rows_at], np.sort(rows[rows_at], axis=1).T)
         return out
@@ -249,6 +250,12 @@ def size_groups(sizes) -> list:
     groups = np.split(order, starts[1:])
     groups.sort(key=lambda g: g[0])
     return [(int(sizes[g[0]]), g) for g in groups]
+
+
+def id_groups(count: int, group_of) -> list:
+    """`size_groups(group_of)` for group ids, which stand in for sizes, from
+    count groups: with one, [(0, slice(None))], without reading group_of."""
+    return [(0, slice(None))] if count == 1 else size_groups(group_of)
 
 
 def in_family_order(groups, parts) -> np.ndarray:

@@ -243,8 +243,7 @@ class Procedure:
 
 @lru_cache(maxsize=32)
 def _count_ranks(n: int) -> np.ndarray:
-    """The ranks 0..n as an (n + 1, 1) column on `_count_type(n)`, read-only
-    and built once per n, for the step counts on a few rows."""
+    """The ranks 0..n, a read-only (n + 1, 1) column on `_count_type(n)`."""
     ranks = np.arange(n + 1, dtype=_count_type(n))[:, None]
     ranks.flags.writeable = False
     return ranks
@@ -333,6 +332,13 @@ def _rejection_bounds(ranked: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.where(r, ranked.take(r * s + np.arange(-s, 0)), -np.inf)
 
 
+def _single_step_hits(procedure: Procedure, rows: np.ndarray, levels) -> np.ndarray:
+    """A single step's hits on (s, n) rows at levels, a float array of one
+    per row, as `_last_axis_first`'s (n, s) layout: it reads no rank, so
+    each row is compared unsorted against its one cutoff."""
+    return _last_axis_first(rows) <= _cutoffs(procedure, rows.shape[1], levels)
+
+
 def rejected_entries(procedure: Procedure, rows: np.ndarray, levels=None):
     """Which entries of each family the procedure rejects, and how many.
 
@@ -344,10 +350,7 @@ def rejected_entries(procedure: Procedure, rows: np.ndarray, levels=None):
     tested one `core.size_groups` group at a time.
     """
     if levels is not None and procedure.stepwise == "single-step":
-        # levels as they come give the cutoffs as a row that meets
-        # `_last_axis_first`'s columns
-        levels = np.asarray(levels, dtype=np.float64)
-        hit = _last_axis_first(rows) <= _cutoffs(procedure, rows.shape[1], levels)
+        hit = _single_step_hits(procedure, rows, np.asarray(levels, dtype=float))
         return hit.T, _column_counts(hit)
     ranked = _sorted_columns(rows)
     r = rejection_counts(procedure, ranked.T, levels)

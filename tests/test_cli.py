@@ -106,7 +106,7 @@ class TestAnalyze:
         code, out, _ = run_cli(args + ["--adjust", "simple"], capsys)
         assert code == 0
         families = json.loads(out)["selection"]["families"]
-        assert len(families) == len(values) >= core._NETWORK_ROWS
+        assert len(families) == len(values) >= core._NETWORK_ROWS[5]
         named = getattr(famsel, procedure)
         rejections = 0
         for rec, row in zip(families, values):

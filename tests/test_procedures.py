@@ -618,13 +618,13 @@ class TestRejectedEntries:
                 assert counts.tolist() == expected.sum(axis=1).tolist()
 
     def test_rows_on_both_sides_of_the_network_cutoff(self):
-        # families of 2 to 10 sort by the network from _NETWORK_ROWS rows
-        # on and by np.sort below; with ties, zeros of both signs and NaN
-        # each mask and count is the textbook's, row by row
+        # families of n from 2 to 10 sort by the network from
+        # _NETWORK_ROWS[n] rows on and by np.sort below; with ties, zeros of
+        # both signs and NaN each mask and count is the textbook's, row by row
         rng = np.random.default_rng(45)
         pool = np.array([0.0, -0.0, 0.001, 0.01, 0.04, 0.2, np.nan])
-        sizes = (1, _NETWORK_ROWS - 1, _NETWORK_ROWS)
-        for n, s in itertools.product((2, 5, 10), sizes):
+        for n, below in itertools.product((2, 5, 10), (None, 1, 0)):
+            s = 1 if below is None else _NETWORK_ROWS[n] - below
             rows = rng.choice(pool, size=(s, n))
             drawn = rng.uniform(size=(s, n))
             rows = np.where(rng.uniform(size=(s, n)) < 0.3, drawn, rows)

@@ -178,7 +178,7 @@ class TestCombine:
         shape = (3000, 5)
         tied = rng.choice(pool, size=shape)
         rows = np.where(rng.uniform(size=shape) < 0.7, tied, rng.uniform(size=shape))
-        assert len(rows) >= core._NETWORK_ROWS
+        assert len(rows) >= core._NETWORK_ROWS[5]
         ens = PValueEnsemble(rows)
         ranked, floor = np.sort(rows, axis=1), selection.DEFAULT_P_FLOOR
         for kind in COMBINERS:

@@ -499,7 +499,7 @@ class TestGenerate:
         sides = set()  # whether a sort at the cutoff of 10 ran the network
         for network_sizes, network_rows, (rule, procedure, sorts), n in itertools.product(
             (core._NETWORK_SIZES, 0),
-            (1, 10, core._NETWORK_ROWS),
+            [dict.fromkeys(range(2, 11), c) for c in (1, 10)] + [core._NETWORK_ROWS],
             [(simes, "bh", 1), (simes, "holm", 1), (MinPThreshold(0.3), "bonferroni", 0)],
             (5, [2, 5, 1, 3]),
         ):
@@ -529,10 +529,10 @@ class TestGenerate:
             by_network = [
                 (count, w)
                 for count, w in sorted_shapes
-                if 1 < w <= network_sizes and count >= network_rows
+                if 1 < w <= network_sizes and count >= network_rows[w]
             ]
             assert rows == [w for c, w in sorted_shapes if (c, w) not in by_network]
-            if network_rows == 10 and network_sizes:
+            if network_rows[2] == 10 and network_sizes:
                 sides.update((c, w) in by_network for c, w in sorted_shapes)
             if not sorts:
                 assert np_sorted == [], (rule, n)
@@ -1337,7 +1337,7 @@ class TestBlockSize:
             # blocks on both sides of the network's row cutoff
             rows = [step * cfg.m for step in steps]
             assert cfg.n <= core._NETWORK_SIZES
-            assert min(rows) < core._NETWORK_ROWS <= max(rows), rows
+            assert min(rows) < core._NETWORK_ROWS[cfg.n] <= max(rows), rows
 
     @pytest.mark.parametrize(
         "cfg",
@@ -1475,9 +1475,11 @@ class TestFirstAxisKernels:
 
     @pytest.mark.parametrize("network", [True, False])
     def test_sorted_columns_are_np_sort_byte_for_byte(self, network, monkeypatch):
-        # rows on both sides of the network's row cutoff: below it np.sort's
-        # rows come transposed, with no copy; NaN sorts last on both sides
+        # rows on both sides of the network's row cutoff of 256: below it
+        # np.sort's rows come transposed, with no copy; NaN sorts last on
+        # both sides
         monkeypatch.setattr(core, "_NETWORK_SIZES", 12 if network else 0)
+        monkeypatch.setattr(core, "_NETWORK_ROWS", dict.fromkeys(range(2, 13), 256))
         rng = np.random.default_rng(41)
         for n, count in itertools.product(range(1, 13), (20, 255, 256, 300)):
             nans = tie_grids(rng, count, n)
@@ -1485,8 +1487,8 @@ class TestFirstAxisKernels:
             for rows in (rng.uniform(size=(count, n)), tie_grids(rng, count, n), nans):
                 got = core._sorted_columns(rows)
                 assert got.shape == (n, count)
-                below = count < core._NETWORK_ROWS
-                assert (got.T if below else got).flags.c_contiguous
+                by_np_sort = count < 256 or not 1 < n <= core._NETWORK_SIZES
+                assert (got.T if by_np_sort else got).flags.c_contiguous
                 want = np.sort(rows, axis=1)
                 assert np.ascontiguousarray(got.T).tobytes() == want.tobytes(), n
 
@@ -1513,8 +1515,8 @@ class TestFirstAxisKernels:
             assert set(range(n + 1, 2 * n + 1)) <= read
 
     def test_np_sort_outside_network_sizes(self, monkeypatch):
-        # from the row cutoff on, np.sort sorts only the sizes the network
-        # does not; below it, every size
+        # from each size's row cutoff on, np.sort sorts only the sizes the
+        # network does not; below it, every size
         sorts = []
         sort = np.sort
 
@@ -1523,15 +1525,16 @@ class TestFirstAxisKernels:
             return sort(a, *args, **kwargs)
 
         monkeypatch.setattr(np, "sort", counting)
-        sizes = (1, 2, core._NETWORK_SIZES, core._NETWORK_SIZES + 1)
-        for count in (core._NETWORK_ROWS - 1, core._NETWORK_ROWS):
+        top = core._NETWORK_SIZES
+        for n, below in itertools.product((1, 2, 5, top, top + 1), (1, 0)):
+            count = core._NETWORK_ROWS.get(n, 300) - below
             sorts.clear()
-            for n in sizes:
-                core._sorted_columns(np.random.default_rng(n).uniform(size=(count, n)))
-            if count < core._NETWORK_ROWS:
-                assert sorts == [(count, n) for n in sizes]
-            else:
-                assert sorts == [(count, 1), (count, core._NETWORK_SIZES + 1)]
+            core._sorted_columns(np.random.default_rng(n).uniform(size=(count, n)))
+            # np.sort may sort in row chunks
+            sorted_rows = [c for c, w in sorts if w == n]
+            by_network = not below and 1 < n <= top
+            assert len(sorted_rows) == len(sorts)
+            assert sum(sorted_rows) == (0 if by_network else count), (n, count)
 
     @pytest.mark.parametrize("kind", PROCEDURE_KINDS)
     def test_ranked_rows_test_as_the_rows_do(self, kind, monkeypatch):
@@ -1540,13 +1543,14 @@ class TestFirstAxisKernels:
         # for every count k1 of leading non-nulls, and against the mask
         # rejected_entries gives; at a row cutoff of 1 every sort but n = 1
         # runs the network, at 151 the ranked matrix's 200 rows do and the
-        # 150 tested rows do not
+        # 150 tested rows do not, and at the measured cutoffs (256 for 11
+        # and 12) the side depends on the size
         rng = np.random.default_rng(PROCEDURE_KINDS.index(kind))
         monkeypatch.setattr(core, "_NETWORK_SIZES", 12)
-        for network_rows, n in itertools.product(
-            (1, 151, core._NETWORK_ROWS), range(1, 13)
-        ):
-            monkeypatch.setattr(core, "_NETWORK_ROWS", network_rows)
+        measured = {**dict.fromkeys(range(2, 13), 256), **core._NETWORK_ROWS}
+        tables = [dict.fromkeys(range(2, 13), c) for c in (1, 151)] + [measured]
+        for table, n in itertools.product(tables, range(1, 13)):
+            monkeypatch.setattr(core, "_NETWORK_ROWS", table)
             matrix = np.where(
                 rng.uniform(size=(200, 1)) < 0.5,
                 tie_grids(rng, 200, n) * 0.1,
